@@ -1,6 +1,6 @@
 """Time-varying scores over an access sequence.
 
-``compute_stats`` extracts, in two BIT-backed sweeps, the per-step
+``compute_stats`` extracts, in one sweep over recency ranks, the per-step
 backward working-set size, the forward (next-access) counterpart, and the
 between-occurrences interval size.  On top of those:
 
@@ -22,16 +22,14 @@ from typing import Sequence
 from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from .errors import ConfigError
 from .priorities import RandomStream, composite_priority
-from .sequences import AccessSequence
+from .sequences import AccessSequence, RecencyRanks
 from .treap import Treap
 
 __all__ = [
     "SequenceStats",
     "compute_stats",
     "IntervalSetPriorityState",
-    "isp_step",
     "CrudeOracle",
-    "crude_step",
     "CostBreakdown",
     "run_dynamic",
     "cost_decomposition_check",
@@ -44,42 +42,6 @@ STRUCTURES = ("treap", "tier-forest", "det-forest", "rank-forest")
 
 NORM_CEILING = math.pi * math.pi / 6.0
 NORM_STEADY = 0.645
-
-
-class _Bit:
-    def __init__(self, size: int):
-        self.size = size
-        self.a = [0] * (size + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        while i <= self.size:
-            self.a[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        s = 0
-        while i > 0:
-            s += self.a[i]
-            i -= i & (-i)
-        return s
-
-    def range(self, lo: int, hi: int) -> int:
-        if lo > hi:
-            return 0
-        return self.prefix(hi) - self.prefix(lo - 1)
-
-    def kth(self, k: int) -> int:
-        """Smallest index with prefix >= k (k >= 1)."""
-        pos = 0
-        rem = k
-        step = 1 << (self.size.bit_length())
-        while step:
-            nxt = pos + step
-            if nxt <= self.size and self.a[nxt] < rem:
-                pos = nxt
-                rem -= self.a[nxt]
-            step >>= 1
-        return pos + 1
 
 
 @dataclass
@@ -113,41 +75,21 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
     n, m, items = seq.n, seq.m, seq.items
     prev = [0] * (m + 1)
     nxt = [m + 1] * (m + 1)
+    work = [0] + [n] * m
     last: dict[int, int] = {}
-    for i in range(1, m + 1):
-        x = items[i - 1]
-        if x in last:
-            prev[i] = last[x]
-            nxt[last[x]] = i
+    ranks = RecencyRanks(n)
+    for i, x in enumerate(items, start=1):
+        p = last.get(x)
+        if p:
+            prev[i] = p
+            nxt[p] = i
+            work[i] = ranks.rank(x) - 1
         last[x] = i
-    # distinct-count queries (lo, hi, slot) answered in one sweep over hi
-    work = [0] * (m + 1)
-    future = [0] * (m + 1)
-    by_hi: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        if prev[i]:
-            by_hi[i - 1].append((prev[i] + 1, i, work))
-        else:
-            work[i] = n
-        if nxt[i] <= m:
-            by_hi[nxt[i] - 1].append((i + 1, i, future))
-        else:
-            future[i] = n
-    bit = _Bit(m)
-    last.clear()
-    for r in range(1, m + 1):
-        x = items[r - 1]
-        if x in last:
-            bit.add(last[x], -1)
-        bit.add(r, 1)
-        last[x] = r
-        for lo, slot, arr in by_hi[r]:
-            arr[slot] = bit.range(lo, r)
-    for lo, slot, arr in by_hi[0]:
-        arr[slot] = 0
-    interval = [0] * (m + 1)
-    for i in range(1, m + 1):
-        interval[i] = future[i] + 1 if nxt[i] <= m else n
+        ranks.touch(x)
+    # future at one occurrence is work at the next; the interval window also
+    # holds the access that closes it
+    future = [0] + [work[j] if j <= m else n for j in nxt[1:]]
+    interval = [0] + [work[j] + 1 if j <= m else n for j in nxt[1:]]
     return SequenceStats(n=n, m=m, items=list(items), prev=prev, next=nxt,
                          work=work, future=future, interval=interval)
 
@@ -187,10 +129,6 @@ class IntervalSetPriorityState:
             raise AssertionError(f"norm {self.norm} exceeds steady bound {NORM_STEADY}")
 
 
-def isp_step(state: IntervalSetPriorityState, i: int, stats: SequenceStats) -> set[int]:
-    return state.step(i, stats)
-
-
 def _round_score(work: int) -> int:
     """Next-power-of-two rounding: 2^ceil(log2(work+1)) - 1, output 0 at 0."""
     if work <= 0:
@@ -201,54 +139,29 @@ def _round_score(work: int) -> int:
 class CrudeOracle:
     """Exact recency ranks with lazily rounded scores.
 
-    Ranks are kept with per-item timestamps and an order-statistic BIT, so a
-    front-move costs O(log).  The rounded score of an item changes only when
-    its exact rank crosses a power of two, hence at most floor(log2 n) + 1
-    items (the accessed one plus one per boundary) refresh per step.
-    Unseen items carry the sentinel working-set size n.
+    Ranks come from a ``RecencyRanks``, so a front-move costs O(log n).  The
+    rounded score of an item changes only when its exact rank crosses a
+    power of two, hence at most floor(log2 n) + 1 items (the accessed one
+    plus one per boundary) refresh per step.  Unseen items carry the
+    sentinel working-set size n.
     """
 
-    def __init__(self, n: int, expected_steps: int = 0):
+    def __init__(self, n: int):
         self.n = n
-        cap = n + max(expected_steps, 4 * n) + 1
-        self._cap = cap
-        self._bit = _Bit(cap)
-        self._stamp = [0] * (n + 1)
-        self._key_at: dict[int, int] = {}
-        self._clock = 0
-        self._seen = 0
+        self._ranks = RecencyRanks(n)
         self.s_init = _round_score(n)
         self.score = [self.s_init] * (n + 1)
 
     def seen(self, key: int) -> bool:
-        return self._stamp[key] != 0
+        return self._ranks.stamp[key] != 0
 
     def rank(self, key: int) -> int:
         """1-based recency rank among seen items (1 = most recent)."""
-        if not self.seen(key):
-            raise KeyError(f"key {key} not yet accessed")
-        return self._seen - self._bit.prefix(self._stamp[key]) + 1
+        return self._ranks.rank(key)
 
     def work_of(self, key: int) -> int:
         """Exact backward working-set size implied by the rank order."""
         return self.rank(key) - 1 if self.seen(key) else self.n
-
-    def _key_at_rank(self, r: int) -> int:
-        return self._key_at[self._bit.kth(self._seen - r + 1)]
-
-    def _tick(self) -> int:
-        self._clock += 1
-        if self._clock > self._cap:
-            order = sorted((self._stamp[k], k) for k in range(1, self.n + 1) if self._stamp[k])
-            self._bit = _Bit(self._cap)
-            self._key_at.clear()
-            for pos, (_, k) in enumerate(order, start=1):
-                self._stamp[k] = pos
-                self._bit.add(pos, 1)
-                self._key_at[pos] = k
-            self._clock = len(order)
-            self._clock += 1
-        return self._clock
 
     def step(self, key: int) -> list[tuple[int, int, int]]:
         """Serve ``key``; returns U_i as (item, new score, exact work) rows.
@@ -259,22 +172,13 @@ class CrudeOracle:
         if not 1 <= key <= self.n:
             raise KeyError(key)
         # collect boundary crossers against the pre-move ranks
-        limit = self.rank(key) - 1 if self.seen(key) else self._seen
+        limit = self.rank(key) - 1 if self.seen(key) else self._ranks.seen
         crossers: list[int] = []
         boundary = 1
         while boundary <= limit:
-            crossers.append(self._key_at_rank(boundary))
+            crossers.append(self._ranks.key_at_rank(boundary))
             boundary <<= 1
-        if self.seen(key):
-            self._bit.add(self._stamp[key], -1)
-            del self._key_at[self._stamp[key]]
-            self._stamp[key] = 0  # or compaction would resurrect the old slot
-        else:
-            self._seen += 1
-        stamp = self._tick()
-        self._stamp[key] = stamp
-        self._bit.add(stamp, 1)
-        self._key_at[stamp] = key
+        self._ranks.touch(key)
         out = [(key, 0, 0)]
         self.score[key] = 0
         for item in crossers:
@@ -283,10 +187,6 @@ class CrudeOracle:
             self.score[item] = s
             out.append((item, s, w))
         return out
-
-
-def crude_step(oracle: CrudeOracle, key: int) -> list[tuple[int, int, int]]:
-    return oracle.step(key)
 
 
 @dataclass
@@ -411,7 +311,7 @@ def run_dynamic(
         def do_update(x: int, w: float) -> tuple[int, int]:
             return 0, 0
 
-    oracle = CrudeOracle(n, expected_steps=m) if (
+    oracle = CrudeOracle(n) if (
         scheme == "past-ws-crude" and structure != "rank-forest") else None
 
     # the norm certificate only exists for the squared weight form

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError, DuplicateKeyError
 from .priorities import RandomStream, WeightVector, tier_value
+from .sequences import RecencyRanks
 from .treap import Priority, Treap
 
 __all__ = [
@@ -754,24 +755,6 @@ class DetScoreForest:
         return None
 
 
-class _Fenwick:
-    def __init__(self, size: int):
-        self.size = size
-        self.a = [0] * (size + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        while i <= self.size:
-            self.a[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        s = 0
-        while i > 0:
-            s += self.a[i]
-            i -= i & (-i)
-        return s
-
-
 class RankForest:
     """Self-organizing forest of B-trees keyed by recency rank.
 
@@ -792,16 +775,11 @@ class RankForest:
         while cfg.B ** (2 ** S) < n:
             S += 1
         self.S = S
-        self._cap = max(1 << 20, 2 * n)
-        self._fen = _Fenwick(self._cap)
-        self._stamp = [0] * (n + 1)
-        self._clock = n
+        self._ranks = RecencyRanks(n)
+        for k in range(n, 0, -1):  # initial recency rank equals the key
+            self._ranks.touch(k)
         self.tree_of = [0] * (n + 1)
-        self._heaps: list[list[tuple[int, int]]] = [[] for _ in range(S + 1)]
-        # initial recency rank equals the key; fill trees front to back
-        for k in range(1, n + 1):
-            self._stamp[k] = n - k + 1
-            self._fen.add(n - k + 1, 1)
+        # fill trees front to back
         self.trees: list[BTree | None] = [None] * (S + 1)
         start = 1
         for i in range(1, S + 1):
@@ -810,12 +788,12 @@ class RankForest:
             self.trees[i] = BTree(self.store, ks, tier=i)
             for k in ks:
                 self.tree_of[k] = i
-                heapq.heappush(self._heaps[i], (self._stamp[k], k))
             start += len(ks)
             if start > n:
                 for j in range(i + 1, S + 1):
                     self.trees[j] = BTree(self.store, (), tier=j)
                 break
+        self._rebuild_heaps()
 
     def cap_hi(self, i: int) -> int:
         return 2 * self.cfg.B ** (2 ** (i + 1))
@@ -825,30 +803,22 @@ class RankForest:
 
     def rank(self, key: int) -> int:
         """1 = most recently accessed."""
-        return self.n - self._fen.prefix(self._stamp[key]) + 1
+        return self._ranks.rank(key)
 
-    def _tick(self) -> int:
-        self._clock += 1
-        if self._clock > self._cap:
-            self._compact()
-        return self._clock
-
-    def _compact(self) -> None:
-        order = sorted(range(1, self.n + 1), key=lambda k: self._stamp[k])
-        self._fen = _Fenwick(self._cap)
-        for pos, k in enumerate(order, start=1):
-            self._stamp[k] = pos
-            self._fen.add(pos, 1)
-        self._clock = self.n
-        self._heaps = [[] for _ in range(self.S + 1)]
+    def _rebuild_heaps(self) -> None:
+        """Per-tree min-heaps of (stamp, key), for finding each tree's oldest."""
+        self._heaps: list[list[tuple[int, int]]] = [[] for _ in range(self.S + 1)]
+        stamp = self._ranks.stamp
         for k in range(1, self.n + 1):
-            heapq.heappush(self._heaps[self.tree_of[k]], (self._stamp[k], k))
+            self._heaps[self.tree_of[k]].append((stamp[k], k))
+        for heap in self._heaps:
+            heapq.heapify(heap)
 
     def _oldest(self, i: int) -> tuple[int, int] | None:
         heap = self._heaps[i]
         while heap:
             stamp, key = heap[0]
-            if self.tree_of[key] == i and self._stamp[key] == stamp:
+            if self.tree_of[key] == i and self._ranks.stamp[key] == stamp:
                 return stamp, key
             heapq.heappop(heap)
         return None
@@ -870,14 +840,15 @@ class RankForest:
                 break
         if not found_at:
             raise KeyError(key)
-        self._fen.add(self._stamp[key], -1)
-        self._stamp[key] = self._tick()
-        self._fen.add(self._stamp[key], 1)
+        renumbered = self._ranks.touch(key)
         if found_at != 1:
             touched.update(self.trees[found_at].delete(key))
             touched.update(self.trees[1].insert(key))
             self.tree_of[key] = 1
-        heapq.heappush(self._heaps[1], (self._stamp[key], key))
+        if renumbered:
+            self._rebuild_heaps()
+        else:
+            heapq.heappush(self._heaps[1], (self._ranks.stamp[key], key))
         for i in range(1, self.S):
             tree = self.trees[i]
             while len(tree) > self.cap_hi(i):
@@ -889,7 +860,7 @@ class RankForest:
                     touched.update(tree.delete(victim))
                     touched.update(self.trees[i + 1].insert(victim))
                     self.tree_of[victim] = i + 1
-                    heapq.heappush(self._heaps[i + 1], (self._stamp[victim], victim))
+                    heapq.heappush(self._heaps[i + 1], (self._ranks.stamp[victim], victim))
         return self.store.charge(touched)
 
     def check_invariant(self) -> str | None:
@@ -916,6 +887,10 @@ class RankForest:
         return None
 
     def validate(self) -> str | None:
+        err = self._ranks.validate()
+        if err:
+            return f"recency ranks: {err}"
+        stamp = self._ranks.stamp
         total = 0
         for i in range(1, self.S + 1):
             tree = self.trees[i]
@@ -925,6 +900,11 @@ class RankForest:
             for k in tree.key_block:
                 if self.tree_of[k] != i:
                     return f"key {k} marked in tree {self.tree_of[k]}, stored in {i}"
+            if len(tree):
+                live = min((stamp[k], k) for k in tree.key_block)
+                entry = self._oldest(i)
+                if entry != live:
+                    return f"tree {i}: oldest (stamp, key) is {live}, its heap gives {entry}"
             total += len(tree)
         if total != self.n:
             return f"forest holds {total} keys, expected {self.n}"

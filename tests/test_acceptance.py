@@ -28,8 +28,6 @@ from scoretreap.dynamic import (
     CrudeOracle,
     IntervalSetPriorityState,
     compute_stats,
-    crude_step,
-    isp_step,
     run_dynamic,
 )
 from scoretreap.em import EMConfig, RankForest, TierForestBTreap
@@ -283,7 +281,7 @@ def test_c09_interval_score_norm_never_exceeds_the_certificate():
         state = IntervalSetPriorityState(seq.n)
         seen: set[int] = set()
         for i in range(1, seq.m + 1):
-            isp_step(state, i, st)
+            state.step(i, st)
             seen.add(seq.at(i))
             norm = math.fsum(state.isp[1:])
             assert norm <= NORM_CEILING + 1e-12, (name, i)
@@ -297,7 +295,7 @@ def test_c10_interval_scheme_reweights_at_most_one_item_per_step():
         st = compute_stats(seq)
         state = IntervalSetPriorityState(seq.n)
         for i in range(1, seq.m + 1):
-            u = isp_step(state, i, st)
+            u = state.step(i, st)
             assert len(u) <= 1 and u <= {seq.at(i)}, (name, i)
 
 
@@ -365,12 +363,12 @@ def test_c14_crude_scores_stay_in_band_with_few_updates():
     and no step re-scores more than floor(log2 n) + 1 = 11 items."""
     n, steps = 1024, 100_000
     py = random.Random(14)
-    oracle = CrudeOracle(n, expected_steps=steps)
+    oracle = CrudeOracle(n)
     front: list[int] = []
     cap = math.floor(math.log2(n)) + 1
     for _ in range(steps):
         key = py.randint(1, n)
-        rows = crude_step(oracle, key)
+        rows = oracle.step(key)
         if key in front:
             front.remove(key)
         front.insert(0, key)

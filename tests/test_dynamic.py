@@ -22,8 +22,6 @@ from scoretreap.dynamic import (
     IntervalSetPriorityState,
     compute_stats,
     cost_decomposition_check,
-    crude_step,
-    isp_step,
     run_dynamic,
 )
 from scoretreap.em import EMConfig
@@ -134,14 +132,14 @@ class TestIntervalSetPriority:
         seq = AccessSequence(3, [2, 2, 1])
         st = compute_stats(seq)
         state = IntervalSetPriorityState(3)
-        isp_step(state, 1, st)
+        state.step(1, st)
         assert state.isp[2] == pytest.approx(1.0 / 4.0)
 
     def test_interval_three_scores_sixteenth(self):
         seq = AccessSequence(4, [1, 2, 3, 1])
         st = compute_stats(seq)
         state = IntervalSetPriorityState(4)
-        changed = isp_step(state, 1, st)
+        changed = state.step(1, st)
         assert changed == {1}
         assert state.isp[1] == pytest.approx(1.0 / 16.0)
 
@@ -151,7 +149,7 @@ class TestIntervalSetPriority:
         seq = AccessSequence(3, [1, 2, 3, 1])
         st = compute_stats(seq)
         state = IntervalSetPriorityState(3)
-        assert isp_step(state, 1, st) == set()
+        assert state.step(1, st) == set()
         assert state.isp[1] == pytest.approx(1.0 / 16.0)
 
     def test_update_set_at_most_one_and_total_bounded(self, py_rng):
@@ -162,7 +160,7 @@ class TestIntervalSetPriority:
             state = IntervalSetPriorityState(n)
             total = 0
             for i in range(1, seq.m + 1):
-                u = isp_step(state, i, st)
+                u = state.step(i, st)
                 assert len(u) <= 1
                 assert u <= {seq.at(i)}
                 total += len(u)
@@ -176,7 +174,7 @@ class TestIntervalSetPriority:
             state = IntervalSetPriorityState(n)
             seen: set[int] = set()
             for i in range(1, seq.m + 1):
-                isp_step(state, i, st)
+                state.step(i, st)
                 seen.add(seq.at(i))
                 norm = sum(state.isp[x] for x in range(1, n + 1))
                 assert norm <= NORM_CEILING + 1e-12
@@ -193,20 +191,20 @@ class TestCrudeOracle:
         seq = [1, 2, 3, 4, 1, 1]
         rows = []
         for k in seq:
-            rows = crude_step(oracle, k)
+            rows = oracle.step(k)
         # immediate repeat: only the served key updates, with score 0
         assert rows[0] == (1, 0, 0)
         assert len(rows) == 1
 
     def test_matches_reference_move_to_front(self, py_rng):
         n, steps = 40, 1500
-        oracle = CrudeOracle(n, expected_steps=steps)
+        oracle = CrudeOracle(n)
         front: list[int] = []  # most recent first; unseen items absent
         for _ in range(steps):
             key = py_rng.randint(1, n)
             pre_work = front.index(key) if key in front else n
             assert oracle.work_of(key) == pre_work
-            rows = crude_step(oracle, key)
+            rows = oracle.step(key)
             if key in front:
                 front.remove(key)
             front.insert(0, key)
@@ -225,26 +223,12 @@ class TestCrudeOracle:
                 band = math.log2(oracle.score[item] + 1)
                 assert math.log2(pos + 1) <= band <= 2 * math.log2(pos + 1) + 1
 
-    def test_compaction_preserves_ranks(self):
-        n = 16
-        oracle = CrudeOracle(n, expected_steps=4)  # tiny stamp arena
-        py = random.Random(3)
-        front: list[int] = []
-        for _ in range(800):  # far beyond the arena, forcing renumbering
-            key = py.randint(1, n)
-            crude_step(oracle, key)
-            if key in front:
-                front.remove(key)
-            front.insert(0, key)
-            for pos, item in enumerate(front, start=1):
-                assert oracle.rank(item) == pos
-
     def test_update_volume_bound(self, py_rng):
         n = 1024
-        oracle = CrudeOracle(n, expected_steps=3000)
+        oracle = CrudeOracle(n)
         cap = math.floor(math.log2(n)) + 1
         for _ in range(3000):
-            rows = crude_step(oracle, py_rng.randint(1, n))
+            rows = oracle.step(py_rng.randint(1, n))
             assert 1 <= len(rows) <= cap
 
 

@@ -313,6 +313,47 @@ class TestRankForest:
             assert st.access(k) >= 1
         assert st.check_invariant() is None
 
+    def test_ranks_survive_stamp_renumbering(self):
+        """Every access of a long random trace leaves the ranks equal to a
+        literal move-to-front list and the forest valid, across many
+        renumberings of the 2n-slot stamp arena."""
+        n = 64
+        st = RankForest(n, EMConfig(4))
+        touch = st._ranks.touch
+        renumbered = 0
+
+        def counted_touch(key: int) -> bool:
+            nonlocal renumbered
+            hit = touch(key)
+            renumbered += hit
+            return hit
+
+        st._ranks.touch = counted_touch
+        py = random.Random(1)
+        front = list(range(1, n + 1))
+        for i in range(1, 2001):
+            key = py.randint(1, n)
+            st.access(key)
+            front.remove(key)
+            front.insert(0, key)
+            assert [st.rank(k) for k in front] == list(range(1, n + 1)), i
+            assert st.validate() is None, i
+        assert renumbered >= 10
+
+    @pytest.mark.parametrize("corrupt", ["fenwick cell", "stamp", "oldest heap"])
+    def test_validate_catches_state_drift(self, corrupt):
+        st = RankForest(64, EMConfig(4))
+        for k in (5, 9, 60):
+            st.access(k)
+        assert st.validate() is None
+        if corrupt == "fenwick cell":
+            st._ranks._tree[6] += 1  # off the path of the total
+        elif corrupt == "stamp":
+            st._ranks.stamp[9] += 1
+        else:
+            st._heaps[1].clear()
+        assert st.validate() is not None
+
     def test_out_of_range_key(self):
         st = RankForest(8, EMConfig(4))
         with pytest.raises(KeyError):
