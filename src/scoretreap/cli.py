@@ -13,13 +13,15 @@ import csv
 import json
 import math
 import os
+import random
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 from .distributions import (Distribution, cross_entropy, entropy, error_measures, kl, mae,
                             noisy_scores, perturb)
-from .dynamic import CrudeOracle, compute_stats, cost_decomposition_check, run_dynamic
+from .dynamic import (CrudeOracle, IntervalSetPriorityState, compute_stats,
+                      cost_decomposition_check, run_dynamic)
 from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap, em_report
 from .errors import ConfigError
 from .oracle import optimal_static_bst_cost
@@ -75,13 +77,17 @@ class _Params:
         return self._get(key, default, lambda s: s.lower() in ("1", "true", "yes", "on"))
 
     def floats(self, key: str, default: str) -> list[float]:
-        return self._get(key, default, str) and [
-            float(tok) for tok in str(self.used[key]).split(",") if tok.strip()
-        ]
+        return self._list(key, default, float)
 
     def ints(self, key: str, default: str) -> list[int]:
-        self._get(key, default, str)
-        return [int(tok) for tok in str(self.used[key]).split(",") if tok.strip()]
+        return self._list(key, default, int)
+
+    def _list(self, key: str, default: str, cast) -> list:
+        """Comma-separated values; an empty list is a config error."""
+        vals = [cast(tok) for tok in self._get(key, default, str).split(",") if tok.strip()]
+        if not vals:
+            raise ConfigError(f"{key} must list at least one value")
+        return vals
 
 
 def _fanout(trials: int, threads: int, one):
@@ -92,11 +98,15 @@ def _fanout(trials: int, threads: int, one):
         return list(pool.map(one, range(trials)))
 
 
+def _rule_treap(rule, masses: list[float], rng: RandomStream) -> Treap:
+    """The treap in which key k has priority ``rule(masses[k-1], rng)``."""
+    tiers, offsets = zip(*[rule(w, rng) for w in masses])
+    return Treap.build_arrays(tiers, offsets)
+
+
 def _static_treap_cost(masses: list[float], counts: dict[int, int], rng: RandomStream) -> tuple[int, dict[int, int]]:
     """Total cost of a fixed composite-priority treap: counts dot depths."""
-    pris = [composite_priority(w, rng) for w in masses]
-    tr = Treap.build_arrays([p.tier for p in pris], [p.offset for p in pris])
-    depths = tr.depths()
+    depths = _rule_treap(composite_priority, masses, rng).depths()
     return sum(c * depths[k] for k, c in counts.items()), depths
 
 
@@ -174,9 +184,7 @@ def cmd_robustness(p: _Params, seed: int, trials: int, threads: int, out_dir: st
     checks: dict[str, bool] = {}
     for eps in eps_list:
         def one(t: int) -> tuple[int, int, float, float]:
-            import random as _random
-
-            pr = perturb(dist, measure, eps, rng=_random.Random(seed * 7717 + t))
+            pr = perturb(dist, measure, eps, rng=random.Random(seed * 7717 + t))
             counts = _trace_counts(TraceSpec(family="zipf", n=n, m=m, seed=seed + t, s=s))
             rng = RandomStream(seed).spawn(t)
             base_cost, _ = _static_treap_cost(dist.masses(), counts, rng)
@@ -226,13 +234,9 @@ def cmd_counterexamples(p: _Params, seed: int, trials: int, threads: int, out_di
 
         def one(t: int) -> tuple[float, float]:
             rng = RandomStream(seed).spawn(1000 + t)
-            single = [single_log_priority(w, rng) for w in masses]
-            ts = Treap.build_arrays([q.tier for q in single], [q.offset for q in single])
-            ds = ts.depths()
+            ds = _rule_treap(single_log_priority, masses, rng).depths()
             rng2 = RandomStream(seed).spawn(2000 + t)
-            comp = [composite_priority(w, rng2) for w in masses]
-            tc = Treap.build_arrays([q.tier for q in comp], [q.offset for q in comp])
-            dc = tc.depths()
+            dc = _rule_treap(composite_priority, masses, rng2).depths()
             es = math.fsum(masses[k - 1] * ds[k] for k in range(1, n + 1))
             ec = math.fsum(masses[k - 1] * dc[k] for k in range(1, n + 1))
             return es, ec
@@ -312,14 +316,12 @@ def cmd_interval_set(p: _Params, seed: int, trials: int, threads: int, out_dir: 
     stz = compute_stats(zipf)
     truth = [float(stz.future[i]) for i in range(1, m + 1)]
     sweep = []
-    import random as _random
-
     exact_run = run_dynamic(zipf, "future-ws-exact", structure, cfg=cfg,
                             rng=RandomStream(seed).spawn(91), stats=stz)
     for rel in eps_list:
         target = rel * m / n
         pred = truth if target == 0 else noisy_scores(
-            truth, target, _random.Random(seed * 31 + int(rel * 1000)), lo=0.0, hi=float(n))
+            truth, target, random.Random(seed * 31 + int(rel * 1000)), lo=0.0, hi=float(n))
         noisy_run = run_dynamic(zipf, "future-ws-noisy", structure, cfg=cfg,
                                 rng=RandomStream(seed).spawn(91), stats=stz,
                                 predicted_scores=pred)
@@ -372,15 +374,11 @@ def cmd_em_compare(p: _Params, seed: int, trials: int, threads: int, out_dir: st
 
 
 def cmd_validate(p: _Params, seed: int, trials: int, threads: int, out_dir: str) -> dict:
-    import random as _random
-
     n = p.int_("n", 128)
     m = p.int_("m", 2_000)
     checks: dict[str, bool] = {}
-    rnd = _random.Random(seed)
+    rnd = random.Random(seed)
     # treap structural fuzz
-    from .treap import Priority
-
     tr = Treap(n)
     present: set[int] = set()
     ok = True
@@ -393,7 +391,7 @@ def cmd_validate(p: _Params, seed: int, trials: int, threads: int, out_dir: str)
             k = rnd.randint(1, n)
             if k in present:
                 continue
-            tr.insert(k, Priority(rnd.randint(0, 3), rnd.random() * 0.998 + 0.001))
+            tr.insert(k, rnd.randint(0, 3), rnd.random() * 0.998 + 0.001)
             present.add(k)
         if tr.validate() is not None:
             ok = False
@@ -417,8 +415,6 @@ def cmd_validate(p: _Params, seed: int, trials: int, threads: int, out_dir: str)
     # isp norm + crude band on a random trace
     seq = gen_sequence(TraceSpec(family="zipf", n=n, m=m, seed=seed, s=1.0))
     stats = compute_stats(seq)
-    from .dynamic import IntervalSetPriorityState
-
     state = IntervalSetPriorityState(n)
     ok = True
     try:

@@ -274,14 +274,14 @@ def run_dynamic(
                        base=2.0 if structure == "treap" else float(cfg.B))
 
     if structure == "treap":
-        tiers_offs = [composite_priority(w0, rng) for _ in range(n)]
-        tr = Treap.build_arrays([p.tier for p in tiers_offs], [p.offset for p in tiers_offs])
+        tiers, offsets = zip(*[composite_priority(w0, rng) for _ in range(n)])
+        tr = Treap.build_arrays(tiers, offsets)
 
         def do_access(x: int) -> int:
             return tr.access(x)
 
         def do_update(x: int, w: float) -> tuple[int, int]:
-            return tr.update_priority(x, composite_priority(w, rng)) + 1, 0
+            return tr.update_priority(x, *composite_priority(w, rng)) + 1, 0
 
     elif structure == "tier-forest":
         st = TierForestBTreap([w0] * n, cfg, rng=rng)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .errors import ConfigError, DuplicateKeyError
 from .priorities import RandomStream, WeightVector, tier_value
 from .sequences import RecencyRanks
-from .treap import Priority, Treap
+from .treap import Treap
 
 __all__ = [
     "EMConfig",
@@ -605,7 +605,7 @@ class TierForestBTreap:
         new_tier = tier_value(w_new, self.cfg.B, 4)
         if offset is None:
             offset = self._rng.next_offset()
-        rot = self.base.update_priority(key, Priority(new_tier, offset))
+        rot = self.base.update_priority(key, new_tier, offset)
         self.weights[key] = w_new
         written = 0
         if new_tier != old_tier:
@@ -713,8 +713,8 @@ class DetScoreForest:
         if not 1 <= key <= self.n:
             raise KeyError(key)
         touched: set[int] = set()
-        for idx in sorted(self.trees):
-            tree = self.trees[idx]
+        # ``trees`` is kept in ascending index order; ``validate`` checks it
+        for tree in self.trees.values():
             if not len(tree):
                 continue
             found, path = tree.search(key)
@@ -741,6 +741,9 @@ class DetScoreForest:
         return self.store.charge(touched)
 
     def validate(self) -> str | None:
+        order = list(self.trees)
+        if order != sorted(order):
+            return f"tree indices {order} not in ascending order"
         total = 0
         for idx, tree in self.trees.items():
             err = tree.validate()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
-from .treap import Priority
 
 __all__ = [
     "naive_depths",
@@ -22,16 +21,17 @@ __all__ = [
 ]
 
 
-def naive_depths(priorities: Mapping[int, "Priority"]) -> dict[int, int]:
-    """Depths of the unique treap, built by recursive argmax over intervals."""
+def naive_depths(priorities: Mapping[int, tuple[int, float]]) -> dict[int, int]:
+    """Depths of the unique treap over ``(tier, offset)`` pairs, built by
+    recursive argmax over intervals."""
     if not priorities:
         return {}
     keys = sorted(priorities)
 
     def rank(k: int) -> tuple[int, float, int]:
-        p = priorities[k]
+        tier, offset = priorities[k]
         # larger tuple = higher priority; smaller key wins ties
-        return (-p.tier, p.offset, -k)
+        return (-tier, offset, -k)
 
     out: dict[int, int] = {}
 

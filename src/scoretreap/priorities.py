@@ -1,10 +1,13 @@
 """Priority assignment rules mapping per-item scores to treap priorities.
 
-The doubly-logarithmic rules bucket an item of score ``w`` into tier
-``floor(log_outer(log_inner(1/w)))`` clamped at 0, then add a fresh uniform
-offset in (0, 1).  Tier arithmetic uses integer power walks so scores that
-are exact powers of the inner base land in the mathematically exact tier
-instead of flickering across a floating-point floor boundary.
+Each rule returns a plain ``(tier, offset)`` pair, the form ``Treap`` stores;
+``tiers, offsets = zip(*pairs)`` turns a list of them into the arrays
+``Treap.build_arrays`` takes.  The doubly-logarithmic rules bucket an item of
+score ``w`` into tier ``floor(log_outer(log_inner(1/w)))`` clamped at 0, then
+add a fresh uniform offset in (0, 1); block structures call ``tier_value``
+with their own bases directly.  Tier arithmetic uses integer power walks so
+scores that are exact powers of the inner base land in the mathematically
+exact tier instead of flickering across a floating-point floor boundary.
 """
 
 from __future__ import annotations
@@ -14,14 +17,12 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
-from .treap import Priority
 
 __all__ = [
     "RandomStream",
     "WeightVector",
     "tier_value",
     "composite_priority",
-    "btree_composite_priority",
     "single_log_priority",
     "raw_score_priority",
     "static_opt_weights",
@@ -133,24 +134,17 @@ def single_log_tier(w: float) -> int:
 # priority rules
 
 
-def composite_priority(w: float, rng: RandomStream) -> Priority:
+def composite_priority(w: float, rng: RandomStream) -> tuple[int, float]:
     """Doubly-logarithmic rule for binary trees: tier floor(lg lg (1/w))."""
-    return Priority(tier_value(w, 2, 2), rng.next_offset())
+    return tier_value(w, 2, 2), rng.next_offset()
 
 
-def btree_composite_priority(w: float, B: int, rng: RandomStream) -> Priority:
-    """Doubly-logarithmic rule for block trees: tier floor(log4 log_B (1/w))."""
-    if B < 4:
-        raise ConfigError(f"block fanout must be >= 4, got {B}")
-    return Priority(tier_value(w, B, 4), rng.next_offset())
-
-
-def single_log_priority(w: float, rng: RandomStream) -> Priority:
+def single_log_priority(w: float, rng: RandomStream) -> tuple[int, float]:
     """Singly-logarithmic bucketing; kept as a deliberately weak baseline."""
-    return Priority(single_log_tier(w), rng.next_offset())
+    return single_log_tier(w), rng.next_offset()
 
 
-def raw_score_priority(w: float) -> Priority:
+def raw_score_priority(w: float) -> tuple[int, float]:
     """Deterministic priority whose order equals the score order.
 
     Scores are squashed through ``w / (1 + w)`` so they fit the (0, 1) offset
@@ -159,7 +153,7 @@ def raw_score_priority(w: float) -> Priority:
     """
     if not w > 0.0 or math.isinf(w) or math.isnan(w):
         raise ValueError(f"score must be a positive finite number, got {w!r}")
-    return Priority(0, w / (1.0 + w))
+    return 0, w / (1.0 + w)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Treap over dense integer keys with exact cost accounting.
 
-Keys live in ``[1, n]``.  A priority is a pair ``(tier, offset)`` standing for
-the real number ``-tier + offset``; priorities compare lexicographically by
-``(-tier, offset)`` and ties are broken toward the smaller key, so the heap
-order is a strict total order and any priority assignment induces exactly one
-tree.  All operations use iterative descent and parent links; nothing here
-recurses, so chains of any depth are fine.
+Keys live in ``[1, n]``.  A priority is a plain pair ``(tier, offset)``: an
+integer tier and an offset in the open interval (0, 1), standing for the real
+number ``-tier + offset`` (a smaller tier sits closer to the root).  The
+treap keeps the pairs as parallel tier/offset arrays, and every entry point
+that stores one (``build``, ``build_arrays``, ``insert``,
+``update_priority``) rejects an offset outside (0, 1).  Priorities compare
+lexicographically by ``(-tier, offset)`` and ties are broken toward the
+smaller key, so the heap order is a strict total order and any priority
+assignment induces exactly one tree; both builders link it with one shared
+right-spine sweep.  All operations use iterative descent and parent links;
+nothing here recurses, so chains of any depth are fine.
 """
 
 from __future__ import annotations
@@ -15,28 +20,12 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import DuplicateKeyError
 
-__all__ = ["Priority", "CostLedger", "Treap"]
+__all__ = ["CostLedger", "Treap"]
 
 
-@dataclass(frozen=True)
-class Priority:
-    """Composite priority: integral tier plus a fractional tie-breaking offset.
-
-    ``tier`` is the negated integral part of the priority, so a *smaller* tier
-    means a *higher* priority (closer to the root).  ``offset`` must lie in
-    the open interval (0, 1).
-    """
-
-    tier: int
-    offset: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.offset < 1.0:
-            raise ValueError(f"offset must lie in (0, 1), got {self.offset!r}")
-
-    def value(self) -> float:
-        """The priority as a plain real number (larger = closer to root)."""
-        return -self.tier + self.offset
+def _check_offset(key: int, offset: float) -> None:
+    if not 0.0 < offset < 1.0:
+        raise ValueError(f"offset for key {key} not in (0, 1): {offset!r}")
 
 
 @dataclass
@@ -78,27 +67,58 @@ class Treap:
     def build_arrays(cls, tiers: Sequence[int], offsets: Sequence[float]) -> "Treap":
         """Build the unique treap for keys ``1..len(tiers)`` in one sweep.
 
-        ``tiers[k-1]`` / ``offsets[k-1]`` hold key ``k``'s priority.  The
-        right-spine sweep is O(n) and produces the same tree as inserting the
-        keys in any order (uniqueness of the treap under a strict priority
-        order).
+        ``tiers[k-1]`` / ``offsets[k-1]`` hold key ``k``'s priority.
         """
         n = len(tiers)
         if len(offsets) != n:
             raise ValueError("tiers and offsets must have equal length")
         t = cls(n)
+        for k, o in enumerate(offsets, start=1):
+            _check_offset(k, o)
+        t._tier[1:] = list(tiers)
+        t._off[1:] = list(offsets)
+        t._present = bytearray([0]) + bytearray([1] * n)
+        t._sweep(range(1, n + 1))
+        return t
+
+    @classmethod
+    def build(cls, priorities: Mapping[int, tuple[int, float]], n: int | None = None) -> "Treap":
+        """Build the unique treap holding exactly ``priorities.keys()``.
+
+        ``priorities`` maps each key to its ``(tier, offset)`` pair.
+        """
+        if not priorities:
+            raise ValueError("cannot build an empty treap")
+        keys = sorted(priorities)
+        if n is None:
+            n = keys[-1]
+        t = cls(n)
         tier = t._tier
         off = t._off
-        left = t._left
-        right = t._right
-        parent = t._parent
-        for i, o in enumerate(offsets):
-            if not 0.0 < o < 1.0:
-                raise ValueError(f"offset for key {i + 1} not in (0, 1): {o!r}")
-        tier[1:] = list(tiers)
-        off[1:] = list(offsets)
+        present = t._present
+        for k in keys:
+            if not 1 <= k <= n:
+                raise KeyError(f"key {k} outside universe 1..{n}")
+            tier[k], off[k] = priorities[k]
+            _check_offset(k, off[k])
+            present[k] = 1
+        t._sweep(keys)
+        return t
+
+    def _sweep(self, keys: Sequence[int]) -> None:
+        """Link ascending ``keys``, priorities already stored, into the unique treap.
+
+        The right-spine sweep is O(len(keys)) and produces the same tree as
+        inserting the keys in any order (uniqueness of the treap under a
+        strict priority order).
+        """
+        tier = self._tier
+        off = self._off
+        left = self._left
+        right = self._right
+        parent = self._parent
         stack: list[int] = []
-        for k in range(1, n + 1):
+        for k in keys:
             tk = tier[k]
             ok = off[k]
             last = 0
@@ -119,56 +139,8 @@ class Treap:
                 right[stack[-1]] = k
                 parent[k] = stack[-1]
             stack.append(k)
-        t.root = stack[0]
-        t.size = n
-        t._present = bytearray([0]) + bytearray([1] * n)
-        return t
-
-    @classmethod
-    def build(cls, priorities: Mapping[int, Priority], n: int | None = None) -> "Treap":
-        """Build the unique treap holding exactly ``priorities.keys()``."""
-        if not priorities:
-            raise ValueError("cannot build an empty treap")
-        keys = sorted(priorities)
-        if n is None:
-            n = keys[-1]
-        t = cls(n)
-        tier = t._tier
-        off = t._off
-        left = t._left
-        right = t._right
-        parent = t._parent
-        present = t._present
-        for k in keys:
-            if not 1 <= k <= n:
-                raise KeyError(f"key {k} outside universe 1..{n}")
-            p = priorities[k]
-            tier[k] = p.tier
-            off[k] = p.offset
-            present[k] = 1
-        stack: list[int] = []
-        for k in keys:
-            tk = tier[k]
-            ok = off[k]
-            last = 0
-            while stack:
-                s = stack[-1]
-                ts = tier[s]
-                if ts > tk or (ts == tk and off[s] < ok):
-                    stack.pop()
-                    last = s
-                else:
-                    break
-            if last:
-                left[k] = last
-                parent[last] = k
-            if stack:
-                right[stack[-1]] = k
-                parent[k] = stack[-1]
-            stack.append(k)
-        t.root = stack[0]
-        t.size = len(keys)
-        return t
+        self.root = stack[0]
+        self.size = len(keys)
 
     # ------------------------------------------------------------------
     # introspection
@@ -185,9 +157,10 @@ class Treap:
             if self._present[k]:
                 yield k
 
-    def priority(self, key: int) -> Priority:
+    def priority(self, key: int) -> tuple[int, float]:
+        """The key's ``(tier, offset)`` pair."""
         self._require(key)
-        return Priority(self._tier[key], self._off[key])
+        return self._tier[key], self._off[key]
 
     def parent_of(self, key: int) -> int:
         """Parent key, or 0 at the root."""
@@ -290,14 +263,15 @@ class Treap:
     # ------------------------------------------------------------------
     # updates
 
-    def insert(self, key: int, pri: Priority) -> int:
+    def insert(self, key: int, tier: int, offset: float) -> int:
         """Insert; returns the number of rotations performed."""
+        _check_offset(key, offset)
         if not 1 <= key <= self.n:
             raise KeyError(f"key {key} outside universe 1..{self.n}")
         if self._present[key]:
             raise DuplicateKeyError(f"key {key} already present")
-        self._tier[key] = pri.tier
-        self._off[key] = pri.offset
+        self._tier[key] = tier
+        self._off[key] = offset
         self._present[key] = 1
         self.size += 1
         if not self.root:
@@ -368,21 +342,17 @@ class Treap:
         self.ledger.rotations += rot
         return rot
 
-    def update_priority(self, key: int, pri: Priority, *, reinsert: bool = False) -> int:
+    def update_priority(self, key: int, tier: int, offset: float) -> int:
         """Re-prioritize ``key`` in place; returns the number of rotations.
 
-        The default restores the heap order by rotating ``key`` up or down
-        from where it sits, which costs exactly ``|depth_before - depth_after|``
-        rotations.  With ``reinsert=True`` the key is deleted and re-inserted
-        instead (same resulting tree, by uniqueness, but a costlier path).
+        The heap order is restored by rotating ``key`` up or down from where
+        it sits, which costs exactly ``|depth_before - depth_after|``
+        rotations.
         """
+        _check_offset(key, offset)
         self._require(key)
-        if reinsert:
-            rot = self.delete(key)
-            rot += self.insert(key, pri)
-            return rot
-        self._tier[key] = pri.tier
-        self._off[key] = pri.offset
+        self._tier[key] = tier
+        self._off[key] = offset
         rot = 0
         parent = self._parent
         if parent[key] and self._wins(key, parent[key]):

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from scoretreap.priorities import RandomStream
-from scoretreap.treap import Priority
 
 
-def random_priorities(py: random.Random, n: int, max_tier: int = 3) -> dict[int, Priority]:
-    """Distinct-by-construction priorities for keys 1..n."""
-    return {k: Priority(py.randint(0, max_tier), py.random()) for k in range(1, n + 1)}
+def random_priorities(py: random.Random, n: int, max_tier: int = 3) -> dict[int, tuple[int, float]]:
+    """Distinct-by-construction (tier, offset) priorities for keys 1..n."""
+    return {k: (py.randint(0, max_tier), py.random()) for k in range(1, n + 1)}
 
 
 def random_distribution(py: random.Random, n: int, skew: float = 3.0) -> list[float]:

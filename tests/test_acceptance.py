@@ -44,12 +44,12 @@ from scoretreap.priorities import (
     single_log_priority,
 )
 from scoretreap.sequences import TraceSpec, gen_distribution, gen_sequence
-from scoretreap.treap import Priority, Treap
+from scoretreap.treap import Treap
 
 
 def _build(masses, rng, maker):
-    pris = [maker(w, rng) for w in masses]
-    return Treap.build_arrays([p.tier for p in pris], [p.offset for p in pris])
+    tiers, offsets = zip(*[maker(w, rng) for w in masses])
+    return Treap.build_arrays(tiers, offsets)
 
 
 def _shape(t: Treap):
@@ -73,7 +73,7 @@ def test_c01_treap_unique_for_any_insertion_order():
     py = random.Random(11)
     for trial in range(1000):
         n = 1 + trial % 8
-        pris = {k: Priority(py.randint(0, 3), py.random() * 0.998 + 0.001)
+        pris = {k: (py.randint(0, 3), py.random() * 0.998 + 0.001)
                 for k in range(1, n + 1)}
         want = naive_depths(pris)
         bulk = Treap.build(pris, n=n)
@@ -87,7 +87,7 @@ def test_c01_treap_unique_for_any_insertion_order():
         for order in orders:
             t = Treap(n)
             for k in order:
-                t.insert(k, pris[k])
+                t.insert(k, *pris[k])
             assert _shape(t) == ref
     assert time.monotonic() - t0 < 10.0
 
@@ -100,7 +100,7 @@ def test_c02_ancestor_iff_interval_priority_max():
     py = random.Random(23)
     for seed in range(100):
         n = 2 + seed % 9
-        pris = {k: Priority(py.randint(0, 2), py.random() * 0.998 + 0.001)
+        pris = {k: (py.randint(0, 2), py.random() * 0.998 + 0.001)
                 for k in range(1, n + 1)}
         t = Treap.build(pris, n=n)
         for x in range(1, n + 1):
@@ -109,7 +109,7 @@ def test_c02_ancestor_iff_interval_priority_max():
                     continue
                 lo, hi = min(x, y), max(x, y)
                 top = max(range(lo, hi + 1),
-                          key=lambda k: (-pris[k].tier, pris[k].offset))
+                          key=lambda k: (-pris[k][0], pris[k][1]))
                 assert t.is_ancestor(x, y) == (top == x)
 
 

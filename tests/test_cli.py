@@ -50,6 +50,20 @@ class TestPlumbing:
         code = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("sub, config", [
+        ("robustness", "eps =\n"),
+        ("interval-set", "eps = , ,\n"),
+        ("counterexamples", "raw_n =\n"),
+        ("counterexamples", "single_log_n = ,\n"),
+    ], ids=["eps-blank", "eps-commas", "raw_n-blank", "single_log_n-comma"])
+    def test_empty_list_option_rejected(self, tmp_path, capsys, sub, config):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(config)
+        code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     def test_comments_and_blank_lines(self, tmp_path):
         code, summary, _ = run_cli(
             tmp_path, "validate",

@@ -256,6 +256,14 @@ class TestDetScoreForest:
         assert st.access(1) >= 1
         assert st.validate() is None
 
+    def test_validate_catches_unsorted_tree_order(self):
+        # access probes trees in dict order, so that order must stay ascending
+        st = DetScoreForest([0.5, 4.0 ** -2, 4.0 ** -4, 4.0 ** -16], EMConfig(4))
+        assert list(st.trees) == [0, 1, 2, 4]
+        assert st.validate() is None
+        st.trees = dict(reversed(st.trees.items()))
+        assert "ascending" in st.validate()
+
 
 class TestRankForest:
     def test_tree_count_is_minimal(self):

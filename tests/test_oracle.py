@@ -14,7 +14,7 @@ from scoretreap.oracle import (
     optimal_static_bst_cost,
 )
 from scoretreap.priorities import RandomStream
-from scoretreap.treap import Priority, Treap
+from scoretreap.treap import Treap
 
 
 def brute_force_bst_cost(freqs: list[int]) -> int:
@@ -31,7 +31,7 @@ def brute_force_bst_cost(freqs: list[int]) -> int:
 
 class TestNaiveDepths:
     def test_three_key_example(self):
-        pris = {1: Priority(0, 0.9), 2: Priority(0, 0.5), 3: Priority(0, 0.7)}
+        pris = {1: (0, 0.9), 2: (0, 0.5), 3: (0, 0.7)}
         assert naive_depths(pris) == {1: 1, 3: 2, 2: 3}
 
     def test_agrees_with_treap_build(self, py_rng):

@@ -10,25 +10,24 @@ from scoretreap.errors import ConfigError
 from scoretreap.priorities import (
     RandomStream,
     WeightVector,
-    btree_composite_priority,
     composite_priority,
     raw_score_priority,
     single_log_priority,
     static_opt_weights,
     tier_value,
 )
-from scoretreap.treap import Priority, Treap
+from scoretreap.treap import Treap
 
 
 class TestCompositePriority:
     def test_examples(self, stream):
-        assert composite_priority(1 / 16, stream).tier == 2
-        assert composite_priority(0.6, stream).tier == 0
-        assert composite_priority(2.0 ** -32, stream).tier == 5
+        assert composite_priority(1 / 16, stream)[0] == 2
+        assert composite_priority(0.6, stream)[0] == 0
+        assert composite_priority(2.0 ** -32, stream)[0] == 5
 
     def test_weights_at_or_above_one_clamp_to_zero(self, stream):
-        assert composite_priority(1.0, stream).tier == 0
-        assert composite_priority(7.5, stream).tier == 0
+        assert composite_priority(1.0, stream)[0] == 0
+        assert composite_priority(7.5, stream)[0] == 0
 
     def test_nonpositive_weight_rejected(self, stream):
         for bad in (0.0, -1.0, float("nan")):
@@ -40,43 +39,40 @@ class TestCompositePriority:
         # in the double log must not flip the floor
         for t in range(0, 6):
             w = 2.0 ** -(2 ** t)
-            assert composite_priority(w, stream).tier == t
+            assert composite_priority(w, stream)[0] == t
 
     def test_offsets_fresh_and_open_interval(self, stream):
-        offs = {composite_priority(0.25, stream).offset for _ in range(50)}
+        offs = {composite_priority(0.25, stream)[1] for _ in range(50)}
         assert len(offs) == 50
         assert all(0.0 < o < 1.0 for o in offs)
 
 
-class TestBtreeCompositePriority:
-    def test_examples(self, stream):
-        assert btree_composite_priority(16.0 ** -4, 16, stream).tier == 1
-        assert btree_composite_priority(16.0 ** -16, 16, stream).tier == 2
+class TestBlockTier:
+    """The block-tree tier ``tier_value(w, B, 4)``: floor(log4 log_B (1/w))."""
 
-    def test_heavy_weights_clamp(self, stream):
+    def test_examples(self):
+        assert tier_value(16.0 ** -4, 16, 4) == 1
+        assert tier_value(16.0 ** -16, 16, 4) == 2
+
+    def test_heavy_weights_clamp(self):
         for w in (1 / 16, 1 / 2, 1.0, 3.0):
-            assert btree_composite_priority(w, 16, stream).tier == 0
+            assert tier_value(w, 16, 4) == 0
 
-    def test_small_branching_factor_rejected(self, stream):
-        for b in (0, 1, 2, 3):
-            with pytest.raises(ConfigError):
-                btree_composite_priority(0.5, b, stream)
-
-    def test_exact_powers_of_b(self, stream):
+    def test_exact_powers_of_b(self):
         for B in (4, 16, 64):
             for t in range(0, 4):
                 w = float(B) ** -(4 ** t)
-                assert btree_composite_priority(w, B, stream).tier == t
+                assert tier_value(w, B, 4) == t
 
 
 class TestSingleLogPriority:
     def test_examples(self, stream):
-        assert single_log_priority(1 / 8, stream).tier == 3
-        assert single_log_priority(0.9, stream).tier == 0
+        assert single_log_priority(1 / 8, stream)[0] == 3
+        assert single_log_priority(0.9, stream)[0] == 0
 
     def test_exact_powers(self, stream):
         for k in range(0, 60):
-            assert single_log_priority(2.0 ** -k, stream).tier == k
+            assert single_log_priority(2.0 ** -k, stream)[0] == k
 
 
 class TestRawScorePriority:
@@ -104,7 +100,7 @@ class TestRawScorePriority:
             a, b = py_rng.random() + 1e-9, py_rng.random() + 1e-9
             pa, pb = raw_score_priority(a), raw_score_priority(b)
             if a > b:
-                assert (-pa.tier, pa.offset) >= (-pb.tier, pb.offset)
+                assert (-pa[0], pa[1]) >= (-pb[0], pb[1])
 
 
 class TestStaticOptWeights:
@@ -121,12 +117,12 @@ class TestStaticOptWeights:
     def test_uniform_frequencies_share_one_tier(self, stream):
         n, m = 64, 640
         wv = static_opt_weights([m // n] * n, m)
-        tiers = {composite_priority(w, stream).tier for w in wv.values()}
+        tiers = {composite_priority(w, stream)[0] for w in wv.values()}
         assert tiers == {tier_value(1.0 / n, 2, 2)}
 
     def test_point_mass_lands_in_top_band(self, stream):
         wv = static_opt_weights([0, 10, 0], 10)
-        assert composite_priority(wv.values()[1], stream).tier == 0
+        assert composite_priority(wv.values()[1], stream)[0] == 0
 
     def test_zero_total_rejected(self):
         with pytest.raises(ConfigError):
@@ -136,9 +132,9 @@ class TestStaticOptWeights:
 class TestTierMonotonicity:
     def test_heavier_weight_never_gets_larger_tier(self, py_rng, stream):
         schemes = (
-            lambda w: composite_priority(w, stream).tier,
-            lambda w: btree_composite_priority(w, 16, stream).tier,
-            lambda w: single_log_priority(w, stream).tier,
+            lambda w: composite_priority(w, stream)[0],
+            lambda w: tier_value(w, 16, 4),
+            lambda w: single_log_priority(w, stream)[0],
         )
         for _ in range(300):
             wx, wy = sorted((py_rng.random() ** 4 + 1e-12, py_rng.random() ** 4 + 1e-12), reverse=True)
@@ -171,7 +167,7 @@ class TestTierBandSize:
 
 class TestDeterminism:
     def test_identical_seeds_reproduce_priorities_exactly(self):
-        def draw(seed: int) -> list[Priority]:
+        def draw(seed: int) -> list[tuple[int, float]]:
             rng = RandomStream(seed)
             return [composite_priority(w, rng) for w in (0.5, 0.03, 1e-6, 0.2)]
 
@@ -216,8 +212,8 @@ class TestEmpiricalDepthBound:
         totals = [0] * (n + 1)
         for s in range(seeds):
             rng = RandomStream(5000 + s)
-            pris = [composite_priority(v, rng) for v in w]
-            t = Treap.build_arrays([p.tier for p in pris], [p.offset for p in pris])
+            tiers, offsets = zip(*[composite_priority(v, rng) for v in w])
+            t = Treap.build_arrays(tiers, offsets)
             for k, d in t.depths().items():
                 totals[k] += d
         for x in range(1, n + 1):

@@ -15,9 +15,9 @@ from conftest import random_priorities
 from scoretreap.errors import DuplicateKeyError
 from scoretreap.oracle import naive_depths
 from scoretreap.priorities import RandomStream
-from scoretreap.treap import Priority, Treap
+from scoretreap.treap import Treap
 
-THREE = {1: Priority(0, 0.9), 2: Priority(0, 0.5), 3: Priority(0, 0.7)}
+THREE = {1: (0, 0.9), 2: (0, 0.5), 3: (0, 0.7)}
 
 
 def shape(t: Treap) -> list[tuple[int, int, int, int]]:
@@ -35,14 +35,14 @@ class TestBuild:
         assert t.validate() is None
 
     def test_singleton(self):
-        t = Treap.build({1: Priority(0, 0.5)})
+        t = Treap.build({1: (0, 0.5)})
         assert t.root == 1
         assert t.size == 1
         assert t.depth(1) == 1
 
     def test_decreasing_priorities_make_a_right_chain(self):
         n = 12
-        pris = {k: Priority(0, 1.0 - k / (n + 1)) for k in range(1, n + 1)}
+        pris = {k: (0, 1.0 - k / (n + 1)) for k in range(1, n + 1)}
         t = Treap.build(pris)
         for k in range(1, n + 1):
             assert t.depth(k) == k
@@ -60,20 +60,12 @@ class TestBuild:
         for _ in range(100):
             n = py_rng.randint(1, 40)
             pris = random_priorities(py_rng, n)
-            via_arrays = Treap.build_arrays(
-                [pris[k].tier for k in range(1, n + 1)],
-                [pris[k].offset for k in range(1, n + 1)],
-            )
+            tiers, offsets = zip(*(pris[k] for k in range(1, n + 1)))
+            via_arrays = Treap.build_arrays(tiers, offsets)
             assert shape(via_arrays) == shape(Treap.build(pris))
 
-    def test_build_arrays_rejects_closed_interval_offsets(self):
-        with pytest.raises(ValueError):
-            Treap.build_arrays([0, 0], [0.5, 0.0])
-        with pytest.raises(ValueError):
-            Treap.build_arrays([0], [1.0])
-
     def test_equal_tier_and_offset_resolved_by_smaller_key(self):
-        pris = {1: Priority(2, 0.25), 2: Priority(2, 0.25), 3: Priority(2, 0.25)}
+        pris = {1: (2, 0.25), 2: (2, 0.25), 3: (2, 0.25)}
         t = Treap.build(pris)
         assert t.root == 1
         assert t.depth(1) == 1 and t.depth(2) == 2 and t.depth(3) == 3
@@ -82,15 +74,15 @@ class TestBuild:
 class TestInsertDelete:
     def test_insert_into_empty(self):
         t = Treap(5)
-        rot = t.insert(3, Priority(0, 0.5))
+        rot = t.insert(3, 0, 0.5)
         assert rot == 0
         assert t.root == 3 and t.size == 1
 
     def test_duplicate_insert_rejected(self):
         t = Treap(5)
-        t.insert(3, Priority(0, 0.5))
+        t.insert(3, 0, 0.5)
         with pytest.raises(DuplicateKeyError):
-            t.insert(3, Priority(0, 0.25))
+            t.insert(3, 0, 0.25)
 
     def test_insertion_order_invariance(self, py_rng):
         # Uniqueness: all insertion orders for n <= 4, sampled orders beyond.
@@ -106,7 +98,7 @@ class TestInsertDelete:
             for order in orders:
                 t = Treap(n)
                 for k in order:
-                    t.insert(k, pris[k])
+                    t.insert(k, *pris[k])
                 assert shape(t) == want
 
     def test_max_priority_insert_becomes_root(self, py_rng):
@@ -115,19 +107,19 @@ class TestInsertDelete:
             pris = random_priorities(py_rng, n - 1)
             t = Treap(n)
             for k, p in pris.items():
-                t.insert(k, p)
+                t.insert(k, *p)
             # key n goes in as the right-spine leaf, then rotates to the root;
             # one rotation per node it passes, i.e. the old spine length
             spine, node = 0, t.root
             while node:
                 spine += 1
                 node = t.right_of(node)
-            rot = t.insert(n, Priority(-1, 0.5))
+            rot = t.insert(n, -1, 0.5)
             assert t.root == n
             assert rot == spine
 
     def test_delete_root_of_two_node_tree(self):
-        t = Treap.build({1: Priority(0, 0.9), 2: Priority(0, 0.3)})
+        t = Treap.build({1: (0, 0.9), 2: (0, 0.3)})
         t.delete(1)
         assert t.root == 2 and t.size == 1
         assert t.validate() is None
@@ -151,7 +143,7 @@ class TestInsertDelete:
             want = shape(t)
             k = py_rng.choice(list(pris))
             t.delete(k)
-            t.insert(k, pris[k])
+            t.insert(k, *pris[k])
             assert shape(t) == want
 
     def test_absent_key_operations_raise(self):
@@ -160,7 +152,7 @@ class TestInsertDelete:
             with pytest.raises(KeyError):
                 op(9)
         with pytest.raises(KeyError):
-            t.update_priority(9, Priority(0, 0.1))
+            t.update_priority(9, 0, 0.1)
 
 
 class TestAccess:
@@ -170,7 +162,7 @@ class TestAccess:
 
     def test_access_on_chain_costs_key(self):
         n = 9
-        pris = {k: Priority(0, 1.0 - k / (n + 1)) for k in range(1, n + 1)}
+        pris = {k: (0, 1.0 - k / (n + 1)) for k in range(1, n + 1)}
         t = Treap.build(pris)
         for k in range(1, n + 1):
             assert t.access(k) == k
@@ -216,7 +208,7 @@ class TestUpdatePriority:
     def test_same_priority_is_a_no_op(self):
         t = Treap.build(THREE)
         want = shape(t)
-        assert t.update_priority(2, THREE[2]) == 0
+        assert t.update_priority(2, *THREE[2]) == 0
         assert shape(t) == want
 
     def test_raise_to_maximum_moves_key_to_root(self, py_rng):
@@ -224,7 +216,7 @@ class TestUpdatePriority:
             n = py_rng.randint(2, 10)
             t = Treap.build(random_priorities(py_rng, n))
             k = py_rng.randint(1, n)
-            t.update_priority(k, Priority(-5, 0.5))
+            t.update_priority(k, -5, 0.5)
             assert t.root == k
             assert t.validate() is None
 
@@ -233,14 +225,15 @@ class TestUpdatePriority:
             n = py_rng.randint(1, 8)
             pris = random_priorities(py_rng, n)
             k = py_rng.choice(list(pris))
-            new = Priority(py_rng.randint(0, 3), py_rng.random())
+            new = (py_rng.randint(0, 3), py_rng.random())
             t = Treap.build(pris)
-            t.update_priority(k, new)
+            t.update_priority(k, *new)
             want = naive_depths({**pris, k: new})
             assert t.depths() == want
-            # the reinsert flavor must land on the same unique tree
+            # delete-then-insert must land on the same unique tree
             t2 = Treap.build(pris)
-            t2.update_priority(k, new, reinsert=True)
+            t2.delete(k)
+            t2.insert(k, *new)
             assert t2.depths() == want
 
     def test_rotation_count_equals_depth_change(self, py_rng):
@@ -249,13 +242,13 @@ class TestUpdatePriority:
             t = Treap.build(random_priorities(py_rng, n))
             k = py_rng.randint(1, n)
             before = t.depth(k)
-            rot = t.update_priority(k, Priority(py_rng.randint(0, 3), py_rng.random()))
+            rot = t.update_priority(k, py_rng.randint(0, 3), py_rng.random())
             assert rot == abs(before - t.depth(k))
 
     def test_rotations_counted_in_ledger(self, py_rng):
         t = Treap.build(random_priorities(py_rng, 16))
         t.ledger.reset()
-        rot = t.update_priority(7, Priority(-1, 0.5))
+        rot = t.update_priority(7, -1, 0.5)
         assert t.ledger.rotations == rot > 0
 
 
@@ -265,7 +258,7 @@ class TestValidate:
         assert t.validate() is None
 
     def test_swapped_children_reported_as_bst_violation(self):
-        t = Treap.build({1: Priority(0, 0.9), 2: Priority(0, 0.8), 3: Priority(0, 0.7)})
+        t = Treap.build({1: (0, 0.9), 2: (0, 0.8), 3: (0, 0.7)})
         # chain 1 -> 2 -> 3; graft 3 as left child of 1 to break key order
         t._right[2] = 0
         t._right[1] = 0
@@ -275,10 +268,29 @@ class TestValidate:
         assert report is not None and "order" in report
 
     def test_child_priority_above_parent_reported(self):
-        t = Treap.build({1: Priority(1, 0.5), 2: Priority(2, 0.5)})
+        t = Treap.build({1: (1, 0.5), 2: (2, 0.5)})
         t._tier[2] = 0  # now 2 outranks its parent
         report = t.validate()
         assert report is not None and "heap" in report
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0, float("nan")])
+@pytest.mark.parametrize("entry", ["build_arrays", "build", "insert", "update_priority"])
+def test_entry_points_reject_offsets_outside_open_interval(entry, offset):
+    t = Treap.build(THREE, n=4)
+    want = shape(t)
+    with pytest.raises(ValueError):
+        if entry == "build_arrays":
+            Treap.build_arrays([0, 0], [0.5, offset])
+        elif entry == "build":
+            Treap.build({1: (0, 0.5), 2: (0, offset)})
+        elif entry == "insert":
+            t.insert(4, 0, offset)
+        else:
+            t.update_priority(2, 0, offset)
+    # a rejected insert or update leaves the tree as it was
+    assert shape(t) == want and t.priority(2) == THREE[2] and 4 not in t
+    assert t.validate() is None
 
 
 class TestLedger:
