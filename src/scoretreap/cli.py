@@ -74,7 +74,13 @@ class _Params:
         return self._get(key, default, str)
 
     def bool_(self, key: str, default: bool) -> bool:
-        return self._get(key, default, lambda s: s.lower() in ("1", "true", "yes", "on"))
+        def cast(raw: str) -> bool:
+            if raw.lower() in ("1", "true", "yes", "on"):
+                return True
+            if raw.lower() in ("0", "false", "no", "off"):
+                return False
+            raise ConfigError(f"{key} must be 1/true/yes/on or 0/false/no/off, got {raw!r}")
+        return self._get(key, default, cast)
 
     def floats(self, key: str, default: str) -> list[float]:
         return self._list(key, default, float)
@@ -486,6 +492,11 @@ def main(argv: list[str] | None = None) -> int:
             warnings.filterwarnings("ignore", message=r"fanout B=\d+ is small",
                                     category=UserWarning)
             result = COMMANDS[args.subcommand](params, seed, trials, threads, args.out)
+        # a misspelt key would otherwise leave its default silently in force;
+        # ``trials`` goes unread when --trials is given
+        stray = sorted(set(cfg) - set(params.used) - {"seed", "trials", "threads"})
+        if stray:
+            raise ConfigError(f"unknown config key(s): {', '.join(stray)}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -442,9 +442,16 @@ class TierForestBTreap:
     only grow along root-to-leaf paths, so maximal same-tier regions form a
     forest of components.  Each component becomes one bulk-built B-tree whose
     root hangs (conceptually) below the block containing the component
-    root's treap parent.  Weight updates re-prioritize the base treap and
-    rebuild exactly the components whose membership changed; rebuild writes
-    are tracked apart from search touches.
+    root's treap parent.  Rebuild writes are tracked apart from search
+    touches.
+
+    A weight update re-prioritizes one key of the base treap, and its
+    rotations re-hang only nodes beside that key's root path.  On a tier
+    change only the components holding such a node, or gaining one from
+    below, are re-grouped from their new tops: a group equal to an old
+    component (same tier, same members) keeps its tree, every other group
+    is bulk-built, and unmatched old trees are freed.  All other components
+    keep their members, tier, top and tree.
     """
 
     def __init__(
@@ -465,79 +472,102 @@ class TierForestBTreap:
         tiers = [tier_value(w, cfg.B, 4) for w in wl]
         self.base = Treap.build_arrays(tiers, list(offsets))
         self.store = BlockStore(cfg.B)
-        self.comp_of: list[int] = []
+        self.comp_of: list[int] = [0] * (self.n + 1)
         self.comp_root: dict[int, int] = {}
         self.comp_tree: dict[int, BTree] = {}
         self._next_comp = 1
-        self._rebuild(full=True)
+        for top, members in self._components(self._tops(range(1, self.n + 1))):
+            self._new_component(top, members)
 
     # -- component decomposition -------------------------------------------
 
     def tier_of(self, key: int) -> int:
         return self.base._tier[key]
 
-    def _partition(self) -> list[int]:
-        """Component id per key; a node roots a component iff its parent
-        is absent or sits in a strictly smaller tier."""
-        base = self.base
-        left, right, parent, tier = base._left, base._right, base._parent, base._tier
-        comp = [0] * (self.n + 1)
-        stack = [base.root]
-        while stack:
-            k = stack.pop()
-            p = parent[k]
-            if p and tier[p] == tier[k]:
-                comp[k] = comp[p]
-            else:
-                comp[k] = k  # provisional id: the component's top key
-            if left[k]:
-                stack.append(left[k])
-            if right[k]:
-                stack.append(right[k])
-        return comp
+    def _tops(self, keys: Iterable[int]) -> list[int]:
+        """The keys that top a component: their parent is absent or in another tier."""
+        parent, tier = self.base._parent, self.base._tier
+        return [k for k in keys if not parent[k] or tier[parent[k]] != tier[k]]
 
-    def _rebuild(self, full: bool = False) -> int:
-        """Recompute the partition; rebuild changed components.
+    def _components(self, tops: list[int]) -> list[tuple[int, list[int]]]:
+        """(top, members) for each top; members are the top and every node
+        reached from it through child links within its tier."""
+        left, right, tier = self.base._left, self.base._right, self.base._tier
+        out = []
+        for top in tops:
+            t = tier[top]
+            members = [top]
+            stack = [top]
+            while stack:
+                k = stack.pop()
+                for c in (left[k], right[k]):
+                    if c and tier[c] == t:
+                        members.append(c)
+                        stack.append(c)
+            out.append((top, members))
+        return out
 
-        Returns the number of blocks written for the rebuilt components.
+    def _new_component(self, top: int, members: list[int]) -> int:
+        """Bulk-build one component's tree; returns the blocks written."""
+        cid = self._next_comp
+        self._next_comp += 1
+        tree = BTree(self.store, members, tier=self.base._tier[top])
+        self.comp_root[cid] = top
+        self.comp_tree[cid] = tree
+        for k in members:
+            self.comp_of[k] = cid
+        return len(tree.owned)
+
+    def _neighbours(self, key: int) -> tuple[set[int], tuple[int, int]]:
+        """``key``'s ancestors and its two child slots (0 when empty)."""
+        parent = self.base._parent
+        ancestors: set[int] = set()
+        p = parent[key]
+        while p:
+            ancestors.add(p)
+            p = parent[p]
+        return ancestors, (self.base._left[key], self.base._right[key])
+
+    def _retier(self, key: int, ancestors: set[int], children: tuple[int, int]) -> int:
+        """Re-group the components that ``key``'s tier change can alter.
+
+        ``ancestors`` and ``children`` are ``_neighbours(key)`` from before
+        the base treap update.  Each rotation re-hangs ``key``, the node it
+        passes and one child between them, so every node whose parent
+        changed is ``key``, an ancestor before or after (not both), or a
+        child before or after; ``key``'s children are also the only nodes
+        whose parent changed tier.  A component that holds none of these
+        nodes, and that none of them now hangs below in its tier, keeps its
+        members and top.  Returns the blocks written for rebuilt components.
         """
-        comp_top = self._partition()
-        groups: dict[int, list[int]] = {}
-        for k in range(1, self.n + 1):
-            groups.setdefault(comp_top[k], []).append(k)
-        old_by_sig: dict[tuple[int, frozenset[int]], tuple[int, BTree]] = {}
-        if not full:
-            members: dict[int, list[int]] = {}
-            for k in range(1, self.n + 1):
-                members.setdefault(self.comp_of[k], []).append(k)
-            for cid, ks in members.items():
-                # keyed by the tree's recorded tier: the base tier may already
-                # have moved under the updated key
-                sig = (self.comp_tree[cid].tier, frozenset(ks))
-                old_by_sig[sig] = (cid, self.comp_tree[cid])
-        new_comp_of = [0] * (self.n + 1)
-        new_root: dict[int, int] = {}
-        new_tree: dict[int, BTree] = {}
+        parent, tier = self.base._parent, self.base._tier
+        comp_of = self.comp_of
+        after_anc, after_kids = self._neighbours(key)
+        moved = (ancestors ^ after_anc).union(children, after_kids)
+        moved.add(key)
+        moved.discard(0)
+        dirty = set()
+        for x in moved:
+            dirty.add(comp_of[x])
+            p = parent[x]
+            if p and tier[p] == tier[x]:
+                dirty.add(comp_of[p])
+        tops = self._tops(k for cid in dirty for k in self.comp_tree[cid].key_block)
+        kept = set()
         written = 0
-        for top, ks in groups.items():
-            sig = (self.base._tier[top], frozenset(ks))
-            hit = old_by_sig.pop(sig, None)
-            if hit is not None:
-                cid, tree = hit
+        for top, members in self._components(tops):
+            # groups are disjoint, so comp_of still holds this group's old ids
+            cid = comp_of[top]
+            tree = self.comp_tree[cid]
+            if (tree.tier == tier[top] and len(tree) == len(members)
+                    and all(comp_of[k] == cid for k in members)):
+                self.comp_root[cid] = top
+                kept.add(cid)
             else:
-                cid = self._next_comp
-                self._next_comp += 1
-                tree = BTree(self.store, ks, tier=self.base._tier[top])
-                written += len(tree.owned)
-            new_root[cid] = top
-            new_tree[cid] = tree
-            for k in ks:
-                new_comp_of[k] = cid
-        for _, (cid, tree) in old_by_sig.items():
-            tree.free()
-        self.comp_of = new_comp_of
-        self.comp_root = new_root
-        self.comp_tree = new_tree
+                written += self._new_component(top, members)
+        for cid in dirty - kept:
+            self.comp_tree.pop(cid).free()
+            del self.comp_root[cid]
         return written
 
     def _refresh_root(self, key: int) -> None:
@@ -605,11 +635,12 @@ class TierForestBTreap:
         new_tier = tier_value(w_new, self.cfg.B, 4)
         if offset is None:
             offset = self._rng.next_offset()
+        before = self._neighbours(key) if new_tier != old_tier else None
         rot = self.base.update_priority(key, new_tier, offset)
         self.weights[key] = w_new
         written = 0
-        if new_tier != old_tier:
-            written = self._rebuild()
+        if before is not None:
+            written = self._retier(key, *before)
         elif rot:
             self._refresh_root(key)
         insertion = len({bid for bid, _ in self._path_blocks(key)})
@@ -660,12 +691,31 @@ class TierForestBTreap:
         err = self.base.validate()
         if err:
             return f"base treap: {err}"
+        if set(self.comp_root) != set(self.comp_tree):
+            return (f"component ids differ: roots {sorted(self.comp_root)}, "
+                    f"trees {sorted(self.comp_tree)}")
+        # the decomposition must be the one the base treap implies now
+        parent, tier = self.base._parent, self.base._tier
+        for k in range(1, self.n + 1):
+            p = parent[k]
+            if p and tier[p] == tier[k]:
+                if self.comp_of[k] != self.comp_of[p]:
+                    return (f"same-tier key {k} and parent {p} in components "
+                            f"{self.comp_of[k]} and {self.comp_of[p]}")
+            elif self.comp_root.get(self.comp_of[k]) != k:
+                return f"top key {k} is not the root of its component {self.comp_of[k]}"
+        for cid, top in self.comp_root.items():
+            p = parent[top]
+            if self.comp_of[top] != cid or (p and tier[p] >= tier[top]):
+                return f"component {cid} root {top} is not the top of its own component"
         seen = 0
         for cid, tree in self.comp_tree.items():
             err = tree.validate()
             if err:
                 return f"component {cid}: {err}"
             t = self.base._tier[self.comp_root[cid]]
+            if tree.tier != t:
+                return f"component {cid} tree records tier {tree.tier}, its root has {t}"
             for k in tree.key_block:
                 if self.base._tier[k] != t:
                     return f"component {cid} mixes tiers at key {k}"

@@ -64,6 +64,32 @@ class TestPlumbing:
         assert "at least one value" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
 
+    def test_non_boolean_switch_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n = 32\nm = 200\ntrace = ture\n")
+        code = main(["working-set", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "trace" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+        code, summary, out = run_cli(tmp_path, "working-set",
+                                     "n = 32\nm = 200\ntrace = Off\n", trials=1)
+        assert code == 0 and summary["parameters"]["trace"] is False
+        assert not (out / "steps.csv").exists()
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "stray.cfg"
+        cfg.write_text("n = 32\nsize_m = 200\n")
+        code = main(["working-set", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--trials", "1"])
+        assert code == 2
+        assert "size_m" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+        # keys a command-line flag overrides still count as known
+        code, summary, _ = run_cli(tmp_path, "working-set",
+                                   "n = 32\nm = 200\nseed = 0\ntrials = 3\nthreads = 1\n",
+                                   trials=1)
+        assert code == 0 and summary["parameters"]["trials"] == 1
+
     def test_comments_and_blank_lines(self, tmp_path):
         code, summary, _ = run_cli(
             tmp_path, "validate",

@@ -13,11 +13,85 @@ from scoretreap.em import (
     EMConfig,
     RankForest,
     TierForestBTreap,
+    UpdateCost,
     em_report,
 )
 from scoretreap.errors import ConfigError, DuplicateKeyError
-from scoretreap.priorities import RandomStream
+from scoretreap.priorities import RandomStream, tier_value
 from scoretreap.sequences import TraceSpec, gen_sequence
+
+
+class FullRepartitionForest(TierForestBTreap):
+    """Reference update rule: on every tier change, re-partition all n keys
+    and match old to new components by (tier, member set)."""
+
+    def _partition(self) -> list[int]:
+        base = self.base
+        left, right, parent, tier = base._left, base._right, base._parent, base._tier
+        comp = [0] * (self.n + 1)
+        stack = [base.root]
+        while stack:
+            k = stack.pop()
+            p = parent[k]
+            comp[k] = comp[p] if p and tier[p] == tier[k] else k
+            if left[k]:
+                stack.append(left[k])
+            if right[k]:
+                stack.append(right[k])
+        return comp
+
+    def _rebuild(self) -> int:
+        comp_top = self._partition()
+        groups: dict[int, list[int]] = {}
+        for k in range(1, self.n + 1):
+            groups.setdefault(comp_top[k], []).append(k)
+        members: dict[int, list[int]] = {}
+        for k in range(1, self.n + 1):
+            members.setdefault(self.comp_of[k], []).append(k)
+        # keyed by the tree's recorded tier: the updated key's base tier moved
+        old_by_sig = {(self.comp_tree[cid].tier, frozenset(ks)): (cid, self.comp_tree[cid])
+                      for cid, ks in members.items()}
+        new_comp_of = [0] * (self.n + 1)
+        new_root: dict[int, int] = {}
+        new_tree: dict[int, BTree] = {}
+        written = 0
+        for top, ks in groups.items():
+            hit = old_by_sig.pop((self.base._tier[top], frozenset(ks)), None)
+            if hit is not None:
+                cid, tree = hit
+            else:
+                cid = self._next_comp
+                self._next_comp += 1
+                tree = BTree(self.store, ks, tier=self.base._tier[top])
+                written += len(tree.owned)
+            new_root[cid] = top
+            new_tree[cid] = tree
+            for k in ks:
+                new_comp_of[k] = cid
+        for _, tree in old_by_sig.values():
+            tree.free()
+        self.comp_of = new_comp_of
+        self.comp_root = new_root
+        self.comp_tree = new_tree
+        return written
+
+    def update_weight(self, key: int, w_new: float, offset: float | None = None) -> UpdateCost:
+        removal = len({bid for bid, _ in self._path_blocks(key)})
+        old_tier = self.base._tier[key]
+        new_tier = tier_value(w_new, self.cfg.B, 4)
+        if offset is None:
+            offset = self._rng.next_offset()
+        rot = self.base.update_priority(key, new_tier, offset)
+        self.weights[key] = w_new
+        written = 0
+        if new_tier != old_tier:
+            written = self._rebuild()
+        elif rot:
+            self._refresh_root(key)
+        insertion = len({bid for bid, _ in self._path_blocks(key)})
+        self.store.io_touches += removal + insertion
+        self.store.rebuild_touches += written
+        return UpdateCost(removal, insertion, written)
 
 
 class TestEMConfig:
@@ -172,6 +246,36 @@ class TestTierForest:
             assert st.dump() == fresh.dump()
             assert st.validate() is None
 
+    @pytest.mark.parametrize("seed, n, B", [
+        (0, 8, 4), (1, 40, 4), (2, 150, 8), (3, 400, 16), (4, 1000, 4), (5, 1000, 16),
+    ])
+    def test_incremental_retier_matches_full_repartition(self, seed, n, B):
+        """The local re-tier keeps every counted cost and the whole forest
+        equal to re-partitioning all n keys on each tier change."""
+        py = random.Random(seed)
+
+        def weight() -> float:  # log_B(1/w) = 4^u spans tiers 0..3
+            return float(B) ** -(4.0 ** py.uniform(-0.5, 3.5))
+
+        weights = [weight() for _ in range(n)]
+        offsets = [py.random() or 0.5 for _ in range(n)]
+        st = TierForestBTreap(weights, EMConfig(B), offsets=offsets)
+        ref = FullRepartitionForest(weights, EMConfig(B), offsets=offsets)
+        assert st.dump() == ref.dump()
+        retiers = 0
+        for step in range(300):
+            k = py.randint(1, n)
+            w_new = weight()
+            off = py.random() or 0.5
+            retiers += st.tier_of(k) != tier_value(w_new, B, 4)
+            assert st.update_weight(k, w_new, offset=off) == ref.update_weight(k, w_new, offset=off), step
+            assert st.dump() == ref.dump(), step
+            assert len(st.store.blocks) == len(ref.store.blocks), step
+            assert st.store.io_touches == ref.store.io_touches, step
+            assert st.store.rebuild_touches == ref.store.rebuild_touches, step
+            assert st.validate() is None, step
+        assert retiers >= 100
+
     def test_noop_update_leaves_dump_alone(self):
         n = 20
         rng = RandomStream(2)
@@ -205,6 +309,28 @@ class TestTierForest:
         assert st.store.io_touches == got + uc.search_total
         assert st.store.rebuild_touches == uc.rebuild_writes
         assert uc.rebuild_writes > 0  # the tier changed, so components did
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("stale root", "is not the root"),
+        ("split neighbours", "same-tier key"),
+        ("orphan root", "component ids differ"),
+    ])
+    def test_validate_catches_decomposition_drift(self, corrupt, message):
+        n = 64  # uniform weights: one tier-0 component
+        st = TierForestBTreap([1.0 / n] * n, EMConfig(4), rng=RandomStream(3))
+        assert st.validate() is None
+        (cid, top), = st.comp_root.items()
+        child = st.base.left_of(top) or st.base.right_of(top)
+        if corrupt == "stale root":
+            st.comp_root[cid] = child
+        elif corrupt == "split neighbours":
+            st.comp_tree[cid].delete(child)
+            st.comp_tree[cid + 1] = BTree(st.store, [child], tier=st.tier_of(child))
+            st.comp_root[cid + 1] = child
+            st.comp_of[child] = cid + 1
+        else:
+            st.comp_root[cid + 1] = top
+        assert message in st.validate()
 
     def test_report_shape(self):
         n = 32
