@@ -1,9 +1,14 @@
 """Benchmark harness: named experiments with machine-readable output.
 
-Each subcommand reproduces one claim family end to end and writes
-``summary.json`` (sorted keys, so identical configs give identical bytes)
-plus, when per-access tracing is requested, ``steps.csv``.  The process
-exits nonzero iff any of the experiment's checks fails.
+Each subcommand reproduces one claim family end to end.  ``_PARAMETERS``
+holds every subcommand's config keys and typed defaults; ``main`` resolves
+the whole config against it before any work starts, so an unknown key or a
+bad value exits 2 and writes nothing.  A command is then a pure function of
+its parameters, seed and trial count that runs its trials in one loop and
+returns its result (a traced run's per-access rows under ``steps``).
+``main`` alone writes ``summary.json`` (sorted keys, so identical configs
+give identical bytes) and, when tracing, ``steps.csv``.  The process exits
+nonzero iff any of the experiment's checks fails.
 """
 
 from __future__ import annotations
@@ -16,13 +21,11 @@ import os
 import random
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
-from .distributions import (Distribution, cross_entropy, entropy, error_measures, kl, mae,
-                            noisy_scores, perturb)
+from .distributions import cross_entropy, entropy, kl, noisy_scores, perturb
 from .dynamic import (CrudeOracle, IntervalSetPriorityState, compute_stats,
                       cost_decomposition_check, run_dynamic)
-from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap, em_report
+from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from .errors import ConfigError
 from .oracle import optimal_static_bst_cost
 from .priorities import (RandomStream, composite_priority, raw_score_priority,
@@ -51,57 +54,53 @@ def _parse_config(path: str | None) -> dict[str, str]:
     return out
 
 
-class _Params:
-    """Typed view over the merged config with every read echoed."""
+# Every subcommand's config keys with their defaults, ``trials`` included;
+# ``seed`` and ``threads`` are common to all and default to the flags.  A
+# config value must parse as its default's type.  A ``(cast, text)`` default
+# is a comma-separated list of ``cast`` values, echoed in summary.json as its
+# text.
+_PARAMETERS: dict[str, dict[str, object]] = {
+    "static-opt": {"trials": 20, "n": 1024, "m": 100_000, "family": "zipf", "s": 1.0},
+    "robustness": {"trials": 10, "n": 1024, "m": 50_000, "s": 1.0, "measure": "kl",
+                   "eps": (float, "0.1,0.5,1.0")},
+    "counterexamples": {"trials": 10, "raw_n": (int, "16,256,4096"),
+                        "single_log_n": (int, "256,4096")},
+    "working-set": {"trials": 5, "n": 256, "m": 10_000, "family": "zipf", "s": 1.0,
+                    "scheme": "future-ws-exact", "structure": "treap", "b": 16,
+                    "factor": 8.0, "trace": False},
+    "interval-set": {"trials": 10, "n": 256, "m": 20_000, "structure": "treap", "b": 16,
+                     "eps": (float, "0.0,0.5,1.0"),  # in units of m/n
+                     "trace": False},
+    "em-compare": {"trials": 3, "n": 1024, "m": 10_000, "b": 16, "scheme": "interval-set"},
+    "validate": {"trials": 1, "n": 128, "m": 2_000},
+}
 
-    def __init__(self, cfg: dict[str, str]):
-        self._cfg = cfg
-        self.used: dict[str, object] = {}
 
-    def _get(self, key: str, default, cast):
-        raw = self._cfg.get(key)
-        val = default if raw is None else cast(raw)
-        self.used[key] = val
-        return val
-
-    def int_(self, key: str, default: int) -> int:
-        return self._get(key, default, int)
-
-    def float_(self, key: str, default: float) -> float:
-        return self._get(key, default, float)
-
-    def str_(self, key: str, default: str) -> str:
-        return self._get(key, default, str)
-
-    def bool_(self, key: str, default: bool) -> bool:
-        def cast(raw: str) -> bool:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ConfigError(f"{key} must be 1/true/yes/on or 0/false/no/off, got {raw!r}")
-        return self._get(key, default, cast)
-
-    def floats(self, key: str, default: str) -> list[float]:
-        return self._list(key, default, float)
-
-    def ints(self, key: str, default: str) -> list[int]:
-        return self._list(key, default, int)
-
-    def _list(self, key: str, default: str, cast) -> list:
-        """Comma-separated values; an empty list is a config error."""
-        vals = [cast(tok) for tok in self._get(key, default, str).split(",") if tok.strip()]
+def _resolve(key: str, default, raw: str | None) -> tuple[object, object]:
+    """(value the command reads, value summary.json echoes) of one key."""
+    if isinstance(default, tuple):
+        cast, text = default
+        text = text if raw is None else raw
+        try:
+            vals = [cast(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise ConfigError(f"{key} must list {cast.__name__} values, got {text!r}") from None
         if not vals:
             raise ConfigError(f"{key} must list at least one value")
-        return vals
-
-
-def _fanout(trials: int, threads: int, one):
-    """Run trial workers, merged deterministically by trial index."""
-    if threads <= 1:
-        return [one(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(trials)))
+        return vals, text
+    if raw is None:
+        return default, default
+    if isinstance(default, bool):
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True, True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False, False
+        raise ConfigError(f"{key} must be 1/true/yes/on or 0/false/no/off, got {raw!r}")
+    try:
+        val = type(default)(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be {type(default).__name__}, got {raw!r}") from None
+    return val, val
 
 
 def _rule_treap(rule, masses: list[float], rng: RandomStream) -> Treap:
@@ -110,10 +109,16 @@ def _rule_treap(rule, masses: list[float], rng: RandomStream) -> Treap:
     return Treap.build_arrays(tiers, offsets)
 
 
-def _static_treap_cost(masses: list[float], counts: dict[int, int], rng: RandomStream) -> tuple[int, dict[int, int]]:
+def _expected_depth(rule, masses: list[float], rng: RandomStream) -> float:
+    """Mean depth under ``masses`` of the treap ``_rule_treap`` builds."""
+    depths = _rule_treap(rule, masses, rng).depths()
+    return math.fsum(masses[k - 1] * depths[k] for k in range(1, len(masses) + 1))
+
+
+def _static_treap_cost(masses: list[float], counts: dict[int, int], rng: RandomStream) -> int:
     """Total cost of a fixed composite-priority treap: counts dot depths."""
     depths = _rule_treap(composite_priority, masses, rng).depths()
-    return sum(c * depths[k] for k, c in counts.items()), depths
+    return sum(c * depths[k] for k, c in counts.items())
 
 
 def _trace_counts(spec: TraceSpec) -> dict[int, int]:
@@ -143,27 +148,26 @@ def _checks_summary(checks: dict[str, bool]) -> dict:
     return {"checks": checks, "all_passed": all(checks.values())}
 
 
+def _means(rows: list[tuple], trials: int) -> list[float]:
+    """Per-column means of one row per trial, summed in trial order."""
+    return [sum(col) / trials for col in zip(*rows)]
+
+
 # --------------------------------------------------------------------------
 
 
-def cmd_static_opt(p: _Params, seed: int, trials: int, threads: int, out_dir: str) -> dict:
-    n = p.int_("n", 1024)
-    m = p.int_("m", 100_000)
-    family = p.str_("family", "zipf")
-    s = p.float_("s", 1.0)
+def cmd_static_opt(p: dict, seed: int, trials: int) -> dict:
+    n, m, family, s = p["n"], p["m"], p["family"], p["s"]
     dist = gen_distribution(TraceSpec(family=family, n=n, m=m, seed=seed, s=s))
     masses = dist.masses()
     ent = entropy(dist)
-
-    def one(t: int) -> tuple[int, int]:
+    rows = []
+    for t in range(trials):
         counts = _trace_counts(TraceSpec(family=family, n=n, m=m, seed=seed + t, s=s))
-        cost, _ = _static_treap_cost(masses, counts, RandomStream(seed).spawn(t))
+        cost = _static_treap_cost(masses, counts, RandomStream(seed).spawn(t))
         freqs = [counts.get(k, 0) for k in range(1, n + 1)]
-        return cost, optimal_static_bst_cost(freqs)
-
-    results = _fanout(trials, threads, one)
-    mean_cost = sum(r[0] for r in results) / trials
-    mean_opt = sum(r[1] for r in results) / trials
+        rows.append((cost, optimal_static_bst_cost(freqs)))
+    mean_cost, mean_opt = _means(rows, trials)
     ent_bound = 4.0 * m * ent + 4.0 * n
     checks = {
         "cost_le_4x_dp_opt": mean_cost <= 4.0 * mean_opt,
@@ -179,35 +183,25 @@ def cmd_static_opt(p: _Params, seed: int, trials: int, threads: int, out_dir: st
     }
 
 
-def cmd_robustness(p: _Params, seed: int, trials: int, threads: int, out_dir: str) -> dict:
-    n = p.int_("n", 1024)
-    m = p.int_("m", 50_000)
-    s = p.float_("s", 1.0)
-    measure = p.str_("measure", "kl")
-    eps_list = p.floats("eps", "0.1,0.5,1.0")
+def cmd_robustness(p: dict, seed: int, trials: int) -> dict:
+    n, m, s, measure = p["n"], p["m"], p["s"], p["measure"]
     dist = gen_distribution(TraceSpec(family="zipf", n=n, m=m, seed=seed, s=s))
     points = []
     checks: dict[str, bool] = {}
-    for eps in eps_list:
-        def one(t: int) -> tuple[int, int, float, float]:
+    for eps in p["eps"]:
+        rows = []
+        for t in range(trials):
             pr = perturb(dist, measure, eps, rng=random.Random(seed * 7717 + t))
             counts = _trace_counts(TraceSpec(family="zipf", n=n, m=m, seed=seed + t, s=s))
             rng = RandomStream(seed).spawn(t)
-            base_cost, _ = _static_treap_cost(dist.masses(), counts, rng)
-            noisy_cost, _ = _static_treap_cost(pr.masses(), counts, rng)
-            return base_cost, noisy_cost, cross_entropy(dist, pr), kl(dist, pr)
-
-        rows = _fanout(trials, threads, one)
-        base = sum(r[0] for r in rows) / trials
-        noisy = sum(r[1] for r in rows) / trials
-        ce = sum(r[2] for r in rows) / trials
-        dk = sum(r[3] for r in rows) / trials
+            base_cost = _static_treap_cost(dist.masses(), counts, rng)
+            noisy_cost = _static_treap_cost(pr.masses(), counts, rng)
+            rows.append((base_cost, noisy_cost, cross_entropy(dist, pr), kl(dist, pr)))
+        base, noisy, ce, dk = _means(rows, trials)
         cost_bound = 4.0 * m * ce + 4.0 * n
         over_bound = 6.0 * m * dk / math.log(2) + 6.0 * n
-        ok_cost = noisy <= cost_bound
-        ok_over = noisy - base <= over_bound
-        checks[f"{measure}_{eps}_cost"] = ok_cost
-        checks[f"{measure}_{eps}_overhead"] = ok_over
+        checks[f"{measure}_{eps}_cost"] = noisy <= cost_bound
+        checks[f"{measure}_{eps}_overhead"] = noisy - base <= over_bound
         points.append({
             "eps": eps, "base_cost": base, "noisy_cost": noisy,
             "cross_entropy_bits": ce, "kl_nats": dk,
@@ -216,12 +210,10 @@ def cmd_robustness(p: _Params, seed: int, trials: int, threads: int, out_dir: st
     return {"measure": measure, "points": points, **_checks_summary(checks)}
 
 
-def cmd_counterexamples(p: _Params, seed: int, trials: int, threads: int, out_dir: str) -> dict:
-    raw_sizes = p.ints("raw_n", "16,256,4096")
-    log_sizes = p.ints("single_log_n", "256,4096")
+def cmd_counterexamples(p: dict, seed: int, trials: int) -> dict:
     raw_rows = []
     checks: dict[str, bool] = {}
-    for n in raw_sizes:
+    for n in p["raw_n"]:
         dist = gen_distribution(TraceSpec(family="linear", n=n, m=0, seed=seed))
         pris = {k: raw_score_priority(dist[k]) for k in range(1, n + 1)}
         tr = Treap.build(pris, n=n)
@@ -232,24 +224,15 @@ def cmd_counterexamples(p: _Params, seed: int, trials: int, threads: int, out_di
         checks[f"raw_expected_ge_n_over_3_n{n}"] = expected >= n / 3.0
         raw_rows.append({"n": n, "is_chain": chain, "expected_access": expected})
     log_rows = []
-    for n in log_sizes:
+    for n in p["single_log_n"]:
         dist = gen_distribution(TraceSpec(family="segmented", n=n, m=0, seed=seed))
         # zero-mass tail items get a floor weight; it lands them strictly
         # below every massed tier under both rules, leaving costs untouched
         masses = [max(w, 1.0 / (n * n)) for w in dist.masses()]
-
-        def one(t: int) -> tuple[float, float]:
-            rng = RandomStream(seed).spawn(1000 + t)
-            ds = _rule_treap(single_log_priority, masses, rng).depths()
-            rng2 = RandomStream(seed).spawn(2000 + t)
-            dc = _rule_treap(composite_priority, masses, rng2).depths()
-            es = math.fsum(masses[k - 1] * ds[k] for k in range(1, n + 1))
-            ec = math.fsum(masses[k - 1] * dc[k] for k in range(1, n + 1))
-            return es, ec
-
-        rows = _fanout(trials, threads, one)
-        mean_single = sum(r[0] for r in rows) / trials
-        mean_comp = sum(r[1] for r in rows) / trials
+        rows = [(_expected_depth(single_log_priority, masses, RandomStream(seed).spawn(1000 + t)),
+                 _expected_depth(composite_priority, masses, RandomStream(seed).spawn(2000 + t)))
+                for t in range(trials)]
+        mean_single, mean_comp = _means(rows, trials)
         log_rows.append({"n": n, "single_log_cost": mean_single,
                          "composite_cost": mean_comp, "ratio": mean_single / mean_comp})
     for a, b in zip(log_rows, log_rows[1:]):
@@ -257,65 +240,42 @@ def cmd_counterexamples(p: _Params, seed: int, trials: int, threads: int, out_di
     return {"raw_score": raw_rows, "single_log": log_rows, **_checks_summary(checks)}
 
 
-def cmd_working_set(p: _Params, seed: int, trials: int, threads: int, out_dir: str) -> dict:
-    n = p.int_("n", 256)
-    m = p.int_("m", 10_000)
-    family = p.str_("family", "zipf")
-    s = p.float_("s", 1.0)
-    scheme = p.str_("scheme", "future-ws-exact")
-    structure = p.str_("structure", "treap")
-    B = p.int_("b", 16)
-    factor = p.float_("factor", 8.0)
-    trace = p.bool_("trace", False)
+def cmd_working_set(p: dict, seed: int, trials: int) -> dict:
+    n, m, scheme, structure, B = p["n"], p["m"], p["scheme"], p["structure"], p["b"]
     cfg = EMConfig(B=B)
     base = 2.0 if structure == "treap" else float(B)
-    spec = TraceSpec(family=family, n=n, m=m, seed=seed, s=s)
-    seq = gen_sequence(spec)
+    seq = gen_sequence(TraceSpec(family=p["family"], n=n, m=m, seed=seed, s=p["s"]))
     stats = compute_stats(seq)
-    bound = factor * (n * math.log(n, base) +
-                      sum(math.log(stats.work[i] + 1, base) for i in range(1, m + 1)))
-
-    def one(t: int):
-        return run_dynamic(seq, scheme, structure, cfg=cfg,
-                           rng=RandomStream(seed).spawn(t), stats=stats,
-                           keep_steps=trace and t == 0)
-
-    runs = _fanout(trials, threads, one)
+    bound = p["factor"] * (n * math.log(n, base) +
+                           sum(math.log(stats.work[i] + 1, base) for i in range(1, m + 1)))
+    runs = []
+    for t in range(trials):
+        runs.append(run_dynamic(seq, scheme, structure, cfg=cfg,
+                                rng=RandomStream(seed).spawn(t), stats=stats,
+                                keep_steps=p["trace"] and t == 0))
     mean_total = sum(r.total_cost for r in runs) / trials
-    if trace:
-        _write_steps(out_dir, runs[0].steps)
     checks = {"cost_le_working_set_bound": mean_total <= bound}
     return {
         "scheme": scheme, "structure": structure, "mean_total_cost": mean_total,
-        "working_set_bound": bound, "ratio": mean_total / bound,
+        "working_set_bound": bound, "ratio": mean_total / bound, "steps": runs[0].steps,
         **_checks_summary(checks),
     }
 
 
-def cmd_interval_set(p: _Params, seed: int, trials: int, threads: int, out_dir: str) -> dict:
-    n = p.int_("n", 256)
-    m = p.int_("m", 20_000)
-    structure = p.str_("structure", "treap")
-    B = p.int_("b", 16)
-    eps_list = p.floats("eps", "0.0,0.5,1.0")  # in units of m/n
-    trace = p.bool_("trace", False)
-    cfg = EMConfig(B=B)
+def cmd_interval_set(p: dict, seed: int, trials: int) -> dict:
+    n, m, structure = p["n"], p["m"], p["structure"]
+    cfg = EMConfig(B=p["b"])
     x1 = gen_sequence(TraceSpec(family="round-robin", n=n, m=m, seed=seed))
     x2 = gen_sequence(TraceSpec(family="block-repeat", n=n, m=m, seed=seed))
     st1, st2 = compute_stats(x1), compute_stats(x2)
-
-    def one(t: int):
-        rng1 = RandomStream(seed).spawn(t)
-        rng2 = RandomStream(seed).spawn(t)
-        c1 = run_dynamic(x1, "interval-set", structure, cfg=cfg, rng=rng1, stats=st1,
-                         keep_steps=trace and t == 0)
-        c2 = run_dynamic(x2, "interval-set", structure, cfg=cfg, rng=rng2, stats=st2)
-        return c1, c2
-
-    runs = _fanout(trials, threads, one)
+    runs = []
+    for t in range(trials):
+        c1 = run_dynamic(x1, "interval-set", structure, cfg=cfg, rng=RandomStream(seed).spawn(t),
+                         stats=st1, keep_steps=p["trace"] and t == 0)
+        c2 = run_dynamic(x2, "interval-set", structure, cfg=cfg, rng=RandomStream(seed).spawn(t),
+                         stats=st2)
+        runs.append((c1, c2))
     per_seed = [(a.total_cost, b.total_cost) for a, b in runs]
-    if trace:
-        _write_steps(out_dir, runs[0][0].steps)
     checks = {"x2_cheaper_every_seed": all(b < a for a, b in per_seed)}
     # MAE sweep on a Zipf trace
     zipf = gen_sequence(TraceSpec(family="zipf", n=n, m=m, seed=seed, s=1.0))
@@ -324,7 +284,7 @@ def cmd_interval_set(p: _Params, seed: int, trials: int, threads: int, out_dir: 
     sweep = []
     exact_run = run_dynamic(zipf, "future-ws-exact", structure, cfg=cfg,
                             rng=RandomStream(seed).spawn(91), stats=stz)
-    for rel in eps_list:
+    for rel in p["eps"]:
         target = rel * m / n
         pred = truth if target == 0 else noisy_scores(
             truth, target, random.Random(seed * 31 + int(rel * 1000)), lo=0.0, hi=float(n))
@@ -333,37 +293,29 @@ def cmd_interval_set(p: _Params, seed: int, trials: int, threads: int, out_dir: 
                                 predicted_scores=pred)
         budget = exact_run.total_cost + 8.0 * m * math.log(
             1.0 + n * target / m, cfg.B if structure != "treap" else 2) + 8.0 * n
-        ok = noisy_run.total_cost <= budget
-        checks[f"mae_{rel}"] = ok
+        checks[f"mae_{rel}"] = noisy_run.total_cost <= budget
         sweep.append({"eps_rel": rel, "mae_target": target,
                       "noisy_cost": noisy_run.total_cost, "budget": budget})
     return {
         "structure": structure,
         "x1_costs": [a for a, _ in per_seed], "x2_costs": [b for _, b in per_seed],
-        "mae_sweep": sweep, "exact_cost": exact_run.total_cost,
+        "mae_sweep": sweep, "exact_cost": exact_run.total_cost, "steps": runs[0][0].steps,
         **_checks_summary(checks),
     }
 
 
-def cmd_em_compare(p: _Params, seed: int, trials: int, threads: int, out_dir: str) -> dict:
-    n = p.int_("n", 1024)
-    m = p.int_("m", 10_000)
-    B = p.int_("b", 16)
-    scheme = p.str_("scheme", "interval-set")
+def cmd_em_compare(p: dict, seed: int, trials: int) -> dict:
+    n, m, B, scheme = p["n"], p["m"], p["b"], p["scheme"]
     cfg = EMConfig(B=B)
     seq = gen_sequence(TraceSpec(family="zipf", n=n, m=m, seed=seed, s=1.0))
     stats = compute_stats(seq)
-
-    def one(t: int):
+    runs = []
+    for t in range(trials):
         tf = run_dynamic(seq, scheme, "tier-forest", cfg=cfg,
                          rng=RandomStream(seed).spawn(t), stats=stats)
         df = run_dynamic(seq, scheme, "det-forest", cfg=cfg,
                          rng=RandomStream(seed).spawn(t), stats=stats)
-        return tf, df
-
-    runs = _fanout(trials, threads, one)
-    tf_costs = [a.total_cost for a, _ in runs]
-    df_costs = [b.total_cost for _, b in runs]
+        runs.append((tf, df))
     rep_tf = cost_decomposition_check(runs[0][0])
     rep_df = cost_decomposition_check(runs[0][1])
     checks = {
@@ -372,16 +324,15 @@ def cmd_em_compare(p: _Params, seed: int, trials: int, threads: int, out_dir: st
     }
     return {
         "scheme": scheme, "B": B,
-        "tier_forest_cost": sum(tf_costs) / trials,
-        "det_forest_cost": sum(df_costs) / trials,
+        "tier_forest_cost": sum(tf.total_cost for tf, _ in runs) / trials,
+        "det_forest_cost": sum(df.total_cost for _, df in runs) / trials,
         "tier_forest_ratio": rep_tf["ratio"], "det_forest_ratio": rep_df["ratio"],
         **_checks_summary(checks),
     }
 
 
-def cmd_validate(p: _Params, seed: int, trials: int, threads: int, out_dir: str) -> dict:
-    n = p.int_("n", 128)
-    m = p.int_("m", 2_000)
+def cmd_validate(p: dict, seed: int, trials: int) -> dict:
+    n, m = p["n"], p["m"]
     checks: dict[str, bool] = {}
     rnd = random.Random(seed)
     # treap structural fuzz
@@ -459,11 +410,6 @@ COMMANDS = {
     "validate": cmd_validate,
 }
 
-_DEFAULT_TRIALS = {
-    "static-opt": 20, "robustness": 10, "counterexamples": 10,
-    "working-set": 5, "interval-set": 10, "em-compare": 3, "validate": 1,
-}
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="scoretreap",
@@ -473,38 +419,42 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted only as 1")
     args = parser.parse_args(argv)
+    # a config seed or threads beats its flag; --trials beats a config trials
+    defaults = {**_PARAMETERS[args.subcommand], "seed": args.seed, "threads": args.threads}
     try:
         cfg = _parse_config(args.config)
+        # a misspelt key would otherwise leave its default silently in force
+        stray = sorted(set(cfg) - set(defaults))
+        if stray:
+            raise ConfigError(f"unknown config key(s): {', '.join(stray)}")
+        resolved = {key: _resolve(key, default, cfg.get(key))
+                    for key, default in defaults.items()}
+        params = {key: val for key, (val, _) in resolved.items()}
+        echo = {key: shown for key, (_, shown) in resolved.items()}
+        if args.trials is not None:
+            params["trials"] = echo["trials"] = args.trials
+        if params["trials"] < 1:
+            raise ConfigError(f"trials must be at least 1, got {params['trials']}")
+        if params["threads"] != 1:
+            raise ConfigError(f"threads must be 1 (trials run in one loop), got {params['threads']}")
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    params = _Params(cfg)
-    seed = params.int_("seed", args.seed)
-    trials = args.trials if args.trials is not None else params.int_(
-        "trials", _DEFAULT_TRIALS[args.subcommand])
-    threads = params.int_("threads", args.threads)
     try:
-        # the experiments run small fanouts on purpose; set once here, since
-        # trial threads must not edit the process-wide warning filters
+        # the experiments run small fanouts on purpose
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=r"fanout B=\d+ is small",
                                     category=UserWarning)
-            result = COMMANDS[args.subcommand](params, seed, trials, threads, args.out)
-        # a misspelt key would otherwise leave its default silently in force;
-        # ``trials`` goes unread when --trials is given
-        stray = sorted(set(cfg) - set(params.used) - {"seed", "trials", "threads"})
-        if stray:
-            raise ConfigError(f"unknown config key(s): {', '.join(stray)}")
+            result = COMMANDS[args.subcommand](params, params["seed"], params["trials"])
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = {
-        "experiment": args.subcommand,
-        "parameters": {**params.used, "seed": seed, "trials": trials, "threads": threads},
-        **result,
-    }
+    steps = result.pop("steps", None)
+    if params.get("trace"):
+        _write_steps(args.out, steps)
+    payload = {"experiment": args.subcommand, "parameters": echo, **result}
     _write_summary(args.out, payload)
     print(json.dumps({"experiment": args.subcommand,
                       "all_passed": payload.get("all_passed", True)}))

@@ -242,19 +242,15 @@ def run_dynamic(
     predicted_scores: Sequence[float] | None = None,
     stats: SequenceStats | None = None,
     keep_steps: bool = False,
-    score_power: int = 2,
 ) -> CostBreakdown:
     """Play one trace against one structure under one weight scheme.
 
     Protocol per step: access the served item at its current stored weight,
     then re-weight the scheme's update set, drawing a fresh priority offset
-    for every re-weighted item.  All items start at weight 1/(n+1)^power.
-
-    ``score_power`` selects the weight map 1/(1+score)^power; only the
-    default squared form carries the norm certificate.
+    for every re-weighted item.  All items start at weight 1/(n+1)^2, and a
+    score s maps to the weight 1/(1+s)^2, the form the norm certificate of
+    the interval-set scheme is stated for.
     """
-    if score_power not in (1, 2):
-        raise ConfigError(f"score power must be 1 or 2, got {score_power}")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
     if structure not in STRUCTURES:
@@ -268,7 +264,7 @@ def run_dynamic(
         stats = compute_stats(seq)
     scores = _scheme_scores(scheme, stats, predicted_scores, m, n) if structure != "rank-forest" else None
 
-    w0 = 1.0 / (n + 1) ** score_power
+    w0 = 1.0 / (n + 1) ** 2
     weights = [w0] * (n + 1)
     bd = CostBreakdown(scheme=scheme, structure=structure, n=n, m=m,
                        base=2.0 if structure == "treap" else float(cfg.B))
@@ -314,9 +310,7 @@ def run_dynamic(
     oracle = CrudeOracle(n) if (
         scheme == "past-ws-crude" and structure != "rank-forest") else None
 
-    # the norm certificate only exists for the squared weight form
-    isp_guard = IntervalSetPriorityState(n) if (
-        scheme == "interval-set" and score_power == 2) else None
+    isp_guard = IntervalSetPriorityState(n) if scheme == "interval-set" else None
 
     for i in range(1, m + 1):
         x = seq.items[i - 1]
@@ -327,14 +321,14 @@ def run_dynamic(
         if structure != "rank-forest":
             if scores is not None:
                 s = scores[i - 1]
-                w_new = 1.0 / (1.0 + s) ** score_power
+                w_new = 1.0 / (1.0 + s) ** 2
                 if isp_guard is not None:
                     isp_guard.step(i, stats)
                 if w_new != weights[x]:
                     updates.append((x, w_new))
             elif oracle is not None:
                 for item, s, _w in oracle.step(x):
-                    updates.append((item, 1.0 / (1.0 + s) ** score_power))
+                    updates.append((item, 1.0 / (1.0 + s) ** 2))
         usize = len(updates)
         for item, w_new in updates:
             ucost, rcost = do_update(item, w_new)

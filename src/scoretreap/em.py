@@ -465,7 +465,6 @@ class TierForestBTreap:
         self.cfg = cfg
         self.n = len(wl)
         cfg.warn_if_small(self.n)
-        self.weights = [0.0] + wl  # 1-based
         self._rng = rng if rng is not None else RandomStream(0)
         if offsets is None:
             offsets = [self._rng.next_offset() for _ in range(self.n)]
@@ -637,7 +636,6 @@ class TierForestBTreap:
             offset = self._rng.next_offset()
         before = self._neighbours(key) if new_tier != old_tier else None
         rot = self.base.update_priority(key, new_tier, offset)
-        self.weights[key] = w_new
         written = 0
         if before is not None:
             written = self._retier(key, *before)
@@ -736,7 +734,6 @@ class DetScoreForest:
         self.cfg = cfg
         self.n = len(wl)
         cfg.warn_if_small(self.n)
-        self.weights = [0.0] + wl
         self.store = BlockStore(cfg.B)
         self.tree_index = [0] * (self.n + 1)
         buckets: dict[int, list[int]] = {}
@@ -779,7 +776,6 @@ class DetScoreForest:
             raise KeyError(key)
         new_idx = tier_value(w_new, self.cfg.B, 2)
         old_idx = self.tree_index[key]
-        self.weights[key] = w_new
         if new_idx == old_idx:
             return 0
         touched = set(self.trees[old_idx].delete(key))

@@ -17,7 +17,6 @@ __all__ = [
     "optimal_static_bst_cost",
     "analytic_expected_depth",
     "ExhaustiveStats",
-    "exhaustive_stats",
 ]
 
 
@@ -159,7 +158,3 @@ class ExhaustiveStats:
         if not nx:
             return self.n
         return self.work_past(nx, key)
-
-
-def exhaustive_stats(items: Sequence[int], n: int) -> ExhaustiveStats:
-    return ExhaustiveStats(items, n)

@@ -32,8 +32,8 @@ from scoretreap.dynamic import (
 )
 from scoretreap.em import EMConfig, RankForest, TierForestBTreap
 from scoretreap.oracle import (
+    ExhaustiveStats,
     analytic_expected_depth,
-    exhaustive_stats,
     naive_depths,
     optimal_static_bst_cost,
 )
@@ -385,7 +385,7 @@ def test_c15_future_at_previous_step_equals_work_now():
     trace (checked against the literal window-rescan oracle)."""
     for name, spec in SUITE_TRACES.items():
         seq = gen_sequence(spec)
-        ex = exhaustive_stats(seq.items, seq.n)
+        ex = ExhaustiveStats(seq.items, seq.n)
         st = compute_stats(seq)
         for i in range(2, seq.m + 1):
             x = seq.at(i)

@@ -10,10 +10,10 @@ from scoretreap.cli import main
 
 
 def run_cli(tmp_path: Path, sub: str, config: str | None = None, *,
-            seed: int = 0, trials: int = 2, threads: int = 1, tag: str = "out"):
+            seed: int = 0, trials: int = 2, tag: str = "out"):
     out = tmp_path / tag
     argv = [sub, "--out", str(out), "--seed", str(seed),
-            "--trials", str(trials), "--threads", str(threads)]
+            "--trials", str(trials), "--threads", "1"]
     if config is not None:
         cfg = tmp_path / f"{tag}.cfg"
         cfg.write_text(config)
@@ -49,6 +49,8 @@ class TestPlumbing:
         cfg.write_text("n = sixty-four\n")
         code = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+        assert "n must be int" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sub, config", [
         ("robustness", "eps =\n"),
@@ -76,19 +78,54 @@ class TestPlumbing:
         assert code == 0 and summary["parameters"]["trace"] is False
         assert not (out / "steps.csv").exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, monkeypatch):
+        def no_work(spec):
+            raise AssertionError("the experiment ran before the config was checked")
+
+        monkeypatch.setattr("scoretreap.cli.gen_sequence", no_work)
         cfg = tmp_path / "stray.cfg"
-        cfg.write_text("n = 32\nsize_m = 200\n")
+        cfg.write_text("n = 32\nsize_m = 200\ntrace = true\n")
         code = main(["working-set", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--trials", "1"])
         assert code == 2
         assert "size_m" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "summary.json").exists()
+        assert not (tmp_path / "o").exists()
+        monkeypatch.undo()
         # keys a command-line flag overrides still count as known
         code, summary, _ = run_cli(tmp_path, "working-set",
                                    "n = 32\nm = 200\nseed = 0\ntrials = 3\nthreads = 1\n",
                                    trials=1)
         assert code == 0 and summary["parameters"]["trials"] == 1
+
+    @pytest.mark.parametrize("config, flag", [("", "2"), ("threads = 2\n", "1")],
+                             ids=["flag", "config"])
+    def test_threads_other_than_one_rejected(self, tmp_path, capsys, config, flag):
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text(config)
+        code = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--threads", flag])
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize("config, flags", [("trials = 0\n", []), ("", ["--trials", "0"])],
+                             ids=["config", "flag"])
+    def test_zero_trials_rejected(self, tmp_path, capsys, config, flags):
+        cfg = tmp_path / "trials.cfg"
+        cfg.write_text(config)
+        code = main(["static-opt", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_list_parameters_echo_as_text(self, tmp_path):
+        _, given, _ = run_cli(tmp_path, "robustness", "n = 64\nm = 500\neps = 0.5\n",
+                              trials=1, tag="given")
+        _, default, _ = run_cli(tmp_path, "robustness", "n = 64\nm = 500\n",
+                                trials=1, tag="default")
+        assert given["parameters"]["eps"] == "0.5"
+        assert default["parameters"]["eps"] == "0.1,0.5,1.0"
+        assert [pt["eps"] for pt in default["points"]] == [0.1, 0.5, 1.0]
 
     def test_comments_and_blank_lines(self, tmp_path):
         code, summary, _ = run_cli(
@@ -170,14 +207,3 @@ class TestExperiments:
         assert s["checks"]["det_forest_decomposition"]
         assert s["tier_forest_cost"] > 0 and s["det_forest_cost"] > 0
         assert math.isfinite(s["tier_forest_ratio"])
-
-    def test_threads_do_not_change_results(self, tmp_path):
-        _, s1, _ = run_cli(tmp_path, "counterexamples",
-                           "raw_n = 4\nsingle_log_n = 64\n",
-                           trials=4, threads=1, tag="t1")
-        _, s2, _ = run_cli(tmp_path, "counterexamples",
-                           "raw_n = 4\nsingle_log_n = 64\n",
-                           trials=4, threads=2, tag="t2")
-        assert s1["single_log"] == s2["single_log"]
-        assert s1["raw_score"] == s2["raw_score"]
-        assert s1["checks"] == s2["checks"]

@@ -26,7 +26,7 @@ from scoretreap.dynamic import (
 )
 from scoretreap.em import EMConfig
 from scoretreap.errors import ConfigError
-from scoretreap.oracle import exhaustive_stats
+from scoretreap.oracle import ExhaustiveStats
 from scoretreap.priorities import RandomStream
 from scoretreap.sequences import AccessSequence, TraceSpec, gen_sequence
 
@@ -50,7 +50,7 @@ class TestComputeStats:
             m = py_rng.randint(1, 40)
             seq = random_trace(py_rng, n, m)
             st = compute_stats(seq)
-            ex = exhaustive_stats(seq.items, n)
+            ex = ExhaustiveStats(seq.items, n)
             for i in range(1, m + 1):
                 key = seq.at(i)
                 assert st.work[i] == ex.work_past(i, key)
@@ -82,7 +82,7 @@ class TestForwardPermutationProperty:
             n = py_rng.randint(1, 16)
             m = py_rng.randint(1, 36)
             seq = random_trace(py_rng, n, m)
-            ex = exhaustive_stats(seq.items, n)
+            ex = ExhaustiveStats(seq.items, n)
             for i in range(0, m + 1):
                 ranks = sorted(
                     ex.work_next(i, x) for x in range(1, n + 1) if ex.next(i, x)
@@ -92,7 +92,7 @@ class TestForwardPermutationProperty:
     def test_round_robin_gives_the_full_permutation(self):
         n = 8
         seq = gen_sequence(TraceSpec("round-robin", n=n, m=3 * n))
-        ex = exhaustive_stats(seq.items, n)
+        ex = ExhaustiveStats(seq.items, n)
         for i in range(0, n + 1):  # early enough that every item reappears
             got = sorted(ex.work_next(i, x) for x in range(1, n + 1))
             assert got == list(range(1, n + 1))
@@ -101,7 +101,7 @@ class TestForwardPermutationProperty:
         for _ in range(30):
             n = py_rng.randint(2, 16)
             seq = random_trace(py_rng, n, 40)
-            ex = exhaustive_stats(seq.items, n)
+            ex = ExhaustiveStats(seq.items, n)
             for i in range(0, seq.m + 1, 3):
                 total = sum(
                     1.0 / (1.0 + (ex.work_next(i, x) if ex.next(i, x) else n)) ** 2
@@ -113,7 +113,7 @@ class TestForwardPermutationProperty:
         for _ in range(40):
             n = py_rng.randint(2, 12)
             seq = random_trace(py_rng, n, 30)
-            ex = exhaustive_stats(seq.items, n)
+            ex = ExhaustiveStats(seq.items, n)
             for i in range(1, seq.m + 1):
                 for x in range(1, n + 1):
                     # the closed interval always contains the forward window
@@ -273,8 +273,6 @@ class TestRunDynamic:
             run_dynamic(seq, "future-ws-noisy", "treap")  # needs predictions
         with pytest.raises(ConfigError):
             run_dynamic(seq, "past-ws-crude", "treap", predicted_scores=[1.0, 1.0])
-        with pytest.raises(ConfigError):
-            run_dynamic(seq, "interval-set", "treap", score_power=3)
 
     @pytest.mark.parametrize("structure", ["treap", "tier-forest", "det-forest", "rank-forest"])
     @pytest.mark.parametrize(
@@ -315,12 +313,6 @@ class TestRunDynamic:
             assert cost >= 1
             assert usize in (0, 1)
             assert (work, interval, future) == (st.work[i], st.interval[i], st.future[i])
-
-    def test_unsquared_score_power_runs_and_differs(self):
-        seq = gen_sequence(TraceSpec("zipf", n=32, m=500, seed=8))
-        sq = run_dynamic(seq, "future-ws-exact", "treap", rng=RandomStream(3), score_power=2)
-        lin = run_dynamic(seq, "future-ws-exact", "treap", rng=RandomStream(3), score_power=1)
-        assert lin.shift_l1_nat != sq.shift_l1_nat
 
     def test_crude_scheme_redraws_every_update_member(self):
         seq = AccessSequence(16, [3] * 5)

@@ -82,7 +82,6 @@ class FullRepartitionForest(TierForestBTreap):
         if offset is None:
             offset = self._rng.next_offset()
         rot = self.base.update_priority(key, new_tier, offset)
-        self.weights[key] = w_new
         written = 0
         if new_tier != old_tier:
             written = self._rebuild()

@@ -8,8 +8,8 @@ import pytest
 from conftest import random_priorities
 from scoretreap.errors import ConfigError
 from scoretreap.oracle import (
+    ExhaustiveStats,
     analytic_expected_depth,
-    exhaustive_stats,
     naive_depths,
     optimal_static_bst_cost,
 )
@@ -112,7 +112,7 @@ class TestExhaustiveStats:
     SEQ = [1, 2, 3, 1]
 
     def test_worked_example(self):
-        st = exhaustive_stats(self.SEQ, 3)
+        st = ExhaustiveStats(self.SEQ, 3)
         assert st.work_past(4, 1) == 2
         assert st.interval(1, 1) == 3
         assert st.future(1, 1) == 2
@@ -120,7 +120,7 @@ class TestExhaustiveStats:
         assert st.next(1, 1) == 4 and st.next(4, 1) == 0
 
     def test_sentinels(self):
-        st = exhaustive_stats(self.SEQ, 3)
+        st = ExhaustiveStats(self.SEQ, 3)
         assert st.work_past(1, 1) == 3  # unseen -> n
         assert st.work_past(2, 2) == 3
         assert st.interval(4, 2) == 3  # never reappears -> n
@@ -131,7 +131,7 @@ class TestExhaustiveStats:
             n = py_rng.randint(2, 10)
             m = py_rng.randint(1, 30)
             items = [py_rng.randint(1, n) for _ in range(m)]
-            st = exhaustive_stats(items, n)
+            st = ExhaustiveStats(items, n)
             for i in range(1, m + 1):
                 key = items[i - 1]
                 nx = st.next(i, key)
