@@ -21,16 +21,18 @@ import os
 import random
 import sys
 import warnings
+from dataclasses import dataclass
 
-from .distributions import cross_entropy, entropy, kl, noisy_scores, perturb
-from .dynamic import (CrudeOracle, IntervalSetPriorityState, compute_stats,
-                      cost_decomposition_check, run_dynamic)
+from .distributions import MEASURES, cross_entropy, entropy, kl, noisy_scores, perturb
+from .dynamic import (SCHEMES, STRUCTURES, CrudeOracle, IntervalSetPriorityState,
+                      compute_stats, cost_decomposition_check, run_dynamic)
 from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from .errors import ConfigError
 from .oracle import optimal_static_bst_cost
 from .priorities import (RandomStream, composite_priority, raw_score_priority,
                          single_log_priority)
-from .sequences import TraceSpec, gen_distribution, gen_sequence
+from .sequences import (DISTRIBUTION_FAMILIES, SEQUENCE_FAMILIES, TraceSpec,
+                        gen_distribution, gen_sequence)
 from .treap import Treap
 
 SUBCOMMANDS = ("static-opt", "robustness", "counterexamples", "working-set",
@@ -54,24 +56,42 @@ def _parse_config(path: str | None) -> dict[str, str]:
     return out
 
 
+@dataclass(frozen=True)
+class _Choice:
+    """A string parameter that must be one of ``allowed``."""
+
+    default: str
+    allowed: tuple[str, ...]
+
+
+# future-ws-noisy needs predicted scores, which only interval-set's MAE sweep
+# makes; a file trace needs a path, which no config key carries
+_DRIVEN_SCHEMES = tuple(s for s in SCHEMES if s != "future-ws-noisy")
+_TRACE_FAMILIES = tuple(f for f in SEQUENCE_FAMILIES if f != "file")
+
 # Every subcommand's config keys with their defaults, ``trials`` included;
 # ``seed`` and ``threads`` are common to all and default to the flags.  A
 # config value must parse as its default's type.  A ``(cast, text)`` default
 # is a comma-separated list of ``cast`` values, echoed in summary.json as its
-# text.
+# text; a ``_Choice`` value must be one of its allowed strings.
 _PARAMETERS: dict[str, dict[str, object]] = {
-    "static-opt": {"trials": 20, "n": 1024, "m": 100_000, "family": "zipf", "s": 1.0},
-    "robustness": {"trials": 10, "n": 1024, "m": 50_000, "s": 1.0, "measure": "kl",
-                   "eps": (float, "0.1,0.5,1.0")},
+    "static-opt": {"trials": 20, "n": 1024, "m": 100_000,
+                   "family": _Choice("zipf", DISTRIBUTION_FAMILIES), "s": 1.0},
+    "robustness": {"trials": 10, "n": 1024, "m": 50_000, "s": 1.0,
+                   "measure": _Choice("kl", MEASURES), "eps": (float, "0.1,0.5,1.0")},
     "counterexamples": {"trials": 10, "raw_n": (int, "16,256,4096"),
                         "single_log_n": (int, "256,4096")},
-    "working-set": {"trials": 5, "n": 256, "m": 10_000, "family": "zipf", "s": 1.0,
-                    "scheme": "future-ws-exact", "structure": "treap", "b": 16,
+    "working-set": {"trials": 5, "n": 256, "m": 10_000,
+                    "family": _Choice("zipf", _TRACE_FAMILIES), "s": 1.0,
+                    "scheme": _Choice("future-ws-exact", _DRIVEN_SCHEMES),
+                    "structure": _Choice("treap", STRUCTURES), "b": 16,
                     "factor": 8.0, "trace": False},
-    "interval-set": {"trials": 10, "n": 256, "m": 20_000, "structure": "treap", "b": 16,
+    "interval-set": {"trials": 10, "n": 256, "m": 20_000,
+                     "structure": _Choice("treap", STRUCTURES), "b": 16,
                      "eps": (float, "0.0,0.5,1.0"),  # in units of m/n
                      "trace": False},
-    "em-compare": {"trials": 3, "n": 1024, "m": 10_000, "b": 16, "scheme": "interval-set"},
+    "em-compare": {"trials": 3, "n": 1024, "m": 10_000, "b": 16,
+                   "scheme": _Choice("interval-set", _DRIVEN_SCHEMES)},
     "validate": {"trials": 1, "n": 128, "m": 2_000},
 }
 
@@ -88,6 +108,11 @@ def _resolve(key: str, default, raw: str | None) -> tuple[object, object]:
         if not vals:
             raise ConfigError(f"{key} must list at least one value")
         return vals, text
+    if isinstance(default, _Choice):
+        val = default.default if raw is None else raw
+        if val not in default.allowed:
+            raise ConfigError(f"{key} must be one of {', '.join(default.allowed)}, got {raw!r}")
+        return val, val
     if raw is None:
         return default, default
     if isinstance(default, bool):

@@ -13,6 +13,7 @@ __all__ = [
     "cross_entropy",
     "kl",
     "error_measures",
+    "MEASURES",
     "perturb",
     "mae",
     "noisy_scores",
@@ -163,13 +164,12 @@ def error_measures(p: Distribution, q: Distribution) -> dict[str, float]:
     }
 
 
+# the divergence names ``perturb`` can target
+MEASURES = ("kl", "tv", "l2", "linf", "chi2", "hellinger")
+
+
 def _measure(p: Distribution, q: Distribution, name: str) -> float:
-    if name == "kl":
-        return kl(p, q)
-    vals = error_measures(p, q)
-    if name not in vals:
-        raise ValueError(f"unknown error measure {name!r}")
-    return vals[name]
+    return kl(p, q) if name == "kl" else error_measures(p, q)[name]
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +201,8 @@ def perturb(
     n = p.n
     if floor is None:
         floor = 1.0 / (100.0 * n * n)
+    if measure not in MEASURES:
+        raise ValueError(f"unknown error measure {measure!r}")
     if eps < 0:
         raise ValueError(f"target must be non-negative, got {eps}")
     if eps == 0.0:

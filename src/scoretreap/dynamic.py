@@ -6,8 +6,9 @@ between-occurrences interval size.  On top of those:
 
 * ``IntervalSetPriorityState`` -- stored weight 1/(1+interval)^2 per item,
   at most one change per step, running norm certificate.
-* ``CrudeOracle`` -- exact recency ranks, scores rounded to the next power
-  of two, lazily refreshed only when a rank crosses a power-of-two boundary.
+* ``CrudeOracle`` -- a move-to-front list with one pointer per power-of-two
+  rank boundary; scores rounded to the next power of two, refreshed only for
+  the items whose rank steps over a boundary, with no rank query.
 * ``run_dynamic`` -- drives a scheme x structure pair over a trace and
   tallies access/update/rebuild costs plus the weight trajectory sums that
   the cost-decomposition check consumes.
@@ -137,31 +138,31 @@ def _round_score(work: int) -> int:
 
 
 class CrudeOracle:
-    """Exact recency ranks with lazily rounded scores.
+    """Move-to-front recency order with lazily rounded scores.
 
-    Ranks come from a ``RecencyRanks``, so a front-move costs O(log n).  The
-    rounded score of an item changes only when its exact rank crosses a
-    power of two, hence at most floor(log2 n) + 1 items (the accessed one
-    plus one per boundary) refresh per step.  Unseen items carry the
-    sentinel working-set size n.
+    The seen items sit on a doubly linked move-to-front list (``prev`` and
+    ``next``, 0 past either end; ``head`` is rank 1, ``tail`` rank
+    ``seen``), ``at[j]`` is the item at rank 2^j for every 2^j <= seen, and
+    ``band[x]`` is the bit length of x's exact work rank(x) - 1 (-1 while x
+    is unseen), so ``score[x] == 2^band[x] - 1``.  An access at rank r moves
+    each item at rank 2^j < r one place back, to work exactly 2^j: those
+    ``band[key]`` items are ``at[:band[key]]``, and no rank is ever queried.
+    The rounded score of an item therefore changes only when its rank
+    crosses a power of two, so at most floor(log2 n) + 1 items (the accessed
+    one plus one per boundary) refresh per step, each in O(1).  Unseen items
+    carry the sentinel working-set size n.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._ranks = RecencyRanks(n)
         self.s_init = _round_score(n)
         self.score = [self.s_init] * (n + 1)
-
-    def seen(self, key: int) -> bool:
-        return self._ranks.stamp[key] != 0
-
-    def rank(self, key: int) -> int:
-        """1-based recency rank among seen items (1 = most recent)."""
-        return self._ranks.rank(key)
-
-    def work_of(self, key: int) -> int:
-        """Exact backward working-set size implied by the rank order."""
-        return self.rank(key) - 1 if self.seen(key) else self.n
+        self.band = [-1] * (n + 1)
+        self.prev = [0] * (n + 1)
+        self.next = [0] * (n + 1)
+        self.head = self.tail = 0
+        self.seen = 0
+        self.at: list[int] = []
 
     def step(self, key: int) -> list[tuple[int, int, int]]:
         """Serve ``key``; returns U_i as (item, new score, exact work) rows.
@@ -171,22 +172,76 @@ class CrudeOracle:
         """
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        # collect boundary crossers against the pre-move ranks
-        limit = self.rank(key) - 1 if self.seen(key) else self._ranks.seen
-        crossers: list[int] = []
-        boundary = 1
-        while boundary <= limit:
-            crossers.append(self._ranks.key_at_rank(boundary))
-            boundary <<= 1
-        self._ranks.touch(key)
+        band, at, prev, nxt, score = self.band, self.at, self.prev, self.next, self.score
+        c = band[key]
+        first = c < 0
+        if first:
+            c = self.seen.bit_length()
+        elif c == 0:  # already at the front
+            return [(key, 0, 0)]
+        elif c < len(at) and at[c] == key:  # key sits on boundary 2^c
+            at[c] = prev[key]
         out = [(key, 0, 0)]
-        self.score[key] = 0
-        for item in crossers:
-            w = self.work_of(item)
-            s = _round_score(w)
-            self.score[item] = s
-            out.append((item, s, w))
+        for j in range(c):
+            item = at[j]
+            s = (2 << j) - 1
+            score[item] = s
+            band[item] = j + 1
+            out.append((item, s, 1 << j))
+            at[j] = prev[item]
+        score[key] = 0
+        band[key] = 0
+        if first:
+            self.seen += 1
+        else:  # unlink; key is not the head here
+            p, q = prev[key], nxt[key]
+            nxt[p] = q
+            if q:
+                prev[q] = p
+            else:
+                self.tail = p
+        head = self.head
+        prev[key] = 0
+        nxt[key] = head
+        if head:
+            prev[head] = key
+        else:
+            self.tail = key
+        self.head = key
+        if c:
+            at[0] = key
+        if first and not self.seen & (self.seen - 1):
+            at.append(self.tail)  # a new boundary at rank seen
         return out
+
+    def validate(self) -> str | None:
+        """The list, boundary pointers, bands and scores agree with each other."""
+        order: list[int] = []
+        x, before = self.head, 0
+        while x and len(order) <= self.seen:
+            if not 1 <= x <= self.n:
+                return f"link after {before} points to {x}, outside 1..{self.n}"
+            if self.prev[x] != before:
+                return f"prev of {x} is {self.prev[x]}, but {before} links to it"
+            order.append(x)
+            before, x = x, self.next[x]
+        if len(order) != self.seen or before != self.tail:
+            return (f"list from head {self.head} ends at {before} after {len(order)} "
+                    f"items; tail is {self.tail}, {self.seen} seen")
+        want = [order[(1 << j) - 1] for j in range(self.seen.bit_length())]
+        if self.at != want:
+            return f"boundary pointers {self.at}, expected {want}"
+        on_list = set(order)  # no repeats: each prev link was checked
+        for rank, x in enumerate(order, start=1):
+            b = (rank - 1).bit_length()
+            if self.band[x] != b or self.score[x] != (1 << b) - 1:
+                return (f"item {x} at rank {rank} has band {self.band[x]} and score "
+                        f"{self.score[x]}, expected {b} and {(1 << b) - 1}")
+        for x in range(1, self.n + 1):
+            if x not in on_list and (self.band[x] != -1 or self.score[x] != self.s_init):
+                return (f"unseen item {x} has band {self.band[x]} and score "
+                        f"{self.score[x]}, expected -1 and {self.s_init}")
+        return None
 
 
 @dataclass

@@ -1,8 +1,7 @@
 """Workload generators: distributions, access traces, and trace files.
 
 Also ``RecencyRanks``, the move-to-front (LRU stack distance) ranks of a
-trace's keys, shared by the sequence statistics, the crude oracle and the
-rank forest.
+trace's keys, shared by the sequence statistics and the rank forest.
 """
 
 from __future__ import annotations

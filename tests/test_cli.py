@@ -97,6 +97,31 @@ class TestPlumbing:
                                    trials=1)
         assert code == 0 and summary["parameters"]["trials"] == 1
 
+    @pytest.mark.parametrize("sub, config", [
+        ("static-opt", "family = round-robin\n"),
+        ("robustness", "measure = kullback\n"),
+        ("working-set", "family = file\n"),
+        ("working-set", "scheme = future-ws-noisy\n"),
+        ("working-set", "structure = tree\n"),
+        ("interval-set", "structure = Treap\n"),
+        ("em-compare", "scheme = no-such-scheme\n"),
+    ], ids=["static-opt-family", "robustness-measure", "working-set-family",
+            "working-set-scheme", "working-set-structure", "interval-set-structure",
+            "em-compare-scheme"])
+    def test_value_outside_choices_rejected(self, tmp_path, capsys, monkeypatch, sub, config):
+        def no_work(spec):
+            raise AssertionError("the experiment ran before the config was checked")
+
+        monkeypatch.setattr("scoretreap.cli.gen_sequence", no_work)
+        monkeypatch.setattr("scoretreap.cli.gen_distribution", no_work)
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text(config)
+        code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        key = config.split("=")[0].strip()
+        assert f"{key} must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("config, flag", [("", "2"), ("threads = 2\n", "1")],
                              ids=["flag", "config"])
     def test_threads_other_than_one_rejected(self, tmp_path, capsys, config, flag):

@@ -127,6 +127,12 @@ class TestPerturb:
         for measure in self.MEASURES:
             assert perturb(p, measure, 0.0).masses() == p.masses()
 
+    def test_unknown_measure_rejected_before_any_search(self):
+        p = Distribution.uniform(8)
+        for eps in (0.0, 0.5):
+            with pytest.raises(ValueError, match="unknown error measure"):
+                perturb(p, "kullback", eps)
+
     def test_achieved_error_within_band(self, py_rng):
         targets = {"kl": 0.2, "tv": 0.1, "l2": 0.05, "linf": 0.01, "chi2": 0.3, "hellinger": 0.1}
         for seed in range(5):

@@ -20,6 +20,7 @@ from scoretreap.dynamic import (
     NORM_STEADY,
     CrudeOracle,
     IntervalSetPriorityState,
+    _round_score,
     compute_stats,
     cost_decomposition_check,
     run_dynamic,
@@ -28,7 +29,7 @@ from scoretreap.em import EMConfig
 from scoretreap.errors import ConfigError
 from scoretreap.oracle import ExhaustiveStats
 from scoretreap.priorities import RandomStream
-from scoretreap.sequences import AccessSequence, TraceSpec, gen_sequence
+from scoretreap.sequences import AccessSequence, RecencyRanks, TraceSpec, gen_sequence
 
 
 def random_trace(py: random.Random, n: int, m: int) -> AccessSequence:
@@ -182,10 +183,81 @@ class TestIntervalSetPriority:
                     assert norm <= NORM_STEADY + 1e-12
 
 
-class TestCrudeOracle:
-    def test_rounded_score_values(self):
-        from scoretreap.dynamic import _round_score
+class RankQueryOracle:
+    """Reference crude oracle: exact ranks from a ``RecencyRanks``, one
+    ``key_at_rank`` descent per crossed power-of-two boundary, and each
+    crosser's work re-derived from its post-move rank."""
 
+    def __init__(self, n: int):
+        self.n = n
+        self._ranks = RecencyRanks(n)
+        self.score = [_round_score(n)] * (n + 1)
+
+    def seen(self, key: int) -> bool:
+        return self._ranks.stamp[key] != 0
+
+    def work_of(self, key: int) -> int:
+        return self._ranks.rank(key) - 1 if self.seen(key) else self.n
+
+    def step(self, key: int) -> list[tuple[int, int, int]]:
+        limit = self.work_of(key) if self.seen(key) else self._ranks.seen
+        crossers: list[int] = []
+        boundary = 1
+        while boundary <= limit:
+            crossers.append(self._ranks.key_at_rank(boundary))
+            boundary <<= 1
+        self._ranks.touch(key)
+        out = [(key, 0, 0)]
+        self.score[key] = 0
+        for item in crossers:
+            w = self.work_of(item)
+            s = _round_score(w)
+            self.score[item] = s
+            out.append((item, s, w))
+        return out
+
+
+LOCKSTEP_TRACES = {
+    "zipf-4096-seed0": TraceSpec("zipf", n=4096, m=20_000, seed=0),
+    "zipf-4096-seed7": TraceSpec("zipf", n=4096, m=20_000, seed=7),
+    "round-robin-300": TraceSpec("round-robin", n=300, m=5_000),
+    "uniform-1000": TraceSpec("uniform", n=1000, m=20_000, seed=1),
+    "block-repeat-50": TraceSpec("block-repeat", n=50, m=3_000),
+    # first touches that open a boundary exactly when seen hits 2^k
+    **{f"uniform-{n}": TraceSpec("uniform", n=n, m=600, seed=n) for n in (1, 2, 3, 16, 17)},
+}
+
+
+class TestCrudeOracle:
+    @pytest.mark.parametrize("trace", LOCKSTEP_TRACES)
+    def test_matches_rank_query_oracle(self, trace):
+        seq = gen_sequence(LOCKSTEP_TRACES[trace])
+        oracle, ref = CrudeOracle(seq.n), RankQueryOracle(seq.n)
+        for i, key in enumerate(seq.items, start=1):
+            assert oracle.step(key) == ref.step(key), (trace, i)
+            if i % 500 == 0 or i == seq.m:
+                assert oracle.validate() is None, (trace, i)
+        assert oracle.score == ref.score
+
+    @pytest.mark.parametrize("field", ["link", "boundary", "band"])
+    def test_validate_catches_state_drift(self, py_rng, field):
+        n = 64
+        oracle = CrudeOracle(n)
+        for key in range(1, n + 1):
+            oracle.step(key)
+        for _ in range(500):
+            oracle.step(py_rng.randint(1, n))
+            assert oracle.validate() is None
+        if field == "link":  # rank 8 names rank 2 as its predecessor
+            oracle.prev[oracle.at[3]] = oracle.at[1]
+        elif field == "boundary":  # the rank-8 pointer lags one place
+            oracle.at[3] = oracle.next[oracle.at[3]]
+        else:  # rank 16 (work 15) claims the next band up, score and all
+            oracle.band[oracle.at[4]] = 5
+            oracle.score[oracle.at[4]] = 31
+        assert oracle.validate() is not None
+
+    def test_rounded_score_values(self):
         assert [_round_score(w) for w in (0, 1, 2, 3, 4)] == [0, 1, 3, 3, 7]
         oracle = CrudeOracle(8)
         seq = [1, 2, 3, 4, 1, 1]
@@ -203,14 +275,14 @@ class TestCrudeOracle:
         for _ in range(steps):
             key = py_rng.randint(1, n)
             pre_work = front.index(key) if key in front else n
-            assert oracle.work_of(key) == pre_work
+            assert oracle.score[key] == _round_score(pre_work)
             rows = oracle.step(key)
             if key in front:
                 front.remove(key)
             front.insert(0, key)
             # the served item leads the update set with its post-move state
             assert rows[0] == (key, 0, 0)
-            assert oracle.rank(key) == 1
+            assert oracle.head == front[0] == key
             # every other member sits exactly on a power-of-two work value
             for item, s, w in rows[1:]:
                 assert w == front.index(item)
