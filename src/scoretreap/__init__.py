@@ -29,7 +29,6 @@ from .em import (
     RankForest,
     TierForestBTreap,
     UpdateCost,
-    em_report,
 )
 from .errors import ConfigError, DuplicateKeyError
 from .oracle import (
@@ -39,11 +38,9 @@ from .oracle import (
 )
 from .priorities import (
     RandomStream,
-    WeightVector,
     composite_priority,
     raw_score_priority,
     single_log_priority,
-    static_opt_weights,
     tier_value,
 )
 from .sequences import (
@@ -55,7 +52,7 @@ from .sequences import (
     read_trace,
     write_trace,
 )
-from .treap import CostLedger, Treap
+from .treap import Treap
 
 __version__ = "0.1.0"
 
@@ -65,7 +62,6 @@ __all__ = [
     "BlockStore",
     "ConfigError",
     "CostBreakdown",
-    "CostLedger",
     "CrudeOracle",
     "DetScoreForest",
     "Distribution",
@@ -82,13 +78,11 @@ __all__ = [
     "TraceSpec",
     "Treap",
     "UpdateCost",
-    "WeightVector",
     "analytic_expected_depth",
     "composite_priority",
     "compute_stats",
     "cost_decomposition_check",
     "cross_entropy",
-    "em_report",
     "entropy",
     "error_measures",
     "gen_distribution",
@@ -103,7 +97,6 @@ __all__ = [
     "read_trace",
     "run_dynamic",
     "single_log_priority",
-    "static_opt_weights",
     "tier_value",
     "write_trace",
     "__version__",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from typing import Sequence
@@ -62,33 +61,6 @@ class Distribution:
         if s <= 0:
             raise ValueError("cannot normalize a non-positive vector")
         return cls([v / s for v in values])
-
-    def save_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["key", "mass"])
-            for k, v in enumerate(self._p, start=1):
-                w.writerow([k, repr(v)])
-
-    @classmethod
-    def load_csv(cls, path: str) -> "Distribution":
-        masses: list[tuple[int, float]] = []
-        with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd, None)
-            if header is None or [c.strip() for c in header[:2]] != ["key", "mass"]:
-                raise ValueError(f"{path}: expected header 'key,mass'")
-            for lineno, row in enumerate(rd, start=2):
-                if not row:
-                    continue
-                try:
-                    masses.append((int(row[0]), float(row[1])))
-                except (ValueError, IndexError) as exc:
-                    raise ValueError(f"{path}:{lineno}: bad row {row!r}") from exc
-        masses.sort()
-        if [k for k, _ in masses] != list(range(1, len(masses) + 1)):
-            raise ValueError(f"{path}: keys must be exactly 1..n")
-        return cls([v for _, v in masses])
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DuplicateKeyError
-from .priorities import RandomStream, WeightVector, tier_value
+from .priorities import RandomStream, tier_value
 from .sequences import RecencyRanks
 from .treap import Treap
 
@@ -36,28 +36,28 @@ __all__ = [
     "TierForestBTreap",
     "DetScoreForest",
     "RankForest",
-    "em_report",
 ]
+
+
+# the depth slack of the fanout advisory in ``EMConfig.warn_if_small``
+_DEPTH_SLACK = 0.5
 
 
 @dataclass
 class EMConfig:
-    """External-memory knobs: block fanout B and the depth slack alpha."""
+    """External-memory knobs: the block fanout B."""
 
     B: int
-    alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if self.B < 4:
             raise ConfigError(f"block fanout must be >= 4, got {self.B}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
 
     def warn_if_small(self, n: int) -> None:
-        """Advisory: fanout below log(n)^(1/(1-alpha)) weakens depth bounds."""
-        if n >= 3 and self.B < math.log(n) ** (1.0 / (1.0 - self.alpha)):
+        """Advisory: fanout below log(n)^(1/(1-slack)) weakens depth bounds."""
+        if n >= 3 and self.B < math.log(n) ** (1.0 / (1.0 - _DEPTH_SLACK)):
             warnings.warn(
-                f"fanout B={self.B} is small for n={n} at alpha={self.alpha}; "
+                f"fanout B={self.B} is small for n={n} at depth slack {_DEPTH_SLACK}; "
                 "depth guarantees degrade",
                 stacklevel=3,
             )
@@ -99,19 +99,6 @@ class BlockStore:
         distinct = set(bids)
         self.io_touches += len(distinct)
         return len(distinct)
-
-
-def em_report(store: BlockStore) -> dict:
-    """Counters plus an occupancy histogram (keys-per-block -> block count)."""
-    hist: dict[int, int] = {}
-    for blk in store.blocks.values():
-        hist[len(blk.keys)] = hist.get(len(blk.keys), 0) + 1
-    return {
-        "io_touches": store.io_touches,
-        "rebuild_touches": store.rebuild_touches,
-        "block_count": len(store.blocks),
-        "occupancy": dict(sorted(hist.items())),
-    }
 
 
 class BTree:
@@ -456,12 +443,12 @@ class TierForestBTreap:
 
     def __init__(
         self,
-        weights: WeightVector | Sequence[float],
+        weights: Sequence[float],
         cfg: EMConfig,
         rng: RandomStream | None = None,
         offsets: Sequence[float] | None = None,
     ):
-        wl = weights.values() if isinstance(weights, WeightVector) else [float(v) for v in weights]
+        wl = [float(v) for v in weights]
         self.cfg = cfg
         self.n = len(wl)
         cfg.warn_if_small(self.n)
@@ -729,8 +716,8 @@ class DetScoreForest:
     """Deterministic score buckets: item with score w joins tree
     ``max(0, floor(log2 log_B (1/w)))``; lookups probe trees in index order."""
 
-    def __init__(self, weights: WeightVector | Sequence[float], cfg: EMConfig):
-        wl = weights.values() if isinstance(weights, WeightVector) else [float(v) for v in weights]
+    def __init__(self, weights: Sequence[float], cfg: EMConfig):
+        wl = [float(v) for v in weights]
         self.cfg = cfg
         self.n = len(wl)
         cfg.warn_if_small(self.n)

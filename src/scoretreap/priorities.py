@@ -14,18 +14,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Mapping, Sequence
-
-from .errors import ConfigError
 
 __all__ = [
     "RandomStream",
-    "WeightVector",
     "tier_value",
     "composite_priority",
     "single_log_priority",
     "raw_score_priority",
-    "static_opt_weights",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -154,69 +149,3 @@ def raw_score_priority(w: float) -> tuple[int, float]:
     if not w > 0.0 or math.isinf(w) or math.isnan(w):
         raise ValueError(f"score must be a positive finite number, got {w!r}")
     return 0, w / (1.0 + w)
-
-
-# ----------------------------------------------------------------------
-# weights
-
-
-class WeightVector:
-    """Positive per-item scores for the key universe ``1..n``."""
-
-    def __init__(self, values: Sequence[float]):
-        vals = [float(v) for v in values]
-        if not vals:
-            raise ValueError("weight vector must be non-empty")
-        for i, v in enumerate(vals):
-            if not v > 0.0 or math.isinf(v) or math.isnan(v):
-                raise ValueError(f"weight for key {i + 1} must be positive and finite, got {v!r}")
-        self._w = vals
-        self.n = len(vals)
-
-    def __getitem__(self, key: int) -> float:
-        if not 1 <= key <= self.n:
-            raise KeyError(key)
-        return self._w[key - 1]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterable[float]:
-        return iter(self._w)
-
-    def values(self) -> list[float]:
-        return list(self._w)
-
-    def l1(self) -> float:
-        return sum(self._w)
-
-    def normalized(self) -> "WeightVector":
-        s = self.l1()
-        return WeightVector([v / s for v in self._w])
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, float], n: int) -> "WeightVector":
-        vals = [0.0] * n
-        for k, v in mapping.items():
-            if not 1 <= k <= n:
-                raise KeyError(k)
-            vals[k - 1] = v
-        return cls(vals)
-
-
-def static_opt_weights(frequencies: Sequence[int], m: int) -> WeightVector:
-    """Empirical-frequency scores ``f_x / m`` with a ``1/(n*m)`` zero floor."""
-    if m <= 0:
-        raise ConfigError(f"total access count must be positive, got {m}")
-    n = len(frequencies)
-    if n == 0:
-        raise ConfigError("frequency table must be non-empty")
-    total = 0
-    for f in frequencies:
-        if f < 0:
-            raise ConfigError(f"negative frequency {f}")
-        total += f
-    if total != m:
-        raise ConfigError(f"frequencies sum to {total}, expected m={m}")
-    floor = 1.0 / (n * m)
-    return WeightVector([f / m if f > 0 else floor for f in frequencies])

@@ -1,4 +1,4 @@
-"""Workload generators: distributions, access traces, and trace files.
+"""Workload generators: distributions and access traces, plus trace file I/O.
 
 Also ``RecencyRanks``, the move-to-front (LRU stack distance) ranks of a
 trace's keys, shared by the sequence statistics and the rank forest.
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 DISTRIBUTION_FAMILIES = ("zipf", "uniform", "linear", "segmented")
-SEQUENCE_FAMILIES = DISTRIBUTION_FAMILIES + ("round-robin", "block-repeat", "file")
+SEQUENCE_FAMILIES = DISTRIBUTION_FAMILIES + ("round-robin", "block-repeat")
 
 
 @dataclass
@@ -37,7 +37,6 @@ class TraceSpec:
     m: int = 0
     seed: int = 0
     s: float = 1.0  # zipf exponent
-    path: str | None = None  # for family == "file"
 
 
 @dataclass
@@ -229,9 +228,6 @@ def _segmented(n: int) -> Distribution:
 def gen_sequence(spec: TraceSpec) -> AccessSequence:
     """Build an access trace for any sequence family."""
     fam = spec.family
-    if fam == "file":
-        _require(spec.path is not None, "file family needs a path")
-        return read_trace(spec.path)
     n, m = spec.n, spec.m
     _require(n >= 1, f"n must be >= 1, got {n}")
     _require(m >= 1, f"m must be >= 1, got {m}")

@@ -15,31 +15,16 @@ nothing here recurses, so chains of any depth are fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DuplicateKeyError
 
-__all__ = ["CostLedger", "Treap"]
+__all__ = ["Treap"]
 
 
 def _check_offset(key: int, offset: float) -> None:
     if not 0.0 < offset < 1.0:
         raise ValueError(f"offset for key {key} not in (0, 1): {offset!r}")
-
-
-@dataclass
-class CostLedger:
-    """Monotone operation counters; ``reset`` is the only way down."""
-
-    comparisons: int = 0
-    rotations: int = 0
-    nodes_touched: int = 0
-
-    def reset(self) -> None:
-        self.comparisons = 0
-        self.rotations = 0
-        self.nodes_touched = 0
 
 
 class Treap:
@@ -51,7 +36,6 @@ class Treap:
         self.n = n
         self.root = 0
         self.size = 0
-        self.ledger = CostLedger()
         z = n + 1
         self._tier = [0] * z
         self._off = [0.0] * z
@@ -206,13 +190,10 @@ class Treap:
             if cur == key:
                 break
             cur = left[cur] if key < cur else right[cur]
-        led = self.ledger
-        led.comparisons += d
-        led.nodes_touched += d
         return d
 
     def depth(self, key: int) -> int:
-        """Depth by parent walk (root has depth 1); no ledger charge."""
+        """Depth by parent walk (root has depth 1)."""
         self._require(key)
         parent = self._parent
         d = 1
@@ -283,9 +264,7 @@ class Treap:
         left = self._left
         right = self._right
         cur = self.root
-        comps = 0
         while True:
-            comps += 1
             if key < cur:
                 nxt = left[cur]
                 if not nxt:
@@ -300,13 +279,11 @@ class Treap:
         self._parent[key] = cur
         left[key] = 0
         right[key] = 0
-        self.ledger.comparisons += comps
         rot = 0
         parent = self._parent
         while parent[key] and self._wins(key, parent[key]):
             self._rotate_up(key)
             rot += 1
-        self.ledger.rotations += rot
         return rot
 
     def delete(self, key: int) -> int:
@@ -339,7 +316,6 @@ class Treap:
         self._parent[key] = 0
         self._present[key] = 0
         self.size -= 1
-        self.ledger.rotations += rot
         return rot
 
     def update_priority(self, key: int, tier: int, offset: float) -> int:
@@ -377,7 +353,6 @@ class Treap:
                     break
                 self._rotate_up(c)
                 rot += 1
-        self.ledger.rotations += rot
         return rot
 
     def _rotate_up(self, x: int) -> None:

@@ -104,10 +104,11 @@ class TestPlumbing:
         ("working-set", "scheme = future-ws-noisy\n"),
         ("working-set", "structure = tree\n"),
         ("interval-set", "structure = Treap\n"),
+        ("interval-set", "structure = rank-forest\n"),
         ("em-compare", "scheme = no-such-scheme\n"),
     ], ids=["static-opt-family", "robustness-measure", "working-set-family",
             "working-set-scheme", "working-set-structure", "interval-set-structure",
-            "em-compare-scheme"])
+            "interval-set-rank-forest", "em-compare-scheme"])
     def test_value_outside_choices_rejected(self, tmp_path, capsys, monkeypatch, sub, config):
         def no_work(spec):
             raise AssertionError("the experiment ran before the config was checked")
@@ -120,6 +121,19 @@ class TestPlumbing:
         assert code == 2
         key = config.split("=")[0].strip()
         assert f"{key} must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unreachable_eps_fails_before_any_sweep_point(self, tmp_path, capsys, monkeypatch):
+        def no_work(spec):
+            raise AssertionError("a sweep point ran before every eps was reached")
+
+        monkeypatch.setattr("scoretreap.cli.gen_sequence", no_work)
+        cfg = tmp_path / "tv.cfg"
+        cfg.write_text("measure = tv\n")
+        code = main(["robustness", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--trials", "1"])
+        assert code == 2
+        assert "cannot reach tv=1.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config, flag", [("", "2"), ("threads = 2\n", "1")],

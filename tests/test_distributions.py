@@ -43,12 +43,6 @@ class TestDistributionType:
         assert d.masses() == [0.25] * 4
         assert Distribution([0.5, 0.0, 0.5]).support() == [1, 3]
 
-    def test_csv_round_trip(self, tmp_path):
-        d = Distribution([0.125, 0.5, 0.375])
-        path = str(tmp_path / "dist.csv")
-        d.save_csv(path)
-        assert Distribution.load_csv(path).masses() == d.masses()
-
 
 class TestEntropy:
     def test_examples(self):

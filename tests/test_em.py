@@ -14,7 +14,6 @@ from scoretreap.em import (
     RankForest,
     TierForestBTreap,
     UpdateCost,
-    em_report,
 )
 from scoretreap.errors import ConfigError, DuplicateKeyError
 from scoretreap.priorities import RandomStream, tier_value
@@ -100,12 +99,6 @@ class TestEMConfig:
         with pytest.raises(ConfigError):
             EMConfig(0)
         assert EMConfig(4).B == 4
-
-    def test_alpha_range(self):
-        with pytest.raises(ConfigError):
-            EMConfig(8, alpha=0.0)
-        with pytest.raises(ConfigError):
-            EMConfig(8, alpha=1.0)
 
     def test_small_fanout_warns(self):
         with pytest.warns(UserWarning, match="fanout"):
@@ -330,13 +323,6 @@ class TestTierForest:
         else:
             st.comp_root[cid + 1] = top
         assert message in st.validate()
-
-    def test_report_shape(self):
-        n = 32
-        st = TierForestBTreap([1.0 / n] * n, EMConfig(4))
-        rep = em_report(st.store)
-        assert set(rep) == {"io_touches", "rebuild_touches", "block_count", "occupancy"}
-        assert sum(k * v for k, v in rep["occupancy"].items()) == n
 
     def test_dump_is_deterministic(self):
         n = 40

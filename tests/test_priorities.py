@@ -6,14 +6,11 @@ import random
 import pytest
 
 from conftest import random_distribution
-from scoretreap.errors import ConfigError
 from scoretreap.priorities import (
     RandomStream,
-    WeightVector,
     composite_priority,
     raw_score_priority,
     single_log_priority,
-    static_opt_weights,
     tier_value,
 )
 from scoretreap.treap import Treap
@@ -103,30 +100,14 @@ class TestRawScorePriority:
                 assert (-pa[0], pa[1]) >= (-pb[0], pb[1])
 
 
-class TestStaticOptWeights:
-    def test_basic_example(self):
-        wv = static_opt_weights([2, 1, 1], 4)
-        assert wv.values() == [0.5, 0.25, 0.25]
-
-    def test_zero_frequency_items_get_floor(self):
-        wv = static_opt_weights([3, 0, 1], 4)
-        n, m = 3, 4
-        assert wv.values()[1] == pytest.approx(1.0 / (n * m))
-        assert wv.l1() <= 1.0 + 1.0 / m
-
+class TestCompositeTierBands:
     def test_uniform_frequencies_share_one_tier(self, stream):
-        n, m = 64, 640
-        wv = static_opt_weights([m // n] * n, m)
-        tiers = {composite_priority(w, stream)[0] for w in wv.values()}
+        n = 64
+        tiers = {composite_priority(1.0 / n, stream)[0] for _ in range(n)}
         assert tiers == {tier_value(1.0 / n, 2, 2)}
 
     def test_point_mass_lands_in_top_band(self, stream):
-        wv = static_opt_weights([0, 10, 0], 10)
-        assert composite_priority(wv.values()[1], stream)[0] == 0
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ConfigError):
-            static_opt_weights([0, 0], 0)
+        assert composite_priority(1.0, stream)[0] == 0
 
 
 class TestTierMonotonicity:
@@ -186,21 +167,6 @@ class TestDeterminism:
         a, b = base.spawn(1), base.spawn(2)
         assert RandomStream(11).spawn(1).next_offset() == a.next_offset()
         assert a.seed != b.seed
-
-
-class TestWeightVector:
-    def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            WeightVector([0.5, 0.0])
-
-    def test_normalized_lands_in_unit_mass(self):
-        wv = WeightVector([3.0, 1.0]).normalized()
-        assert wv.l1() == pytest.approx(1.0)
-        assert wv.values() == [0.75, 0.25]
-
-    def test_from_mapping_round_trip(self):
-        wv = WeightVector.from_mapping({1: 0.25, 3: 0.5, 2: 0.25}, 3)
-        assert wv.values() == [0.25, 0.25, 0.5]
 
 
 class TestEmpiricalDepthBound:

@@ -151,13 +151,6 @@ class TestTraceIO:
         with pytest.raises(ConfigError):
             read_trace(str(path))
 
-    def test_file_family_round_trips_through_spec(self, tmp_path):
-        path = str(tmp_path / "t.txt")
-        orig = gen_sequence(TraceSpec("round-robin", n=5, m=10))
-        write_trace(orig, path)
-        again = gen_sequence(TraceSpec("file", path=path))
-        assert again.items == orig.items and again.n == 5
-
 
 class TestRecencyRanks:
     @pytest.mark.parametrize("n, span", [(1, 1), (16, 16), (16, 5), (64, 64)])

@@ -170,12 +170,6 @@ class TestAccess:
     def test_three_key_access_example(self):
         assert Treap.build(THREE).access(2) == 3
 
-    def test_access_accumulates_nodes_touched(self):
-        t = Treap.build(THREE)
-        t.ledger.reset()
-        total = t.access(2) + t.access(1) + t.access(3)
-        assert t.ledger.nodes_touched == total == 3 + 1 + 2
-
 
 class TestAncestor:
     def test_three_key_examples(self):
@@ -245,12 +239,6 @@ class TestUpdatePriority:
             rot = t.update_priority(k, py_rng.randint(0, 3), py_rng.random())
             assert rot == abs(before - t.depth(k))
 
-    def test_rotations_counted_in_ledger(self, py_rng):
-        t = Treap.build(random_priorities(py_rng, 16))
-        t.ledger.reset()
-        rot = t.update_priority(7, -1, 0.5)
-        assert t.ledger.rotations == rot > 0
-
 
 class TestValidate:
     def test_fresh_tree_is_ok(self, py_rng):
@@ -291,20 +279,6 @@ def test_entry_points_reject_offsets_outside_open_interval(entry, offset):
     # a rejected insert or update leaves the tree as it was
     assert shape(t) == want and t.priority(2) == THREE[2] and 4 not in t
     assert t.validate() is None
-
-
-class TestLedger:
-    def test_counters_monotone_and_resettable(self, py_rng):
-        t = Treap.build(random_priorities(py_rng, 12))
-        t.ledger.reset()
-        seen = (0, 0, 0)
-        for k in (3, 7, 1, 12, 5):
-            t.access(k)
-            now = (t.ledger.comparisons, t.ledger.rotations, t.ledger.nodes_touched)
-            assert now >= seen
-            seen = now
-        t.ledger.reset()
-        assert (t.ledger.comparisons, t.ledger.rotations, t.ledger.nodes_touched) == (0, 0, 0)
 
 
 def test_deterministic_build_across_identical_streams():
