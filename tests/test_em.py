@@ -108,6 +108,23 @@ class TestEMConfig:
         EMConfig(256).warn_if_small(10_000)
         assert not recwarn.list
 
+    @pytest.mark.parametrize("B, n, warns", [(4, 7, False), (4, 8, True),
+                                             (16, 54, False), (16, 55, True)])
+    def test_advisory_threshold_is_log_n_squared(self, recwarn, B, n, warns):
+        # depth slack 1/2: the advisory fires exactly when B < ln(n)^2
+        assert (B < math.log(n) ** 2) == warns
+        EMConfig(B).warn_if_small(n)
+        assert [str(w.message) for w in recwarn.list] == (
+            [f"fanout B={B} is small for n={n} at depth slack 0.5; depth guarantees degrade"]
+            if warns else [])
+
+
+@pytest.mark.parametrize("forest", [TierForestBTreap, DetScoreForest])
+def test_nonpositive_or_nonfinite_weight_rejected(forest):
+    for bad in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite"):
+            forest([0.5, bad, 0.25, 0.25], EMConfig(4))
+
 
 def leaf_depths(tree: BTree) -> set[int]:
     out: set[int] = set()
@@ -289,6 +306,28 @@ class TestTierForest:
         st.update_weight(key, 0.9)
         assert st.tier_of(key) == 0
         assert st.access(key) <= before
+        assert st.validate() is None
+
+    def test_store_holds_each_key_once_after_updates(self):
+        # retiering frees the blocks it replaces: every stored block is
+        # reachable from a component tree and holds keys no other block does
+        py = random.Random(3)
+        n = 120
+        raw = [py.random() ** 3 for _ in range(n)]
+        tot = sum(raw)
+        st = TierForestBTreap([r / tot for r in raw], EMConfig(4), rng=RandomStream(8))
+        for step in range(301):
+            if step % 50 == 0:
+                reachable = []
+                stack = [tree.root for tree in st.comp_tree.values()]
+                while stack:
+                    bid = stack.pop()
+                    reachable.append(bid)
+                    stack.extend(st.store.blocks[bid].children)
+                assert sorted(reachable) == sorted(st.store.blocks)
+                stored = [k for blk in st.store.blocks.values() for k in blk.keys]
+                assert sorted(stored) == list(range(1, n + 1))
+            st.update_weight(py.randint(1, n), 2.0 ** -py.uniform(0.1, 20))
         assert st.validate() is None
 
     def test_io_counters_split_by_phase(self):

@@ -118,6 +118,33 @@ class TestInsertDelete:
             assert t.root == n
             assert rot == spine
 
+    def test_insert_rotations_equal_rise_from_leaf(self, py_rng):
+        # a key of the lowest tier stays at the leaf its search ends on, so
+        # the same key at its real priority rises once per level above that
+        for _ in range(60):
+            n = py_rng.randint(2, 20)
+            pris = random_priorities(py_rng, n)
+            key = py_rng.randint(1, n)
+            rest = {k: p for k, p in pris.items() if k != key}
+            low, real = Treap.build(rest, n), Treap.build(rest, n)
+            assert low.insert(key, 4, 0.5) == 0
+            rot = real.insert(key, *pris[key])
+            assert rot == low.depth(key) - real.depth(key)
+            assert real.validate() is None
+
+    def test_delete_rotations_equal_sink_to_leaf(self, py_rng):
+        # delete rotates the key down to a leaf exactly as demoting it below
+        # every other priority does, and a leaf leaves with no rotation
+        for _ in range(60):
+            n = py_rng.randint(1, 20)
+            pris = random_priorities(py_rng, n)
+            key = py_rng.randint(1, n)
+            deleted, demoted = Treap.build(pris), Treap.build(pris)
+            sink = demoted.update_priority(key, 4, 0.5)
+            assert deleted.delete(key) == sink
+            assert demoted.delete(key) == 0
+            assert shape(deleted) == shape(demoted)
+
     def test_delete_root_of_two_node_tree(self):
         t = Treap.build({1: (0, 0.9), 2: (0, 0.3)})
         t.delete(1)
@@ -169,6 +196,18 @@ class TestAccess:
 
     def test_three_key_access_example(self):
         assert Treap.build(THREE).access(2) == 3
+
+    def test_access_accumulates_nodes_touched(self):
+        t = Treap.build(THREE)
+        total = t.access(2) + t.access(1) + t.access(3)
+        assert total == t.depth(2) + t.depth(1) + t.depth(3) == 3 + 1 + 2
+
+    def test_access_cost_equals_depth(self, py_rng):
+        for _ in range(30):
+            n = py_rng.randint(1, 40)
+            t = Treap.build(random_priorities(py_rng, n))
+            assert [t.access(k) for k in range(1, n + 1)] == \
+                [t.depth(k) for k in range(1, n + 1)]
 
 
 class TestAncestor:
