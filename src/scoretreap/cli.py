@@ -390,7 +390,7 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
         if rf.check_invariant() is not None:
             ok = False
             break
-    checks["rank_forest_invariant"] = ok
+    checks["rank_forest_invariant"] = ok and rf.validate() is None
     dsf = DetScoreForest([1.0 / (n + 1) ** 2] * n, EMConfig(B=4))
     checks["det_forest_valid"] = dsf.validate() is None
     tf = TierForestBTreap([1.0 / (n + 1) ** 2] * n, EMConfig(B=4), rng=RandomStream(seed))

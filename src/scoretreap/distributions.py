@@ -191,12 +191,14 @@ def perturb(
         vals = [max(b, floor) * math.exp(lam * d) for b, d in zip(base, direction)]
         return Distribution(_apply_floor([v / math.fsum(vals) for v in vals], floor))
 
+    reached: list[float] = []  # each family's value at its far end
     for family, hi_cap in ((mixture, 1.0), (tilt, 80.0)):
         hi = hi_cap
         try:
             reach = _measure(p, family(hi), measure)
         except ValueError:
             continue
+        reached.append(reach)
         if reach < eps:
             continue
         lo = 0.0
@@ -211,7 +213,8 @@ def perturb(
         got = _measure(p, q, measure)
         if 0.9 * eps <= got <= 1.1 * eps:
             return q
-    raise ValueError(f"cannot reach {measure}={eps} from this distribution")
+    largest = f" (largest reached {max(reached):.3f})" if reached else ""
+    raise ValueError(f"cannot reach {measure}={eps} from this distribution{largest}")
 
 
 def mae(truth: Sequence[float], predicted: Sequence[float]) -> float:

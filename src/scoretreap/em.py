@@ -15,16 +15,15 @@ touches.  On top of it:
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from bisect import bisect_left, insort
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DuplicateKeyError
 from .priorities import RandomStream, tier_value
-from .sequences import RecencyRanks
 from .treap import Treap
 
 __all__ = [
@@ -638,7 +637,7 @@ class TierForestBTreap:
     def dump(self) -> str:
         """Canonical text form: one block per line (id, tier, keys, children).
 
-        Ids are renumbered in a deterministic traversal of the glued forest,
+        Ids are reassigned in a deterministic traversal of the glued forest,
         with component roots appended to their glue block's child list, so
         two structurally identical forests dump to identical strings.
         """
@@ -693,23 +692,44 @@ class TierForestBTreap:
             p = parent[top]
             if self.comp_of[top] != cid or (p and tier[p] >= tier[top]):
                 return f"component {cid} root {top} is not the top of its own component"
-        seen = 0
         for cid, tree in self.comp_tree.items():
-            err = tree.validate()
-            if err:
-                return f"component {cid}: {err}"
-            t = self.base._tier[self.comp_root[cid]]
+            t = tier[self.comp_root[cid]]
             if tree.tier != t:
                 return f"component {cid} tree records tier {tree.tier}, its root has {t}"
             for k in tree.key_block:
-                if self.base._tier[k] != t:
+                if tier[k] != t:
                     return f"component {cid} mixes tiers at key {k}"
-                if self.comp_of[k] != cid:
-                    return f"key {k} assigned to component {self.comp_of[k]}, stored in {cid}"
-            seen += len(tree)
-        if seen != self.n:
-            return f"components hold {seen} keys, expected {self.n}"
-        return None
+        return _check_trees(self.comp_tree, self.comp_of, self.n)
+
+
+def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[int]]:
+    """Search non-empty trees in order; return (index of the tree with ``key``, probed blocks)."""
+    touched: set[int] = set()
+    for i, tree in trees.items():
+        if not len(tree):
+            continue
+        found, path = tree.search(key)
+        touched.update(path)
+        if found:
+            return i, touched
+    raise KeyError(key)
+
+
+def _check_trees(trees: dict[int, BTree], tree_of: list[int], n: int) -> str | None:
+    """Every tree is a valid B-tree, ``tree_of`` names the tree of each key
+    it holds, and the trees hold ``n`` keys in all."""
+    total = 0
+    for i, tree in trees.items():
+        err = tree.validate()
+        if err:
+            return f"tree {i}: {err}"
+        for k in tree.key_block:
+            if tree_of[k] != i:
+                return f"key {k} marked in tree {tree_of[k]}, stored in tree {i}"
+        total += len(tree)
+    if total != n:
+        return f"forest holds {total} keys, expected {n}"
+    return None
 
 
 class DetScoreForest:
@@ -746,16 +766,8 @@ class DetScoreForest:
         """Probe trees smallest-index-first; charge every probed path block."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        touched: set[int] = set()
         # ``trees`` is kept in ascending index order; ``validate`` checks it
-        for tree in self.trees.values():
-            if not len(tree):
-                continue
-            found, path = tree.search(key)
-            touched.update(path)
-            if found:
-                return self.store.charge(touched)
-        raise KeyError(key)
+        return self.store.charge(_probe(self.trees, key)[1])
 
     def update_weight(self, key: int, w_new: float) -> int:
         """Move the item between buckets if its index changed; returns touches."""
@@ -777,18 +789,7 @@ class DetScoreForest:
         order = list(self.trees)
         if order != sorted(order):
             return f"tree indices {order} not in ascending order"
-        total = 0
-        for idx, tree in self.trees.items():
-            err = tree.validate()
-            if err:
-                return f"tree {idx}: {err}"
-            for k in tree.key_block:
-                if self.tree_index[k] != idx:
-                    return f"key {k} indexed {self.tree_index[k]} but stored in tree {idx}"
-            total += len(tree)
-        if total != self.n:
-            return f"forest holds {total} keys, expected {self.n}"
-        return None
+        return _check_trees(self.trees, self.tree_index, self.n)
 
 
 class RankForest:
@@ -797,7 +798,9 @@ class RankForest:
     ``S = ceil(log2 log_B n)`` trees (at least one); tree ``i`` (1-based) may
     hold at most ``2 * B^(2^(i+1))`` items before it sheds its ``B^(2^(i+1))``
     least recent ones into tree ``i + 1``; the last tree absorbs everything.
-    An access moves the item to recency rank 1 and into the first tree.
+    An access moves the item to recency rank 1 in the first tree, so each tree
+    holds a contiguous run of ranks and ``order[i]``, tree ``i``'s keys least
+    recent first, is the whole recency state.
     """
 
     def __init__(self, n: int, cfg: EMConfig):
@@ -811,25 +814,16 @@ class RankForest:
         while cfg.B ** (2 ** S) < n:
             S += 1
         self.S = S
-        self._ranks = RecencyRanks(n)
-        for k in range(n, 0, -1):  # initial recency rank equals the key
-            self._ranks.touch(k)
         self.tree_of = [0] * (n + 1)
-        # fill trees front to back
-        self.trees: list[BTree | None] = [None] * (S + 1)
-        start = 1
+        self.trees: dict[int, BTree] = {}
+        self.order: dict[int, OrderedDict[int, None]] = {}
+        start = 1  # fill trees front to back; initial recency rank equals the key
         for i in range(1, S + 1):
-            cap = n - start + 1 if i == S else min(self.cap_hi(i), n - start + 1)
-            ks = list(range(start, start + max(cap, 0)))
-            self.trees[i] = BTree(self.store, ks, tier=i)
-            for k in ks:
-                self.tree_of[k] = i
-            start += len(ks)
-            if start > n:
-                for j in range(i + 1, S + 1):
-                    self.trees[j] = BTree(self.store, (), tier=j)
-                break
-        self._rebuild_heaps()
+            stop = n + 1 if i == S else min(start + self.cap_hi(i), n + 1)
+            self.trees[i] = BTree(self.store, range(start, stop), tier=i)
+            self.order[i] = OrderedDict.fromkeys(range(stop - 1, start - 1, -1))
+            self.tree_of[start:stop] = [i] * (stop - start)
+            start = stop
 
     def cap_hi(self, i: int) -> int:
         return 2 * self.cfg.B ** (2 ** (i + 1))
@@ -837,111 +831,44 @@ class RankForest:
     def chunk(self, i: int) -> int:
         return self.cfg.B ** (2 ** (i + 1))
 
-    def rank(self, key: int) -> int:
-        """1 = most recently accessed."""
-        return self._ranks.rank(key)
-
-    def _rebuild_heaps(self) -> None:
-        """Per-tree min-heaps of (stamp, key), for finding each tree's oldest."""
-        self._heaps: list[list[tuple[int, int]]] = [[] for _ in range(self.S + 1)]
-        stamp = self._ranks.stamp
-        for k in range(1, self.n + 1):
-            self._heaps[self.tree_of[k]].append((stamp[k], k))
-        for heap in self._heaps:
-            heapq.heapify(heap)
-
-    def _oldest(self, i: int) -> tuple[int, int] | None:
-        heap = self._heaps[i]
-        while heap:
-            stamp, key = heap[0]
-            if self.tree_of[key] == i and self._ranks.stamp[key] == stamp:
-                return stamp, key
-            heapq.heappop(heap)
-        return None
-
     def access(self, key: int) -> int:
         """Probe trees in order, promote the item, cascade overflow chunks."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        touched: set[int] = set()
-        found_at = 0
-        for i in range(1, self.S + 1):
-            tree = self.trees[i]
-            if not len(tree):
-                continue
-            found, path = tree.search(key)
-            touched.update(path)
-            if found:
-                found_at = i
-                break
-        if not found_at:
-            raise KeyError(key)
-        renumbered = self._ranks.touch(key)
+        found_at, touched = _probe(self.trees, key)
+        del self.order[found_at][key]
+        self.order[1][key] = None
         if found_at != 1:
             touched.update(self.trees[found_at].delete(key))
             touched.update(self.trees[1].insert(key))
             self.tree_of[key] = 1
-        if renumbered:
-            self._rebuild_heaps()
-        else:
-            heapq.heappush(self._heaps[1], (self._ranks.stamp[key], key))
         for i in range(1, self.S):
-            tree = self.trees[i]
-            while len(tree) > self.cap_hi(i):
+            while len(self.trees[i]) > self.cap_hi(i):
                 for _ in range(self.chunk(i)):
-                    entry = self._oldest(i)
-                    if entry is None:
-                        break
-                    _, victim = entry
-                    touched.update(tree.delete(victim))
+                    victim, _ = self.order[i].popitem(last=False)
+                    self.order[i + 1][victim] = None
+                    touched.update(self.trees[i].delete(victim))
                     touched.update(self.trees[i + 1].insert(victim))
                     self.tree_of[victim] = i + 1
-                    heapq.heappush(self._heaps[i + 1], (self._ranks.stamp[victim], victim))
         return self.store.charge(touched)
 
     def check_invariant(self) -> str | None:
         """Size and max-rank bands; the last non-empty tree is exempt from
         the size band (it absorbs whatever the geometric prefix cannot)."""
-        last_nonempty = 0
-        for i in range(1, self.S + 1):
-            if len(self.trees[i]):
-                last_nonempty = i
-        for i in range(1, self.S + 1):
-            tree = self.trees[i]
-            if not len(tree):
-                continue
-            if i != last_nonempty:
-                lo = self.cfg.B ** (2 ** i)
-                if not lo <= len(tree) <= self.cap_hi(i):
-                    return f"tree {i} has {len(tree)} items, band [{lo}, {self.cap_hi(i)}]"
-            entry = self._oldest(i)
-            if entry is not None:
-                worst = self.rank(entry[1])
-                cap = 4 * self.cfg.B ** (2 ** (i + 1))
-                if worst > cap:
-                    return f"tree {i} holds rank {worst}, cap {cap}"
+        nonempty = [(i, len(tree)) for i, tree in self.trees.items() if len(tree)]
+        worst = 0  # the ranks are contiguous, so tree i ends at the running size
+        for i, size in nonempty:
+            worst += size
+            lo = self.cfg.B ** (2 ** i)
+            if i != nonempty[-1][0] and not lo <= size <= self.cap_hi(i):
+                return f"tree {i} has {size} items, band [{lo}, {self.cap_hi(i)}]"
+            cap = 4 * self.cfg.B ** (2 ** (i + 1))
+            if worst > cap:
+                return f"tree {i} holds rank {worst}, cap {cap}"
         return None
 
     def validate(self) -> str | None:
-        err = self._ranks.validate()
-        if err:
-            return f"recency ranks: {err}"
-        stamp = self._ranks.stamp
-        total = 0
-        for i in range(1, self.S + 1):
-            tree = self.trees[i]
-            err = tree.validate()
-            if err:
-                return f"tree {i}: {err}"
-            for k in tree.key_block:
-                if self.tree_of[k] != i:
-                    return f"key {k} marked in tree {self.tree_of[k]}, stored in {i}"
-            if len(tree):
-                live = min((stamp[k], k) for k in tree.key_block)
-                entry = self._oldest(i)
-                if entry != live:
-                    return f"tree {i}: oldest (stamp, key) is {live}, its heap gives {entry}"
-            total += len(tree)
-        if total != self.n:
-            return f"forest holds {total} keys, expected {self.n}"
-        return self.check_invariant()
+        for i, tree in self.trees.items():
+            if self.order[i].keys() != tree.key_block.keys():
+                return f"tree {i}: its recency list does not hold exactly its keys"
+        return _check_trees(self.trees, self.tree_of, self.n) or self.check_invariant()

@@ -1,7 +1,7 @@
 """Workload generators: distributions and access traces, plus trace file I/O.
 
 Also ``RecencyRanks``, the move-to-front (LRU stack distance) ranks of a
-trace's keys, shared by the sequence statistics and the rank forest.
+trace's keys, which the sequence statistics use.
 """
 
 from __future__ import annotations

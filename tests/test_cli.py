@@ -133,7 +133,9 @@ class TestPlumbing:
         code = main(["robustness", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--trials", "1"])
         assert code == 2
-        assert "cannot reach tv=1.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot reach tv=1.0" in err
+        assert "largest reached 0.602" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config, flag", [("", "2"), ("threads = 2\n", "1")],

@@ -1,6 +1,7 @@
 """Block structures: the B-tree arena, the tiered component forest, the
 deterministic score buckets, and the self-organizing recency forest."""
 
+import heapq
 import math
 import random
 
@@ -17,7 +18,7 @@ from scoretreap.em import (
 )
 from scoretreap.errors import ConfigError, DuplicateKeyError
 from scoretreap.priorities import RandomStream, tier_value
-from scoretreap.sequences import TraceSpec, gen_sequence
+from scoretreap.sequences import RecencyRanks, TraceSpec, gen_sequence
 
 
 class FullRepartitionForest(TierForestBTreap):
@@ -90,6 +91,163 @@ class FullRepartitionForest(TierForestBTreap):
         self.store.io_touches += removal + insertion
         self.store.rebuild_touches += written
         return UpdateCost(removal, insertion, written)
+
+
+class StampHeapRankForest:
+    """Reference recency forest: ranks from a ``RecencyRanks`` stamp arena,
+    each tree's least recent key from a lazy min-heap of ``(stamp, key)``.
+
+    ``S = ceil(log2 log_B n)`` trees (at least one); tree ``i`` (1-based) may
+    hold at most ``2 * B^(2^(i+1))`` items before it sheds its ``B^(2^(i+1))``
+    least recent ones into tree ``i + 1``; the last tree absorbs everything.
+    An access moves the item to recency rank 1 and into the first tree.
+    """
+
+    def __init__(self, n: int, cfg: EMConfig):
+        if n < 1:
+            raise ConfigError(f"universe size must be >= 1, got {n}")
+        self.cfg = cfg
+        self.n = n
+        cfg.warn_if_small(n)
+        self.store = BlockStore(cfg.B)
+        S = 1
+        while cfg.B ** (2 ** S) < n:
+            S += 1
+        self.S = S
+        self._ranks = RecencyRanks(n)
+        for k in range(n, 0, -1):  # initial recency rank equals the key
+            self._ranks.touch(k)
+        self.tree_of = [0] * (n + 1)
+        # fill trees front to back
+        self.trees: list[BTree | None] = [None] * (S + 1)
+        start = 1
+        for i in range(1, S + 1):
+            cap = n - start + 1 if i == S else min(self.cap_hi(i), n - start + 1)
+            ks = list(range(start, start + max(cap, 0)))
+            self.trees[i] = BTree(self.store, ks, tier=i)
+            for k in ks:
+                self.tree_of[k] = i
+            start += len(ks)
+            if start > n:
+                for j in range(i + 1, S + 1):
+                    self.trees[j] = BTree(self.store, (), tier=j)
+                break
+        self._rebuild_heaps()
+
+    def cap_hi(self, i: int) -> int:
+        return 2 * self.cfg.B ** (2 ** (i + 1))
+
+    def chunk(self, i: int) -> int:
+        return self.cfg.B ** (2 ** (i + 1))
+
+    def rank(self, key: int) -> int:
+        """1 = most recently accessed."""
+        return self._ranks.rank(key)
+
+    def _rebuild_heaps(self) -> None:
+        """Per-tree min-heaps of (stamp, key), for finding each tree's oldest."""
+        self._heaps: list[list[tuple[int, int]]] = [[] for _ in range(self.S + 1)]
+        stamp = self._ranks.stamp
+        for k in range(1, self.n + 1):
+            self._heaps[self.tree_of[k]].append((stamp[k], k))
+        for heap in self._heaps:
+            heapq.heapify(heap)
+
+    def _oldest(self, i: int) -> tuple[int, int] | None:
+        heap = self._heaps[i]
+        while heap:
+            stamp, key = heap[0]
+            if self.tree_of[key] == i and self._ranks.stamp[key] == stamp:
+                return stamp, key
+            heapq.heappop(heap)
+        return None
+
+    def access(self, key: int) -> int:
+        """Probe trees in order, promote the item, cascade overflow chunks."""
+        if not 1 <= key <= self.n:
+            raise KeyError(key)
+        touched: set[int] = set()
+        found_at = 0
+        for i in range(1, self.S + 1):
+            tree = self.trees[i]
+            if not len(tree):
+                continue
+            found, path = tree.search(key)
+            touched.update(path)
+            if found:
+                found_at = i
+                break
+        if not found_at:
+            raise KeyError(key)
+        renumbered = self._ranks.touch(key)
+        if found_at != 1:
+            touched.update(self.trees[found_at].delete(key))
+            touched.update(self.trees[1].insert(key))
+            self.tree_of[key] = 1
+        if renumbered:
+            self._rebuild_heaps()
+        else:
+            heapq.heappush(self._heaps[1], (self._ranks.stamp[key], key))
+        for i in range(1, self.S):
+            tree = self.trees[i]
+            while len(tree) > self.cap_hi(i):
+                for _ in range(self.chunk(i)):
+                    entry = self._oldest(i)
+                    if entry is None:
+                        break
+                    _, victim = entry
+                    touched.update(tree.delete(victim))
+                    touched.update(self.trees[i + 1].insert(victim))
+                    self.tree_of[victim] = i + 1
+                    heapq.heappush(self._heaps[i + 1], (self._ranks.stamp[victim], victim))
+        return self.store.charge(touched)
+
+    def check_invariant(self) -> str | None:
+        """Size and max-rank bands; the last non-empty tree is exempt from
+        the size band (it absorbs whatever the geometric prefix cannot)."""
+        last_nonempty = 0
+        for i in range(1, self.S + 1):
+            if len(self.trees[i]):
+                last_nonempty = i
+        for i in range(1, self.S + 1):
+            tree = self.trees[i]
+            if not len(tree):
+                continue
+            if i != last_nonempty:
+                lo = self.cfg.B ** (2 ** i)
+                if not lo <= len(tree) <= self.cap_hi(i):
+                    return f"tree {i} has {len(tree)} items, band [{lo}, {self.cap_hi(i)}]"
+            entry = self._oldest(i)
+            if entry is not None:
+                worst = self.rank(entry[1])
+                cap = 4 * self.cfg.B ** (2 ** (i + 1))
+                if worst > cap:
+                    return f"tree {i} holds rank {worst}, cap {cap}"
+        return None
+
+    def validate(self) -> str | None:
+        err = self._ranks.validate()
+        if err:
+            return f"recency ranks: {err}"
+        stamp = self._ranks.stamp
+        total = 0
+        for i in range(1, self.S + 1):
+            tree = self.trees[i]
+            err = tree.validate()
+            if err:
+                return f"tree {i}: {err}"
+            for k in tree.key_block:
+                if self.tree_of[k] != i:
+                    return f"key {k} marked in tree {self.tree_of[k]}, stored in {i}"
+            if len(tree):
+                live = min((stamp[k], k) for k in tree.key_block)
+                entry = self._oldest(i)
+                if entry != live:
+                    return f"tree {i}: oldest (stamp, key) is {live}, its heap gives {entry}"
+            total += len(tree)
+        if total != self.n:
+            return f"forest holds {total} keys, expected {self.n}"
+        return self.check_invariant()
 
 
 class TestEMConfig:
@@ -415,6 +573,11 @@ class TestDetScoreForest:
         assert "ascending" in st.validate()
 
 
+def recency(st: RankForest) -> list[int]:
+    """All keys, most recent first: each tree's list reversed, front tree first."""
+    return [k for i in range(1, st.S + 1) for k in reversed(st.order[i])]
+
+
 class TestRankForest:
     def test_tree_count_is_minimal(self):
         assert RankForest(16, EMConfig(4)).S == 1
@@ -426,7 +589,7 @@ class TestRankForest:
 
     def test_initial_rank_equals_key(self):
         st = RankForest(100, EMConfig(4))
-        assert [st.rank(k) for k in range(1, 101)] == list(range(1, 101))
+        assert recency(st) == list(range(1, 101))
 
     def test_second_access_stays_in_the_front_tree(self):
         st = RankForest(600, EMConfig(4))
@@ -471,22 +634,11 @@ class TestRankForest:
             assert st.access(k) >= 1
         assert st.check_invariant() is None
 
-    def test_ranks_survive_stamp_renumbering(self):
-        """Every access of a long random trace leaves the ranks equal to a
-        literal move-to-front list and the forest valid, across many
-        renumberings of the 2n-slot stamp arena."""
+    def test_recency_order_follows_move_to_front(self):
+        """Every access of a long random trace leaves the trees' recency
+        lists equal to a literal move-to-front list and the forest valid."""
         n = 64
         st = RankForest(n, EMConfig(4))
-        touch = st._ranks.touch
-        renumbered = 0
-
-        def counted_touch(key: int) -> bool:
-            nonlocal renumbered
-            hit = touch(key)
-            renumbered += hit
-            return hit
-
-        st._ranks.touch = counted_touch
         py = random.Random(1)
         front = list(range(1, n + 1))
         for i in range(1, 2001):
@@ -494,23 +646,52 @@ class TestRankForest:
             st.access(key)
             front.remove(key)
             front.insert(0, key)
-            assert [st.rank(k) for k in front] == list(range(1, n + 1)), i
+            assert recency(st) == front, i
             assert st.validate() is None, i
-        assert renumbered >= 10
 
-    @pytest.mark.parametrize("corrupt", ["fenwick cell", "stamp", "oldest heap"])
+    @pytest.mark.parametrize("corrupt", ["key moved between lists", "key dropped from list",
+                                         "tree_of disagrees"])
     def test_validate_catches_state_drift(self, corrupt):
-        st = RankForest(64, EMConfig(4))
-        for k in (5, 9, 60):
+        st = RankForest(600, EMConfig(4))  # ranks 513.. start in tree 2
+        for k in (5, 9, 590):
             st.access(k)
         assert st.validate() is None
-        if corrupt == "fenwick cell":
-            st._ranks._tree[6] += 1  # off the path of the total
-        elif corrupt == "stamp":
-            st._ranks.stamp[9] += 1
+        if corrupt == "key moved between lists":
+            del st.order[1][9]
+            st.order[2][9] = None
+        elif corrupt == "key dropped from list":
+            del st.order[2][600]
         else:
-            st._heaps[1].clear()
+            st.tree_of[600] = 1
         assert st.validate() is not None
+
+    @pytest.mark.parametrize("family, n, m, B", [
+        ("uniform", 600, 6000, 4),  # cascades into tree 2
+        ("zipf", 1024, 8000, 4),
+        ("uniform", 64, 5000, 4),  # many stamp renumberings in the reference
+        ("block-repeat", 5000, 10_000, 4),
+        ("uniform", 1, 200, 4),
+        ("uniform", 17, 2000, 4),
+    ], ids=lambda v: str(v))
+    def test_matches_stamp_heap_forest(self, family, n, m, B):
+        seq = gen_sequence(TraceSpec(family, n=n, m=m, seed=4))
+        st = RankForest(n, EMConfig(B))
+        ref = StampHeapRankForest(n, EMConfig(B))
+
+        def same_state() -> None:
+            assert recency(st) == sorted(range(1, n + 1), key=ref.rank)
+            for i in range(1, st.S + 1):
+                assert st.trees[i].keys_inorder() == ref.trees[i].keys_inorder()
+            assert st.store.io_touches == ref.store.io_touches
+            assert st.validate() is None
+            assert ref.validate() is None
+
+        for step, x in enumerate(seq.items, start=1):
+            assert st.access(x) == ref.access(x), step
+            assert st.tree_of == ref.tree_of, step
+            if step % 500 == 0:
+                same_state()
+        same_state()
 
     def test_out_of_range_key(self):
         st = RankForest(8, EMConfig(4))
