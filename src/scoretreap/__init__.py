@@ -45,7 +45,6 @@ from .priorities import (
 )
 from .sequences import (
     AccessSequence,
-    RecencyRanks,
     TraceSpec,
     gen_distribution,
     gen_sequence,
@@ -70,7 +69,6 @@ __all__ = [
     "IntervalSetPriorityState",
     "RandomStream",
     "RankForest",
-    "RecencyRanks",
     "SCHEMES",
     "STRUCTURES",
     "SequenceStats",

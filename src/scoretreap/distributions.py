@@ -189,7 +189,8 @@ def perturb(
 
     def tilt(lam: float) -> Distribution:
         vals = [max(b, floor) * math.exp(lam * d) for b, d in zip(base, direction)]
-        return Distribution(_apply_floor([v / math.fsum(vals) for v in vals], floor))
+        total = math.fsum(vals)
+        return Distribution(_apply_floor([v / total for v in vals], floor))
 
     reached: list[float] = []  # each family's value at its far end
     for family, hi_cap in ((mixture, 1.0), (tilt, 80.0)):

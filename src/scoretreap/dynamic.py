@@ -1,8 +1,8 @@
 """Time-varying scores over an access sequence.
 
-``compute_stats`` extracts, in one sweep over recency ranks, the per-step
-backward working-set size, the forward (next-access) counterpart, and the
-between-occurrences interval size.  On top of those:
+``compute_stats`` extracts, in one sweep with one Fenwick tree over access
+times, the per-step backward working-set size, the forward (next-access)
+counterpart, and the between-occurrences interval size.  On top of those:
 
 * ``IntervalSetPriorityState`` -- stored weight 1/(1+interval)^2 per item,
   at most one change per step, running norm certificate.
@@ -23,7 +23,7 @@ from typing import Sequence
 from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from .errors import ConfigError
 from .priorities import RandomStream, composite_priority
-from .sequences import AccessSequence, RecencyRanks
+from .sequences import AccessSequence
 from .treap import Treap
 
 __all__ = [
@@ -78,15 +78,29 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
     nxt = [m + 1] * (m + 1)
     work = [0] + [n] * m
     last: dict[int, int] = {}
-    ranks = RecencyRanks(n)
+    # Fenwick tree over the times 1..m: time t is marked while it is the
+    # latest access of its key, so len(last) times are marked and those
+    # after prev[i] are the distinct keys served since then
+    tree = [0] * (m + 1)
     for i, x in enumerate(items, start=1):
         p = last.get(x)
         if p:
             prev[i] = p
             nxt[p] = i
-            work[i] = ranks.rank(x) - 1
+            marked, t = 0, p
+            while t:
+                marked += tree[t]
+                t &= t - 1
+            work[i] = len(last) - marked
+            t = p
+            while t <= m:
+                tree[t] -= 1
+                t += t & -t
         last[x] = i
-        ranks.touch(x)
+        t = i
+        while t <= m:
+            tree[t] += 1
+            t += t & -t
     # future at one occurrence is work at the next; the interval window also
     # holds the access that closes it
     future = [0] + [work[j] if j <= m else n for j in nxt[1:]]

@@ -627,7 +627,13 @@ class TierForestBTreap:
             written = self._retier(key, *before)
         elif rot:
             self._refresh_root(key)
-        insertion = len({bid for bid, _ in self._path_blocks(key)})
+        # without a tier change, key rotates only past nodes of its own tier:
+        # its component keeps its members, its B-tree and the treap parent of
+        # its top, so the glued path to key is the one walked for removal
+        if before is None:
+            insertion = removal
+        else:
+            insertion = len({bid for bid, _ in self._path_blocks(key)})
         self.store.io_touches += removal + insertion
         self.store.rebuild_touches += written
         return UpdateCost(removal, insertion, written)

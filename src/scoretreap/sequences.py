@@ -1,7 +1,7 @@
 """Workload generators: distributions and access traces, plus trace file I/O.
 
-Also ``RecencyRanks``, the move-to-front (LRU stack distance) ranks of a
-trace's keys, which the sequence statistics use.
+A trace's working-set sizes are counted offline by ``dynamic.compute_stats``,
+with one Fenwick tree over access times.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import ConfigError
 __all__ = [
     "TraceSpec",
     "AccessSequence",
-    "RecencyRanks",
     "gen_distribution",
     "gen_sequence",
     "write_trace",
@@ -61,121 +60,6 @@ class AccessSequence:
     def at(self, i: int) -> int:
         """Key accessed at time i (1-based)."""
         return self.items[i - 1]
-
-
-def _fenwick(counts: list[int]) -> list[int]:
-    """Turn ``counts[1:]`` into its Fenwick tree, in place, in linear time."""
-    size = len(counts) - 1
-    for i in range(1, size + 1):
-        j = i + (i & -i)
-        if j <= size:
-            counts[j] += counts[i]
-    return counts
-
-
-class RecencyRanks:
-    """Move-to-front recency ranks of the keys ``1..n`` (rank 1 = most recent).
-
-    Every touched key holds a distinct stamp in an arena of ``2n`` slots,
-    later touches getting larger stamps, and a Fenwick tree counts the
-    occupied slots: a key's rank is one plus the number of seen keys stamped
-    after it (its LRU stack distance), so ``touch``, ``rank`` and
-    ``key_at_rank`` cost O(log n).  When the clock reaches the end of the
-    arena, one walk of the stamp->key array renumbers the live stamps
-    ``1..seen`` in recency order; that happens at most once per n touches.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.seen = 0  # keys touched at least once
-        self.stamp = [0] * (n + 1)  # 0: never touched
-        self._size = 2 * n
-        self._key = [0] * (self._size + 1)  # stamp -> key, 0: free slot
-        self._tree = [0] * (self._size + 1)
-        self._clock = 0
-
-    def _add(self, i: int, delta: int) -> None:
-        tree, size = self._tree, self._size
-        while i <= size:
-            tree[i] += delta
-            i += i & -i
-
-    def _prefix(self, i: int) -> int:
-        tree, total = self._tree, 0
-        while i:
-            total += tree[i]
-            i &= i - 1
-        return total
-
-    def touch(self, key: int) -> bool:
-        """Move ``key`` to rank 1; True when this renumbered the stamps."""
-        old = self.stamp[key]
-        if old:
-            # free the old slot before any renumbering, which then packs the
-            # other keys into 1..seen-1 and leaves stamp seen for this one
-            self._key[old] = 0
-            self._add(old, -1)
-        else:
-            self.seen += 1
-        renumbered = self._clock == self._size
-        if renumbered:
-            self._compact()
-        self._clock += 1
-        self.stamp[key] = self._clock
-        self._key[self._clock] = key
-        self._add(self._clock, 1)
-        return renumbered
-
-    def _compact(self) -> None:
-        keys = [k for k in self._key if k]  # least recent first
-        for s, k in enumerate(keys, start=1):
-            self.stamp[k] = s
-        self._clock = len(keys)
-        free = [0] * (self._size - self._clock)
-        self._key = [0] + keys + free
-        self._tree = _fenwick([0] + [1] * self._clock + free)
-
-    def rank(self, key: int) -> int:
-        """1-based recency rank among the seen keys."""
-        s = self.stamp[key]
-        if not s:
-            raise KeyError(f"key {key} not yet touched")
-        return self.seen - self._prefix(s) + 1
-
-    def key_at_rank(self, r: int) -> int:
-        """The seen key of recency rank ``r`` (1 <= r <= seen)."""
-        rem = self.seen - r + 1  # position in stamp order
-        tree, pos = self._tree, 0
-        step = 1 << (self._size.bit_length() - 1)
-        while step:
-            nxt = pos + step
-            if nxt <= self._size and tree[nxt] < rem:
-                pos = nxt
-                rem -= tree[nxt]
-            step >>= 1
-        return self._key[pos + 1]
-
-    def validate(self) -> str | None:
-        """Stamps and slots are inverse maps, and the Fenwick tree counts
-        exactly the occupied slots."""
-        total = self._prefix(self._size)
-        if total != self.seen:
-            return f"Fenwick total {total}, but {self.seen} keys seen"
-        stamped = 0
-        for k in range(1, self.n + 1):
-            s = self.stamp[k]
-            if s:
-                stamped += 1
-                if not 1 <= s <= self._clock or self._key[s] != k:
-                    return f"key {k} holds stamp {s}, which does not map back to it"
-        occupied = [1 if k else 0 for k in self._key]
-        if stamped != self.seen or sum(occupied) != self.seen:
-            return f"{stamped} keys stamped, {sum(occupied)} slots used, {self.seen} seen"
-        want = _fenwick(occupied)
-        for i in range(1, self._size + 1):
-            if self._tree[i] != want[i]:
-                return f"Fenwick cell {i} holds {self._tree[i]}, expected {want[i]}"
-        return None
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -137,8 +137,9 @@ class TestPerturb:
                 got = kl(p, q) if measure == "kl" else error_measures(p, q)[measure]
                 assert 0.8 * eps <= got <= 1.2 * eps
 
-    def test_uniform_base_reachable_via_tilt(self):
-        p = Distribution.uniform(50)
+    @pytest.mark.parametrize("n", [50, 2048])
+    def test_uniform_base_reachable_via_tilt(self, n):
+        p = Distribution.uniform(n)
         q = perturb(p, "tv", 0.1, rng=random.Random(3))
         tv = error_measures(p, q)["tv"]
         assert 0.08 <= tv <= 0.12

@@ -29,7 +29,7 @@ from scoretreap.em import EMConfig
 from scoretreap.errors import ConfigError
 from scoretreap.oracle import ExhaustiveStats
 from scoretreap.priorities import RandomStream
-from scoretreap.sequences import AccessSequence, RecencyRanks, TraceSpec, gen_sequence
+from scoretreap.sequences import AccessSequence, TraceSpec, gen_sequence
 
 
 def random_trace(py: random.Random, n: int, m: int) -> AccessSequence:
@@ -69,6 +69,27 @@ class TestComputeStats:
                 j = st.next[i]
                 if j <= seq.m:
                     assert st.future[i] == st.work[j]
+
+    @pytest.mark.parametrize("spec", [
+        TraceSpec("uniform", n=1, m=3_000),
+        TraceSpec("uniform", n=2, m=3_000),
+        TraceSpec("uniform", n=16, m=5_000, seed=2),
+        TraceSpec("zipf", n=300, m=20_000, seed=3),
+        TraceSpec("round-robin", n=64, m=3_000),
+    ], ids=lambda spec: f"{spec.family}-{spec.n}-{spec.m}")
+    def test_work_matches_move_to_front_list(self, spec):
+        """On long traces every work[i] is x(i)'s index in a literal front
+        list before the move, or n on a first touch."""
+        seq = gen_sequence(spec)
+        st = compute_stats(seq)
+        front: list[int] = []
+        for i, x in enumerate(seq.items, start=1):
+            if x in front:
+                assert st.work[i] == front.index(x), i
+                front.remove(x)
+            else:
+                assert st.work[i] == seq.n, i
+            front.insert(0, x)
 
     def test_empty_sequence(self):
         st = compute_stats(AccessSequence(4, []))
@@ -184,29 +205,30 @@ class TestIntervalSetPriority:
 
 
 class RankQueryOracle:
-    """Reference crude oracle: exact ranks from a ``RecencyRanks``, one
-    ``key_at_rank`` descent per crossed power-of-two boundary, and each
-    crosser's work re-derived from its post-move rank."""
+    """Reference crude oracle: exact ranks from a literal move-to-front list
+    (rank r is ``front[r - 1]``), one crosser read per power-of-two boundary,
+    and each crosser's work re-derived from its post-move rank."""
 
     def __init__(self, n: int):
         self.n = n
-        self._ranks = RecencyRanks(n)
+        self.front: list[int] = []  # most recent first
         self.score = [_round_score(n)] * (n + 1)
 
-    def seen(self, key: int) -> bool:
-        return self._ranks.stamp[key] != 0
-
     def work_of(self, key: int) -> int:
-        return self._ranks.rank(key) - 1 if self.seen(key) else self.n
+        return self.front.index(key) if key in self.front else self.n
 
     def step(self, key: int) -> list[tuple[int, int, int]]:
-        limit = self.work_of(key) if self.seen(key) else self._ranks.seen
+        front = self.front
+        seen = key in front
+        limit = front.index(key) if seen else len(front)
         crossers: list[int] = []
         boundary = 1
         while boundary <= limit:
-            crossers.append(self._ranks.key_at_rank(boundary))
+            crossers.append(front[boundary - 1])
             boundary <<= 1
-        self._ranks.touch(key)
+        if seen:
+            del front[limit]
+        front.insert(0, key)
         out = [(key, 0, 0)]
         self.score[key] = 0
         for item in crossers:

@@ -1,6 +1,7 @@
 """Block structures: the B-tree arena, the tiered component forest, the
 deterministic score buckets, and the self-organizing recency forest."""
 
+import bisect
 import heapq
 import math
 import random
@@ -18,7 +19,7 @@ from scoretreap.em import (
 )
 from scoretreap.errors import ConfigError, DuplicateKeyError
 from scoretreap.priorities import RandomStream, tier_value
-from scoretreap.sequences import RecencyRanks, TraceSpec, gen_sequence
+from scoretreap.sequences import TraceSpec, gen_sequence
 
 
 class FullRepartitionForest(TierForestBTreap):
@@ -94,8 +95,10 @@ class FullRepartitionForest(TierForestBTreap):
 
 
 class StampHeapRankForest:
-    """Reference recency forest: ranks from a ``RecencyRanks`` stamp arena,
-    each tree's least recent key from a lazy min-heap of ``(stamp, key)``.
+    """Reference recency forest: each access stamps its key with the next
+    value of a plain counter, never renumbered, so a key's rank is one plus
+    the number of larger stamps; each tree's least recent key comes from a
+    lazy min-heap of ``(stamp, key)``.
 
     ``S = ceil(log2 log_B n)`` trees (at least one); tree ``i`` (1-based) may
     hold at most ``2 * B^(2^(i+1))`` items before it sheds its ``B^(2^(i+1))``
@@ -114,9 +117,11 @@ class StampHeapRankForest:
         while cfg.B ** (2 ** S) < n:
             S += 1
         self.S = S
-        self._ranks = RecencyRanks(n)
+        self._clock = 0
+        self._stamp = [0] * (n + 1)
+        self._by_stamp: list[int] | None = None  # sorted stamps, for rank
         for k in range(n, 0, -1):  # initial recency rank equals the key
-            self._ranks.touch(k)
+            self._touch(k)
         self.tree_of = [0] * (n + 1)
         # fill trees front to back
         self.trees: list[BTree | None] = [None] * (S + 1)
@@ -132,7 +137,12 @@ class StampHeapRankForest:
                 for j in range(i + 1, S + 1):
                     self.trees[j] = BTree(self.store, (), tier=j)
                 break
-        self._rebuild_heaps()
+        # per-tree min-heaps of (stamp, key), for finding each tree's oldest
+        self._heaps: list[list[tuple[int, int]]] = [[] for _ in range(S + 1)]
+        for k in range(1, n + 1):
+            self._heaps[self.tree_of[k]].append((self._stamp[k], k))
+        for heap in self._heaps:
+            heapq.heapify(heap)
 
     def cap_hi(self, i: int) -> int:
         return 2 * self.cfg.B ** (2 ** (i + 1))
@@ -140,24 +150,22 @@ class StampHeapRankForest:
     def chunk(self, i: int) -> int:
         return self.cfg.B ** (2 ** (i + 1))
 
-    def rank(self, key: int) -> int:
-        """1 = most recently accessed."""
-        return self._ranks.rank(key)
+    def _touch(self, key: int) -> None:
+        self._clock += 1
+        self._stamp[key] = self._clock
+        self._by_stamp = None
 
-    def _rebuild_heaps(self) -> None:
-        """Per-tree min-heaps of (stamp, key), for finding each tree's oldest."""
-        self._heaps: list[list[tuple[int, int]]] = [[] for _ in range(self.S + 1)]
-        stamp = self._ranks.stamp
-        for k in range(1, self.n + 1):
-            self._heaps[self.tree_of[k]].append((stamp[k], k))
-        for heap in self._heaps:
-            heapq.heapify(heap)
+    def rank(self, key: int) -> int:
+        """1 = most recently accessed: one plus the number of larger stamps."""
+        if self._by_stamp is None:
+            self._by_stamp = sorted(self._stamp[1:])
+        return self.n - bisect.bisect_right(self._by_stamp, self._stamp[key]) + 1
 
     def _oldest(self, i: int) -> tuple[int, int] | None:
         heap = self._heaps[i]
         while heap:
             stamp, key = heap[0]
-            if self.tree_of[key] == i and self._ranks.stamp[key] == stamp:
+            if self.tree_of[key] == i and self._stamp[key] == stamp:
                 return stamp, key
             heapq.heappop(heap)
         return None
@@ -179,15 +187,12 @@ class StampHeapRankForest:
                 break
         if not found_at:
             raise KeyError(key)
-        renumbered = self._ranks.touch(key)
+        self._touch(key)
         if found_at != 1:
             touched.update(self.trees[found_at].delete(key))
             touched.update(self.trees[1].insert(key))
             self.tree_of[key] = 1
-        if renumbered:
-            self._rebuild_heaps()
-        else:
-            heapq.heappush(self._heaps[1], (self._ranks.stamp[key], key))
+        heapq.heappush(self._heaps[1], (self._stamp[key], key))
         for i in range(1, self.S):
             tree = self.trees[i]
             while len(tree) > self.cap_hi(i):
@@ -199,7 +204,7 @@ class StampHeapRankForest:
                     touched.update(tree.delete(victim))
                     touched.update(self.trees[i + 1].insert(victim))
                     self.tree_of[victim] = i + 1
-                    heapq.heappush(self._heaps[i + 1], (self._ranks.stamp[victim], victim))
+                    heapq.heappush(self._heaps[i + 1], (self._stamp[victim], victim))
         return self.store.charge(touched)
 
     def check_invariant(self) -> str | None:
@@ -226,10 +231,7 @@ class StampHeapRankForest:
         return None
 
     def validate(self) -> str | None:
-        err = self._ranks.validate()
-        if err:
-            return f"recency ranks: {err}"
-        stamp = self._ranks.stamp
+        stamp = self._stamp
         total = 0
         for i in range(1, self.S + 1):
             tree = self.trees[i]
@@ -668,7 +670,7 @@ class TestRankForest:
     @pytest.mark.parametrize("family, n, m, B", [
         ("uniform", 600, 6000, 4),  # cascades into tree 2
         ("zipf", 1024, 8000, 4),
-        ("uniform", 64, 5000, 4),  # many stamp renumberings in the reference
+        ("uniform", 64, 5000, 4),  # every key stays in tree 1
         ("block-repeat", 5000, 10_000, 4),
         ("uniform", 1, 200, 4),
         ("uniform", 17, 2000, 4),

@@ -1,7 +1,6 @@
 """Trace and distribution generator tests, plus trace file I/O."""
 
 import math
-import random
 
 import pytest
 
@@ -9,7 +8,6 @@ from scoretreap.dynamic import compute_stats
 from scoretreap.errors import ConfigError
 from scoretreap.sequences import (
     AccessSequence,
-    RecencyRanks,
     TraceSpec,
     gen_distribution,
     gen_sequence,
@@ -150,26 +148,3 @@ class TestTraceIO:
         path.write_text("3 5\n1\n2\n")
         with pytest.raises(ConfigError):
             read_trace(str(path))
-
-
-class TestRecencyRanks:
-    @pytest.mark.parametrize("n, span", [(1, 1), (16, 16), (16, 5), (64, 64)])
-    def test_compaction_preserves_ranks(self, n, span):
-        """Ranks and their inverse follow a literal move-to-front list through
-        many renumberings, also while some keys are still unseen."""
-        ranks = RecencyRanks(n)
-        py = random.Random(3)
-        front: list[int] = []
-        renumbered = 0
-        for _ in range(800):
-            key = py.randint(1, span)
-            renumbered += ranks.touch(key)
-            if key in front:
-                front.remove(key)
-            front.insert(0, key)
-            assert ranks.seen == len(front)
-            for pos, item in enumerate(front, start=1):
-                assert ranks.rank(item) == pos
-                assert ranks.key_at_rank(pos) == item
-        assert renumbered >= 10
-        assert ranks.validate() is None
