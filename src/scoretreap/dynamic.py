@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from .errors import ConfigError
-from .priorities import RandomStream, composite_priority
+from .priorities import RandomStream, composite_priority, tier_value
 from .sequences import AccessSequence
 from .treap import Treap
 
@@ -298,7 +298,11 @@ def _scheme_scores(scheme: str, stats: SequenceStats | None,
             raise ConfigError("future-ws-noisy needs predicted scores")
         if len(predicted) != m:
             raise ConfigError(f"predicted scores length {len(predicted)} != m {m}")
-        return [min(max(float(s), 0.0), float(n)) for s in predicted]
+        clamped = [min(max(float(s), 0.0), float(n)) for s in predicted]
+        for j, s in enumerate(clamped):
+            if s != s:  # NaN survives the clamp; inf clamps to n
+                raise ConfigError(f"predicted score {j} is NaN")
+        return clamped
     return None
 
 
@@ -331,28 +335,28 @@ def run_dynamic(
     needs_stats = scheme in ("interval-set", "future-ws-exact", "future-ws-noisy") or keep_steps
     if needs_stats and stats is None:
         stats = compute_stats(seq)
-    scores = _scheme_scores(scheme, stats, predicted_scores, m, n) if structure != "rank-forest" else None
+    # rank-forest is self-organizing: it ignores the scheme and never updates
+    scores = None if structure == "rank-forest" else _scheme_scores(
+        scheme, stats, predicted_scores, m, n)
+    oracle = CrudeOracle(n) if (
+        scheme == "past-ws-crude" and structure != "rank-forest") else None
+    isp_guard = IntervalSetPriorityState(n) if scheme == "interval-set" else None
 
     w0 = 1.0 / (n + 1) ** 2
     weights = [w0] * (n + 1)
-    bd = CostBreakdown(scheme=scheme, structure=structure, n=n, m=m,
-                       base=2.0 if structure == "treap" else float(cfg.B))
+    log_w = [math.log(w0)] * (n + 1)  # log of weights, one log per update
 
+    update_priority = None
     if structure == "treap":
         tiers, offsets = zip(*[composite_priority(w0, rng) for _ in range(n)])
-        tr = Treap.build_arrays(tiers, offsets)
-
-        def do_access(x: int) -> int:
-            return tr.access(x)
-
-        def do_update(x: int, w: float) -> tuple[int, int]:
-            return tr.update_priority(x, *composite_priority(w, rng)) + 1, 0
-
+        st = Treap.build_arrays(tiers, offsets)
+        update_priority = st.update_priority
+        next_offset = rng.next_offset
+        # composite_priority split in two: the tier is a pure function of the
+        # weight, memoised for this run; the offset is drawn per update
+        tier_of: dict[float, int] = {}
     elif structure == "tier-forest":
         st = TierForestBTreap([w0] * n, cfg, rng=rng)
-
-        def do_access(x: int) -> int:
-            return st.access(x)
 
         def do_update(x: int, w: float) -> tuple[int, int]:
             uc = st.update_weight(x, w)
@@ -361,54 +365,54 @@ def run_dynamic(
     elif structure == "det-forest":
         st = DetScoreForest([w0] * n, cfg)
 
-        def do_access(x: int) -> int:
-            return st.access(x)
-
         def do_update(x: int, w: float) -> tuple[int, int]:
             return st.update_weight(x, w), 0
 
-    else:  # rank-forest: self-organizing, scheme ignored
+    else:  # rank-forest
         st = RankForest(n, cfg)
+    do_access = st.access
 
-        def do_access(x: int) -> int:
-            return st.access(x)
-
-        def do_update(x: int, w: float) -> tuple[int, int]:
-            return 0, 0
-
-    oracle = CrudeOracle(n) if (
-        scheme == "past-ws-crude" and structure != "rank-forest") else None
-
-    isp_guard = IntervalSetPriorityState(n) if scheme == "interval-set" else None
-
-    for i in range(1, m + 1):
-        x = seq.items[i - 1]
+    access_cost = update_cost = rebuild_cost = update_events = 0
+    access_log_nat = shift_l1_nat = 0.0
+    steps: list[tuple] = []
+    updates: Sequence[tuple[int, float]] = ()
+    log = math.log
+    for i, x in enumerate(seq.items, start=1):
         cost = do_access(x)
-        bd.access_cost += cost
-        bd.access_log_nat += -math.log(weights[x])
-        updates: list[tuple[int, float]] = []
-        if structure != "rank-forest":
-            if scores is not None:
-                s = scores[i - 1]
-                w_new = 1.0 / (1.0 + s) ** 2
-                if isp_guard is not None:
-                    isp_guard.step(i, stats)
-                if w_new != weights[x]:
-                    updates.append((x, w_new))
-            elif oracle is not None:
-                for item, s, _w in oracle.step(x):
-                    updates.append((item, 1.0 / (1.0 + s) ** 2))
-        usize = len(updates)
+        access_cost += cost
+        access_log_nat += -log_w[x]
+        if scores is not None:
+            s = scores[i - 1]
+            w_new = 1.0 / (1.0 + s) ** 2
+            if isp_guard is not None:
+                isp_guard.step(i, stats)
+            updates = [(x, w_new)] if w_new != weights[x] else ()
+        elif oracle is not None:
+            updates = [(item, 1.0 / (1.0 + s) ** 2) for item, s, _w in oracle.step(x)]
         for item, w_new in updates:
-            ucost, rcost = do_update(item, w_new)
-            bd.update_cost += ucost
-            bd.rebuild_cost += rcost
-            bd.shift_l1_nat += abs(math.log(w_new) - math.log(weights[item]))
+            if update_priority is not None:
+                tier = tier_of.get(w_new)
+                if tier is None:
+                    tier = tier_of[w_new] = tier_value(w_new, 2, 2)
+                update_cost += update_priority(item, tier, next_offset()) + 1
+            else:
+                ucost, rcost = do_update(item, w_new)
+                update_cost += ucost
+                rebuild_cost += rcost
+            lw = log(w_new)
+            shift_l1_nat += abs(lw - log_w[item])
+            log_w[item] = lw
             weights[item] = w_new
-            bd.update_events += 1
+            update_events += 1
         if keep_steps:
-            bd.steps.append((i, x, cost, usize, stats.work[i], stats.interval[i], stats.future[i]))
-    return bd
+            steps.append((i, x, cost, len(updates), stats.work[i], stats.interval[i],
+                          stats.future[i]))
+    return CostBreakdown(
+        scheme=scheme, structure=structure, n=n, m=m,
+        base=2.0 if structure == "treap" else float(cfg.B),
+        access_cost=access_cost, update_cost=update_cost, rebuild_cost=rebuild_cost,
+        access_log_nat=access_log_nat, shift_l1_nat=shift_l1_nat,
+        update_events=update_events, steps=steps)
 
 
 def cost_decomposition_check(

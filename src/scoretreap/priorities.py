@@ -97,10 +97,18 @@ def _floor_log(value: float, base: int) -> int:
 
 def tier_value(w: float, inner_base: int, outer_base: int) -> int:
     """``max(0, floor(log_outer(log_inner(1/w))))`` for a positive score."""
-    if not w > 0.0 or math.isinf(w) or math.isnan(w):
+    if not 0.0 < w < math.inf:
         raise ValueError(f"score must be a positive finite number, got {w!r}")
     if w >= 1.0:
         return 0
+    if inner_base == 2 and outer_base == 2:
+        # fused lg lg: lg(1/w) is the integer 1 - e when w = 2^(e-1) exactly,
+        # else the float -log2(w), whose floor lg is its frexp exponent - 1
+        m, e = math.frexp(w)
+        if m == 0.5:
+            return (1 - e).bit_length() - 1
+        inner = -math.log2(w)
+        return math.frexp(inner)[1] - 1 if inner >= 1.0 else 0
     k = _exact_inverse_power(w, inner_base)
     if k is not None:
         inner: float | int = k
@@ -115,14 +123,14 @@ def tier_value(w: float, inner_base: int, outer_base: int) -> int:
 
 def single_log_tier(w: float) -> int:
     """``max(0, floor(log2(1/w)))`` -- the single-log bucketing rule."""
-    if not w > 0.0 or math.isinf(w) or math.isnan(w):
+    if not 0.0 < w < math.inf:
         raise ValueError(f"score must be a positive finite number, got {w!r}")
     if w >= 1.0:
         return 0
-    k = _exact_inverse_power(w, 2)
-    if k is not None:
-        return k
-    return max(0, math.floor(-math.log2(w)))
+    m, e = math.frexp(w)
+    if m == 0.5:  # 1/w = 2^(1-e) exactly
+        return 1 - e
+    return int(-math.log2(w))  # floor: -log2(w) > 0 here
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,8 @@ class Treap:
 
     def access(self, key: int) -> int:
         """Root-to-key descent; returns the number of nodes on the path."""
-        self._require(key)
+        if not (1 <= key <= self.n and self._present[key]):
+            raise KeyError(key)
         left = self._left
         right = self._right
         cur = self.root
@@ -323,36 +324,91 @@ class Treap:
 
         The heap order is restored by rotating ``key`` up or down from where
         it sits, which costs exactly ``|depth_before - depth_after|``
-        rotations.
+        rotations.  The ``(tier, offset, key)`` comparisons and the rotations
+        are inlined on the arrays: the rise tries first, and the sink runs
+        only when the key does not outrank its parent.
         """
         _check_offset(key, offset)
-        self._require(key)
-        self._tier[key] = tier
-        self._off[key] = offset
-        rot = 0
+        if not (1 <= key <= self.n and self._present[key]):
+            raise KeyError(key)
+        tiers = self._tier
+        offs = self._off
+        left = self._left
+        right = self._right
         parent = self._parent
-        if parent[key] and self._wins(key, parent[key]):
-            while parent[key] and self._wins(key, parent[key]):
-                self._rotate_up(key)
-                rot += 1
-        else:
-            left = self._left
-            right = self._right
-            while True:
-                l = left[key]
-                r = right[key]
-                if l and r:
-                    c = l if self._wins(l, r) else r
-                elif l:
-                    c = l
-                elif r:
-                    c = r
-                else:
-                    break
-                if not self._wins(c, key):
-                    break
-                self._rotate_up(c)
-                rot += 1
+        tiers[key] = tier
+        offs[key] = offset
+        rot = 0
+        # rise: rotate key over each parent it outranks.  Key order tells
+        # which side key hangs on, so the parent link of key and the child
+        # link above it are written once, after the last rotation.
+        p = parent[key]
+        while p:
+            tp = tiers[p]
+            if tier > tp or (tier == tp and (offset < offs[p] or (offset == offs[p] and key > p))):
+                break
+            g = parent[p]
+            if key < p:
+                b = right[key]
+                left[p] = b
+                right[key] = p
+            else:
+                b = left[key]
+                right[p] = b
+                left[key] = p
+            if b:
+                parent[b] = p
+            parent[p] = key
+            rot += 1
+            p = g
+        if rot:
+            parent[key] = p
+            if not p:
+                self.root = key
+            elif key < p:
+                left[p] = key
+            else:
+                right[p] = key
+            return rot
+        # sink: rotate the higher-priority child over key while it outranks
+        # key; of two children with equal pairs the left (smaller) one wins
+        while True:
+            l = left[key]
+            r = right[key]
+            if l:
+                c = l
+                if r:
+                    tl = tiers[l]
+                    tr = tiers[r]
+                    if tr < tl or (tr == tl and offs[r] > offs[l]):
+                        c = r
+            elif r:
+                c = r
+            else:
+                break
+            tc = tiers[c]
+            if tc > tier or (tc == tier and (offs[c] < offset or (offs[c] == offset and c > key))):
+                break
+            if c == l:
+                b = right[c]
+                left[key] = b
+                right[c] = key
+            else:
+                b = left[c]
+                right[key] = b
+                left[c] = key
+            if b:
+                parent[b] = key
+            parent[c] = p
+            if not p:
+                self.root = c
+            elif key < p:
+                left[p] = c
+            else:
+                right[p] = c
+            p = c
+            rot += 1
+        parent[key] = p
         return rot
 
     def _rotate_up(self, x: int) -> None:

@@ -18,18 +18,21 @@ from scoretreap.distributions import noisy_scores
 from scoretreap.dynamic import (
     NORM_CEILING,
     NORM_STEADY,
+    CostBreakdown,
     CrudeOracle,
     IntervalSetPriorityState,
     _round_score,
+    _scheme_scores,
     compute_stats,
     cost_decomposition_check,
     run_dynamic,
 )
-from scoretreap.em import EMConfig
+from scoretreap.em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from scoretreap.errors import ConfigError
 from scoretreap.oracle import ExhaustiveStats
-from scoretreap.priorities import RandomStream
+from scoretreap.priorities import RandomStream, composite_priority
 from scoretreap.sequences import AccessSequence, TraceSpec, gen_sequence
+from scoretreap.treap import Treap
 
 
 def random_trace(py: random.Random, n: int, m: int) -> AccessSequence:
@@ -378,6 +381,22 @@ class TestRunDynamic:
         report = cost_decomposition_check(bd, factor=8.0)
         assert report["ok"], report
 
+    @pytest.mark.parametrize("structure", ["treap", "det-forest", "tier-forest"])
+    def test_nan_predicted_score_rejected_up_front(self, structure):
+        seq = AccessSequence(8, [1, 2, 3, 1])
+        predicted = [1.0, math.nan, 2.0, 0.5]
+        with pytest.raises(ConfigError, match="predicted score 1 is NaN"):
+            run_dynamic(seq, "future-ws-noisy", structure, cfg=self.CFG,
+                        predicted_scores=predicted)
+
+    def test_infinite_predicted_score_clamps_to_n(self):
+        seq = AccessSequence(8, [1, 2, 3, 1])
+        inf = run_dynamic(seq, "future-ws-noisy", "treap", rng=RandomStream(3),
+                          predicted_scores=[math.inf, 1.0, math.inf, 0.0])
+        capped = run_dynamic(seq, "future-ws-noisy", "treap", rng=RandomStream(3),
+                             predicted_scores=[8.0, 1.0, 8.0, 0.0])
+        assert (inf.total_cost, inf.shift_l1_nat) == (capped.total_cost, capped.shift_l1_nat)
+
     def test_noisy_scheme_with_real_noise_also_decomposes(self):
         seq = gen_sequence(TraceSpec("zipf", n=48, m=900, seed=12))
         st = compute_stats(seq)
@@ -415,6 +434,93 @@ class TestRunDynamic:
         assert all(row[3] >= 1 for row in bd.steps)
 
 
+def reference_run(seq, scheme, structure, cfg, rng, predicted, stats):
+    """The driver loop written out literally: ``composite_priority`` on every
+    treap update, ``math.log`` of both weights on every update, and every
+    total accumulated on the ``CostBreakdown`` itself."""
+    n, m = seq.n, seq.m
+    scores = (_scheme_scores(scheme, stats, predicted, m, n)
+              if structure != "rank-forest" else None)
+    w0 = 1.0 / (n + 1) ** 2
+    weights = [w0] * (n + 1)
+    bd = CostBreakdown(scheme=scheme, structure=structure, n=n, m=m,
+                       base=2.0 if structure == "treap" else float(cfg.B))
+    if structure == "treap":
+        tiers, offsets = zip(*[composite_priority(w0, rng) for _ in range(n)])
+        st = Treap.build_arrays(tiers, offsets)
+
+        def update(x, w):
+            return st.update_priority(x, *composite_priority(w, rng)) + 1, 0
+    elif structure == "tier-forest":
+        st = TierForestBTreap([w0] * n, cfg, rng=rng)
+
+        def update(x, w):
+            uc = st.update_weight(x, w)
+            return uc.search_total, uc.rebuild_writes
+    elif structure == "det-forest":
+        st = DetScoreForest([w0] * n, cfg)
+
+        def update(x, w):
+            return st.update_weight(x, w), 0
+    else:
+        st = RankForest(n, cfg)
+    oracle = CrudeOracle(n) if scheme == "past-ws-crude" and structure != "rank-forest" else None
+    guard = IntervalSetPriorityState(n) if scheme == "interval-set" else None
+    for i in range(1, m + 1):
+        x = seq.items[i - 1]
+        cost = st.access(x)
+        bd.access_cost += cost
+        bd.access_log_nat += -math.log(weights[x])
+        updates = []
+        if scores is not None:
+            w_new = 1.0 / (1.0 + scores[i - 1]) ** 2
+            if guard is not None:
+                guard.step(i, stats)
+            if w_new != weights[x]:
+                updates.append((x, w_new))
+        elif oracle is not None:
+            updates = [(item, 1.0 / (1.0 + s) ** 2) for item, s, _w in oracle.step(x)]
+        for item, w_new in updates:
+            ucost, rcost = update(item, w_new)
+            bd.update_cost += ucost
+            bd.rebuild_cost += rcost
+            bd.shift_l1_nat += abs(math.log(w_new) - math.log(weights[item]))
+            weights[item] = w_new
+            bd.update_events += 1
+        bd.steps.append((i, x, cost, len(updates), stats.work[i], stats.interval[i],
+                         stats.future[i]))
+    return bd, rng.counter
+
+
+LOCKSTEP_SCHEMES = ("interval-set", "future-ws-exact", "future-ws-noisy", "past-ws-crude",
+                    "static")
+
+
+class TestDriverLockstep:
+    """``run_dynamic`` keeps its totals in locals, caches log weights and
+    memoises tiers; none of that may move a total, a float bit or a draw."""
+
+    @pytest.mark.parametrize("structure", ["treap", "tier-forest", "det-forest", "rank-forest"])
+    @pytest.mark.parametrize("scheme", LOCKSTEP_SCHEMES)
+    def test_totals_equal_the_literal_loop(self, scheme, structure):
+        seq = gen_sequence(TraceSpec("zipf", n=96, m=2_500, seed=4))
+        st = compute_stats(seq)
+        predicted = None
+        if scheme == "future-ws-noisy":
+            predicted = noisy_scores([float(st.future[i]) for i in range(1, seq.m + 1)],
+                                     target=seq.m / 24, rng=random.Random(8), hi=float(seq.n))
+            assert any(p != int(p) for p in predicted)  # the memo sees fractional scores
+        cfg = EMConfig(4)
+        got_rng, ref_rng = RandomStream(31), RandomStream(31)
+        got = run_dynamic(seq, scheme, structure, cfg=cfg, rng=got_rng,
+                          predicted_scores=predicted, stats=st, keep_steps=True)
+        want, draws = reference_run(seq, scheme, structure, cfg, ref_rng, predicted, st)
+        for name in ("access_cost", "update_cost", "rebuild_cost", "access_log_nat",
+                     "shift_l1_nat", "update_events", "steps"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got_rng.counter == draws
+
+
 class TestCostDecompositionCheck:
     def test_static_scheme_has_zero_weight_shift(self):
         seq = gen_sequence(TraceSpec("zipf", n=32, m=400, seed=1))
@@ -436,7 +542,8 @@ class TestCostDecompositionCheck:
             if new != stored[x]:
                 shift += abs(math.log(new) - math.log(stored[x]))
                 stored[x] = new
-        assert bd.shift_l1_nat == pytest.approx(shift)
+        # the same float operations in the same order give the same bits
+        assert bd.shift_l1_nat == shift
 
     def test_budget_and_ratio_fields(self):
         seq = gen_sequence(TraceSpec("uniform", n=16, m=200, seed=3))

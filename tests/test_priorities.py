@@ -11,6 +11,7 @@ from scoretreap.priorities import (
     composite_priority,
     raw_score_priority,
     single_log_priority,
+    single_log_tier,
     tier_value,
 )
 from scoretreap.treap import Treap
@@ -197,3 +198,109 @@ def test_tier_value_matches_reference_formula(py_rng):
         # boundaries where the float double-log sits within one ulp of an int
         if abs(inner - 2 ** round(math.log(inner, 2) if inner > 1 else 0)) > 1e-9:
             assert got == want
+
+
+# ----------------------------------------------------------------------
+# the fused base-2 tier paths against the generic integer-walk arithmetic
+
+
+def _generic_inverse_power(w: float, base: int) -> int | None:
+    if base == 2:
+        m, e = math.frexp(w)
+        if m == 0.5 and e <= 1:
+            return 1 - e
+        return None
+    inv = 1.0 / w
+    if math.isinf(inv) or inv != int(inv):
+        return None
+    target, k, p = int(inv), 0, 1
+    while p < target:
+        p *= base
+        k += 1
+    return k if p == target else None
+
+
+def _generic_floor_log(value: float, base: int) -> int:
+    if base == 2 and isinstance(value, float):
+        return math.frexp(value)[1] - 1
+    k, p = 0, base
+    while p <= value:
+        k += 1
+        p *= base
+    return k
+
+
+def generic_tier_value(w: float, inner_base: int, outer_base: int) -> int:
+    """Reference: lg lg through the exact-power check and the floor-log walk."""
+    if not w > 0.0 or math.isinf(w) or math.isnan(w):
+        raise ValueError(w)
+    if w >= 1.0:
+        return 0
+    k = _generic_inverse_power(w, inner_base)
+    if k is not None:
+        inner: float | int = k
+    elif inner_base == 2:
+        inner = -math.log2(w)
+    else:
+        inner = -math.log(w) / math.log(inner_base)
+    if inner < 1:
+        return 0
+    return _generic_floor_log(inner, outer_base)
+
+
+def generic_single_log_tier(w: float) -> int:
+    """Reference: floor(lg(1/w)) through the exact-power check."""
+    if not w > 0.0 or math.isinf(w) or math.isnan(w):
+        raise ValueError(w)
+    if w >= 1.0:
+        return 0
+    k = _generic_inverse_power(w, 2)
+    if k is not None:
+        return k
+    return max(0, math.floor(-math.log2(w)))
+
+
+def _powers_of_two_and_neighbours() -> list[float]:
+    out = []
+    for k in range(-1074, 3):
+        p = math.ldexp(1.0, k)
+        out += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    # 1/w a power of two whose lg is itself a power of two: the lg lg steps
+    for j in range(0, 11):
+        p = math.ldexp(1.0, -(1 << j))
+        if p > 0.0:
+            out += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    return [w for w in out if w > 0.0]
+
+
+class TestFusedBaseTwoTiers:
+    def test_powers_of_two_and_float_neighbours(self):
+        for w in _powers_of_two_and_neighbours():
+            assert tier_value(w, 2, 2) == generic_tier_value(w, 2, 2), w
+            assert single_log_tier(w) == generic_single_log_tier(w), w
+
+    def test_random_sweep(self, py_rng):
+        for _ in range(50_000):
+            # log-uniform over the whole normal and subnormal range
+            w = math.ldexp(py_rng.random() + 0.5, py_rng.randint(-1074, 2))
+            if w == 0.0 or math.isinf(w):
+                continue
+            assert tier_value(w, 2, 2) == generic_tier_value(w, 2, 2), w
+            assert single_log_tier(w) == generic_single_log_tier(w), w
+            for q in (1.0 / (1.0 + py_rng.randint(0, 1 << 20)) ** 2, py_rng.random()):
+                if q > 0.0:
+                    assert tier_value(q, 2, 2) == generic_tier_value(q, 2, 2), q
+                    assert single_log_tier(q) == generic_single_log_tier(q), q
+
+    def test_other_bases_unchanged(self, py_rng):
+        for _ in range(2_000):
+            w = py_rng.random() ** 8 + 1e-300
+            for inner, outer in ((16, 4), (16, 2), (2, 4), (64, 2)):
+                assert tier_value(w, inner, outer) == generic_tier_value(w, inner, outer)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_invalid_scores_rejected(self, bad):
+        with pytest.raises(ValueError):
+            tier_value(bad, 2, 2)
+        with pytest.raises(ValueError):
+            single_log_tier(bad)

@@ -279,6 +279,106 @@ class TestUpdatePriority:
             assert rot == abs(before - t.depth(k))
 
 
+def reference_update_priority(t: Treap, key: int, tier: int, offset: float) -> int:
+    """The comparison-and-rotation form of ``Treap.update_priority``: every
+    comparison through ``_wins`` and every rotation through ``_rotate_up``."""
+    t._tier[key] = tier
+    t._off[key] = offset
+    rot = 0
+    parent = t._parent
+    if parent[key] and t._wins(key, parent[key]):
+        while parent[key] and t._wins(key, parent[key]):
+            t._rotate_up(key)
+            rot += 1
+    else:
+        while True:
+            l, r = t._left[key], t._right[key]
+            if l and r:
+                c = l if t._wins(l, r) else r
+            else:
+                c = l or r
+            if not c or not t._wins(c, key):
+                break
+            t._rotate_up(c)
+            rot += 1
+    return rot
+
+
+def arrays(t: Treap) -> tuple:
+    return t.root, t._parent, t._left, t._right
+
+
+class TestUpdatePriorityTies:
+    """Exact (tier, offset) ties resolve toward the smaller key, on the way
+    up and on the way down."""
+
+    def chain(self) -> Treap:
+        # root 2 with children 1 and 3; 3's right child is 5, whose left is 4
+        return Treap.build({1: (1, 0.3), 2: (0, 0.5), 3: (1, 0.6), 4: (2, 0.2), 5: (1, 0.4)})
+
+    def test_rise_onto_a_tie_with_a_larger_parent_wins(self):
+        t = self.chain()
+        assert t.parent_of(1) == 2
+        rot = t.update_priority(1, *t.priority(2))  # key 1 < parent 2: 1 wins
+        assert rot == 1 and t.root == 1 and t.right_of(1) == 2
+        assert t.depths() == naive_depths({k: t.priority(k) for k in t.keys()})
+        assert t.validate() is None
+
+    def test_rise_onto_a_tie_with_a_smaller_parent_stays(self):
+        t = self.chain()
+        assert t.parent_of(3) == 2
+        want = shape(t)
+        assert t.update_priority(3, *t.priority(2)) == 0  # 3 > 2: 2 keeps it
+        assert shape(t) == want
+        assert t.depths() == naive_depths({k: t.priority(k) for k in t.keys()})
+
+    def test_sink_onto_a_tie_with_a_smaller_child_loses(self):
+        t = self.chain()
+        # 5's left child is 4; sinking 5 to 4's exact pair lets 4 win the tie
+        assert t.left_of(5) == 4
+        rot = t.update_priority(5, *t.priority(4))
+        assert rot == 1 and t.parent_of(5) == 4
+        assert t.depths() == naive_depths({k: t.priority(k) for k in t.keys()})
+        assert t.validate() is None
+
+    def test_sink_onto_a_tie_with_a_larger_child_stays(self):
+        t = self.chain()
+        assert t.right_of(3) == 5
+        want = shape(t)
+        assert t.update_priority(3, *t.priority(5)) == 0  # 3 < 5: 3 keeps it
+        assert shape(t) == want
+        assert t.depths() == naive_depths({k: t.priority(k) for k in t.keys()})
+
+    def test_two_tied_children_the_left_one_rises(self):
+        t = Treap.build({1: (1, 0.5), 2: (0, 0.9), 3: (1, 0.5)})
+        assert (t.left_of(2), t.right_of(2)) == (1, 3)
+        assert t.update_priority(2, 2, 0.5) == 2
+        assert t.root == 1 and t.right_of(1) == 3 and t.left_of(3) == 2
+        assert t.depths() == naive_depths({1: (1, 0.5), 2: (2, 0.5), 3: (1, 0.5)})
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_lockstep_with_the_reference(self, py_rng, n):
+        tiers = range(0, 3)
+        pool = [0.25, 0.5, 0.75]  # shared offsets: offset-only ties
+        pris = {k: (py_rng.choice(tiers), py_rng.choice(pool)) for k in range(1, n + 1)}
+        new, ref = Treap.build(pris), Treap.build(pris)
+        for step in range(3000):
+            key = py_rng.randint(1, n)
+            roll = py_rng.random()
+            if roll < 0.3 and n > 1:  # the exact pair of another key
+                pair = new.priority(py_rng.randint(1, n))
+            elif roll < 0.5:  # a tier-only tie: same tier, fresh offset
+                pair = (new.priority(key)[0], py_rng.random())
+            elif roll < 0.7:  # an offset-only tie: same offset, other tier
+                pair = (py_rng.choice(tiers), new.priority(key)[1])
+            else:
+                pair = (py_rng.choice(tiers), py_rng.choice(pool + [py_rng.random()]))
+            assert new.update_priority(key, *pair) == reference_update_priority(ref, key, *pair)
+            assert arrays(new) == arrays(ref), step
+        assert new.validate() is None
+        assert new.depths() == naive_depths({k: new.priority(k) for k in new.keys()})
+
+
 class TestValidate:
     def test_fresh_tree_is_ok(self, py_rng):
         t = Treap.build(random_priorities(py_rng, 20))
