@@ -346,15 +346,25 @@ def run_dynamic(
     weights = [w0] * (n + 1)
     log_w = [math.log(w0)] * (n + 1)  # log of weights, one log per update
 
-    update_priority = None
     if structure == "treap":
         tiers, offsets = zip(*[composite_priority(w0, rng) for _ in range(n)])
         st = Treap.build_arrays(tiers, offsets)
         update_priority = st.update_priority
         next_offset = rng.next_offset
         # composite_priority split in two: the tier is a pure function of the
-        # weight, memoised for this run; the offset is drawn per update
+        # weight, memoised for this run; the offset is drawn per update.
+        # Integer scores give at most n + 1 distinct weights; fractional
+        # (noisy) ones rarely repeat, so the memo is emptied at n + 1 entries
         tier_of: dict[float, int] = {}
+
+        def do_update(x: int, w: float) -> tuple[int, int]:
+            tier = tier_of.get(w)
+            if tier is None:
+                if len(tier_of) > n:
+                    tier_of.clear()
+                tier = tier_of[w] = tier_value(w, 2, 2)
+            return update_priority(x, tier, next_offset()) + 1, 0
+
     elif structure == "tier-forest":
         st = TierForestBTreap([w0] * n, cfg, rng=rng)
 
@@ -390,15 +400,9 @@ def run_dynamic(
         elif oracle is not None:
             updates = [(item, 1.0 / (1.0 + s) ** 2) for item, s, _w in oracle.step(x)]
         for item, w_new in updates:
-            if update_priority is not None:
-                tier = tier_of.get(w_new)
-                if tier is None:
-                    tier = tier_of[w_new] = tier_value(w_new, 2, 2)
-                update_cost += update_priority(item, tier, next_offset()) + 1
-            else:
-                ucost, rcost = do_update(item, w_new)
-                update_cost += ucost
-                rebuild_cost += rcost
+            ucost, rcost = do_update(item, w_new)
+            update_cost += ucost
+            rebuild_cost += rcost
             lw = log(w_new)
             shift_l1_nat += abs(lw - log_w[item])
             log_w[item] = lw

@@ -65,11 +65,6 @@ class RandomStream:
 
 def _exact_inverse_power(w: float, base: int) -> int | None:
     """If ``1/w`` equals ``base**k`` exactly for an integer k >= 0, return k."""
-    if base == 2:
-        m, e = math.frexp(w)
-        if m == 0.5 and e <= 1:
-            return 1 - e
-        return None
     inv = 1.0 / w
     if math.isinf(inv) or inv != int(inv):
         return None
@@ -80,6 +75,14 @@ def _exact_inverse_power(w: float, base: int) -> int | None:
         p *= base
         k += 1
     return k if p == target else None
+
+
+def _lg_inverse(w: float) -> int | float:
+    """``log2(1/w)`` for 0 < w < 1, as the exact int when 1/w is a power of 2."""
+    m, e = math.frexp(w)
+    if m == 0.5:  # w = 2^(e-1)
+        return 1 - e
+    return -math.log2(w)
 
 
 def _floor_log(value: float, base: int) -> int:
@@ -101,21 +104,11 @@ def tier_value(w: float, inner_base: int, outer_base: int) -> int:
         raise ValueError(f"score must be a positive finite number, got {w!r}")
     if w >= 1.0:
         return 0
-    if inner_base == 2 and outer_base == 2:
-        # fused lg lg: lg(1/w) is the integer 1 - e when w = 2^(e-1) exactly,
-        # else the float -log2(w), whose floor lg is its frexp exponent - 1
-        m, e = math.frexp(w)
-        if m == 0.5:
-            return (1 - e).bit_length() - 1
-        inner = -math.log2(w)
-        return math.frexp(inner)[1] - 1 if inner >= 1.0 else 0
-    k = _exact_inverse_power(w, inner_base)
-    if k is not None:
-        inner: float | int = k
-    elif inner_base == 2:
-        inner = -math.log2(w)
+    if inner_base == 2:
+        inner: float | int = _lg_inverse(w)
     else:
-        inner = -math.log(w) / math.log(inner_base)
+        k = _exact_inverse_power(w, inner_base)
+        inner = k if k is not None else -math.log(w) / math.log(inner_base)
     if inner < 1:
         return 0
     return _floor_log(inner, outer_base)
@@ -127,10 +120,7 @@ def single_log_tier(w: float) -> int:
         raise ValueError(f"score must be a positive finite number, got {w!r}")
     if w >= 1.0:
         return 0
-    m, e = math.frexp(w)
-    if m == 0.5:  # 1/w = 2^(1-e) exactly
-        return 1 - e
-    return int(-math.log2(w))  # floor: -log2(w) > 0 here
+    return math.floor(_lg_inverse(w))
 
 
 # ----------------------------------------------------------------------

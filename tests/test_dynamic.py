@@ -510,6 +510,8 @@ class TestDriverLockstep:
             predicted = noisy_scores([float(st.future[i]) for i in range(1, seq.m + 1)],
                                      target=seq.m / 24, rng=random.Random(8), hi=float(seq.n))
             assert any(p != int(p) for p in predicted)  # the memo sees fractional scores
+            # more distinct weights than the memo holds, so it is emptied mid-run
+            assert len({1.0 / (1.0 + p) ** 2 for p in predicted}) > seq.n + 1
         cfg = EMConfig(4)
         got_rng, ref_rng = RandomStream(31), RandomStream(31)
         got = run_dynamic(seq, scheme, structure, cfg=cfg, rng=got_rng,

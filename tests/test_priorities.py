@@ -201,7 +201,8 @@ def test_tier_value_matches_reference_formula(py_rng):
 
 
 # ----------------------------------------------------------------------
-# the fused base-2 tier paths against the generic integer-walk arithmetic
+# the base-2 inner step (one frexp path) against the parent arithmetic, which
+# took base 2 through the exact-power check
 
 
 def _generic_inverse_power(w: float, base: int) -> int | None:
@@ -273,10 +274,11 @@ def _powers_of_two_and_neighbours() -> list[float]:
     return [w for w in out if w > 0.0]
 
 
-class TestFusedBaseTwoTiers:
+class TestBaseTwoTiers:
     def test_powers_of_two_and_float_neighbours(self):
         for w in _powers_of_two_and_neighbours():
-            assert tier_value(w, 2, 2) == generic_tier_value(w, 2, 2), w
+            for outer in (2, 3, 4):
+                assert tier_value(w, 2, outer) == generic_tier_value(w, 2, outer), (w, outer)
             assert single_log_tier(w) == generic_single_log_tier(w), w
 
     def test_random_sweep(self, py_rng):
@@ -285,14 +287,15 @@ class TestFusedBaseTwoTiers:
             w = math.ldexp(py_rng.random() + 0.5, py_rng.randint(-1074, 2))
             if w == 0.0 or math.isinf(w):
                 continue
-            assert tier_value(w, 2, 2) == generic_tier_value(w, 2, 2), w
+            for outer in (2, 3, 4):
+                assert tier_value(w, 2, outer) == generic_tier_value(w, 2, outer), (w, outer)
             assert single_log_tier(w) == generic_single_log_tier(w), w
             for q in (1.0 / (1.0 + py_rng.randint(0, 1 << 20)) ** 2, py_rng.random()):
                 if q > 0.0:
                     assert tier_value(q, 2, 2) == generic_tier_value(q, 2, 2), q
                     assert single_log_tier(q) == generic_single_log_tier(q), q
 
-    def test_other_bases_unchanged(self, py_rng):
+    def test_other_inner_bases_unchanged(self, py_rng):
         for _ in range(2_000):
             w = py_rng.random() ** 8 + 1e-300
             for inner, outer in ((16, 4), (16, 2), (2, 4), (64, 2)):
