@@ -30,7 +30,7 @@ from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from .errors import ConfigError
 from .oracle import optimal_static_bst_cost
 from .priorities import (RandomStream, composite_priority, raw_score_priority,
-                         single_log_priority)
+                         single_log_priority, tier_value)
 from .sequences import (DISTRIBUTION_FAMILIES, SEQUENCE_FAMILIES, TraceSpec,
                         gen_distribution, gen_sequence)
 from .treap import Treap
@@ -392,10 +392,14 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
             break
     checks["rank_forest_invariant"] = ok and rf.validate() is None
     dsf = DetScoreForest([1.0 / (n + 1) ** 2] * n, EMConfig(B=4))
+    for _ in range(200):
+        k = rnd.randint(1, n)
+        dsf.update_weight(k, tier_value(2.0 ** -rnd.randint(1, 60), *dsf.tier_bases))
     checks["det_forest_valid"] = dsf.validate() is None
     tf = TierForestBTreap([1.0 / (n + 1) ** 2] * n, EMConfig(B=4), rng=RandomStream(seed))
     for _ in range(200):
-        tf.update_weight(rnd.randint(1, n), 2.0 ** -rnd.randint(1, 60))
+        k = rnd.randint(1, n)
+        tf.update_weight(k, tier_value(2.0 ** -rnd.randint(1, 60), *tf.tier_bases))
     checks["tier_forest_valid"] = tf.validate() is None
     # isp norm + crude band on a random trace
     seq = gen_sequence(TraceSpec(family="zipf", n=n, m=m, seed=seed, s=1.0))

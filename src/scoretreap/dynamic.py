@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from .errors import ConfigError
-from .priorities import RandomStream, composite_priority, tier_value
+from .priorities import COMPOSITE_TIER_BASES, RandomStream, composite_priority, tier_value
 from .sequences import AccessSequence
 from .treap import Treap
 
@@ -322,7 +322,9 @@ def run_dynamic(
     then re-weight the scheme's update set, drawing a fresh priority offset
     for every re-weighted item.  All items start at weight 1/(n+1)^2, and a
     score s maps to the weight 1/(1+s)^2, the form the norm certificate of
-    the interval-set scheme is stated for.
+    the interval-set scheme is stated for.  The driver maps a score to its
+    weight, log weight and tier under the structure's rule, memoised per
+    run; a structure takes the tier on update.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -335,75 +337,79 @@ def run_dynamic(
     needs_stats = scheme in ("interval-set", "future-ws-exact", "future-ws-noisy") or keep_steps
     if needs_stats and stats is None:
         stats = compute_stats(seq)
-    # rank-forest is self-organizing: it ignores the scheme and never updates
-    scores = None if structure == "rank-forest" else _scheme_scores(
-        scheme, stats, predicted_scores, m, n)
-    oracle = CrudeOracle(n) if (
-        scheme == "past-ws-crude" and structure != "rank-forest") else None
+    scores = _scheme_scores(scheme, stats, predicted_scores, m, n)
+    oracle = CrudeOracle(n) if scheme == "past-ws-crude" else None
     isp_guard = IntervalSetPriorityState(n) if scheme == "interval-set" else None
 
     w0 = 1.0 / (n + 1) ** 2
     weights = [w0] * (n + 1)
-    log_w = [math.log(w0)] * (n + 1)  # log of weights, one log per update
+    log_w = [math.log(w0)] * (n + 1)  # log of weights, from the score memo
 
+    # an updating structure takes a re-scored item's tier under its rule,
+    # tier_value(w, inner, outer)
     if structure == "treap":
         tiers, offsets = zip(*[composite_priority(w0, rng) for _ in range(n)])
         st = Treap.build_arrays(tiers, offsets)
+        inner, outer = COMPOSITE_TIER_BASES
         update_priority = st.update_priority
         next_offset = rng.next_offset
-        # composite_priority split in two: the tier is a pure function of the
-        # weight, memoised for this run; the offset is drawn per update.
-        # Integer scores give at most n + 1 distinct weights; fractional
-        # (noisy) ones rarely repeat, so the memo is emptied at n + 1 entries
-        tier_of: dict[float, int] = {}
 
-        def do_update(x: int, w: float) -> tuple[int, int]:
-            tier = tier_of.get(w)
-            if tier is None:
-                if len(tier_of) > n:
-                    tier_of.clear()
-                tier = tier_of[w] = tier_value(w, 2, 2)
+        def do_update(x: int, tier: int) -> tuple[int, int]:
             return update_priority(x, tier, next_offset()) + 1, 0
 
     elif structure == "tier-forest":
         st = TierForestBTreap([w0] * n, cfg, rng=rng)
+        inner, outer = st.tier_bases
 
-        def do_update(x: int, w: float) -> tuple[int, int]:
-            uc = st.update_weight(x, w)
+        def do_update(x: int, tier: int) -> tuple[int, int]:
+            uc = st.update_weight(x, tier)
             return uc.search_total, uc.rebuild_writes
 
     elif structure == "det-forest":
         st = DetScoreForest([w0] * n, cfg)
+        inner, outer = st.tier_bases
 
-        def do_update(x: int, w: float) -> tuple[int, int]:
-            return st.update_weight(x, w), 0
+        def do_update(x: int, tier: int) -> tuple[int, int]:
+            return st.update_weight(x, tier), 0
 
-    else:  # rank-forest
+    else:  # rank-forest is self-organizing: it ignores the scheme's scores
         st = RankForest(n, cfg)
+        scores = oracle = None
     do_access = st.access
+
+    # score -> (w, log w, tier), pure functions of the score, memoised for
+    # this run.  Integer scores give at most n + 1 distinct values; noisy
+    # fractional ones rarely repeat, so the memo is emptied at n + 1 entries
+    log = math.log
+    memo: dict[float, tuple[float, float, int]] = {}
+
+    def score_row(s: float) -> tuple[float, float, int]:
+        if len(memo) > n:
+            memo.clear()
+        w = 1.0 / (1.0 + s) ** 2
+        row = memo[s] = (w, log(w), tier_value(w, inner, outer))
+        return row
 
     access_cost = update_cost = rebuild_cost = update_events = 0
     access_log_nat = shift_l1_nat = 0.0
     steps: list[tuple] = []
-    updates: Sequence[tuple[int, float]] = ()
-    log = math.log
+    updates: Sequence[tuple[int, tuple[float, float, int]]] = ()
     for i, x in enumerate(seq.items, start=1):
         cost = do_access(x)
         access_cost += cost
         access_log_nat += -log_w[x]
         if scores is not None:
             s = scores[i - 1]
-            w_new = 1.0 / (1.0 + s) ** 2
+            row = memo.get(s) or score_row(s)
             if isp_guard is not None:
                 isp_guard.step(i, stats)
-            updates = [(x, w_new)] if w_new != weights[x] else ()
+            updates = [(x, row)] if row[0] != weights[x] else ()
         elif oracle is not None:
-            updates = [(item, 1.0 / (1.0 + s) ** 2) for item, s, _w in oracle.step(x)]
-        for item, w_new in updates:
-            ucost, rcost = do_update(item, w_new)
+            updates = [(item, memo.get(s) or score_row(s)) for item, s, _w in oracle.step(x)]
+        for item, (w_new, lw, tier) in updates:
+            ucost, rcost = do_update(item, tier)
             update_cost += ucost
             rebuild_cost += rcost
-            lw = log(w_new)
             shift_l1_nat += abs(lw - log_w[item])
             log_w[item] = lw
             weights[item] = w_new

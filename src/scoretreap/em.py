@@ -454,7 +454,8 @@ class TierForestBTreap:
         self._rng = rng if rng is not None else RandomStream(0)
         if offsets is None:
             offsets = [self._rng.next_offset() for _ in range(self.n)]
-        tiers = [tier_value(w, cfg.B, 4) for w in wl]
+        self.tier_bases = (cfg.B, 4)  # the tier rule: floor(log4 log_B (1/w))
+        tiers = [tier_value(w, *self.tier_bases) for w in wl]
         self.base = Treap.build_arrays(tiers, list(offsets))
         self.store = BlockStore(cfg.B)
         self.comp_of: list[int] = [0] * (self.n + 1)
@@ -611,13 +612,12 @@ class TierForestBTreap:
 
     # -- updates ------------------------------------------------------------
 
-    def update_weight(self, key: int, w_new: float, offset: float | None = None) -> UpdateCost:
-        """Re-score one item; returns the phase-split block touches."""
+    def update_weight(self, key: int, new_tier: int, offset: float | None = None) -> UpdateCost:
+        """Re-prioritize one item at its new score's tier; returns the phase-split touches."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
         removal = len({bid for bid, _ in self._path_blocks(key)})
         old_tier = self.base._tier[key]
-        new_tier = tier_value(w_new, self.cfg.B, 4)
         if offset is None:
             offset = self._rng.next_offset()
         before = self._neighbours(key) if new_tier != old_tier else None
@@ -749,9 +749,10 @@ class DetScoreForest:
         cfg.warn_if_small(self.n)
         self.store = BlockStore(cfg.B)
         self.tree_index = [0] * (self.n + 1)
+        self.tier_bases = (cfg.B, 2)  # the bucket rule: floor(log2 log_B (1/w))
         buckets: dict[int, list[int]] = {}
         for k, w in enumerate(wl, start=1):
-            idx = tier_value(w, cfg.B, 2)
+            idx = tier_value(w, *self.tier_bases)
             self.tree_index[k] = idx
             buckets.setdefault(idx, []).append(k)
         self.trees = {idx: BTree(self.store, ks, tier=idx) for idx, ks in sorted(buckets.items())}
@@ -775,11 +776,10 @@ class DetScoreForest:
         # ``trees`` is kept in ascending index order; ``validate`` checks it
         return self.store.charge(_probe(self.trees, key)[1])
 
-    def update_weight(self, key: int, w_new: float) -> int:
-        """Move the item between buckets if its index changed; returns touches."""
+    def update_weight(self, key: int, new_idx: int) -> int:
+        """Move the item to bucket ``new_idx``, its new score's tier; returns touches."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        new_idx = tier_value(w_new, self.cfg.B, 2)
         old_idx = self.tree_index[key]
         if new_idx == old_idx:
             return 0

@@ -4,8 +4,9 @@ Each rule returns a plain ``(tier, offset)`` pair, the form ``Treap`` stores;
 ``tiers, offsets = zip(*pairs)`` turns a list of them into the arrays
 ``Treap.build_arrays`` takes.  The doubly-logarithmic rules bucket an item of
 score ``w`` into tier ``floor(log_outer(log_inner(1/w)))`` clamped at 0, then
-add a fresh uniform offset in (0, 1); block structures call ``tier_value``
-with their own bases directly.  Tier arithmetic uses integer power walks so
+add a fresh uniform offset in (0, 1).  Block structures name their own bases
+as ``tier_bases`` and take a re-scored item's tier from the driver
+(``dynamic.run_dynamic``).  Tier arithmetic uses integer power walks so
 scores that are exact powers of the inner base land in the mathematically
 exact tier instead of flickering across a floating-point floor boundary.
 """
@@ -18,6 +19,7 @@ import random
 __all__ = [
     "RandomStream",
     "tier_value",
+    "COMPOSITE_TIER_BASES",
     "composite_priority",
     "single_log_priority",
     "raw_score_priority",
@@ -126,10 +128,15 @@ def single_log_tier(w: float) -> int:
 # ----------------------------------------------------------------------
 # priority rules
 
+COMPOSITE_TIER_BASES = (2, 2)  # (inner, outer) of the rule for binary trees
+# unpacked once: composite_priority runs per key of every static build, where
+# a starred call is measurably slower
+_COMPOSITE_INNER, _COMPOSITE_OUTER = COMPOSITE_TIER_BASES
+
 
 def composite_priority(w: float, rng: RandomStream) -> tuple[int, float]:
     """Doubly-logarithmic rule for binary trees: tier floor(lg lg (1/w))."""
-    return tier_value(w, 2, 2), rng.next_offset()
+    return tier_value(w, _COMPOSITE_INNER, _COMPOSITE_OUTER), rng.next_offset()
 
 
 def single_log_priority(w: float, rng: RandomStream) -> tuple[int, float]:

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from scoretreap import dynamic, em
 from scoretreap.distributions import noisy_scores
 from scoretreap.dynamic import (
     NORM_CEILING,
@@ -30,7 +31,7 @@ from scoretreap.dynamic import (
 from scoretreap.em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from scoretreap.errors import ConfigError
 from scoretreap.oracle import ExhaustiveStats
-from scoretreap.priorities import RandomStream, composite_priority
+from scoretreap.priorities import RandomStream, composite_priority, tier_value
 from scoretreap.sequences import AccessSequence, TraceSpec, gen_sequence
 from scoretreap.treap import Treap
 
@@ -381,13 +382,25 @@ class TestRunDynamic:
         report = cost_decomposition_check(bd, factor=8.0)
         assert report["ok"], report
 
-    @pytest.mark.parametrize("structure", ["treap", "det-forest", "tier-forest"])
+    @pytest.mark.parametrize("structure", ["treap", "det-forest", "tier-forest", "rank-forest"])
     def test_nan_predicted_score_rejected_up_front(self, structure):
         seq = AccessSequence(8, [1, 2, 3, 1])
         predicted = [1.0, math.nan, 2.0, 0.5]
         with pytest.raises(ConfigError, match="predicted score 1 is NaN"):
             run_dynamic(seq, "future-ws-noisy", structure, cfg=self.CFG,
                         predicted_scores=predicted)
+
+    @pytest.mark.parametrize("scheme, predicted, message", [
+        ("future-ws-noisy", None, "needs predicted scores"),
+        ("future-ws-noisy", [1.0, 2.0, 0.5], "length 3 != m 4"),
+        ("past-ws-crude", [1.0, 2.0, 0.5, 0.0], "derives its own scores"),
+    ])
+    def test_rank_forest_checks_scheme_inputs(self, scheme, predicted, message):
+        # rank-forest ignores the scores, but not the inputs every other
+        # structure rejects
+        seq = AccessSequence(8, [1, 2, 3, 1])
+        with pytest.raises(ConfigError, match=message):
+            run_dynamic(seq, scheme, "rank-forest", cfg=self.CFG, predicted_scores=predicted)
 
     def test_infinite_predicted_score_clamps_to_n(self):
         seq = AccessSequence(8, [1, 2, 3, 1])
@@ -455,13 +468,13 @@ def reference_run(seq, scheme, structure, cfg, rng, predicted, stats):
         st = TierForestBTreap([w0] * n, cfg, rng=rng)
 
         def update(x, w):
-            uc = st.update_weight(x, w)
+            uc = st.update_weight(x, tier_value(w, cfg.B, 4))
             return uc.search_total, uc.rebuild_writes
     elif structure == "det-forest":
         st = DetScoreForest([w0] * n, cfg)
 
         def update(x, w):
-            return st.update_weight(x, w), 0
+            return st.update_weight(x, tier_value(w, cfg.B, 2)), 0
     else:
         st = RankForest(n, cfg)
     oracle = CrudeOracle(n) if scheme == "past-ws-crude" and structure != "rank-forest" else None
@@ -521,6 +534,32 @@ class TestDriverLockstep:
                      "shift_l1_nat", "update_events", "steps"):
             assert getattr(got, name) == getattr(want, name), name
         assert got_rng.counter == draws
+
+
+class TestScoreMemo:
+    """The driver maps each distinct score to its tier once per run, and the
+    block structures compute tiers only while they are built."""
+
+    @pytest.mark.parametrize("structure", ["treap", "det-forest", "tier-forest"])
+    def test_tier_value_calls(self, structure, monkeypatch):
+        n = 256
+        seq = gen_sequence(TraceSpec("zipf", n=n, m=5_000, seed=6))
+        calls = {"dynamic": 0, "em": 0}
+
+        def counted(name, module):
+            def tier(w, inner, outer):
+                calls[name] += 1
+                return tier_value(w, inner, outer)
+            monkeypatch.setattr(module, "tier_value", tier)
+
+        counted("dynamic", dynamic)
+        counted("em", em)
+        oracle = CrudeOracle(n)
+        distinct = {s for x in seq.items for _, s, _w in oracle.step(x)}
+        bd = run_dynamic(seq, "past-ws-crude", structure, cfg=EMConfig(4), rng=RandomStream(3))
+        assert bd.update_events > 10 * len(distinct)
+        assert calls["em"] == (0 if structure == "treap" else n)  # the build alone
+        assert calls["dynamic"] == len(distinct)
 
 
 class TestCostDecompositionCheck:

@@ -94,6 +94,30 @@ class FullRepartitionForest(TierForestBTreap):
         return UpdateCost(removal, insertion, written)
 
 
+class WeightDetScoreForest(DetScoreForest):
+    """Reference update rule: ``update_weight`` takes the new weight and
+    maps it to its bucket itself, with ``tier_value(w, B, 2)``."""
+
+    def update_weight(self, key: int, w_new: float) -> int:
+        if not 1 <= key <= self.n:
+            raise KeyError(key)
+        new_idx = tier_value(w_new, self.cfg.B, 2)
+        old_idx = self.tree_index[key]
+        if new_idx == old_idx:
+            return 0
+        touched = set(self.trees[old_idx].delete(key))
+        if new_idx not in self.trees:
+            self.trees[new_idx] = BTree(self.store, (), tier=new_idx)
+            self.trees = dict(sorted(self.trees.items()))
+        touched.update(self.trees[new_idx].insert(key))
+        self.tree_index[key] = new_idx
+        return self.store.charge(touched)
+
+
+def block_dump(store: BlockStore) -> dict:
+    return {bid: (blk.keys, blk.children, blk.tier) for bid, blk in store.blocks.items()}
+
+
 class StampHeapRankForest:
     """Reference recency forest: each access stamps its key with the next
     value of a plain counter, never renumbered, so a key's rank is one plus
@@ -408,7 +432,7 @@ class TestTierForest:
             k = py.randint(1, n)
             w_new = 2.0 ** -py.uniform(0.1, 24)
             off = py.random()
-            st.update_weight(k, w_new, offset=off)
+            st.update_weight(k, tier_value(w_new, B, 4), offset=off)
             weights[k - 1] = w_new
             offsets[k - 1] = off
             fresh = TierForestBTreap(weights, EMConfig(B), offsets=offsets)
@@ -437,7 +461,8 @@ class TestTierForest:
             w_new = weight()
             off = py.random() or 0.5
             retiers += st.tier_of(k) != tier_value(w_new, B, 4)
-            assert st.update_weight(k, w_new, offset=off) == ref.update_weight(k, w_new, offset=off), step
+            got = st.update_weight(k, tier_value(w_new, B, 4), offset=off)
+            assert got == ref.update_weight(k, w_new, offset=off), step
             assert st.dump() == ref.dump(), step
             assert len(st.store.blocks) == len(ref.store.blocks), step
             assert st.store.io_touches == ref.store.io_touches, step
@@ -451,7 +476,7 @@ class TestTierForest:
         offsets = [rng.next_offset() for _ in range(n)]
         st = TierForestBTreap([1.0 / n] * n, EMConfig(4), offsets=offsets)
         before = st.dump()
-        uc = st.update_weight(7, 1.0 / n, offset=offsets[6])
+        uc = st.update_weight(7, tier_value(1.0 / n, 4, 4), offset=offsets[6])
         assert uc.rebuild_writes == 0
         assert st.dump() == before
 
@@ -463,7 +488,7 @@ class TestTierForest:
         st = TierForestBTreap([r / tot for r in raw], EMConfig(4), rng=stream)
         key = max(range(1, n + 1), key=lambda k: st.access_blocks(k).__len__())
         before = st.access(key)
-        st.update_weight(key, 0.9)
+        st.update_weight(key, tier_value(0.9, 4, 4))
         assert st.tier_of(key) == 0
         assert st.access(key) <= before
         assert st.validate() is None
@@ -487,7 +512,8 @@ class TestTierForest:
                 assert sorted(reachable) == sorted(st.store.blocks)
                 stored = [k for blk in st.store.blocks.values() for k in blk.keys]
                 assert sorted(stored) == list(range(1, n + 1))
-            st.update_weight(py.randint(1, n), 2.0 ** -py.uniform(0.1, 20))
+            k = py.randint(1, n)
+            st.update_weight(k, tier_value(2.0 ** -py.uniform(0.1, 20), 4, 4))
         assert st.validate() is None
 
     def test_io_counters_split_by_phase(self):
@@ -496,7 +522,7 @@ class TestTierForest:
         st.store.io_touches = st.store.rebuild_touches = 0
         got = st.access(10)
         assert st.store.io_touches == got and st.store.rebuild_touches == 0
-        uc = st.update_weight(10, 2.0 ** -40)
+        uc = st.update_weight(10, tier_value(2.0 ** -40, 4, 4))
         assert st.store.io_touches == got + uc.search_total
         assert st.store.rebuild_touches == uc.rebuild_writes
         assert uc.rebuild_writes > 0  # the tier changed, so components did
@@ -559,11 +585,37 @@ class TestDetScoreForest:
 
     def test_update_moves_between_buckets(self):
         st = DetScoreForest([0.5, 0.25, 4.0 ** -4], EMConfig(4))
-        assert st.update_weight(1, 0.4) == 0  # same bucket, free
-        touched = st.update_weight(1, 4.0 ** -16)
+        assert st.update_weight(1, tier_value(0.4, 4, 2)) == 0  # same bucket, free
+        touched = st.update_weight(1, tier_value(4.0 ** -16, 4, 2))
         assert touched > 0
         assert st.tree_index[1] == 4
         assert st.access(1) >= 1
+        assert st.validate() is None
+
+    @pytest.mark.parametrize("seed, n, B", [(0, 30, 4), (1, 300, 4), (2, 500, 16)])
+    def test_tier_update_matches_weight_update(self, seed, n, B):
+        """Taking the bucket index keeps every return, bucket and block equal
+        to mapping the weight inside the forest."""
+        py = random.Random(seed)
+
+        def weight() -> float:  # log_B(1/w) = 2^u spans buckets 0..4
+            return float(B) ** -(2.0 ** py.uniform(-0.5, 4.5))
+
+        # one start bucket, as in the driver, so updates open the others
+        weights = [1.0 / (n + 1) ** 2] * n
+        st = DetScoreForest(weights, EMConfig(B))
+        ref = WeightDetScoreForest(weights, EMConfig(B))
+        moves = 0
+        for step in range(400):
+            k, w_new = py.randint(1, n), weight()
+            idx = tier_value(w_new, B, 2)
+            moves += idx != st.tree_index[k]
+            assert st.update_weight(k, idx) == ref.update_weight(k, w_new), step
+            assert st.tree_index == ref.tree_index, step
+            assert list(st.trees) == list(ref.trees), step
+            assert block_dump(st.store) == block_dump(ref.store), step
+            assert st.store.io_touches == ref.store.io_touches, step
+        assert moves >= 200
         assert st.validate() is None
 
     def test_validate_catches_unsorted_tree_order(self):
