@@ -48,8 +48,6 @@ from .sequences import (
     TraceSpec,
     gen_distribution,
     gen_sequence,
-    read_trace,
-    write_trace,
 )
 from .treap import Treap
 
@@ -92,10 +90,8 @@ __all__ = [
     "optimal_static_bst_cost",
     "perturb",
     "raw_score_priority",
-    "read_trace",
     "run_dynamic",
     "single_log_priority",
     "tier_value",
-    "write_trace",
     "__version__",
 ]

@@ -440,23 +440,16 @@ class TierForestBTreap:
     keep their members, tier, top and tree.
     """
 
-    def __init__(
-        self,
-        weights: Sequence[float],
-        cfg: EMConfig,
-        rng: RandomStream | None = None,
-        offsets: Sequence[float] | None = None,
-    ):
+    def __init__(self, weights: Sequence[float], cfg: EMConfig, rng: RandomStream | None = None):
         wl = [float(v) for v in weights]
         self.cfg = cfg
         self.n = len(wl)
         cfg.warn_if_small(self.n)
         self._rng = rng if rng is not None else RandomStream(0)
-        if offsets is None:
-            offsets = [self._rng.next_offset() for _ in range(self.n)]
+        offsets = [self._rng.next_offset() for _ in range(self.n)]
         self.tier_bases = (cfg.B, 4)  # the tier rule: floor(log4 log_B (1/w))
         tiers = [tier_value(w, *self.tier_bases) for w in wl]
-        self.base = Treap.build_arrays(tiers, list(offsets))
+        self.base = Treap.build_arrays(tiers, offsets)
         self.store = BlockStore(cfg.B)
         self.comp_of: list[int] = [0] * (self.n + 1)
         self.comp_root: dict[int, int] = {}
@@ -606,20 +599,15 @@ class TierForestBTreap:
             raise AssertionError(f"tiers not monotone along access path: {tiers}")
         return self.store.charge(bid for bid, _ in pairs)
 
-    def access_blocks(self, key: int) -> list[tuple[int, int]]:
-        """Uncharged path trace for tests: (block id, tier) pairs."""
-        return self._path_blocks(key)
-
     # -- updates ------------------------------------------------------------
 
-    def update_weight(self, key: int, new_tier: int, offset: float | None = None) -> UpdateCost:
+    def update_weight(self, key: int, new_tier: int) -> UpdateCost:
         """Re-prioritize one item at its new score's tier; returns the phase-split touches."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
         removal = len({bid for bid, _ in self._path_blocks(key)})
         old_tier = self.base._tier[key]
-        if offset is None:
-            offset = self._rng.next_offset()
+        offset = self._rng.next_offset()
         before = self._neighbours(key) if new_tier != old_tier else None
         rot = self.base.update_priority(key, new_tier, offset)
         written = 0

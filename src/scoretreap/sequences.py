@@ -1,4 +1,4 @@
-"""Workload generators: distributions and access traces, plus trace file I/O.
+"""Workload generators: distributions and access traces.
 
 A trace's working-set sizes are counted offline by ``dynamic.compute_stats``,
 with one Fenwick tree over access times.
@@ -19,8 +19,6 @@ __all__ = [
     "AccessSequence",
     "gen_distribution",
     "gen_sequence",
-    "write_trace",
-    "read_trace",
 ]
 
 DISTRIBUTION_FAMILIES = ("zipf", "uniform", "linear", "segmented")
@@ -46,8 +44,7 @@ class AccessSequence:
     items: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # n = 0 is allowed only for the degenerate empty trace
-        if self.n < 1 and not (self.n == 0 and not self.items):
+        if self.n < 1:
             raise ConfigError(f"universe size must be >= 1, got {self.n}")
         for i, k in enumerate(self.items, start=1):
             if not 1 <= k <= self.n:
@@ -136,40 +133,3 @@ def gen_sequence(spec: TraceSpec) -> AccessSequence:
         items = [bisect.bisect_left(cum, rng.random()) + 1 for _ in range(m)]
         return AccessSequence(n, items)
     raise ConfigError(f"unknown sequence family {fam!r}")
-
-
-def write_trace(seq: AccessSequence, path: str) -> None:
-    """Plain text: a ``n m`` header line, then one key per line."""
-    with open(path, "w") as fh:
-        fh.write(f"{seq.n} {seq.m}\n")
-        for k in seq.items:
-            fh.write(f"{k}\n")
-
-
-def read_trace(path: str) -> AccessSequence:
-    with open(path) as fh:
-        header = fh.readline()
-        parts = header.split()
-        if not parts and not fh.read().strip():
-            return AccessSequence(0, [])
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:1: expected 'n m' header, got {header!r}")
-        try:
-            n, m = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:1: non-integer header {header!r}") from exc
-        items: list[int] = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(int(line))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad key {line!r}") from exc
-    if len(items) != m:
-        raise ConfigError(f"{path}: header promised {m} accesses, found {len(items)}")
-    try:
-        return AccessSequence(n, items)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc

@@ -9,12 +9,15 @@ that stores one (``build``, ``build_arrays``, ``insert``,
 lexicographically by ``(-tier, offset)`` and ties are broken toward the
 smaller key, so the heap order is a strict total order and any priority
 assignment induces exactly one tree; both builders link it with one shared
-right-spine sweep.  All operations use iterative descent and parent links;
-nothing here recurses, so chains of any depth are fine.
+right-spine sweep.  ``update_priority`` holds the only rotation code:
+``insert`` links a leaf and rises it there, and ``delete`` sinks its key to
+a leaf there before unlinking it.  All operations use iterative descent and
+parent links; nothing here recurses, so chains of any depth are fine.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DuplicateKeyError
@@ -246,74 +249,43 @@ class Treap:
     # updates
 
     def insert(self, key: int, tier: int, offset: float) -> int:
-        """Insert; returns the number of rotations performed."""
+        """Link ``key`` as a leaf, then let ``update_priority`` rise it to its
+        place; returns the number of rotations (a leaf only rises)."""
         _check_offset(key, offset)
         if not 1 <= key <= self.n:
             raise KeyError(f"key {key} outside universe 1..{self.n}")
         if self._present[key]:
             raise DuplicateKeyError(f"key {key} already present")
-        self._tier[key] = tier
-        self._off[key] = offset
+        left = self._left
+        right = self._right
+        p = 0
+        cur = self.root
+        while cur:
+            p = cur
+            cur = left[p] if key < p else right[p]
+        if not p:
+            self.root = key
+        elif key < p:
+            left[p] = key
+        else:
+            right[p] = key
+        self._parent[key] = p  # an absent key has no children: delete leaves a leaf
         self._present[key] = 1
         self.size += 1
-        if not self.root:
-            self.root = key
-            self._parent[key] = 0
-            self._left[key] = 0
-            self._right[key] = 0
-            return 0
-        left = self._left
-        right = self._right
-        cur = self.root
-        while True:
-            if key < cur:
-                nxt = left[cur]
-                if not nxt:
-                    left[cur] = key
-                    break
-            else:
-                nxt = right[cur]
-                if not nxt:
-                    right[cur] = key
-                    break
-            cur = nxt
-        self._parent[key] = cur
-        left[key] = 0
-        right[key] = 0
-        rot = 0
-        parent = self._parent
-        while parent[key] and self._wins(key, parent[key]):
-            self._rotate_up(key)
-            rot += 1
-        return rot
+        return self.update_priority(key, tier, offset)
 
     def delete(self, key: int) -> int:
-        """Rotate ``key`` down to a leaf and unlink it; returns rotations."""
+        """Sink ``key`` to a leaf by re-prioritising it below every tier, then
+        unlink it; returns the number of rotations."""
         self._require(key)
-        left = self._left
-        right = self._right
-        rot = 0
-        while True:
-            l = left[key]
-            r = right[key]
-            if l and r:
-                c = l if self._wins(l, r) else r
-            elif l:
-                c = l
-            elif r:
-                c = r
-            else:
-                break
-            self._rotate_up(c)
-            rot += 1
+        rot = self.update_priority(key, math.inf, self._off[key])
         p = self._parent[key]
-        if p:
-            if left[p] == key:
-                left[p] = 0
-            else:
-                right[p] = 0
-        else:
+        if not p:
             self.root = 0
+        elif self._left[p] == key:
+            self._left[p] = 0
+        else:
+            self._right[p] = 0
         self._parent[key] = 0
         self._present[key] = 0
         self.size -= 1
@@ -410,31 +382,6 @@ class Treap:
             rot += 1
         parent[key] = p
         return rot
-
-    def _rotate_up(self, x: int) -> None:
-        p = self._parent[x]
-        g = self._parent[p]
-        if self._left[p] == x:
-            b = self._right[x]
-            self._left[p] = b
-            if b:
-                self._parent[b] = p
-            self._right[x] = p
-        else:
-            b = self._left[x]
-            self._right[p] = b
-            if b:
-                self._parent[b] = p
-            self._left[x] = p
-        self._parent[p] = x
-        self._parent[x] = g
-        if g:
-            if self._left[g] == p:
-                self._left[g] = x
-            else:
-                self._right[g] = x
-        else:
-            self.root = x
 
     # ------------------------------------------------------------------
     # validation

@@ -249,7 +249,7 @@ def test_c08_block_overhead_within_each_measure_budget():
 
     def static_blocks(weights, rng_seed, counts):
         st = TierForestBTreap(weights, cfg, rng=RandomStream(rng_seed))
-        return sum(c * len(st.access_blocks(k)) for k, c in counts.items())
+        return sum(c * st.access(k) for k, c in counts.items())
 
     for measure, eps in eps_for.items():
         overheads, budgets = [], []

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from scoretreap.cli import main
+from scoretreap.treap import Treap
 
 
 def run_cli(tmp_path: Path, sub: str, config: str | None = None, *,
@@ -30,6 +31,20 @@ class TestPlumbing:
         assert summary["all_passed"] is True
         assert summary["experiment"] == "validate"
         assert summary["parameters"]["n"] == 64
+
+    def test_validate_fails_on_a_treap_delete_that_keeps_its_size(self, tmp_path, monkeypatch):
+        real_delete = Treap.delete
+
+        def leaky_delete(self, key):
+            rot = real_delete(self, key)
+            self.size += 1  # the unlink forgot to shrink the tree
+            return rot
+
+        monkeypatch.setattr(Treap, "delete", leaky_delete)
+        code, summary, _ = run_cli(tmp_path, "validate", "n = 64\nm = 500\n", trials=1)
+        assert code == 1
+        assert summary["all_passed"] is False
+        assert [k for k, ok in summary["checks"].items() if not ok] == ["treap_fuzz"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "nope.cfg"),

@@ -2,6 +2,7 @@
 deterministic score buckets, and the self-organizing recency forest."""
 
 import bisect
+import collections
 import heapq
 import math
 import random
@@ -20,6 +21,17 @@ from scoretreap.em import (
 from scoretreap.errors import ConfigError, DuplicateKeyError
 from scoretreap.priorities import RandomStream, tier_value
 from scoretreap.sequences import TraceSpec, gen_sequence
+
+
+class ReplayStream:
+    """Stands in for ``RandomStream``: hands out queued offsets in order, so
+    a forest and its reference draw the same offsets."""
+
+    def __init__(self, offsets):
+        self.queue = collections.deque(offsets)
+
+    def next_offset(self) -> float:
+        return self.queue.popleft()
 
 
 class FullRepartitionForest(TierForestBTreap):
@@ -76,12 +88,11 @@ class FullRepartitionForest(TierForestBTreap):
         self.comp_tree = new_tree
         return written
 
-    def update_weight(self, key: int, w_new: float, offset: float | None = None) -> UpdateCost:
+    def update_weight(self, key: int, w_new: float) -> UpdateCost:
         removal = len({bid for bid, _ in self._path_blocks(key)})
         old_tier = self.base._tier[key]
         new_tier = tier_value(w_new, self.cfg.B, 4)
-        if offset is None:
-            offset = self._rng.next_offset()
+        offset = self._rng.next_offset()
         rot = self.base.update_priority(key, new_tier, offset)
         written = 0
         if new_tier != old_tier:
@@ -427,15 +438,18 @@ class TestTierForest:
         weights = [1.0 / (n + 1)] * n
         rng = RandomStream(31)
         offsets = [rng.next_offset() for _ in range(n)]
-        st = TierForestBTreap(weights, EMConfig(B), offsets=offsets)
+        replay = ReplayStream(offsets)
+        st = TierForestBTreap(weights, EMConfig(B), rng=replay)
         for _ in range(60):
             k = py.randint(1, n)
             w_new = 2.0 ** -py.uniform(0.1, 24)
             off = py.random()
-            st.update_weight(k, tier_value(w_new, B, 4), offset=off)
+            replay.queue.append(off)
+            st.update_weight(k, tier_value(w_new, B, 4))
+            assert not replay.queue
             weights[k - 1] = w_new
             offsets[k - 1] = off
-            fresh = TierForestBTreap(weights, EMConfig(B), offsets=offsets)
+            fresh = TierForestBTreap(weights, EMConfig(B), rng=ReplayStream(offsets))
             assert st.dump() == fresh.dump()
             assert st.validate() is None
 
@@ -452,8 +466,9 @@ class TestTierForest:
 
         weights = [weight() for _ in range(n)]
         offsets = [py.random() or 0.5 for _ in range(n)]
-        st = TierForestBTreap(weights, EMConfig(B), offsets=offsets)
-        ref = FullRepartitionForest(weights, EMConfig(B), offsets=offsets)
+        replays = ReplayStream(offsets), ReplayStream(offsets)
+        st = TierForestBTreap(weights, EMConfig(B), rng=replays[0])
+        ref = FullRepartitionForest(weights, EMConfig(B), rng=replays[1])
         assert st.dump() == ref.dump()
         retiers = 0
         for step in range(300):
@@ -461,8 +476,11 @@ class TestTierForest:
             w_new = weight()
             off = py.random() or 0.5
             retiers += st.tier_of(k) != tier_value(w_new, B, 4)
-            got = st.update_weight(k, tier_value(w_new, B, 4), offset=off)
-            assert got == ref.update_weight(k, w_new, offset=off), step
+            for replay in replays:
+                replay.queue.append(off)
+            got = st.update_weight(k, tier_value(w_new, B, 4))
+            assert got == ref.update_weight(k, w_new), step
+            assert not any(r.queue for r in replays), step
             assert st.dump() == ref.dump(), step
             assert len(st.store.blocks) == len(ref.store.blocks), step
             assert st.store.io_touches == ref.store.io_touches, step
@@ -474,9 +492,11 @@ class TestTierForest:
         n = 20
         rng = RandomStream(2)
         offsets = [rng.next_offset() for _ in range(n)]
-        st = TierForestBTreap([1.0 / n] * n, EMConfig(4), offsets=offsets)
+        replay = ReplayStream(offsets + [offsets[6]])
+        st = TierForestBTreap([1.0 / n] * n, EMConfig(4), rng=replay)
         before = st.dump()
-        uc = st.update_weight(7, tier_value(1.0 / n, 4, 4), offset=offsets[6])
+        uc = st.update_weight(7, tier_value(1.0 / n, 4, 4))
+        assert not replay.queue
         assert uc.rebuild_writes == 0
         assert st.dump() == before
 
@@ -486,7 +506,7 @@ class TestTierForest:
         raw = [py.random() ** 4 for _ in range(n)]
         tot = sum(raw)
         st = TierForestBTreap([r / tot for r in raw], EMConfig(4), rng=stream)
-        key = max(range(1, n + 1), key=lambda k: st.access_blocks(k).__len__())
+        key = max(range(1, n + 1), key=st.access)
         before = st.access(key)
         st.update_weight(key, tier_value(0.9, 4, 4))
         assert st.tier_of(key) == 0
@@ -553,7 +573,7 @@ class TestTierForest:
         n = 40
         mk = lambda: TierForestBTreap(
             [2.0 ** -(1 + (k % 9)) / 4 for k in range(n)], EMConfig(4),
-            offsets=[(k * 0.61803398875) % 1.0 or 0.5 for k in range(1, n + 1)])
+            rng=ReplayStream((k * 0.61803398875) % 1.0 or 0.5 for k in range(1, n + 1)))
         assert mk().dump() == mk().dump()
 
 

@@ -1,4 +1,4 @@
-"""Trace and distribution generator tests, plus trace file I/O."""
+"""Trace and distribution generator tests."""
 
 import math
 
@@ -11,8 +11,6 @@ from scoretreap.sequences import (
     TraceSpec,
     gen_distribution,
     gen_sequence,
-    read_trace,
-    write_trace,
 )
 
 
@@ -103,48 +101,11 @@ class TestAccessSequenceType:
         with pytest.raises(ConfigError):
             AccessSequence(3, [0])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_universe_must_be_nonempty(self, n):
+        with pytest.raises(ConfigError, match="universe size"):
+            AccessSequence(n, [])
+
     def test_at_is_one_based(self):
         seq = AccessSequence(3, [3, 1])
         assert seq.at(1) == 3 and seq.at(2) == 1 and seq.m == 2
-
-
-class TestTraceIO:
-    def test_write_then_read_identity(self, tmp_path):
-        seq = gen_sequence(TraceSpec("zipf", n=12, m=200, seed=9))
-        path = str(tmp_path / "trace.txt")
-        write_trace(seq, path)
-        back = read_trace(path)
-        assert back.n == seq.n and back.items == seq.items
-
-    def test_equal_specs_write_identical_bytes(self, tmp_path):
-        p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        write_trace(gen_sequence(TraceSpec("zipf", n=12, m=300, seed=4)), p1)
-        write_trace(gen_sequence(TraceSpec("zipf", n=12, m=300, seed=4)), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-
-    def test_empty_file_reads_as_empty_trace(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("")
-        seq = read_trace(str(path))
-        assert seq.m == 0
-
-    def test_key_out_of_range_reports_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 2\n1\n9\n")
-        with pytest.raises(ConfigError):
-            read_trace(str(path))
-
-    def test_malformed_header_and_body_report_position(self, tmp_path):
-        path = tmp_path / "h.txt"
-        path.write_text("3\n")
-        with pytest.raises(ConfigError, match=":1"):
-            read_trace(str(path))
-        path.write_text("3 2\n1\nxyz\n")
-        with pytest.raises(ConfigError, match=":3"):
-            read_trace(str(path))
-
-    def test_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("3 5\n1\n2\n")
-        with pytest.raises(ConfigError):
-            read_trace(str(path))

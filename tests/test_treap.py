@@ -119,8 +119,8 @@ class TestInsertDelete:
             assert rot == spine
 
     def test_insert_rotations_equal_rise_from_leaf(self, py_rng):
-        # a key of the lowest tier stays at the leaf its search ends on, so
-        # the same key at its real priority rises once per level above that
+        # a key of the lowest tier stays at the leaf its search ends on; the
+        # reference rise from that leaf to the real priority is the insert
         for _ in range(60):
             n = py_rng.randint(2, 20)
             pris = random_priorities(py_rng, n)
@@ -128,19 +128,22 @@ class TestInsertDelete:
             rest = {k: p for k, p in pris.items() if k != key}
             low, real = Treap.build(rest, n), Treap.build(rest, n)
             assert low.insert(key, 4, 0.5) == 0
+            leaf_depth = low.depth(key)
             rot = real.insert(key, *pris[key])
-            assert rot == low.depth(key) - real.depth(key)
+            assert rot == reference_update_priority(low, key, *pris[key])
+            assert arrays(real) == arrays(low)
+            assert rot == leaf_depth - real.depth(key)
             assert real.validate() is None
 
     def test_delete_rotations_equal_sink_to_leaf(self, py_rng):
-        # delete rotates the key down to a leaf exactly as demoting it below
-        # every other priority does, and a leaf leaves with no rotation
+        # delete rotates the key down to a leaf exactly as the reference
+        # demotion below every other priority does; a leaf leaves unrotated
         for _ in range(60):
             n = py_rng.randint(1, 20)
             pris = random_priorities(py_rng, n)
             key = py_rng.randint(1, n)
             deleted, demoted = Treap.build(pris), Treap.build(pris)
-            sink = demoted.update_priority(key, 4, 0.5)
+            sink = reference_update_priority(demoted, key, 4, 0.5)
             assert deleted.delete(key) == sink
             assert demoted.delete(key) == 0
             assert shape(deleted) == shape(demoted)
@@ -180,6 +183,8 @@ class TestInsertDelete:
                 op(9)
         with pytest.raises(KeyError):
             t.update_priority(9, 0, 0.1)
+        with pytest.raises(KeyError):  # outside the universe 1..3
+            t.insert(9, 0, 0.5)
 
 
 class TestAccess:
@@ -279,16 +284,40 @@ class TestUpdatePriority:
             assert rot == abs(before - t.depth(k))
 
 
+def rotate_up(t: Treap, x: int) -> None:
+    """One textbook rotation: ``x`` takes its parent's place."""
+    p = t._parent[x]
+    g = t._parent[p]
+    if t._left[p] == x:
+        b = t._right[x]
+        t._left[p] = b
+        t._right[x] = p
+    else:
+        b = t._left[x]
+        t._right[p] = b
+        t._left[x] = p
+    if b:
+        t._parent[b] = p
+    t._parent[p] = x
+    t._parent[x] = g
+    if not g:
+        t.root = x
+    elif t._left[g] == p:
+        t._left[g] = x
+    else:
+        t._right[g] = x
+
+
 def reference_update_priority(t: Treap, key: int, tier: int, offset: float) -> int:
     """The comparison-and-rotation form of ``Treap.update_priority``: every
-    comparison through ``_wins`` and every rotation through ``_rotate_up``."""
+    comparison through ``_wins`` and every rotation through ``rotate_up``."""
     t._tier[key] = tier
     t._off[key] = offset
     rot = 0
     parent = t._parent
     if parent[key] and t._wins(key, parent[key]):
         while parent[key] and t._wins(key, parent[key]):
-            t._rotate_up(key)
+            rotate_up(t, key)
             rot += 1
     else:
         while True:
@@ -299,7 +328,7 @@ def reference_update_priority(t: Treap, key: int, tier: int, offset: float) -> i
                 c = l or r
             if not c or not t._wins(c, key):
                 break
-            t._rotate_up(c)
+            rotate_up(t, c)
             rot += 1
     return rot
 
@@ -399,6 +428,51 @@ class TestValidate:
         t._tier[2] = 0  # now 2 outranks its parent
         report = t.validate()
         assert report is not None and "heap" in report
+
+
+@pytest.mark.parametrize("corrupt", [
+    "size", "empty root", "absent root", "root parent",
+    "absent linked key", "parent link", "unreached key",
+])
+def test_validate_names_drift_after_churn(corrupt):
+    """Each failure branch of ``validate`` past the search and heap order
+    names its field, on a tree that inserts and deletes left half full."""
+    py = random.Random(11)
+    t = Treap(40)
+    for _ in range(300):
+        k = py.randint(1, t.n)
+        if k in t:
+            t.delete(k)
+        else:
+            t.insert(k, py.randint(0, 3), py.random() or 0.5)
+    assert t.validate() is None
+    root, size = t.root, t.size
+    child = t.left_of(root) or t.right_of(root)
+    absent = next(k for k in range(1, t.n + 1) if k not in t)
+    assert child and 0 < size < t.n
+    if corrupt == "size":
+        t.size += 1
+        want = f"size {size + 1} != {size} present flags"
+    elif corrupt == "empty root":
+        t.root = 0
+        want = "empty root with nonzero size"
+    elif corrupt == "absent root":
+        t._present[root], t._present[absent] = 0, 1
+        want = f"root {root} is not present"
+    elif corrupt == "root parent":
+        t._parent[root] = child
+        want = f"root {root} has parent {child}"
+    elif corrupt == "absent linked key":
+        t._present[child], t._present[absent] = 0, 1
+        want = f"linked key {child} is not present"
+    elif corrupt == "parent link":
+        t._parent[child] = absent
+        want = f"parent link of {child} is {absent}, expected {root}"
+    else:
+        t._present[absent] = 1
+        t.size += 1
+        want = f"reached {size} nodes, size says {size + 1}"
+    assert t.validate() == want
 
 
 @pytest.mark.parametrize("offset", [0.0, 1.0, float("nan")])
