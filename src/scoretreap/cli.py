@@ -391,16 +391,18 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
             ok = False
             break
     checks["rank_forest_invariant"] = ok and rf.validate() is None
-    dsf = DetScoreForest([1.0 / (n + 1) ** 2] * n, EMConfig(B=4))
-    for _ in range(200):
-        k = rnd.randint(1, n)
-        dsf.update_weight(k, tier_value(2.0 ** -rnd.randint(1, 60), *dsf.tier_bases))
-    checks["det_forest_valid"] = dsf.validate() is None
-    tf = TierForestBTreap([1.0 / (n + 1) ** 2] * n, EMConfig(B=4), rng=RandomStream(seed))
-    for _ in range(200):
-        k = rnd.randint(1, n)
-        tf.update_weight(k, tier_value(2.0 ** -rnd.randint(1, 60), *tf.tier_bases))
-    checks["tier_forest_valid"] = tf.validate() is None
+    # both forests validate after every update and stop at the first failure
+    w0 = [1.0 / (n + 1) ** 2] * n
+    forests = {"det_forest_valid": DetScoreForest(w0, EMConfig(B=4)),
+               "tier_forest_valid": TierForestBTreap(w0, EMConfig(B=4), rng=RandomStream(seed))}
+    for name, forest in forests.items():
+        checks[name] = True
+        for _ in range(200):
+            k = rnd.randint(1, n)
+            forest.update_weight(k, tier_value(2.0 ** -rnd.randint(1, 60), *forest.tier_bases))
+            if forest.validate() is not None:
+                checks[name] = False
+                break
     # isp norm + crude band on a random trace
     seq = gen_sequence(TraceSpec(family="zipf", n=n, m=m, seed=seed, s=1.0))
     stats = compute_stats(seq)

@@ -115,7 +115,7 @@ class BTree:
         self.key_block: dict[int, int] = {}
         self.owned: set[int] = set()
         ks = sorted(keys)
-        if any(ks[i] == ks[i + 1] for i in range(len(ks) - 1)):
+        if len(set(ks)) != len(ks):
             raise DuplicateKeyError("bulk keys contain duplicates")
         if ks:
             self.root, _ = self._bulk(ks)
@@ -479,10 +479,14 @@ class TierForestBTreap:
             stack = [top]
             while stack:
                 k = stack.pop()
-                for c in (left[k], right[k]):
-                    if c and tier[c] == t:
-                        members.append(c)
-                        stack.append(c)
+                c = left[k]
+                if c and tier[c] == t:
+                    members.append(c)
+                    stack.append(c)
+                c = right[k]
+                if c and tier[c] == t:
+                    members.append(c)
+                    stack.append(c)
             out.append((top, members))
         return out
 
@@ -517,7 +521,11 @@ class TierForestBTreap:
         child before or after; ``key``'s children are also the only nodes
         whose parent changed tier.  A component that holds none of these
         nodes, and that none of them now hangs below in its tier, keeps its
-        members and top.  Returns the blocks written for rebuilt components.
+        members and top.  Only a moved node changes its parent, its parent's
+        tier or its own tier, so no other member of a dirty component gains
+        or loses top status: the new tops are among the moved nodes and the
+        dirty components' old tops.  Returns the blocks written for rebuilt
+        components.
         """
         parent, tier = self.base._parent, self.base._tier
         comp_of = self.comp_of
@@ -531,7 +539,7 @@ class TierForestBTreap:
             p = parent[x]
             if p and tier[p] == tier[x]:
                 dirty.add(comp_of[p])
-        tops = self._tops(k for cid in dirty for k in self.comp_tree[cid].key_block)
+        tops = self._tops(sorted(moved.union([self.comp_root[cid] for cid in dirty])))
         kept = set()
         written = 0
         for top, members in self._components(tops):
@@ -551,9 +559,7 @@ class TierForestBTreap:
 
     def _refresh_root(self, key: int) -> None:
         """Same-tier rotations can promote a different member to component top."""
-        base = self.base
-        tier = base._tier
-        parent = base._parent
+        parent, tier = self.base._parent, self.base._tier
         cur = key
         while parent[cur] and tier[parent[cur]] == tier[cur]:
             cur = parent[cur]
@@ -561,43 +567,36 @@ class TierForestBTreap:
 
     # -- access -------------------------------------------------------------
 
-    def _chain(self, key: int) -> list[int]:
-        """Component ids on the root path, top component first."""
-        chain = [self.comp_of[key]]
+    def _path_blocks(self, key: int) -> list[int]:
+        """Block ids on the glued search path to ``key``, walked upward: each
+        component tree is searched for ``key`` or for the treap parent of the
+        top of the component below, and tree tiers never grow on the way up."""
+        comp_of, comp_root, comp_tree = self.comp_of, self.comp_root, self.comp_tree
+        parent = self.base._parent
+        out: list[int] = []
+        target = key
+        cid = comp_of[key]
+        below = comp_tree[cid].tier
         while True:
-            top = self.comp_root[chain[-1]]
-            p = self.base._parent[top]
-            if not p:
-                break
-            chain.append(self.comp_of[p])
-        chain.reverse()
-        return chain
-
-    def _path_blocks(self, key: int) -> list[tuple[int, int]]:
-        """(block id, tier) pairs on the glued search path to ``key``."""
-        chain = self._chain(key)
-        out: list[tuple[int, int]] = []
-        for i, cid in enumerate(chain):
-            tree = self.comp_tree[cid]
-            if i + 1 < len(chain):
-                target = self.base._parent[self.comp_root[chain[i + 1]]]
-            else:
-                target = key
+            tree = comp_tree[cid]
+            if tree.tier > below:
+                raise AssertionError(f"tiers not monotone on the path to {key}: "
+                                     f"tier {tree.tier} above tier {below}")
             found, path = tree.search(target)
             if not found:
                 raise AssertionError(f"key {target} missing from its component tree")
-            out.extend((bid, tree.tier) for bid in path)
-        return out
+            out += path
+            below = tree.tier
+            target = parent[comp_root[cid]]
+            if not target:
+                return out
+            cid = comp_of[target]
 
     def access(self, key: int) -> int:
         """Charge and return the distinct blocks on the path to ``key``."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        pairs = self._path_blocks(key)
-        tiers = [t for _, t in pairs]
-        if any(tiers[i] > tiers[i + 1] for i in range(len(tiers) - 1)):
-            raise AssertionError(f"tiers not monotone along access path: {tiers}")
-        return self.store.charge(bid for bid, _ in pairs)
+        return self.store.charge(self._path_blocks(key))
 
     # -- updates ------------------------------------------------------------
 
@@ -605,7 +604,7 @@ class TierForestBTreap:
         """Re-prioritize one item at its new score's tier; returns the phase-split touches."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        removal = len({bid for bid, _ in self._path_blocks(key)})
+        removal = len(set(self._path_blocks(key)))
         old_tier = self.base._tier[key]
         offset = self._rng.next_offset()
         before = self._neighbours(key) if new_tier != old_tier else None
@@ -618,10 +617,7 @@ class TierForestBTreap:
         # without a tier change, key rotates only past nodes of its own tier:
         # its component keeps its members, its B-tree and the treap parent of
         # its top, so the glued path to key is the one walked for removal
-        if before is None:
-            insertion = removal
-        else:
-            insertion = len({bid for bid, _ in self._path_blocks(key)})
+        insertion = removal if before is None else len(set(self._path_blocks(key)))
         self.store.io_touches += removal + insertion
         self.store.rebuild_touches += written
         return UpdateCost(removal, insertion, written)

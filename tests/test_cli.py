@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from scoretreap.cli import main
+from scoretreap.dynamic import CrudeOracle, IntervalSetPriorityState
+from scoretreap.em import DetScoreForest, RankForest, TierForestBTreap
 from scoretreap.treap import Treap
 
 
@@ -41,10 +43,76 @@ class TestPlumbing:
             return rot
 
         monkeypatch.setattr(Treap, "delete", leaky_delete)
-        code, summary, _ = run_cli(tmp_path, "validate", "n = 64\nm = 500\n", trials=1)
+        assert self.failing_checks(tmp_path) == ["treap_fuzz"]
+
+    def failing_checks(self, tmp_path, config="n = 64\nm = 500\n"):
+        """Run a failing ``validate``; return the names of the false checks."""
+        code, summary, _ = run_cli(tmp_path, "validate", config, trials=1)
         assert code == 1
         assert summary["all_passed"] is False
-        assert [k for k, ok in summary["checks"].items() if not ok] == ["treap_fuzz"]
+        return [k for k, ok in summary["checks"].items() if not ok]
+
+    def test_validate_fails_on_a_rank_forest_that_sheds_late(self, tmp_path, monkeypatch):
+        real_access = RankForest.access
+
+        def late_access(self, key):
+            cap_hi = self.cap_hi
+            self.cap_hi = lambda i: cap_hi(i) + 1  # the cascade's overflow test is off by one
+            try:
+                return real_access(self, key)
+            finally:
+                del self.cap_hi
+
+        monkeypatch.setattr(RankForest, "access", late_access)
+        # n > 2 B^4 = 512 at B = 4, so the front tree starts full
+        assert self.failing_checks(tmp_path, "n = 600\nm = 500\n") == ["rank_forest_invariant"]
+
+    @pytest.mark.parametrize("fault", ["norm drift", "extra item"])
+    def test_validate_fails_on_a_drifting_interval_set_state(self, tmp_path, monkeypatch, fault):
+        real_step = IntervalSetPriorityState.step
+
+        def bad_step(self, i, stats):
+            old = self.isp[stats.items[i - 1]]
+            changed = real_step(self, i, stats)
+            if fault == "norm drift" and changed:
+                self.norm += old  # the update forgot to take the old weight off
+            elif fault == "extra item":
+                changed.add(i % self.n + 1)
+            return changed
+
+        monkeypatch.setattr(IntervalSetPriorityState, "step", bad_step)
+        assert self.failing_checks(tmp_path) == ["isp_norm_and_unit_updates"]
+
+    @pytest.mark.parametrize("fault", ["score below band", "rows twice"])
+    def test_validate_fails_on_a_wrong_crude_update_set(self, tmp_path, monkeypatch, fault):
+        real_step = CrudeOracle.step
+
+        def bad_step(self, key):
+            head, *rows = real_step(self, key)
+            if fault == "rows twice":  # over floor(log2 n) + 1 rows once 4 boundaries move
+                return [head] + rows + rows
+            # the refreshed rows lose the top bit of their rounded score
+            return [head] + [(item, s >> 1, w) for item, s, w in rows]
+
+        monkeypatch.setattr(CrudeOracle, "step", bad_step)
+        assert self.failing_checks(tmp_path) == ["crude_band_and_volume"]
+
+    def test_validate_fails_on_a_det_forest_with_a_stale_bucket(self, tmp_path, monkeypatch):
+        real_update = DetScoreForest.update_weight
+
+        def stale_update(self, key, new_idx):
+            old_idx = self.tree_index[key]
+            touched = real_update(self, key, new_idx)
+            self.tree_index[key] = old_idx  # the move forgot to record the new bucket
+            return touched
+
+        monkeypatch.setattr(DetScoreForest, "update_weight", stale_update)
+        assert self.failing_checks(tmp_path) == ["det_forest_valid"]
+
+    def test_validate_fails_on_a_tier_forest_with_a_stale_top(self, tmp_path, monkeypatch):
+        # same-tier rotations that forget to move the component top
+        monkeypatch.setattr(TierForestBTreap, "_refresh_root", lambda self, key: None)
+        assert self.failing_checks(tmp_path) == ["tier_forest_valid"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "nope.cfg"),

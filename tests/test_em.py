@@ -6,6 +6,7 @@ import collections
 import heapq
 import math
 import random
+import re
 
 import pytest
 
@@ -36,7 +37,40 @@ class ReplayStream:
 
 class FullRepartitionForest(TierForestBTreap):
     """Reference update rule: on every tier change, re-partition all n keys
-    and match old to new components by (tier, member set)."""
+    and match old to new components by (tier, member set).  Its glued path
+    is found top-down: the chain of components on the root path first, then
+    one search per component tree, with the tiers checked afterwards."""
+
+    def _chain(self, key: int) -> list[int]:
+        """Component ids on the root path, top component first."""
+        chain = [self.comp_of[key]]
+        while True:
+            p = self.base._parent[self.comp_root[chain[-1]]]
+            if not p:
+                break
+            chain.append(self.comp_of[p])
+        chain.reverse()
+        return chain
+
+    def path_pairs(self, key: int) -> list[tuple[int, int]]:
+        """(block id, tier) pairs on the glued search path to ``key``, top first."""
+        chain = self._chain(key)
+        out: list[tuple[int, int]] = []
+        for i, cid in enumerate(chain):
+            tree = self.comp_tree[cid]
+            if i + 1 < len(chain):
+                target = self.base._parent[self.comp_root[chain[i + 1]]]
+            else:
+                target = key
+            found, path = tree.search(target)
+            assert found, f"key {target} missing from its component tree"
+            out.extend((bid, tree.tier) for bid in path)
+        tiers = [t for _, t in out]
+        assert tiers == sorted(tiers), f"tiers not monotone along access path: {tiers}"
+        return out
+
+    def access(self, key: int) -> int:
+        return self.store.charge(bid for bid, _ in self.path_pairs(key))
 
     def _partition(self) -> list[int]:
         base = self.base
@@ -89,7 +123,7 @@ class FullRepartitionForest(TierForestBTreap):
         return written
 
     def update_weight(self, key: int, w_new: float) -> UpdateCost:
-        removal = len({bid for bid, _ in self._path_blocks(key)})
+        removal = len({bid for bid, _ in self.path_pairs(key)})
         old_tier = self.base._tier[key]
         new_tier = tier_value(w_new, self.cfg.B, 4)
         offset = self._rng.next_offset()
@@ -99,7 +133,7 @@ class FullRepartitionForest(TierForestBTreap):
             written = self._rebuild()
         elif rot:
             self._refresh_root(key)
-        insertion = len({bid for bid, _ in self._path_blocks(key)})
+        insertion = len({bid for bid, _ in self.path_pairs(key)})
         self.store.io_touches += removal + insertion
         self.store.rebuild_touches += written
         return UpdateCost(removal, insertion, written)
@@ -123,6 +157,27 @@ class WeightDetScoreForest(DetScoreForest):
         touched.update(self.trees[new_idx].insert(key))
         self.tree_index[key] = new_idx
         return self.store.charge(touched)
+
+
+def churned_forest() -> TierForestBTreap:
+    """A valid tier forest after 300 random weight updates over tiers 0..3."""
+    py = random.Random(11)
+    n, B = 200, 4
+
+    def tier() -> int:  # log_B(1/w) = 4^u spans tiers 0..3
+        return tier_value(float(B) ** -(4.0 ** py.uniform(-0.5, 3.5)), B, 4)
+
+    st = TierForestBTreap([float(B) ** -(4.0 ** t) for t in (tier() for _ in range(n))],
+                          EMConfig(B), rng=RandomStream(11))
+    for _ in range(300):
+        st.update_weight(py.randint(1, n), tier())
+    assert st.validate() is None
+    return st
+
+
+def glued_top(st: TierForestBTreap) -> int:
+    """The smallest component top that hangs below another component."""
+    return min(top for top in st.comp_root.values() if st.base.parent_of(top))
 
 
 def block_dump(store: BlockStore) -> dict:
@@ -486,6 +541,10 @@ class TestTierForest:
             assert st.store.io_touches == ref.store.io_touches, step
             assert st.store.rebuild_touches == ref.store.rebuild_touches, step
             assert st.validate() is None, step
+            for _ in range(3):
+                k = py.randint(1, n)
+                assert st.access(k) == ref.access(k), step
+            assert st.store.io_touches == ref.store.io_touches, step
         assert retiers >= 100
 
     def test_noop_update_leaves_dump_alone(self):
@@ -568,6 +627,60 @@ class TestTierForest:
         else:
             st.comp_root[cid + 1] = top
         assert message in st.validate()
+
+    def test_path_walk_rejects_a_tier_that_grows_upward(self):
+        st = churned_forest()
+        top = glued_top(st)
+        low = st.comp_tree[st.comp_of[top]].tier
+        st.comp_tree[st.comp_of[st.base.parent_of(top)]].tier = low + 1
+        msg = re.escape(f"tiers not monotone on the path to {top}: tier {low + 1} above tier {low}")
+        with pytest.raises(AssertionError, match=msg):
+            st.access(top)
+        with pytest.raises(AssertionError, match=msg):  # the removal walk checks it too
+            st.update_weight(top, low)
+
+    @pytest.mark.parametrize("gone", ["target", "glue key"])
+    def test_path_walk_rejects_a_key_missing_from_its_tree(self, gone):
+        st = churned_forest()
+        top = glued_top(st)
+        key = top if gone == "target" else st.base.parent_of(top)
+        st.comp_tree[st.comp_of[key]].delete(key)
+        with pytest.raises(AssertionError, match=f"key {key} missing from its component tree"):
+            st.access(top)
+
+    @pytest.mark.parametrize("corrupt", [
+        "base heap order", "stale component", "tree tier", "foreign tier",
+        "foreign component", "lost key",
+    ])
+    def test_validate_names_drift_after_churn(self, corrupt):
+        st = churned_forest()
+        tier, comp_tree = st.base._tier, st.comp_tree
+        top = glued_top(st)
+        cid = st.comp_of[top]
+        if corrupt == "base heap order":
+            p = st.base.parent_of(top)
+            tier[top] = tier[p] - 1  # top now outranks its parent, and only it
+            message = f"base treap: heap order violated between {p} and child {top}"
+        elif corrupt == "stale component":
+            # an old component left behind, still naming a top that moved on
+            stale = max(comp_tree) + 1
+            comp_tree[stale] = BTree(st.store, [], tier=tier[top])
+            st.comp_root[stale] = top
+            message = f"component {stale} root {top} is not the top of its own component"
+        elif corrupt == "tree tier":
+            comp_tree[cid].tier += 1
+            message = f"component {cid} tree records tier {tier[top] + 1}, its root has {tier[top]}"
+        else:
+            comp_tree[cid].delete(top)
+            message = f"forest holds {st.n - 1} keys, expected {st.n}"
+            if corrupt != "lost key":  # comp_of still names the old component
+                same = corrupt == "foreign component"
+                other = min(c for c, tree in comp_tree.items()
+                            if c != cid and (tree.tier == tier[top]) == same)
+                comp_tree[other].insert(top)
+                message = (f"key {top} marked in tree {cid}, stored in tree {other}" if same
+                           else f"component {other} mixes tiers at key {top}")
+        assert st.validate() == message
 
     def test_dump_is_deterministic(self):
         n = 40
