@@ -22,7 +22,6 @@ from .dynamic import (
     run_dynamic,
 )
 from .em import (
-    BlockStore,
     BTree,
     DetScoreForest,
     EMConfig,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessSequence",
     "BTree",
-    "BlockStore",
     "ConfigError",
     "CostBreakdown",
     "CrudeOracle",

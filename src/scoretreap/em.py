@@ -1,10 +1,11 @@
 """Block-resident search structures with exact I/O accounting.
 
-A ``BlockStore`` holds fixed-fanout blocks (at most ``B - 1`` keys, ``B``
-children) and counts how many distinct blocks each logical operation
-touches.  On top of it:
+A ``Block`` holds at most ``B - 1`` keys and links to at most ``B`` child
+blocks.  Each forest operation returns the number of distinct blocks it
+touches.
 
-* ``BTree`` -- a plain B-tree (bulk build, search, insert, delete).
+* ``BTree`` -- a plain B-tree (bulk build, search, insert, delete) whose
+  operations return the blocks they touch.
 * ``TierForestBTreap`` -- a treap under the doubly-logarithmic block rule,
   decomposed into maximal same-tier components, each materialized as a
   bulk-built B-tree and glued below the block holding its root's parent.
@@ -29,7 +30,6 @@ from .treap import Treap
 __all__ = [
     "EMConfig",
     "Block",
-    "BlockStore",
     "BTree",
     "UpdateCost",
     "TierForestBTreap",
@@ -63,84 +63,41 @@ class EMConfig:
 
 
 class Block:
-    __slots__ = ("keys", "children", "tier")
+    __slots__ = ("keys", "children")
 
-    def __init__(self, keys: list[int], children: list[int], tier: int | None):
+    def __init__(self, keys: list[int], children: list[Block]):
         self.keys = keys
-        self.children = children  # [] for leaves, else len(keys)+1 ids
-        self.tier = tier
-
-
-class BlockStore:
-    """Arena of blocks plus the two I/O counters (search vs rebuild)."""
-
-    def __init__(self, B: int):
-        if B < 4:
-            raise ConfigError(f"block fanout must be >= 4, got {B}")
-        self.B = B
-        self.blocks: dict[int, Block] = {}
-        self.io_touches = 0
-        self.rebuild_touches = 0
-        self._next_id = 1
-
-    def new_block(self, keys: list[int] | None = None, children: list[int] | None = None,
-                  tier: int | None = None) -> int:
-        bid = self._next_id
-        self._next_id += 1
-        self.blocks[bid] = Block(keys or [], children or [], tier)
-        return bid
-
-    def free_block(self, bid: int) -> None:
-        del self.blocks[bid]
-
-    def charge(self, bids: Iterable[int]) -> int:
-        """Count one search touch per distinct block of one operation."""
-        distinct = set(bids)
-        self.io_touches += len(distinct)
-        return len(distinct)
+        self.children = children  # [] for leaves, else len(keys)+1 blocks
 
 
 class BTree:
-    """B-tree of fanout ``store.B`` living inside a ``BlockStore``.
+    """B-tree of fanout ``B`` whose blocks link to their children.
 
     Blocks hold at most ``B - 1`` keys; non-root blocks keep at least
     ``ceil(B/2) - 1`` after deletions.  ``key_block`` tracks the block that
-    currently contains each key, and ``owned`` tracks this tree's block ids
-    so a tree can be freed wholesale.
+    currently contains each key, and ``built`` counts the blocks the bulk
+    build wrote.
     """
 
-    def __init__(self, store: BlockStore, keys: Sequence[int] = (), tier: int | None = None):
-        self.store = store
+    def __init__(self, B: int, keys: Sequence[int] = (), tier: int | None = None):
+        if B < 4:
+            raise ConfigError(f"block fanout must be >= 4, got {B}")
+        self.B = B
         self.tier = tier
-        self.key_block: dict[int, int] = {}
-        self.owned: set[int] = set()
+        self.key_block: dict[int, Block] = {}
         ks = sorted(keys)
         if len(set(ks)) != len(ks):
             raise DuplicateKeyError("bulk keys contain duplicates")
         if ks:
-            self.root, _ = self._bulk(ks)
+            self.root, _, self.built = self._bulk(ks)
         else:
-            self.root = self._new([], [])
+            self.root, self.built = self._new([], []), 1
 
-    # -- block bookkeeping ------------------------------------------------
-
-    def _new(self, keys: list[int], children: list[int]) -> int:
-        bid = self.store.new_block(keys, children, self.tier)
-        self.owned.add(bid)
+    def _new(self, keys: list[int], children: list[Block]) -> Block:
+        blk = Block(keys, children)
         for k in keys:
-            self.key_block[k] = bid
-        return bid
-
-    def _free(self, bid: int) -> None:
-        self.owned.discard(bid)
-        self.store.free_block(bid)
-
-    def free(self) -> None:
-        """Release every block owned by this tree."""
-        for bid in list(self.owned):
-            self.store.free_block(bid)
-        self.owned.clear()
-        self.key_block.clear()
+            self.key_block[k] = blk
+        return blk
 
     def __len__(self) -> int:
         return len(self.key_block)
@@ -150,19 +107,20 @@ class BTree:
 
     @property
     def max_keys(self) -> int:
-        return self.store.B - 1
+        return self.B - 1
 
     @property
     def min_keys(self) -> int:
-        return (self.store.B + 1) // 2 - 1
+        return (self.B + 1) // 2 - 1
 
     # -- bulk construction -------------------------------------------------
 
-    def _bulk(self, keys: list[int]) -> tuple[int, int]:
-        """Minimal uniform-depth packing of sorted keys; returns (id, height)."""
+    def _bulk(self, keys: list[int]) -> tuple[Block, int, int]:
+        """Minimal uniform-depth packing of sorted keys; returns (root,
+        height, blocks written)."""
         if len(keys) <= self.max_keys:
-            return self._new(list(keys), []), 1
-        B = self.store.B
+            return self._new(list(keys), []), 1, 1
+        B = self.B
         child_cap = self.max_keys  # capacity of a height-1 subtree
         height = 2
         while child_cap * B + (B - 1) < len(keys):
@@ -173,51 +131,48 @@ class BTree:
         base, extra = divmod(spread, fanout)
         sizes = [base + 1] * extra + [base] * (fanout - extra)
         node_keys: list[int] = []
-        children: list[int] = []
+        children: list[Block] = []
+        written = 1
         idx = 0
         for j, size in enumerate(sizes):
-            cid, ch = self._bulk(keys[idx : idx + size])
+            child, ch, cw = self._bulk(keys[idx : idx + size])
             if ch != height - 1:
                 raise AssertionError(f"ragged bulk build: child height {ch} != {height - 1}")
-            children.append(cid)
+            children.append(child)
+            written += cw
             idx += size
             if j < fanout - 1:
                 node_keys.append(keys[idx])
                 idx += 1
-        return self._new(node_keys, children), height
+        return self._new(node_keys, children), height, written
 
     # -- queries -----------------------------------------------------------
 
-    def search(self, key: int) -> tuple[bool, list[int]]:
+    def search(self, key: int) -> tuple[bool, list[Block]]:
         """Descend toward ``key``; returns (found, root-to-end block path)."""
-        blocks = self.store.blocks
-        path: list[int] = []
-        bid = self.root
+        path: list[Block] = []
+        blk = self.root
         while True:
-            blk = blocks[bid]
-            path.append(bid)
+            path.append(blk)
             i = bisect_left(blk.keys, key)
             if i < len(blk.keys) and blk.keys[i] == key:
                 return True, path
             if not blk.children:
                 return False, path
-            bid = blk.children[i]
+            blk = blk.children[i]
 
     def height(self) -> int:
-        blocks = self.store.blocks
         h = 1
-        bid = self.root
-        while blocks[bid].children:
-            bid = blocks[bid].children[0]
+        blk = self.root
+        while blk.children:
+            blk = blk.children[0]
             h += 1
         return h
 
     def keys_inorder(self) -> list[int]:
         out: list[int] = []
-        blocks = self.store.blocks
 
-        def walk(bid: int) -> None:
-            blk = blocks[bid]
+        def walk(blk: Block) -> None:
             if not blk.children:
                 out.extend(blk.keys)
                 return
@@ -231,174 +186,151 @@ class BTree:
 
     # -- updates -----------------------------------------------------------
 
-    def insert(self, key: int) -> list[int]:
-        """Insert ``key``; returns the block ids touched (path + splits)."""
+    def insert(self, key: int) -> list[Block]:
+        """Insert ``key``; returns the blocks touched (path + splits)."""
         if key in self.key_block:
             raise DuplicateKeyError(f"key {key} already present")
-        blocks = self.store.blocks
-        path: list[int] = []
-        bid = self.root
+        path: list[Block] = []
+        blk = self.root
         while True:
-            blk = blocks[bid]
-            path.append(bid)
+            path.append(blk)
             if not blk.children:
                 break
-            bid = blk.children[bisect_left(blk.keys, key)]
+            blk = blk.children[bisect_left(blk.keys, key)]
         insort(blk.keys, key)
-        self.key_block[key] = bid
+        self.key_block[key] = blk
         touched = list(path)
         pos = len(path) - 1
-        cur = bid
-        while len(blocks[cur].keys) > self.max_keys:
-            blk = blocks[cur]
+        while len(blk.keys) > self.max_keys:
             mid = len(blk.keys) // 2
             sep = blk.keys[mid]
-            right_keys = blk.keys[mid + 1 :]
-            right_children = blk.children[mid + 1 :] if blk.children else []
+            right = self._new(blk.keys[mid + 1 :], blk.children[mid + 1 :])
             blk.keys = blk.keys[:mid]
-            if blk.children:
-                blk.children = blk.children[: mid + 1]
-            rid = self._new(right_keys, right_children)
-            touched.append(rid)
+            blk.children = blk.children[: mid + 1]
+            touched.append(right)
             if pos == 0:
-                new_root = self._new([sep], [cur, rid])
-                self.root = new_root
-                touched.append(new_root)
+                self.root = self._new([sep], [blk, right])
+                touched.append(self.root)
                 break
             parent = path[pos - 1]
-            pblk = blocks[parent]
-            j = bisect_left(pblk.keys, sep)
-            pblk.keys.insert(j, sep)
-            pblk.children.insert(j + 1, rid)
+            j = bisect_left(parent.keys, sep)
+            parent.keys.insert(j, sep)
+            parent.children.insert(j + 1, right)
             self.key_block[sep] = parent
-            cur = parent
+            blk = parent
             pos -= 1
         return touched
 
-    def delete(self, key: int) -> list[int]:
-        """Delete ``key``; returns the block ids touched (path + rebalances)."""
+    def delete(self, key: int) -> list[Block]:
+        """Delete ``key``; returns the blocks touched (path + rebalances) that
+        are still in the tree."""
         if key not in self.key_block:
             raise KeyError(key)
-        blocks = self.store.blocks
-        path: list[int] = []
-        bid = self.root
+        path: list[Block] = []
+        blk = self.root
         while True:
-            blk = blocks[bid]
-            path.append(bid)
+            path.append(blk)
             i = bisect_left(blk.keys, key)
             if i < len(blk.keys) and blk.keys[i] == key:
                 break
-            bid = blk.children[i]
+            blk = blk.children[i]
         if blk.children:
             # swap with the predecessor so the removal happens at a leaf
-            cid = blk.children[i]
-            while blocks[cid].children:
-                path.append(cid)
-                cid = blocks[cid].children[-1]
-            path.append(cid)
-            leaf = blocks[cid]
+            leaf = blk.children[i]
+            while leaf.children:
+                path.append(leaf)
+                leaf = leaf.children[-1]
+            path.append(leaf)
             pred = leaf.keys.pop()
             blk.keys[i] = pred
-            self.key_block[pred] = bid
+            self.key_block[pred] = blk
         else:
             blk.keys.pop(i)
         del self.key_block[key]
         touched = list(path)
+        gone: list[Block] = []  # blocks merged away or collapsed
         pos = len(path) - 1
         while pos > 0:
             cur = path[pos]
-            cblk = blocks[cur]
-            if len(cblk.keys) >= self.min_keys:
+            if len(cur.keys) >= self.min_keys:
                 break
             parent = path[pos - 1]
-            pblk = blocks[parent]
-            ci = pblk.children.index(cur)
-            if ci > 0 and len(blocks[pblk.children[ci - 1]].keys) > self.min_keys:
-                lid = pblk.children[ci - 1]
-                lblk = blocks[lid]
-                touched.append(lid)
-                sep = pblk.keys[ci - 1]
-                cblk.keys.insert(0, sep)
+            ci = parent.children.index(cur)
+            if ci > 0 and len(parent.children[ci - 1].keys) > self.min_keys:
+                left = parent.children[ci - 1]
+                touched.append(left)
+                sep = parent.keys[ci - 1]
+                cur.keys.insert(0, sep)
                 self.key_block[sep] = cur
-                up = lblk.keys.pop()
-                pblk.keys[ci - 1] = up
+                up = left.keys.pop()
+                parent.keys[ci - 1] = up
                 self.key_block[up] = parent
-                if lblk.children:
-                    cblk.children.insert(0, lblk.children.pop())
+                if left.children:
+                    cur.children.insert(0, left.children.pop())
                 break
-            if ci < len(pblk.children) - 1 and len(blocks[pblk.children[ci + 1]].keys) > self.min_keys:
-                rid = pblk.children[ci + 1]
-                rblk = blocks[rid]
-                touched.append(rid)
-                sep = pblk.keys[ci]
-                cblk.keys.append(sep)
+            if ci < len(parent.children) - 1 and len(parent.children[ci + 1].keys) > self.min_keys:
+                right = parent.children[ci + 1]
+                touched.append(right)
+                sep = parent.keys[ci]
+                cur.keys.append(sep)
                 self.key_block[sep] = cur
-                up = rblk.keys.pop(0)
-                pblk.keys[ci] = up
+                up = right.keys.pop(0)
+                parent.keys[ci] = up
                 self.key_block[up] = parent
-                if rblk.children:
-                    cblk.children.append(rblk.children.pop(0))
+                if right.children:
+                    cur.children.append(right.children.pop(0))
                 break
             # merge with a sibling and recurse on the parent
-            if ci > 0:
-                li = ci - 1
-                lid, rid = pblk.children[li], cur
-            else:
-                li = ci
-                lid, rid = cur, pblk.children[ci + 1]
-            lblk = blocks[lid]
-            rblk = blocks[rid]
-            touched.append(lid)
-            touched.append(rid)
-            sep = pblk.keys[li]
-            lblk.keys.append(sep)
-            self.key_block[sep] = lid
-            for k2 in rblk.keys:
-                self.key_block[k2] = lid
-            lblk.keys.extend(rblk.keys)
-            lblk.children.extend(rblk.children)
-            pblk.keys.pop(li)
-            pblk.children.pop(li + 1)
-            self._free(rid)
-            if rid == cur:
-                path[pos] = lid
+            li = ci - 1 if ci > 0 else ci
+            left, right = parent.children[li], parent.children[li + 1]
+            touched.append(left)
+            touched.append(right)
+            sep = parent.keys[li]
+            left.keys.append(sep)
+            self.key_block[sep] = left
+            for k2 in right.keys:
+                self.key_block[k2] = left
+            left.keys.extend(right.keys)
+            left.children.extend(right.children)
+            parent.keys.pop(li)
+            parent.children.pop(li + 1)
+            gone.append(right)
             pos -= 1
-        root_blk = blocks[self.root]
-        if not root_blk.keys and root_blk.children:
-            old = self.root
-            self.root = root_blk.children[0]
-            self._free(old)
-        return [b for b in touched if b in self.owned]
+        if not self.root.keys and self.root.children:
+            gone.append(self.root)
+            self.root = self.root.children[0]
+        return [b for b in touched if b not in gone] if gone else touched
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> str | None:
-        blocks = self.store.blocks
+        """None, or the first drift found; blocks are named by their keys."""
         leaf_depths: set[int] = set()
         count = 0
-        stack: list[tuple[int, int, float, float]] = [(self.root, 1, -math.inf, math.inf)]
+        stack: list[tuple[Block, int, float, float]] = [(self.root, 1, -math.inf, math.inf)]
         while stack:
-            bid, depth, lo, hi = stack.pop()
-            blk = blocks[bid]
+            blk, depth, lo, hi = stack.pop()
             ks = blk.keys
             count += len(ks)
             if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
-                return f"block {bid} keys not strictly increasing"
+                return f"block {ks} keys not strictly increasing"
             if ks and not (lo < ks[0] and ks[-1] < hi):
-                return f"block {bid} violates key range ({lo}, {hi})"
+                return f"block {ks} violates key range ({lo}, {hi})"
             if len(ks) > self.max_keys:
-                return f"block {bid} overfull ({len(ks)} keys)"
-            if bid != self.root and len(ks) < self.min_keys:
-                return f"block {bid} underfull ({len(ks)} keys)"
+                return f"block {ks} overfull ({len(ks)} keys)"
+            if blk is not self.root and len(ks) < self.min_keys:
+                return f"block {ks} underfull ({len(ks)} keys)"
             for k in ks:
-                if self.key_block.get(k) != bid:
-                    return f"key {k} maps to {self.key_block.get(k)}, found in {bid}"
+                owner = self.key_block.get(k)
+                if owner is not blk:
+                    where = f"block {owner.keys}" if owner else "no block"
+                    return f"key {k} maps to {where}, found in block {ks}"
             if blk.children:
                 if len(blk.children) != len(ks) + 1:
-                    return f"block {bid} has {len(blk.children)} children for {len(ks)} keys"
+                    return f"block {ks} has {len(blk.children)} children for {len(ks)} keys"
                 bounds = [lo] + list(ks) + [hi]
-                for i, cid in enumerate(blk.children):
-                    stack.append((cid, depth + 1, bounds[i], bounds[i + 1]))
+                for i, child in enumerate(blk.children):
+                    stack.append((child, depth + 1, bounds[i], bounds[i + 1]))
             else:
                 leaf_depths.add(depth)
         if len(leaf_depths) > 1:
@@ -428,7 +360,7 @@ class TierForestBTreap:
     only grow along root-to-leaf paths, so maximal same-tier regions form a
     forest of components.  Each component becomes one bulk-built B-tree whose
     root hangs (conceptually) below the block containing the component
-    root's treap parent.  Rebuild writes are tracked apart from search
+    root's treap parent.  Rebuild writes are counted apart from search
     touches.
 
     A weight update re-prioritizes one key of the base treap, and its
@@ -436,7 +368,7 @@ class TierForestBTreap:
     change only the components holding such a node, or gaining one from
     below, are re-grouped from their new tops: a group equal to an old
     component (same tier, same members) keeps its tree, every other group
-    is bulk-built, and unmatched old trees are freed.  All other components
+    is bulk-built, and unmatched old trees are dropped.  All other components
     keep their members, tier, top and tree.
     """
 
@@ -450,7 +382,6 @@ class TierForestBTreap:
         self.tier_bases = (cfg.B, 4)  # the tier rule: floor(log4 log_B (1/w))
         tiers = [tier_value(w, *self.tier_bases) for w in wl]
         self.base = Treap.build_arrays(tiers, offsets)
-        self.store = BlockStore(cfg.B)
         self.comp_of: list[int] = [0] * (self.n + 1)
         self.comp_root: dict[int, int] = {}
         self.comp_tree: dict[int, BTree] = {}
@@ -494,12 +425,12 @@ class TierForestBTreap:
         """Bulk-build one component's tree; returns the blocks written."""
         cid = self._next_comp
         self._next_comp += 1
-        tree = BTree(self.store, members, tier=self.base._tier[top])
+        tree = BTree(self.cfg.B, members, tier=self.base._tier[top])
         self.comp_root[cid] = top
         self.comp_tree[cid] = tree
         for k in members:
             self.comp_of[k] = cid
-        return len(tree.owned)
+        return tree.built
 
     def _neighbours(self, key: int) -> tuple[set[int], tuple[int, int]]:
         """``key``'s ancestors and its two child slots (0 when empty)."""
@@ -553,7 +484,7 @@ class TierForestBTreap:
             else:
                 written += self._new_component(top, members)
         for cid in dirty - kept:
-            self.comp_tree.pop(cid).free()
+            del self.comp_tree[cid]
             del self.comp_root[cid]
         return written
 
@@ -567,13 +498,13 @@ class TierForestBTreap:
 
     # -- access -------------------------------------------------------------
 
-    def _path_blocks(self, key: int) -> list[int]:
-        """Block ids on the glued search path to ``key``, walked upward: each
+    def _path_blocks(self, key: int) -> list[Block]:
+        """Blocks on the glued search path to ``key``, walked upward: each
         component tree is searched for ``key`` or for the treap parent of the
         top of the component below, and tree tiers never grow on the way up."""
         comp_of, comp_root, comp_tree = self.comp_of, self.comp_root, self.comp_tree
         parent = self.base._parent
-        out: list[int] = []
+        out: list[Block] = []
         target = key
         cid = comp_of[key]
         below = comp_tree[cid].tier
@@ -593,10 +524,10 @@ class TierForestBTreap:
             cid = comp_of[target]
 
     def access(self, key: int) -> int:
-        """Charge and return the distinct blocks on the path to ``key``."""
+        """The number of distinct blocks on the path to ``key``."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        return self.store.charge(self._path_blocks(key))
+        return len(set(self._path_blocks(key)))
 
     # -- updates ------------------------------------------------------------
 
@@ -618,8 +549,6 @@ class TierForestBTreap:
         # its component keeps its members, its B-tree and the treap parent of
         # its top, so the glued path to key is the one walked for removal
         insertion = removal if before is None else len(set(self._path_blocks(key)))
-        self.store.io_touches += removal + insertion
-        self.store.rebuild_touches += written
         return UpdateCost(removal, insertion, written)
 
     # -- serialization / checks ----------------------------------------------
@@ -631,34 +560,30 @@ class TierForestBTreap:
         with component roots appended to their glue block's child list, so
         two structurally identical forests dump to identical strings.
         """
-        glue_children: dict[int, list[int]] = {}
-        top_comps: list[int] = []
+        glue_children: dict[Block, list[tuple[Block, int]]] = {}
+        queue: list[tuple[Block, int]] = []  # (block, its tree's tier)
         for cid, top in sorted(self.comp_root.items(), key=lambda kv: kv[1]):
+            tree = self.comp_tree[cid]
             p = self.base._parent[top]
             if p:
                 host = self.comp_tree[self.comp_of[p]].key_block[p]
-                glue_children.setdefault(host, []).append(self.comp_tree[cid].root)
+                glue_children.setdefault(host, []).append((tree.root, tree.tier))
             else:
-                top_comps.append(self.comp_tree[cid].root)
-        blocks = self.store.blocks
-        order: list[int] = []
-        number: dict[int, int] = {}
-        queue = list(top_comps)
+                queue.append((tree.root, tree.tier))
+        number: dict[Block, int] = {}
         qi = 0
         while qi < len(queue):
-            bid = queue[qi]
+            blk, tier = queue[qi]
             qi += 1
-            number[bid] = len(order) + 1
-            order.append(bid)
-            queue.extend(blocks[bid].children)
-            queue.extend(glue_children.get(bid, []))
+            number[blk] = qi
+            queue.extend((c, tier) for c in blk.children)
+            queue.extend(glue_children.get(blk, []))
         lines = []
-        for bid in order:
-            blk = blocks[bid]
-            kids = [number[c] for c in blk.children] + [number[c] for c in glue_children.get(bid, [])]
+        for blk, tier in queue:
+            kids = [number[c] for c in blk.children] + [number[c] for c, _ in glue_children.get(blk, [])]
             keys = " ".join(str(k) for k in blk.keys)
             ks = " ".join(str(c) for c in kids)
-            lines.append(f"{number[bid]}, {blk.tier}, [{keys}], [{ks}]")
+            lines.append(f"{number[blk]}, {tier}, [{keys}], [{ks}]")
         return "\n".join(lines) + "\n"
 
     def validate(self) -> str | None:
@@ -692,9 +617,9 @@ class TierForestBTreap:
         return _check_trees(self.comp_tree, self.comp_of, self.n)
 
 
-def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[int]]:
+def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[Block]]:
     """Search non-empty trees in order; return (index of the tree with ``key``, probed blocks)."""
-    touched: set[int] = set()
+    touched: set[Block] = set()
     for i, tree in trees.items():
         if not len(tree):
             continue
@@ -731,7 +656,6 @@ class DetScoreForest:
         self.cfg = cfg
         self.n = len(wl)
         cfg.warn_if_small(self.n)
-        self.store = BlockStore(cfg.B)
         self.tree_index = [0] * (self.n + 1)
         self.tier_bases = (cfg.B, 2)  # the bucket rule: floor(log2 log_B (1/w))
         buckets: dict[int, list[int]] = {}
@@ -739,7 +663,7 @@ class DetScoreForest:
             idx = tier_value(w, *self.tier_bases)
             self.tree_index[k] = idx
             buckets.setdefault(idx, []).append(k)
-        self.trees = {idx: BTree(self.store, ks, tier=idx) for idx, ks in sorted(buckets.items())}
+        self.trees = {idx: BTree(cfg.B, ks) for idx, ks in sorted(buckets.items())}
         if sum(wl) <= 1.0 + 1e-9:
             err = self.check_sizes()
             if err:
@@ -754,11 +678,11 @@ class DetScoreForest:
         return None
 
     def access(self, key: int) -> int:
-        """Probe trees smallest-index-first; charge every probed path block."""
+        """Probe trees smallest-index-first; count every probed path block."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
         # ``trees`` is kept in ascending index order; ``validate`` checks it
-        return self.store.charge(_probe(self.trees, key)[1])
+        return len(_probe(self.trees, key)[1])
 
     def update_weight(self, key: int, new_idx: int) -> int:
         """Move the item to bucket ``new_idx``, its new score's tier; returns touches."""
@@ -769,11 +693,11 @@ class DetScoreForest:
             return 0
         touched = set(self.trees[old_idx].delete(key))
         if new_idx not in self.trees:
-            self.trees[new_idx] = BTree(self.store, (), tier=new_idx)
+            self.trees[new_idx] = BTree(self.cfg.B)
             self.trees = dict(sorted(self.trees.items()))
         touched.update(self.trees[new_idx].insert(key))
         self.tree_index[key] = new_idx
-        return self.store.charge(touched)
+        return len(touched)
 
     def validate(self) -> str | None:
         order = list(self.trees)
@@ -799,7 +723,6 @@ class RankForest:
         self.cfg = cfg
         self.n = n
         cfg.warn_if_small(n)
-        self.store = BlockStore(cfg.B)
         S = 1
         while cfg.B ** (2 ** S) < n:
             S += 1
@@ -810,7 +733,7 @@ class RankForest:
         start = 1  # fill trees front to back; initial recency rank equals the key
         for i in range(1, S + 1):
             stop = n + 1 if i == S else min(start + self.cap_hi(i), n + 1)
-            self.trees[i] = BTree(self.store, range(start, stop), tier=i)
+            self.trees[i] = BTree(cfg.B, range(start, stop))
             self.order[i] = OrderedDict.fromkeys(range(stop - 1, start - 1, -1))
             self.tree_of[start:stop] = [i] * (stop - start)
             start = stop
@@ -840,7 +763,7 @@ class RankForest:
                     touched.update(self.trees[i].delete(victim))
                     touched.update(self.trees[i + 1].insert(victim))
                     self.tree_of[victim] = i + 1
-        return self.store.charge(touched)
+        return len(touched)
 
     def check_invariant(self) -> str | None:
         """Size and max-rank bands; the last non-empty tree is exempt from

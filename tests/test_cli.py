@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from scoretreap.cli import main
-from scoretreap.dynamic import CrudeOracle, IntervalSetPriorityState
+from scoretreap.dynamic import CrudeOracle, IntervalSetPriorityState, compute_stats
 from scoretreap.em import DetScoreForest, RankForest, TierForestBTreap
 from scoretreap.treap import Treap
 
@@ -113,6 +113,15 @@ class TestPlumbing:
         # same-tier rotations that forget to move the component top
         monkeypatch.setattr(TierForestBTreap, "_refresh_root", lambda self, key: None)
         assert self.failing_checks(tmp_path) == ["tier_forest_valid"]
+
+    def test_validate_fails_on_a_future_off_by_one(self, tmp_path, monkeypatch):
+        def bad_stats(seq):
+            stats = compute_stats(seq)
+            stats.future[1] += 1  # one next-access window counts an extra item
+            return stats
+
+        monkeypatch.setattr("scoretreap.cli.compute_stats", bad_stats)
+        assert self.failing_checks(tmp_path) == ["futures_match_next_work"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "nope.cfg"),

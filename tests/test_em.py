@@ -1,4 +1,4 @@
-"""Block structures: the B-tree arena, the tiered component forest, the
+"""Block structures: the B-tree, the tiered component forest, the
 deterministic score buckets, and the self-organizing recency forest."""
 
 import bisect
@@ -11,7 +11,7 @@ import re
 import pytest
 
 from scoretreap.em import (
-    BlockStore,
+    Block,
     BTree,
     DetScoreForest,
     EMConfig,
@@ -52,10 +52,10 @@ class FullRepartitionForest(TierForestBTreap):
         chain.reverse()
         return chain
 
-    def path_pairs(self, key: int) -> list[tuple[int, int]]:
-        """(block id, tier) pairs on the glued search path to ``key``, top first."""
+    def path_pairs(self, key: int) -> list[tuple[Block, int]]:
+        """(block, tier) pairs on the glued search path to ``key``, top first."""
         chain = self._chain(key)
-        out: list[tuple[int, int]] = []
+        out: list[tuple[Block, int]] = []
         for i, cid in enumerate(chain):
             tree = self.comp_tree[cid]
             if i + 1 < len(chain):
@@ -64,13 +64,13 @@ class FullRepartitionForest(TierForestBTreap):
                 target = key
             found, path = tree.search(target)
             assert found, f"key {target} missing from its component tree"
-            out.extend((bid, tree.tier) for bid in path)
+            out.extend((blk, tree.tier) for blk in path)
         tiers = [t for _, t in out]
         assert tiers == sorted(tiers), f"tiers not monotone along access path: {tiers}"
         return out
 
     def access(self, key: int) -> int:
-        return self.store.charge(bid for bid, _ in self.path_pairs(key))
+        return len({blk for blk, _ in self.path_pairs(key)})
 
     def _partition(self) -> list[int]:
         base = self.base
@@ -109,21 +109,19 @@ class FullRepartitionForest(TierForestBTreap):
             else:
                 cid = self._next_comp
                 self._next_comp += 1
-                tree = BTree(self.store, ks, tier=self.base._tier[top])
-                written += len(tree.owned)
+                tree = BTree(self.cfg.B, ks, tier=self.base._tier[top])
+                written += tree.built
             new_root[cid] = top
             new_tree[cid] = tree
             for k in ks:
                 new_comp_of[k] = cid
-        for _, tree in old_by_sig.values():
-            tree.free()
         self.comp_of = new_comp_of
         self.comp_root = new_root
         self.comp_tree = new_tree
         return written
 
     def update_weight(self, key: int, w_new: float) -> UpdateCost:
-        removal = len({bid for bid, _ in self.path_pairs(key)})
+        removal = len({blk for blk, _ in self.path_pairs(key)})
         old_tier = self.base._tier[key]
         new_tier = tier_value(w_new, self.cfg.B, 4)
         offset = self._rng.next_offset()
@@ -133,9 +131,7 @@ class FullRepartitionForest(TierForestBTreap):
             written = self._rebuild()
         elif rot:
             self._refresh_root(key)
-        insertion = len({bid for bid, _ in self.path_pairs(key)})
-        self.store.io_touches += removal + insertion
-        self.store.rebuild_touches += written
+        insertion = len({blk for blk, _ in self.path_pairs(key)})
         return UpdateCost(removal, insertion, written)
 
 
@@ -152,11 +148,11 @@ class WeightDetScoreForest(DetScoreForest):
             return 0
         touched = set(self.trees[old_idx].delete(key))
         if new_idx not in self.trees:
-            self.trees[new_idx] = BTree(self.store, (), tier=new_idx)
+            self.trees[new_idx] = BTree(self.cfg.B)
             self.trees = dict(sorted(self.trees.items()))
         touched.update(self.trees[new_idx].insert(key))
         self.tree_index[key] = new_idx
-        return self.store.charge(touched)
+        return len(touched)
 
 
 def churned_forest() -> TierForestBTreap:
@@ -180,8 +176,20 @@ def glued_top(st: TierForestBTreap) -> int:
     return min(top for top in st.comp_root.values() if st.base.parent_of(top))
 
 
-def block_dump(store: BlockStore) -> dict:
-    return {bid: (blk.keys, blk.children, blk.tier) for bid, blk in store.blocks.items()}
+def reachable_blocks(trees) -> list[Block]:
+    """Every block reached from the roots of ``trees``, once per link."""
+    out: list[Block] = []
+    stack = [tree.root for tree in trees]
+    while stack:
+        blk = stack.pop()
+        out.append(blk)
+        stack.extend(blk.children)
+    return out
+
+
+def tree_dump(blk: Block) -> tuple:
+    """The structure below ``blk`` as nested (keys, children) tuples."""
+    return tuple(blk.keys), tuple(tree_dump(c) for c in blk.children)
 
 
 class StampHeapRankForest:
@@ -202,7 +210,6 @@ class StampHeapRankForest:
         self.cfg = cfg
         self.n = n
         cfg.warn_if_small(n)
-        self.store = BlockStore(cfg.B)
         S = 1
         while cfg.B ** (2 ** S) < n:
             S += 1
@@ -219,13 +226,13 @@ class StampHeapRankForest:
         for i in range(1, S + 1):
             cap = n - start + 1 if i == S else min(self.cap_hi(i), n - start + 1)
             ks = list(range(start, start + max(cap, 0)))
-            self.trees[i] = BTree(self.store, ks, tier=i)
+            self.trees[i] = BTree(cfg.B, ks)
             for k in ks:
                 self.tree_of[k] = i
             start += len(ks)
             if start > n:
                 for j in range(i + 1, S + 1):
-                    self.trees[j] = BTree(self.store, (), tier=j)
+                    self.trees[j] = BTree(cfg.B)
                 break
         # per-tree min-heaps of (stamp, key), for finding each tree's oldest
         self._heaps: list[list[tuple[int, int]]] = [[] for _ in range(S + 1)]
@@ -295,7 +302,7 @@ class StampHeapRankForest:
                     touched.update(self.trees[i + 1].insert(victim))
                     self.tree_of[victim] = i + 1
                     heapq.heappush(self._heaps[i + 1], (self._stamp[victim], victim))
-        return self.store.charge(touched)
+        return len(touched)
 
     def check_invariant(self) -> str | None:
         """Size and max-rank bands; the last non-empty tree is exempt from
@@ -380,8 +387,7 @@ def leaf_depths(tree: BTree) -> set[int]:
     out: set[int] = set()
     stack = [(tree.root, 1)]
     while stack:
-        bid, d = stack.pop()
-        blk = tree.store.blocks[bid]
+        blk, d = stack.pop()
         if blk.children:
             stack.extend((c, d + 1) for c in blk.children)
         else:
@@ -389,34 +395,60 @@ def leaf_depths(tree: BTree) -> set[int]:
     return out
 
 
+def churned_tree() -> BTree:
+    """A valid B = 4 tree after 400 random inserts and deletes over keys 1..300."""
+    py = random.Random(17)
+    tree, present = BTree(4), set()
+    for _ in range(400):
+        k = py.randint(1, 300)
+        if k in present and py.random() < 0.5:
+            tree.delete(k)
+            present.discard(k)
+        elif k not in present:
+            tree.insert(k)
+            present.add(k)
+    assert tree.validate() is None
+    return tree
+
+
+def leaves(tree: BTree) -> list[tuple[Block, int, Block]]:
+    """(parent, child index, leaf) for every leaf, left to right."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        blk = stack.pop()
+        for j, child in enumerate(blk.children):
+            if child.children:
+                stack.append(child)
+            else:
+                out.append((blk, j, child))
+    return sorted(out, key=lambda t: t[2].keys[0])
+
+
 class TestBTree:
     def test_bulk_build_is_sorted_and_balanced(self):
         for B in (4, 7, 16):
             for n in (1, 5, B, B + 1, 3 * B * B, 500):
-                store = BlockStore(B)
                 keys = list(range(1, n + 1))
-                tree = BTree(store, keys)
+                tree = BTree(B, keys)
                 assert tree.keys_inorder() == keys
                 assert tree.validate() is None
                 assert len(leaf_depths(tree)) == 1
                 assert len(tree) == n
 
     def test_small_tree_is_one_block(self):
-        store = BlockStore(8)
-        tree = BTree(store, list(range(1, 8)))
+        tree = BTree(8, list(range(1, 8)))
         assert tree.height() == 1
         found, path = tree.search(3)
         assert found and len(path) == 1
 
     def test_duplicate_insert_rejected(self):
-        store = BlockStore(4)
-        tree = BTree(store, [1, 2, 3])
+        tree = BTree(4, [1, 2, 3])
         with pytest.raises(DuplicateKeyError):
             tree.insert(2)
 
     def test_contains_and_search_path(self):
-        store = BlockStore(4)
-        tree = BTree(store, list(range(1, 101)))
+        tree = BTree(4, list(range(1, 101)))
         assert 57 in tree and 0 not in tree and 101 not in tree
         found, path = tree.search(57)
         assert found and 1 <= len(path) <= tree.height()
@@ -426,8 +458,7 @@ class TestBTree:
     @pytest.mark.parametrize("B", [4, 6, 16])
     def test_fuzz_against_sorted_set(self, B):
         py = random.Random(1000 + B)
-        store = BlockStore(B)
-        tree = BTree(store, [])
+        tree = BTree(B, [])
         ref: set[int] = set()
         for step in range(1200):
             k = py.randint(1, 300)
@@ -445,10 +476,49 @@ class TestBTree:
         assert tree.validate() is None
 
     def test_delete_missing_key(self):
-        store = BlockStore(4)
-        tree = BTree(store, [1, 2, 3])
+        tree = BTree(4, [1, 2, 3])
         with pytest.raises(KeyError):
             tree.delete(9)
+
+    @pytest.mark.parametrize("corrupt", [
+        "unsorted keys", "key range", "overfull", "underfull", "stale map",
+        "missing child", "ragged leaves", "extra map entry",
+    ])
+    def test_validate_names_drift_after_churn(self, corrupt):
+        tree = churned_tree()
+        root, n, h = tree.root, len(tree), tree.height()
+        parent, j, leaf = next(t for t in leaves(tree) if len(t[2].keys) == 3)
+        if corrupt == "unsorted keys":
+            leaf.keys.reverse()
+            message = f"block {leaf.keys} keys not strictly increasing"
+        elif corrupt == "key range":
+            # a leaf between two separators of its parent
+            parent, j, leaf = next(t for t in leaves(tree) if 1 <= t[1] < len(t[0].keys))
+            leaf.keys[0] = parent.keys[j - 1]  # equal to the separator on its left
+            message = f"block {leaf.keys} violates key range ({parent.keys[j - 1]}, {parent.keys[j]})"
+        elif corrupt == "overfull":
+            leaf.keys.insert(1, leaf.keys[0] + 0.5)
+            message = f"block {leaf.keys} overfull (4 keys)"
+        elif corrupt == "underfull":
+            leaf.keys.clear()
+            message = "block [] underfull (0 keys)"
+        elif corrupt == "stale map":
+            tree.key_block[leaf.keys[0]] = root
+            message = f"key {leaf.keys[0]} maps to block {root.keys}, found in block {leaf.keys}"
+        elif corrupt == "missing child":
+            root.children.pop()
+            message = f"block {root.keys} has {len(root.keys)} children for {len(root.keys)} keys"
+        elif corrupt == "ragged leaves":
+            # split the leaf in place into a one-key block over two one-key leaves
+            a, b, c = leaf.keys
+            left, right = Block([a], []), Block([c], [])
+            parent.children[j] = Block([b], [left, right])
+            tree.key_block.update({a: left, b: parent.children[j], c: right})
+            message = f"leaves at mixed depths [{h}, {h + 1}]"
+        else:
+            tree.key_block[0] = root
+            message = f"tree holds {n} keys, map says {n + 1}"
+        assert tree.validate() == message
 
 
 class TestTierForest:
@@ -526,6 +596,8 @@ class TestTierForest:
         ref = FullRepartitionForest(weights, EMConfig(B), rng=replays[1])
         assert st.dump() == ref.dump()
         retiers = 0
+        # summed returned costs of (st, ref): search touches, rebuild writes
+        touches, writes = [0, 0], [0, 0]
         for step in range(300):
             k = py.randint(1, n)
             w_new = weight()
@@ -534,17 +606,26 @@ class TestTierForest:
             for replay in replays:
                 replay.queue.append(off)
             got = st.update_weight(k, tier_value(w_new, B, 4))
-            assert got == ref.update_weight(k, w_new), step
+            want = ref.update_weight(k, w_new)
+            assert got == want, step
+            touches[0] += got.search_total
+            touches[1] += want.search_total
+            writes[0] += got.rebuild_writes
+            writes[1] += want.rebuild_writes
             assert not any(r.queue for r in replays), step
             assert st.dump() == ref.dump(), step
-            assert len(st.store.blocks) == len(ref.store.blocks), step
-            assert st.store.io_touches == ref.store.io_touches, step
-            assert st.store.rebuild_touches == ref.store.rebuild_touches, step
+            assert (len(reachable_blocks(st.comp_tree.values()))
+                    == len(reachable_blocks(ref.comp_tree.values()))), step
+            assert touches[0] == touches[1], step
+            assert writes[0] == writes[1], step
             assert st.validate() is None, step
             for _ in range(3):
                 k = py.randint(1, n)
-                assert st.access(k) == ref.access(k), step
-            assert st.store.io_touches == ref.store.io_touches, step
+                got_access, want_access = st.access(k), ref.access(k)
+                assert got_access == want_access, step
+                touches[0] += got_access
+                touches[1] += want_access
+            assert touches[0] == touches[1], step
         assert retiers >= 100
 
     def test_noop_update_leaves_dump_alone(self):
@@ -573,8 +654,8 @@ class TestTierForest:
         assert st.validate() is None
 
     def test_store_holds_each_key_once_after_updates(self):
-        # retiering frees the blocks it replaces: every stored block is
-        # reachable from a component tree and holds keys no other block does
+        # retiering drops the trees it replaces: no block is linked from two
+        # places, and the blocks of the component trees hold each key once
         py = random.Random(3)
         n = 120
         raw = [py.random() ** 3 for _ in range(n)]
@@ -582,14 +663,9 @@ class TestTierForest:
         st = TierForestBTreap([r / tot for r in raw], EMConfig(4), rng=RandomStream(8))
         for step in range(301):
             if step % 50 == 0:
-                reachable = []
-                stack = [tree.root for tree in st.comp_tree.values()]
-                while stack:
-                    bid = stack.pop()
-                    reachable.append(bid)
-                    stack.extend(st.store.blocks[bid].children)
-                assert sorted(reachable) == sorted(st.store.blocks)
-                stored = [k for blk in st.store.blocks.values() for k in blk.keys]
+                reachable = reachable_blocks(st.comp_tree.values())
+                assert len({id(blk) for blk in reachable}) == len(reachable)
+                stored = [k for blk in reachable for k in blk.keys]
                 assert sorted(stored) == list(range(1, n + 1))
             k = py.randint(1, n)
             st.update_weight(k, tier_value(2.0 ** -py.uniform(0.1, 20), 4, 4))
@@ -598,12 +674,10 @@ class TestTierForest:
     def test_io_counters_split_by_phase(self):
         n = 64
         st = TierForestBTreap([1.0 / n] * n, EMConfig(4), rng=RandomStream(8))
-        st.store.io_touches = st.store.rebuild_touches = 0
-        got = st.access(10)
-        assert st.store.io_touches == got and st.store.rebuild_touches == 0
+        before = st.access(10)
         uc = st.update_weight(10, tier_value(2.0 ** -40, 4, 4))
-        assert st.store.io_touches == got + uc.search_total
-        assert st.store.rebuild_touches == uc.rebuild_writes
+        assert uc.removal_path == before
+        assert uc.insertion_path == st.access(10)
         assert uc.rebuild_writes > 0  # the tier changed, so components did
 
     @pytest.mark.parametrize("corrupt, message", [
@@ -621,7 +695,7 @@ class TestTierForest:
             st.comp_root[cid] = child
         elif corrupt == "split neighbours":
             st.comp_tree[cid].delete(child)
-            st.comp_tree[cid + 1] = BTree(st.store, [child], tier=st.tier_of(child))
+            st.comp_tree[cid + 1] = BTree(4, [child], tier=st.tier_of(child))
             st.comp_root[cid + 1] = child
             st.comp_of[child] = cid + 1
         else:
@@ -664,7 +738,7 @@ class TestTierForest:
         elif corrupt == "stale component":
             # an old component left behind, still naming a top that moved on
             stale = max(comp_tree) + 1
-            comp_tree[stale] = BTree(st.store, [], tier=tier[top])
+            comp_tree[stale] = BTree(st.cfg.B, [], tier=tier[top])
             st.comp_root[stale] = top
             message = f"component {stale} root {top} is not the top of its own component"
         elif corrupt == "tree tier":
@@ -739,17 +813,34 @@ class TestDetScoreForest:
         st = DetScoreForest(weights, EMConfig(B))
         ref = WeightDetScoreForest(weights, EMConfig(B))
         moves = 0
+        touches = [0, 0]  # summed returned costs of st and ref
         for step in range(400):
             k, w_new = py.randint(1, n), weight()
             idx = tier_value(w_new, B, 2)
             moves += idx != st.tree_index[k]
-            assert st.update_weight(k, idx) == ref.update_weight(k, w_new), step
+            got, want = st.update_weight(k, idx), ref.update_weight(k, w_new)
+            assert got == want, step
+            touches[0] += got
+            touches[1] += want
             assert st.tree_index == ref.tree_index, step
             assert list(st.trees) == list(ref.trees), step
-            assert block_dump(st.store) == block_dump(ref.store), step
-            assert st.store.io_touches == ref.store.io_touches, step
+            assert ({i: tree_dump(t.root) for i, t in st.trees.items()}
+                    == {i: tree_dump(t.root) for i, t in ref.trees.items()}), step
+            assert touches[0] == touches[1], step
         assert moves >= 200
         assert st.validate() is None
+
+    def test_validate_names_a_corrupt_tree(self):
+        py = random.Random(8)
+        n, B = 300, 4
+        st = DetScoreForest([1.0 / (n + 1) ** 2] * n, EMConfig(B))
+        for _ in range(400):
+            st.update_weight(py.randint(1, n),
+                             tier_value(float(B) ** -(2.0 ** py.uniform(-0.5, 4.5)), B, 2))
+        assert st.validate() is None
+        i, tree = next((i, t) for i, t in st.trees.items() if i and len(t.root.keys) >= 2)
+        tree.root.keys.reverse()
+        assert st.validate() == f"tree {i}: block {tree.root.keys} keys not strictly increasing"
 
     def test_validate_catches_unsorted_tree_order(self):
         # access probes trees in dict order, so that order must stay ascending
@@ -852,6 +943,29 @@ class TestRankForest:
             st.tree_of[600] = 1
         assert st.validate() is not None
 
+    @pytest.mark.parametrize("corrupt", ["size band", "rank cap"])
+    def test_check_invariant_catches_drift(self, corrupt):
+        py = random.Random(12)
+        n = 1100  # at B = 4, tree 1 keeps 16..512 items and ranks up to 1024
+        st = RankForest(n, EMConfig(4))
+        for _ in range(300):
+            st.access(py.randint(1, n))
+        assert st.validate() is None
+
+        def move(keys, src: int, dst: int) -> None:
+            for k in list(keys):
+                st.trees[src].delete(k)
+                st.trees[dst].insert(k)
+
+        if corrupt == "size band":
+            move(list(st.trees[1].key_block)[15:], 1, 2)
+            message = "tree 1 has 15 items, band [16, 512]"
+        else:  # tree 1 is now the last non-empty tree, so only its rank cap applies
+            for i in range(2, st.S + 1):
+                move(st.trees[i].key_block, i, 1)
+            message = f"tree 1 holds rank {n}, cap 1024"
+        assert st.check_invariant() == message
+
     @pytest.mark.parametrize("family, n, m, B", [
         ("uniform", 600, 6000, 4),  # cascades into tree 2
         ("zipf", 1024, 8000, 4),
@@ -864,17 +978,21 @@ class TestRankForest:
         seq = gen_sequence(TraceSpec(family, n=n, m=m, seed=4))
         st = RankForest(n, EMConfig(B))
         ref = StampHeapRankForest(n, EMConfig(B))
+        touches = [0, 0]  # summed returned costs of st and ref
 
         def same_state() -> None:
             assert recency(st) == sorted(range(1, n + 1), key=ref.rank)
             for i in range(1, st.S + 1):
                 assert st.trees[i].keys_inorder() == ref.trees[i].keys_inorder()
-            assert st.store.io_touches == ref.store.io_touches
+            assert touches[0] == touches[1]
             assert st.validate() is None
             assert ref.validate() is None
 
         for step, x in enumerate(seq.items, start=1):
-            assert st.access(x) == ref.access(x), step
+            got, want = st.access(x), ref.access(x)
+            assert got == want, step
+            touches[0] += got
+            touches[1] += want
             assert st.tree_of == ref.tree_of, step
             if step % 500 == 0:
                 same_state()
