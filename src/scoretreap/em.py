@@ -76,7 +76,9 @@ class BTree:
     Blocks hold at most ``B - 1`` keys; non-root blocks keep at least
     ``ceil(B/2) - 1`` after deletions.  ``key_block`` tracks the block that
     currently contains each key, and ``built`` counts the blocks the bulk
-    build wrote.
+    build wrote.  Only ``TierForestBTreap`` sets ``tier`` and ``top``: the
+    tier of the component the tree holds, and the component's root in the
+    base treap.
     """
 
     def __init__(self, B: int, keys: Sequence[int] = (), tier: int | None = None):
@@ -84,6 +86,7 @@ class BTree:
             raise ConfigError(f"block fanout must be >= 4, got {B}")
         self.B = B
         self.tier = tier
+        self.top = 0
         self.key_block: dict[int, Block] = {}
         ks = sorted(keys)
         if len(set(ks)) != len(ks):
@@ -358,18 +361,20 @@ class TierForestBTreap:
 
     The base treap orders keys by ``floor(log4 log_B (1/w))`` tiers; tiers
     only grow along root-to-leaf paths, so maximal same-tier regions form a
-    forest of components.  Each component becomes one bulk-built B-tree whose
-    root hangs (conceptually) below the block containing the component
-    root's treap parent.  Rebuild writes are counted apart from search
-    touches.
+    forest of components.  Each component is one bulk-built B-tree, which
+    records the component's tier and its top (its root in the base treap);
+    ``comp_of[k]`` is the tree of ``k``'s component.  The tree's root hangs
+    (conceptually) below the block containing the top's treap parent.
+    Rebuild writes are counted apart from search touches.
 
     A weight update re-prioritizes one key of the base treap, and its
     rotations re-hang only nodes beside that key's root path.  On a tier
     change only the components holding such a node, or gaining one from
     below, are re-grouped from their new tops: a group equal to an old
     component (same tier, same members) keeps its tree, every other group
-    is bulk-built, and unmatched old trees are dropped.  All other components
-    keep their members, tier, top and tree.
+    is bulk-built, and an old tree that no ``comp_of`` entry names any more
+    is simply dropped.  All other components keep their members, tier, top
+    and tree.
     """
 
     def __init__(self, weights: Sequence[float], cfg: EMConfig, rng: RandomStream | None = None):
@@ -382,10 +387,7 @@ class TierForestBTreap:
         self.tier_bases = (cfg.B, 4)  # the tier rule: floor(log4 log_B (1/w))
         tiers = [tier_value(w, *self.tier_bases) for w in wl]
         self.base = Treap.build_arrays(tiers, offsets)
-        self.comp_of: list[int] = [0] * (self.n + 1)
-        self.comp_root: dict[int, int] = {}
-        self.comp_tree: dict[int, BTree] = {}
-        self._next_comp = 1
+        self.comp_of: list[BTree | None] = [None] * (self.n + 1)  # slot 0 unused
         for top, members in self._components(self._tops(range(1, self.n + 1))):
             self._new_component(top, members)
 
@@ -423,13 +425,10 @@ class TierForestBTreap:
 
     def _new_component(self, top: int, members: list[int]) -> int:
         """Bulk-build one component's tree; returns the blocks written."""
-        cid = self._next_comp
-        self._next_comp += 1
         tree = BTree(self.cfg.B, members, tier=self.base._tier[top])
-        self.comp_root[cid] = top
-        self.comp_tree[cid] = tree
+        tree.top = top
         for k in members:
-            self.comp_of[k] = cid
+            self.comp_of[k] = tree
         return tree.built
 
     def _neighbours(self, key: int) -> tuple[set[int], tuple[int, int]]:
@@ -470,22 +469,16 @@ class TierForestBTreap:
             p = parent[x]
             if p and tier[p] == tier[x]:
                 dirty.add(comp_of[p])
-        tops = self._tops(sorted(moved.union([self.comp_root[cid] for cid in dirty])))
-        kept = set()
+        tops = self._tops(sorted(moved.union([tree.top for tree in dirty])))
         written = 0
         for top, members in self._components(tops):
-            # groups are disjoint, so comp_of still holds this group's old ids
-            cid = comp_of[top]
-            tree = self.comp_tree[cid]
+            # groups are disjoint, so comp_of still holds this group's old trees
+            tree = comp_of[top]
             if (tree.tier == tier[top] and len(tree) == len(members)
-                    and all(comp_of[k] == cid for k in members)):
-                self.comp_root[cid] = top
-                kept.add(cid)
+                    and all(comp_of[k] is tree for k in members)):
+                tree.top = top
             else:
                 written += self._new_component(top, members)
-        for cid in dirty - kept:
-            del self.comp_tree[cid]
-            del self.comp_root[cid]
         return written
 
     def _refresh_root(self, key: int) -> None:
@@ -494,7 +487,7 @@ class TierForestBTreap:
         cur = key
         while parent[cur] and tier[parent[cur]] == tier[cur]:
             cur = parent[cur]
-        self.comp_root[self.comp_of[key]] = cur
+        self.comp_of[key].top = cur
 
     # -- access -------------------------------------------------------------
 
@@ -502,14 +495,12 @@ class TierForestBTreap:
         """Blocks on the glued search path to ``key``, walked upward: each
         component tree is searched for ``key`` or for the treap parent of the
         top of the component below, and tree tiers never grow on the way up."""
-        comp_of, comp_root, comp_tree = self.comp_of, self.comp_root, self.comp_tree
-        parent = self.base._parent
+        comp_of, parent = self.comp_of, self.base._parent
         out: list[Block] = []
         target = key
-        cid = comp_of[key]
-        below = comp_tree[cid].tier
+        tree = comp_of[key]
+        below = tree.tier
         while True:
-            tree = comp_tree[cid]
             if tree.tier > below:
                 raise AssertionError(f"tiers not monotone on the path to {key}: "
                                      f"tier {tree.tier} above tier {below}")
@@ -518,10 +509,10 @@ class TierForestBTreap:
                 raise AssertionError(f"key {target} missing from its component tree")
             out += path
             below = tree.tier
-            target = parent[comp_root[cid]]
+            target = parent[tree.top]
             if not target:
                 return out
-            cid = comp_of[target]
+            tree = comp_of[target]
 
     def access(self, key: int) -> int:
         """The number of distinct blocks on the path to ``key``."""
@@ -553,6 +544,10 @@ class TierForestBTreap:
 
     # -- serialization / checks ----------------------------------------------
 
+    def _trees(self) -> list[BTree]:
+        """The component trees that ``comp_of`` names, each once, by top."""
+        return sorted(set(self.comp_of[1:]), key=lambda tree: tree.top)
+
     def dump(self) -> str:
         """Canonical text form: one block per line (id, tier, keys, children).
 
@@ -562,11 +557,10 @@ class TierForestBTreap:
         """
         glue_children: dict[Block, list[tuple[Block, int]]] = {}
         queue: list[tuple[Block, int]] = []  # (block, its tree's tier)
-        for cid, top in sorted(self.comp_root.items(), key=lambda kv: kv[1]):
-            tree = self.comp_tree[cid]
-            p = self.base._parent[top]
+        for tree in self._trees():
+            p = self.base._parent[tree.top]
             if p:
-                host = self.comp_tree[self.comp_of[p]].key_block[p]
+                host = self.comp_of[p].key_block[p]
                 glue_children.setdefault(host, []).append((tree.root, tree.tier))
             else:
                 queue.append((tree.root, tree.tier))
@@ -590,31 +584,28 @@ class TierForestBTreap:
         err = self.base.validate()
         if err:
             return f"base treap: {err}"
-        if set(self.comp_root) != set(self.comp_tree):
-            return (f"component ids differ: roots {sorted(self.comp_root)}, "
-                    f"trees {sorted(self.comp_tree)}")
-        # the decomposition must be the one the base treap implies now
-        parent, tier = self.base._parent, self.base._tier
+        # the decomposition must be the one the base treap implies now; a
+        # component is named by its top
+        parent, tier, comp_of = self.base._parent, self.base._tier, self.comp_of
         for k in range(1, self.n + 1):
             p = parent[k]
             if p and tier[p] == tier[k]:
-                if self.comp_of[k] != self.comp_of[p]:
+                if comp_of[k] is not comp_of[p]:
                     return (f"same-tier key {k} and parent {p} in components "
-                            f"{self.comp_of[k]} and {self.comp_of[p]}")
-            elif self.comp_root.get(self.comp_of[k]) != k:
-                return f"top key {k} is not the root of its component {self.comp_of[k]}"
-        for cid, top in self.comp_root.items():
-            p = parent[top]
-            if self.comp_of[top] != cid or (p and tier[p] >= tier[top]):
-                return f"component {cid} root {top} is not the top of its own component"
-        for cid, tree in self.comp_tree.items():
-            t = tier[self.comp_root[cid]]
+                            f"{comp_of[k].top} and {comp_of[p].top}")
+            elif comp_of[k].top != k:
+                return f"top key {k} is not the root of its component {comp_of[k].top}"
+        # so each named tree's top is a key whose tree it is, and tops differ
+        trees = self._trees()
+        for tree in trees:
+            t = tier[tree.top]
             if tree.tier != t:
-                return f"component {cid} tree records tier {tree.tier}, its root has {t}"
+                return f"component {tree.top} tree records tier {tree.tier}, its root has {t}"
             for k in tree.key_block:
                 if tier[k] != t:
-                    return f"component {cid} mixes tiers at key {k}"
-        return _check_trees(self.comp_tree, self.comp_of, self.n)
+                    return f"component {tree.top} mixes tiers at key {k}"
+        return _check_trees({tree.top: tree for tree in trees},
+                            [0] + [tree.top for tree in comp_of[1:]], self.n)
 
 
 def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[Block]]:

@@ -132,9 +132,6 @@ class Treap:
     # ------------------------------------------------------------------
     # introspection
 
-    def __len__(self) -> int:
-        return self.size
-
     def __contains__(self, key: int) -> bool:
         return 1 <= key <= self.n and bool(self._present[key])
 
@@ -225,25 +222,6 @@ class Treap:
             if r:
                 stack.append((r, d + 1))
         return out
-
-    def is_ancestor(self, x: int, y: int) -> bool:
-        """True iff ``x`` lies on the root path of ``y``.
-
-        Evaluated through the order characterization: ``x`` is an ancestor of
-        ``y`` exactly when ``x`` has the highest priority among the present
-        keys in the closed interval ``[min(x,y), max(x,y)]``.
-        """
-        self._require(x)
-        self._require(y)
-        if x == y:
-            return True
-        lo, hi = (x, y) if x < y else (y, x)
-        present = self._present
-        best = lo
-        for k in range(lo + 1, hi + 1):
-            if present[k] and self._wins(k, best):
-                best = k
-        return best == x
 
     # ------------------------------------------------------------------
     # updates

@@ -96,21 +96,27 @@ def test_c01_treap_unique_for_any_insertion_order():
 
 def test_c02_ancestor_iff_interval_priority_max():
     """x is an ancestor of y exactly when x holds the top priority on the
-    key interval [x, y]; exhaustive over all pairs, n <= 10, 100 seeds."""
+    key interval [x, y]; the ancestors are read by walking the built treap's
+    parent links up from y.  Exhaustive over all pairs, n <= 10, 100 seeds."""
     py = random.Random(23)
     for seed in range(100):
         n = 2 + seed % 9
         pris = {k: (py.randint(0, 2), py.random() * 0.998 + 0.001)
                 for k in range(1, n + 1)}
         t = Treap.build(pris, n=n)
-        for x in range(1, n + 1):
-            for y in range(1, n + 1):
+        for y in range(1, n + 1):
+            ancestors = set()
+            p = t.parent_of(y)
+            while p:
+                ancestors.add(p)
+                p = t.parent_of(p)
+            for x in range(1, n + 1):
                 if x == y:
                     continue
                 lo, hi = min(x, y), max(x, y)
                 top = max(range(lo, hi + 1),
                           key=lambda k: (-pris[k][0], pris[k][1]))
-                assert t.is_ancestor(x, y) == (top == x)
+                assert (x in ancestors) == (top == x)
 
 
 # -- 3 & 4 (shared instrumentation) -------------------------------------------

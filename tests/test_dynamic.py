@@ -11,6 +11,7 @@ Window conventions under test (all 1-based):
 
 import math
 import random
+import re
 
 import pytest
 
@@ -192,6 +193,21 @@ class TestIntervalSetPriority:
                 total += len(u)
             assert total <= seq.m
 
+    def test_norm_above_steady_bound_raises_once_all_seen(self):
+        # the bound applies only once every item has been served
+        seq = AccessSequence(3, [1, 2, 3, 1, 2])
+        st = compute_stats(seq)
+        state = IntervalSetPriorityState(3)
+        for i in (1, 2, 3):
+            state.step(i, st)
+        assert state.all_seen
+        # under the ceiling and over the steady bound, also after the step
+        # moves one weight by at most 1/4
+        state.norm = NORM_STEADY + 0.5
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"exceeds steady bound {NORM_STEADY}")):
+            state.step(4, st)
+
     def test_norm_bound_all_steps_and_steady_state(self, py_rng):
         for trial in range(20):
             n = py_rng.randint(2, 20)
@@ -265,23 +281,42 @@ class TestCrudeOracle:
                 assert oracle.validate() is None, (trace, i)
         assert oracle.score == ref.score
 
-    @pytest.mark.parametrize("field", ["link", "boundary", "band"])
+    @pytest.mark.parametrize("field", ["link", "boundary", "band", "link range", "tail",
+                                       "unseen band"])
     def test_validate_catches_state_drift(self, py_rng, field):
         n = 64
+        seen = n // 2 if field == "unseen band" else n  # keys 1..seen get served
         oracle = CrudeOracle(n)
-        for key in range(1, n + 1):
+        for key in range(1, seen + 1):
             oracle.step(key)
         for _ in range(500):
-            oracle.step(py_rng.randint(1, n))
+            oracle.step(py_rng.randint(1, seen))
             assert oracle.validate() is None
+        order = [oracle.head]  # the move-to-front list, rank 1 first
+        while oracle.next[order[-1]]:
+            order.append(oracle.next[order[-1]])
         if field == "link":  # rank 8 names rank 2 as its predecessor
-            oracle.prev[oracle.at[3]] = oracle.at[1]
+            oracle.prev[order[7]] = order[1]
+            message = f"prev of {order[7]} is {order[1]}, but {order[6]} links to it"
         elif field == "boundary":  # the rank-8 pointer lags one place
-            oracle.at[3] = oracle.next[oracle.at[3]]
-        else:  # rank 16 (work 15) claims the next band up, score and all
-            oracle.band[oracle.at[4]] = 5
-            oracle.score[oracle.at[4]] = 31
-        assert oracle.validate() is not None
+            want = list(oracle.at)
+            oracle.at[3] = order[8]
+            message = f"boundary pointers {oracle.at}, expected {want}"
+        elif field == "band":  # rank 16 (work 15) claims the next band up, score and all
+            oracle.band[order[15]] = 5
+            oracle.score[order[15]] = 31
+            message = f"item {order[15]} at rank 16 has band 5 and score 31, expected 4 and 15"
+        elif field == "link range":  # rank 10 links past the universe
+            oracle.next[order[9]] = n + 1
+            message = f"link after {order[9]} points to {n + 1}, outside 1..{n}"
+        elif field == "tail":  # the tail pointer stops one short of the list's end
+            oracle.tail = order[-2]
+            message = (f"list from head {order[0]} ends at {order[-1]} after {n} items; "
+                       f"tail is {order[-2]}, {n} seen")
+        else:  # an item never served claims rank 1's band
+            oracle.band[n] = 0
+            message = f"unseen item {n} has band 0 and score 127, expected -1 and 127"
+        assert oracle.validate() == message
 
     def test_rounded_score_values(self):
         assert [_round_score(w) for w in (0, 1, 2, 3, 4)] == [0, 1, 3, 3, 7]

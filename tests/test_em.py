@@ -3,6 +3,7 @@ deterministic score buckets, and the self-organizing recency forest."""
 
 import bisect
 import collections
+import hashlib
 import heapq
 import math
 import random
@@ -41,11 +42,11 @@ class FullRepartitionForest(TierForestBTreap):
     is found top-down: the chain of components on the root path first, then
     one search per component tree, with the tiers checked afterwards."""
 
-    def _chain(self, key: int) -> list[int]:
-        """Component ids on the root path, top component first."""
+    def _chain(self, key: int) -> list[BTree]:
+        """Component trees on the root path, top component first."""
         chain = [self.comp_of[key]]
         while True:
-            p = self.base._parent[self.comp_root[chain[-1]]]
+            p = self.base._parent[chain[-1].top]
             if not p:
                 break
             chain.append(self.comp_of[p])
@@ -56,10 +57,9 @@ class FullRepartitionForest(TierForestBTreap):
         """(block, tier) pairs on the glued search path to ``key``, top first."""
         chain = self._chain(key)
         out: list[tuple[Block, int]] = []
-        for i, cid in enumerate(chain):
-            tree = self.comp_tree[cid]
+        for i, tree in enumerate(chain):
             if i + 1 < len(chain):
-                target = self.base._parent[self.comp_root[chain[i + 1]]]
+                target = self.base._parent[chain[i + 1].top]
             else:
                 target = key
             found, path = tree.search(target)
@@ -92,32 +92,22 @@ class FullRepartitionForest(TierForestBTreap):
         groups: dict[int, list[int]] = {}
         for k in range(1, self.n + 1):
             groups.setdefault(comp_top[k], []).append(k)
-        members: dict[int, list[int]] = {}
+        members: dict[BTree, list[int]] = {}
         for k in range(1, self.n + 1):
             members.setdefault(self.comp_of[k], []).append(k)
         # keyed by the tree's recorded tier: the updated key's base tier moved
-        old_by_sig = {(self.comp_tree[cid].tier, frozenset(ks)): (cid, self.comp_tree[cid])
-                      for cid, ks in members.items()}
-        new_comp_of = [0] * (self.n + 1)
-        new_root: dict[int, int] = {}
-        new_tree: dict[int, BTree] = {}
+        old_by_sig = {(tree.tier, frozenset(ks)): tree for tree, ks in members.items()}
+        new_comp_of: list[BTree | None] = [None] * (self.n + 1)
         written = 0
         for top, ks in groups.items():
-            hit = old_by_sig.pop((self.base._tier[top], frozenset(ks)), None)
-            if hit is not None:
-                cid, tree = hit
-            else:
-                cid = self._next_comp
-                self._next_comp += 1
+            tree = old_by_sig.pop((self.base._tier[top], frozenset(ks)), None)
+            if tree is None:
                 tree = BTree(self.cfg.B, ks, tier=self.base._tier[top])
                 written += tree.built
-            new_root[cid] = top
-            new_tree[cid] = tree
+            tree.top = top
             for k in ks:
-                new_comp_of[k] = cid
+                new_comp_of[k] = tree
         self.comp_of = new_comp_of
-        self.comp_root = new_root
-        self.comp_tree = new_tree
         return written
 
     def update_weight(self, key: int, w_new: float) -> UpdateCost:
@@ -155,17 +145,16 @@ class WeightDetScoreForest(DetScoreForest):
         return len(touched)
 
 
-def churned_forest() -> TierForestBTreap:
-    """A valid tier forest after 300 random weight updates over tiers 0..3."""
-    py = random.Random(11)
-    n, B = 200, 4
+def churned_forest(n: int = 200, B: int = 4, updates: int = 300, seed: int = 11) -> TierForestBTreap:
+    """A valid tier forest after ``updates`` random weight updates over tiers 0..3."""
+    py = random.Random(seed)
 
     def tier() -> int:  # log_B(1/w) = 4^u spans tiers 0..3
         return tier_value(float(B) ** -(4.0 ** py.uniform(-0.5, 3.5)), B, 4)
 
     st = TierForestBTreap([float(B) ** -(4.0 ** t) for t in (tier() for _ in range(n))],
-                          EMConfig(B), rng=RandomStream(11))
-    for _ in range(300):
+                          EMConfig(B), rng=RandomStream(seed))
+    for _ in range(updates):
         st.update_weight(py.randint(1, n), tier())
     assert st.validate() is None
     return st
@@ -173,7 +162,7 @@ def churned_forest() -> TierForestBTreap:
 
 def glued_top(st: TierForestBTreap) -> int:
     """The smallest component top that hangs below another component."""
-    return min(top for top in st.comp_root.values() if st.base.parent_of(top))
+    return min(tree.top for tree in st._trees() if st.base.parent_of(tree.top))
 
 
 def reachable_blocks(trees) -> list[Block]:
@@ -527,7 +516,7 @@ class TestTierForest:
             n = B * B
             st = TierForestBTreap([1.0 / n] * n, EMConfig(B))
             assert st.validate() is None
-            assert len(st.comp_tree) == 1
+            assert len(st._trees()) == 1
             assert all(st.tier_of(k) == 0 for k in range(1, n + 1))
             assert max(st.access(k) for k in range(1, n + 1)) <= 3
 
@@ -614,8 +603,8 @@ class TestTierForest:
             writes[1] += want.rebuild_writes
             assert not any(r.queue for r in replays), step
             assert st.dump() == ref.dump(), step
-            assert (len(reachable_blocks(st.comp_tree.values()))
-                    == len(reachable_blocks(ref.comp_tree.values()))), step
+            assert (len(reachable_blocks(st._trees()))
+                    == len(reachable_blocks(ref._trees()))), step
             assert touches[0] == touches[1], step
             assert writes[0] == writes[1], step
             assert st.validate() is None, step
@@ -663,7 +652,7 @@ class TestTierForest:
         st = TierForestBTreap([r / tot for r in raw], EMConfig(4), rng=RandomStream(8))
         for step in range(301):
             if step % 50 == 0:
-                reachable = reachable_blocks(st.comp_tree.values())
+                reachable = reachable_blocks(st._trees())
                 assert len({id(blk) for blk in reachable}) == len(reachable)
                 stored = [k for blk in reachable for k in blk.keys]
                 assert sorted(stored) == list(range(1, n + 1))
@@ -683,30 +672,36 @@ class TestTierForest:
     @pytest.mark.parametrize("corrupt, message", [
         ("stale root", "is not the root"),
         ("split neighbours", "same-tier key"),
-        ("orphan root", "component ids differ"),
     ])
     def test_validate_catches_decomposition_drift(self, corrupt, message):
         n = 64  # uniform weights: one tier-0 component
         st = TierForestBTreap([1.0 / n] * n, EMConfig(4), rng=RandomStream(3))
         assert st.validate() is None
-        (cid, top), = st.comp_root.items()
+        tree, = st._trees()
+        top = tree.top
         child = st.base.left_of(top) or st.base.right_of(top)
         if corrupt == "stale root":
-            st.comp_root[cid] = child
-        elif corrupt == "split neighbours":
-            st.comp_tree[cid].delete(child)
-            st.comp_tree[cid + 1] = BTree(4, [child], tier=st.tier_of(child))
-            st.comp_root[cid + 1] = child
-            st.comp_of[child] = cid + 1
+            tree.top = child
+            message = f"top key {top} {message} of its component {child}"
         else:
-            st.comp_root[cid + 1] = top
-        assert message in st.validate()
+            tree.delete(child)
+            split = BTree(4, [child], tier=st.tier_of(child))
+            split.top = child
+            st.comp_of[child] = split
+            # the child's own children keep the old tree, and key order
+            # reaches the smallest of the mismatched pairs first
+            k = min(c for c in range(1, n + 1)
+                    if c == child or st.base.parent_of(c) == child)
+            p = st.base.parent_of(k)
+            message = (f"{message} {k} and parent {p} in components "
+                       f"{st.comp_of[k].top} and {st.comp_of[p].top}")
+        assert st.validate() == message
 
     def test_path_walk_rejects_a_tier_that_grows_upward(self):
         st = churned_forest()
         top = glued_top(st)
-        low = st.comp_tree[st.comp_of[top]].tier
-        st.comp_tree[st.comp_of[st.base.parent_of(top)]].tier = low + 1
+        low = st.comp_of[top].tier
+        st.comp_of[st.base.parent_of(top)].tier = low + 1
         msg = re.escape(f"tiers not monotone on the path to {top}: tier {low + 1} above tier {low}")
         with pytest.raises(AssertionError, match=msg):
             st.access(top)
@@ -718,43 +713,47 @@ class TestTierForest:
         st = churned_forest()
         top = glued_top(st)
         key = top if gone == "target" else st.base.parent_of(top)
-        st.comp_tree[st.comp_of[key]].delete(key)
+        st.comp_of[key].delete(key)
         with pytest.raises(AssertionError, match=f"key {key} missing from its component tree"):
             st.access(top)
 
     @pytest.mark.parametrize("corrupt", [
-        "base heap order", "stale component", "tree tier", "foreign tier",
-        "foreign component", "lost key",
+        "base heap order", "tree tier", "foreign tier", "foreign component", "lost key",
     ])
     def test_validate_names_drift_after_churn(self, corrupt):
         st = churned_forest()
-        tier, comp_tree = st.base._tier, st.comp_tree
+        tier = st.base._tier
         top = glued_top(st)
-        cid = st.comp_of[top]
+        own = st.comp_of[top]
         if corrupt == "base heap order":
             p = st.base.parent_of(top)
             tier[top] = tier[p] - 1  # top now outranks its parent, and only it
             message = f"base treap: heap order violated between {p} and child {top}"
-        elif corrupt == "stale component":
-            # an old component left behind, still naming a top that moved on
-            stale = max(comp_tree) + 1
-            comp_tree[stale] = BTree(st.cfg.B, [], tier=tier[top])
-            st.comp_root[stale] = top
-            message = f"component {stale} root {top} is not the top of its own component"
         elif corrupt == "tree tier":
-            comp_tree[cid].tier += 1
-            message = f"component {cid} tree records tier {tier[top] + 1}, its root has {tier[top]}"
+            own.tier += 1
+            message = f"component {top} tree records tier {tier[top] + 1}, its root has {tier[top]}"
         else:
-            comp_tree[cid].delete(top)
+            own.delete(top)
             message = f"forest holds {st.n - 1} keys, expected {st.n}"
             if corrupt != "lost key":  # comp_of still names the old component
                 same = corrupt == "foreign component"
-                other = min(c for c, tree in comp_tree.items()
-                            if c != cid and (tree.tier == tier[top]) == same)
-                comp_tree[other].insert(top)
-                message = (f"key {top} marked in tree {cid}, stored in tree {other}" if same
-                           else f"component {other} mixes tiers at key {top}")
+                other = next(tree for tree in st._trees()  # the smallest such top
+                             if tree is not own and (tree.tier == tier[top]) == same)
+                other.insert(top)
+                message = (f"key {top} marked in tree {top}, stored in tree {other.top}" if same
+                           else f"component {other.top} mixes tiers at key {top}")
         assert st.validate() == message
+
+    @pytest.mark.parametrize("n, B, updates, seed, digest", [
+        (200, 4, 300, 11, "754bd0a9de2bce3e618416a1a8bce249a464453df871909a6576d35ce5d589b1"),
+        (1000, 16, 2000, 5, "af03037dc37ffbba8e5caed6ad1867f41a31901b01a1a0baa381b9ed7cf2effa"),
+    ], ids=["n200-B4", "n1000-B16"])
+    def test_dump_digest_is_pinned(self, n, B, updates, seed, digest):
+        """The canonical form of a churned forest does not move: the tiers,
+        the component trees' packing, the glue order and the dump format all
+        feed these sha256 literals."""
+        dump = churned_forest(n, B, updates, seed).dump()
+        assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
     def test_dump_is_deterministic(self):
         n = 40

@@ -215,33 +215,6 @@ class TestAccess:
                 [t.depth(k) for k in range(1, n + 1)]
 
 
-class TestAncestor:
-    def test_three_key_examples(self):
-        t = Treap.build(THREE)
-        assert t.is_ancestor(3, 2)
-        assert t.is_ancestor(1, 2) and t.is_ancestor(1, 3)
-        assert not t.is_ancestor(2, 3)
-
-    def test_interval_max_agrees_with_parent_walk(self, py_rng):
-        def walk_ancestor(t: Treap, x: int, y: int) -> bool:
-            node = t.parent_of(y)
-            while node:
-                if node == x:
-                    return True
-                node = t.parent_of(node)
-            return False
-
-        for _ in range(100):
-            n = py_rng.randint(2, 10)
-            pris = random_priorities(py_rng, n)
-            t = Treap.build(pris)
-            for x in range(1, n + 1):
-                for y in range(1, n + 1):
-                    if x == y:
-                        continue
-                    assert t.is_ancestor(x, y) == walk_ancestor(t, x, y)
-
-
 class TestUpdatePriority:
     def test_same_priority_is_a_no_op(self):
         t = Treap.build(THREE)
