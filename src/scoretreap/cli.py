@@ -28,7 +28,7 @@ from .dynamic import (SCHEMES, STRUCTURES, CrudeOracle, IntervalSetPriorityState
                       compute_stats, cost_decomposition_check, run_dynamic)
 from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from .errors import ConfigError
-from .oracle import optimal_static_bst_cost
+from .oracle import ExhaustiveStats, optimal_static_bst_cost
 from .priorities import (RandomStream, composite_priority, raw_score_priority,
                          single_log_priority, tier_value)
 from .sequences import (DISTRIBUTION_FAMILIES, SEQUENCE_FAMILIES, TraceSpec,
@@ -428,9 +428,10 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
                 ok = False
                 break
     checks["crude_band_and_volume"] = ok
+    # against the window-rescan reference, which shares no code with compute_stats
+    rescan = ExhaustiveStats(seq.items, n)
     checks["futures_match_next_work"] = all(
-        stats.future[i] == (stats.work[stats.next[i]] if stats.next[i] <= m else n)
-        for i in range(1, m + 1))
+        stats.future[i] == rescan.future(i, x) for i, x in enumerate(seq.items, start=1))
     return _checks_summary(checks)
 
 

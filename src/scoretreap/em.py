@@ -5,7 +5,8 @@ blocks.  Each forest operation returns the number of distinct blocks it
 touches.
 
 * ``BTree`` -- a plain B-tree (bulk build, search, insert, delete) whose
-  operations return the blocks they touch.
+  operations return the blocks they touch; its blocks are the only record
+  of its keys.
 * ``TierForestBTreap`` -- a treap under the doubly-logarithmic block rule,
   decomposed into maximal same-tier components, each materialized as a
   bulk-built B-tree and glued below the block holding its root's parent.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -74,11 +75,11 @@ class BTree:
     """B-tree of fanout ``B`` whose blocks link to their children.
 
     Blocks hold at most ``B - 1`` keys; non-root blocks keep at least
-    ``ceil(B/2) - 1`` after deletions.  ``key_block`` tracks the block that
-    currently contains each key, and ``built`` counts the blocks the bulk
-    build wrote.  Only ``TierForestBTreap`` sets ``tier`` and ``top``: the
-    tier of the component the tree holds, and the component's root in the
-    base treap.
+    ``ceil(B/2) - 1`` after deletions.  The blocks are the only record of
+    the keys the tree holds; ``size`` counts them, and ``built`` counts the
+    blocks the bulk build wrote.  Only ``TierForestBTreap`` sets ``tier``
+    and ``top``: the tier of the component the tree holds, and the
+    component's root in the base treap.
     """
 
     def __init__(self, B: int, keys: Sequence[int] = (), tier: int | None = None):
@@ -87,26 +88,20 @@ class BTree:
         self.B = B
         self.tier = tier
         self.top = 0
-        self.key_block: dict[int, Block] = {}
         ks = sorted(keys)
         if len(set(ks)) != len(ks):
             raise DuplicateKeyError("bulk keys contain duplicates")
+        self.size = len(ks)
         if ks:
-            self.root, _, self.built = self._bulk(ks)
+            self.root, self.built = self._bulk(ks)
         else:
-            self.root, self.built = self._new([], []), 1
-
-    def _new(self, keys: list[int], children: list[Block]) -> Block:
-        blk = Block(keys, children)
-        for k in keys:
-            self.key_block[k] = blk
-        return blk
+            self.root, self.built = Block([], []), 1
 
     def __len__(self) -> int:
-        return len(self.key_block)
+        return self.size
 
     def __contains__(self, key: int) -> bool:
-        return key in self.key_block
+        return self.search(key)[0]
 
     @property
     def max_keys(self) -> int:
@@ -118,17 +113,15 @@ class BTree:
 
     # -- bulk construction -------------------------------------------------
 
-    def _bulk(self, keys: list[int]) -> tuple[Block, int, int]:
+    def _bulk(self, keys: list[int]) -> tuple[Block, int]:
         """Minimal uniform-depth packing of sorted keys; returns (root,
-        height, blocks written)."""
+        blocks written)."""
         if len(keys) <= self.max_keys:
-            return self._new(list(keys), []), 1, 1
+            return Block(list(keys), []), 1
         B = self.B
         child_cap = self.max_keys  # capacity of a height-1 subtree
-        height = 2
         while child_cap * B + (B - 1) < len(keys):
             child_cap = child_cap * B + (B - 1)
-            height += 1
         fanout = -((len(keys) + 1) // -(child_cap + 1))  # ceil division
         spread = len(keys) - (fanout - 1)
         base, extra = divmod(spread, fanout)
@@ -138,16 +131,14 @@ class BTree:
         written = 1
         idx = 0
         for j, size in enumerate(sizes):
-            child, ch, cw = self._bulk(keys[idx : idx + size])
-            if ch != height - 1:
-                raise AssertionError(f"ragged bulk build: child height {ch} != {height - 1}")
+            child, cw = self._bulk(keys[idx : idx + size])
             children.append(child)
             written += cw
             idx += size
             if j < fanout - 1:
                 node_keys.append(keys[idx])
                 idx += 1
-        return self._new(node_keys, children), height, written
+        return Block(node_keys, children), written
 
     # -- queries -----------------------------------------------------------
 
@@ -191,35 +182,35 @@ class BTree:
 
     def insert(self, key: int) -> list[Block]:
         """Insert ``key``; returns the blocks touched (path + splits)."""
-        if key in self.key_block:
-            raise DuplicateKeyError(f"key {key} already present")
         path: list[Block] = []
         blk = self.root
         while True:
             path.append(blk)
+            i = bisect_left(blk.keys, key)
+            if i < len(blk.keys) and blk.keys[i] == key:
+                raise DuplicateKeyError(f"key {key} already present")
             if not blk.children:
                 break
-            blk = blk.children[bisect_left(blk.keys, key)]
-        insort(blk.keys, key)
-        self.key_block[key] = blk
+            blk = blk.children[i]
+        blk.keys.insert(i, key)
+        self.size += 1
         touched = list(path)
         pos = len(path) - 1
         while len(blk.keys) > self.max_keys:
             mid = len(blk.keys) // 2
             sep = blk.keys[mid]
-            right = self._new(blk.keys[mid + 1 :], blk.children[mid + 1 :])
+            right = Block(blk.keys[mid + 1 :], blk.children[mid + 1 :])
             blk.keys = blk.keys[:mid]
             blk.children = blk.children[: mid + 1]
             touched.append(right)
             if pos == 0:
-                self.root = self._new([sep], [blk, right])
+                self.root = Block([sep], [blk, right])
                 touched.append(self.root)
                 break
             parent = path[pos - 1]
             j = bisect_left(parent.keys, sep)
             parent.keys.insert(j, sep)
             parent.children.insert(j + 1, right)
-            self.key_block[sep] = parent
             blk = parent
             pos -= 1
         return touched
@@ -227,8 +218,6 @@ class BTree:
     def delete(self, key: int) -> list[Block]:
         """Delete ``key``; returns the blocks touched (path + rebalances) that
         are still in the tree."""
-        if key not in self.key_block:
-            raise KeyError(key)
         path: list[Block] = []
         blk = self.root
         while True:
@@ -236,6 +225,8 @@ class BTree:
             i = bisect_left(blk.keys, key)
             if i < len(blk.keys) and blk.keys[i] == key:
                 break
+            if not blk.children:
+                raise KeyError(key)
             blk = blk.children[i]
         if blk.children:
             # swap with the predecessor so the removal happens at a leaf
@@ -244,12 +235,10 @@ class BTree:
                 path.append(leaf)
                 leaf = leaf.children[-1]
             path.append(leaf)
-            pred = leaf.keys.pop()
-            blk.keys[i] = pred
-            self.key_block[pred] = blk
+            blk.keys[i] = leaf.keys.pop()
         else:
             blk.keys.pop(i)
-        del self.key_block[key]
+        self.size -= 1
         touched = list(path)
         gone: list[Block] = []  # blocks merged away or collapsed
         pos = len(path) - 1
@@ -262,24 +251,16 @@ class BTree:
             if ci > 0 and len(parent.children[ci - 1].keys) > self.min_keys:
                 left = parent.children[ci - 1]
                 touched.append(left)
-                sep = parent.keys[ci - 1]
-                cur.keys.insert(0, sep)
-                self.key_block[sep] = cur
-                up = left.keys.pop()
-                parent.keys[ci - 1] = up
-                self.key_block[up] = parent
+                cur.keys.insert(0, parent.keys[ci - 1])
+                parent.keys[ci - 1] = left.keys.pop()
                 if left.children:
                     cur.children.insert(0, left.children.pop())
                 break
             if ci < len(parent.children) - 1 and len(parent.children[ci + 1].keys) > self.min_keys:
                 right = parent.children[ci + 1]
                 touched.append(right)
-                sep = parent.keys[ci]
-                cur.keys.append(sep)
-                self.key_block[sep] = cur
-                up = right.keys.pop(0)
-                parent.keys[ci] = up
-                self.key_block[up] = parent
+                cur.keys.append(parent.keys[ci])
+                parent.keys[ci] = right.keys.pop(0)
                 if right.children:
                     cur.children.append(right.children.pop(0))
                 break
@@ -288,14 +269,9 @@ class BTree:
             left, right = parent.children[li], parent.children[li + 1]
             touched.append(left)
             touched.append(right)
-            sep = parent.keys[li]
-            left.keys.append(sep)
-            self.key_block[sep] = left
-            for k2 in right.keys:
-                self.key_block[k2] = left
+            left.keys.append(parent.keys.pop(li))
             left.keys.extend(right.keys)
             left.children.extend(right.children)
-            parent.keys.pop(li)
             parent.children.pop(li + 1)
             gone.append(right)
             pos -= 1
@@ -323,11 +299,6 @@ class BTree:
                 return f"block {ks} overfull ({len(ks)} keys)"
             if blk is not self.root and len(ks) < self.min_keys:
                 return f"block {ks} underfull ({len(ks)} keys)"
-            for k in ks:
-                owner = self.key_block.get(k)
-                if owner is not blk:
-                    where = f"block {owner.keys}" if owner else "no block"
-                    return f"key {k} maps to {where}, found in block {ks}"
             if blk.children:
                 if len(blk.children) != len(ks) + 1:
                     return f"block {ks} has {len(blk.children)} children for {len(ks)} keys"
@@ -338,8 +309,8 @@ class BTree:
                 leaf_depths.add(depth)
         if len(leaf_depths) > 1:
             return f"leaves at mixed depths {sorted(leaf_depths)}"
-        if count != len(self.key_block):
-            return f"tree holds {count} keys, map says {len(self.key_block)}"
+        if count != self.size:
+            return f"tree holds {count} keys, size says {self.size}"
         return None
 
 
@@ -560,7 +531,7 @@ class TierForestBTreap:
         for tree in self._trees():
             p = self.base._parent[tree.top]
             if p:
-                host = self.comp_of[p].key_block[p]
+                host = self.comp_of[p].search(p)[1][-1]
                 glue_children.setdefault(host, []).append((tree.root, tree.tier))
             else:
                 queue.append((tree.root, tree.tier))
@@ -601,7 +572,7 @@ class TierForestBTreap:
             t = tier[tree.top]
             if tree.tier != t:
                 return f"component {tree.top} tree records tier {tree.tier}, its root has {t}"
-            for k in tree.key_block:
+            for k in tree.keys_inorder():
                 if tier[k] != t:
                     return f"component {tree.top} mixes tiers at key {k}"
         return _check_trees({tree.top: tree for tree in trees},
@@ -629,7 +600,7 @@ def _check_trees(trees: dict[int, BTree], tree_of: list[int], n: int) -> str | N
         err = tree.validate()
         if err:
             return f"tree {i}: {err}"
-        for k in tree.key_block:
+        for k in tree.keys_inorder():
             if tree_of[k] != i:
                 return f"key {k} marked in tree {tree_of[k]}, stored in tree {i}"
         total += len(tree)
@@ -718,7 +689,6 @@ class RankForest:
         while cfg.B ** (2 ** S) < n:
             S += 1
         self.S = S
-        self.tree_of = [0] * (n + 1)
         self.trees: dict[int, BTree] = {}
         self.order: dict[int, OrderedDict[int, None]] = {}
         start = 1  # fill trees front to back; initial recency rank equals the key
@@ -726,7 +696,6 @@ class RankForest:
             stop = n + 1 if i == S else min(start + self.cap_hi(i), n + 1)
             self.trees[i] = BTree(cfg.B, range(start, stop))
             self.order[i] = OrderedDict.fromkeys(range(stop - 1, start - 1, -1))
-            self.tree_of[start:stop] = [i] * (stop - start)
             start = stop
 
     def cap_hi(self, i: int) -> int:
@@ -745,7 +714,6 @@ class RankForest:
         if found_at != 1:
             touched.update(self.trees[found_at].delete(key))
             touched.update(self.trees[1].insert(key))
-            self.tree_of[key] = 1
         for i in range(1, self.S):
             while len(self.trees[i]) > self.cap_hi(i):
                 for _ in range(self.chunk(i)):
@@ -753,7 +721,6 @@ class RankForest:
                     self.order[i + 1][victim] = None
                     touched.update(self.trees[i].delete(victim))
                     touched.update(self.trees[i + 1].insert(victim))
-                    self.tree_of[victim] = i + 1
         return len(touched)
 
     def check_invariant(self) -> str | None:
@@ -772,7 +739,10 @@ class RankForest:
         return None
 
     def validate(self) -> str | None:
+        tree_of = [0] * (self.n + 1)
         for i, tree in self.trees.items():
-            if self.order[i].keys() != tree.key_block.keys():
+            if self.order[i].keys() != set(tree.keys_inorder()):
                 return f"tree {i}: its recency list does not hold exactly its keys"
-        return _check_trees(self.trees, self.tree_of, self.n) or self.check_invariant()
+            for k in self.order[i]:
+                tree_of[k] = i
+        return _check_trees(self.trees, tree_of, self.n) or self.check_invariant()

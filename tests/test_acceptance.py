@@ -3,6 +3,50 @@
 Each test prints as a single pass/fail line under ``pytest -v``.  Asymptotic
 claims are replaced by exact small-instance oracles or constant-bounded
 empirical checks; every tolerance is stated inline.
+
+What each claim compares against, and whether that reference shares code
+with what it checks ("independent" means it shares none):
+
+* c01 -- ``oracle.naive_depths`` (recursive argmax): independent.  Also
+  insertion in every order against the bulk build: two construction paths
+  of ``Treap`` (``update_priority`` rotations against ``_sweep``) that
+  share only the node arrays read through ``parent_of``/``left_of``/
+  ``right_of``.
+* c02 -- the interval maximum, computed in the test from the priorities;
+  ancestors are read by walking ``parent_of``: independent.
+* c03 -- ``oracle.optimal_static_bst_cost`` (interval DP): independent; the
+  entropy bound uses ``distributions.entropy``, which no treap code calls.
+* c04 -- log2(1/p_x) from the distribution's masses: independent.
+* c05 -- the exact chain depth(x) = x and the closed form (n+2)/3:
+  independent.
+* c06 -- composite-priority treaps built by the same ``Treap.build_arrays``
+  as the single-log ones: a ratio of two runs of shared code, with no exact
+  reference (ROADMAP item 2).  Known to fail.
+* c07 -- the clean build (same ``Treap`` and ``composite_priority`` code)
+  and bounds from ``distributions.kl``/``cross_entropy``: shares the
+  structure with what it checks; only the bounds are independent of it.
+* c08 -- the tier forest at the unperturbed weights (same
+  ``TierForestBTreap`` code) and budgets from ``distributions``: shares the
+  structure with what it checks.
+* c09 -- pi^2/6 and 0.645, against a norm the test re-sums with
+  ``math.fsum`` from the stored weights, not the state's running norm;
+  the weights come from ``compute_stats``, which ``test_dynamic`` checks
+  against ``oracle.ExhaustiveStats``.
+* c10 -- the served item ``seq.at(i)``: independent.
+* c11 -- the round-robin trace through the same ``run_dynamic`` and treap:
+  a relative claim, fully shared code.
+* c12 -- a budget from ``compute_stats``' work values, the same statistics
+  ``run_dynamic`` is given: shares ``compute_stats`` (checked against the
+  window-rescan oracle elsewhere), not the structures.
+* c13 -- ``RankForest.check_invariant`` and ``validate``: the structure's own
+  checks, so shared; ``test_em``'s ``StampHeapRankForest`` lockstep is the
+  independent reference for the same structure.
+* c14 -- a literal move-to-front list kept in the test: independent.
+* c15 -- ``oracle.ExhaustiveStats`` (window rescans): independent.
+* c16 -- ``oracle.analytic_expected_depth`` (harmonic sum): independent.
+* c17 -- the exact-prediction run through the same ``run_dynamic`` and tier
+  forest, and a budget from ``distributions.mae``: shares the structure;
+  at eps = 0 it is a replay of the same code.
 """
 
 import itertools

@@ -123,6 +123,19 @@ class TestPlumbing:
         monkeypatch.setattr("scoretreap.cli.compute_stats", bad_stats)
         assert self.failing_checks(tmp_path) == ["futures_match_next_work"]
 
+    def test_validate_fails_on_work_and_future_wrong_in_step(self, tmp_path, monkeypatch):
+        def bad_stats(seq):
+            stats = compute_stats(seq)
+            i = next(i for i in range(1, stats.m + 1) if stats.next[i] <= stats.m)
+            # both ends of one occurrence pair count an extra item, so future
+            # still equals work at the next access
+            stats.work[stats.next[i]] += 1
+            stats.future[i] += 1
+            return stats
+
+        monkeypatch.setattr("scoretreap.cli.compute_stats", bad_stats)
+        assert self.failing_checks(tmp_path) == ["futures_match_next_work"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])

@@ -324,11 +324,12 @@ class StampHeapRankForest:
             err = tree.validate()
             if err:
                 return f"tree {i}: {err}"
-            for k in tree.key_block:
+            keys = tree.keys_inorder()
+            for k in keys:
                 if self.tree_of[k] != i:
                     return f"key {k} marked in tree {self.tree_of[k]}, stored in {i}"
-            if len(tree):
-                live = min((stamp[k], k) for k in tree.key_block)
+            if keys:
+                live = min((stamp[k], k) for k in keys)
                 entry = self._oldest(i)
                 if entry != live:
                     return f"tree {i}: oldest (stamp, key) is {live}, its heap gives {entry}"
@@ -416,8 +417,10 @@ def leaves(tree: BTree) -> list[tuple[Block, int, Block]]:
 
 class TestBTree:
     def test_bulk_build_is_sorted_and_balanced(self):
-        for B in (4, 7, 16):
-            for n in (1, 5, B, B + 1, 3 * B * B, 500):
+        # every size up to 400: validate reports leaves at mixed depths, so
+        # this shows the packing is uniform-depth without a check of its own
+        for B in (4, 5, 7, 16):
+            for n in [*range(1, 401), 3 * B * B, 500]:
                 keys = list(range(1, n + 1))
                 tree = BTree(B, keys)
                 assert tree.keys_inorder() == keys
@@ -468,10 +471,19 @@ class TestBTree:
         tree = BTree(4, [1, 2, 3])
         with pytest.raises(KeyError):
             tree.delete(9)
+        tree = churned_tree()
+        missing = next(k for k in range(1, 301) if k not in tree)
+        before = (tree.keys_inorder(), len(tree))
+        with pytest.raises(KeyError):
+            tree.delete(missing)  # the descent ends at a leaf without the key
+        with pytest.raises(DuplicateKeyError):
+            tree.insert(tree.root.keys[0])  # the descent meets the key at the root
+        assert (tree.keys_inorder(), len(tree)) == before
+        assert tree.validate() is None
 
     @pytest.mark.parametrize("corrupt", [
-        "unsorted keys", "key range", "overfull", "underfull", "stale map",
-        "missing child", "ragged leaves", "extra map entry",
+        "unsorted keys", "key range", "overfull", "underfull", "missing child",
+        "ragged leaves", "size",
     ])
     def test_validate_names_drift_after_churn(self, corrupt):
         tree = churned_tree()
@@ -491,9 +503,6 @@ class TestBTree:
         elif corrupt == "underfull":
             leaf.keys.clear()
             message = "block [] underfull (0 keys)"
-        elif corrupt == "stale map":
-            tree.key_block[leaf.keys[0]] = root
-            message = f"key {leaf.keys[0]} maps to block {root.keys}, found in block {leaf.keys}"
         elif corrupt == "missing child":
             root.children.pop()
             message = f"block {root.keys} has {len(root.keys)} children for {len(root.keys)} keys"
@@ -502,11 +511,10 @@ class TestBTree:
             a, b, c = leaf.keys
             left, right = Block([a], []), Block([c], [])
             parent.children[j] = Block([b], [left, right])
-            tree.key_block.update({a: left, b: parent.children[j], c: right})
             message = f"leaves at mixed depths [{h}, {h + 1}]"
         else:
-            tree.key_block[0] = root
-            message = f"tree holds {n} keys, map says {n + 1}"
+            tree.size += 1  # an insert that counted a key it did not place
+            message = f"tree holds {n} keys, size says {n + 1}"
         assert tree.validate() == message
 
 
@@ -855,6 +863,15 @@ def recency(st: RankForest) -> list[int]:
     return [k for i in range(1, st.S + 1) for k in reversed(st.order[i])]
 
 
+def tree_of(st: RankForest) -> list[int]:
+    """Each key's tree index, read from the recency lists (slot 0 unused)."""
+    out = [0] * (st.n + 1)
+    for i, keys in st.order.items():
+        for k in keys:
+            out[k] = i
+    return out
+
+
 class TestRankForest:
     def test_tree_count_is_minimal(self):
         assert RankForest(16, EMConfig(4)).S == 1
@@ -870,10 +887,10 @@ class TestRankForest:
 
     def test_second_access_stays_in_the_front_tree(self):
         st = RankForest(600, EMConfig(4))
-        assert st.tree_of[590] == 2  # initial fill puts ranks 513.. in tree 2
+        assert 590 in st.order[2]  # initial fill puts ranks 513.. in tree 2
         a1 = st.access(590)
         a2 = st.access(590)
-        assert st.tree_of[590] == 1
+        assert 590 in st.order[1] and 590 in st.trees[1]
         assert a2 == 5  # one root-to-leaf path in the front tree
         assert a2 <= a1
 
@@ -883,10 +900,10 @@ class TestRankForest:
         st = RankForest(n, EMConfig(4))
         demoted = 0
         for _ in range(1500):
-            before = list(st.tree_of)
+            before = set(st.order[1])
             st.access(py.randint(1, n))
             assert st.check_invariant() is None
-            demoted += sum(b == 1 and a == 2 for b, a in zip(before, st.tree_of))
+            demoted += len(before & st.order[2].keys())
         assert demoted > 0
         assert st.validate() is None
 
@@ -927,7 +944,8 @@ class TestRankForest:
             assert st.validate() is None, i
 
     @pytest.mark.parametrize("corrupt", ["key moved between lists", "key dropped from list",
-                                         "tree_of disagrees"])
+                                         "key dropped from tree", "key in two trees",
+                                         "key lost"])
     def test_validate_catches_state_drift(self, corrupt):
         st = RankForest(600, EMConfig(4))  # ranks 513.. start in tree 2
         for k in (5, 9, 590):
@@ -936,11 +954,22 @@ class TestRankForest:
         if corrupt == "key moved between lists":
             del st.order[1][9]
             st.order[2][9] = None
+            message = "tree 1: its recency list does not hold exactly its keys"
         elif corrupt == "key dropped from list":
             del st.order[2][600]
-        else:
-            st.tree_of[600] = 1
-        assert st.validate() is not None
+            message = "tree 2: its recency list does not hold exactly its keys"
+        elif corrupt == "key dropped from tree":  # left on its recency list
+            st.trees[2].delete(600)
+            message = "tree 2: its recency list does not hold exactly its keys"
+        elif corrupt == "key in two trees":  # each list holds its tree's keys
+            st.trees[2].insert(9)
+            st.order[2][9] = None
+            message = "key 9 marked in tree 2, stored in tree 1"
+        else:  # from its tree and from its list
+            st.trees[2].delete(600)
+            del st.order[2][600]
+            message = "forest holds 599 keys, expected 600"
+        assert st.validate() == message
 
     @pytest.mark.parametrize("corrupt", ["size band", "rank cap"])
     def test_check_invariant_catches_drift(self, corrupt):
@@ -957,11 +986,11 @@ class TestRankForest:
                 st.trees[dst].insert(k)
 
         if corrupt == "size band":
-            move(list(st.trees[1].key_block)[15:], 1, 2)
+            move(st.trees[1].keys_inorder()[15:], 1, 2)
             message = "tree 1 has 15 items, band [16, 512]"
         else:  # tree 1 is now the last non-empty tree, so only its rank cap applies
             for i in range(2, st.S + 1):
-                move(st.trees[i].key_block, i, 1)
+                move(st.trees[i].keys_inorder(), i, 1)
             message = f"tree 1 holds rank {n}, cap 1024"
         assert st.check_invariant() == message
 
@@ -992,7 +1021,7 @@ class TestRankForest:
             assert got == want, step
             touches[0] += got
             touches[1] += want
-            assert st.tree_of == ref.tree_of, step
+            assert tree_of(st) == ref.tree_of, step
             if step % 500 == 0:
                 same_state()
         same_state()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
 import sys
@@ -34,3 +35,18 @@ def test_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "scoretreap":
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside
+
+
+def test_every_function_the_benchmark_traces_resolves(monkeypatch):
+    """The traced benchmark pass wraps functions by name; a rename in the
+    package must fail here, not only in that pass."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for name in layers.function_names():
+        _, _, raw = layers.resolve(name)
+        fn = raw.__func__ if isinstance(raw, classmethod) else raw
+        assert callable(fn), name
+        assert fn.__module__ == f"scoretreap.{name.partition('.')[0]}", name
