@@ -1,8 +1,9 @@
 """Time-varying scores over an access sequence.
 
-``compute_stats`` extracts, in one sweep with one Fenwick tree over access
-times, the per-step backward working-set size, the forward (next-access)
-counterpart, and the between-occurrences interval size.  On top of those:
+``compute_stats`` extracts, in one sweep that counts marked access times in
+a byte array and in per-block sums, the per-step backward working-set size,
+the forward (next-access) counterpart, and the between-occurrences interval
+size.  On top of those:
 
 * ``IntervalSetPriorityState`` -- stored weight 1/(1+interval)^2 per item,
   at most one change per step, running norm certificate.
@@ -77,30 +78,36 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
     prev = [0] * (m + 1)
     nxt = [m + 1] * (m + 1)
     work = [0] + [n] * m
-    last: dict[int, int] = {}
-    # Fenwick tree over the times 1..m: time t is marked while it is the
-    # latest access of its key, so len(last) times are marked and those
-    # after prev[i] are the distinct keys served since then
-    tree = [0] * (m + 1)
+    last = [0] * (n + 1)
+    # marks[t] is 1 while time t is the latest access of its key, so the
+    # marks after prev[i] are the distinct keys served since then; count[b]
+    # sums the marks of block b, times b*2^sh .. (b+1)*2^sh - 1, about sqrt(m)
+    # blocks in all.  No time at or after i is marked yet, so the marks after
+    # p are the marks from p + 1 to the end of i's block, or all ``seen``
+    # marks less those up to p: count whichever side spans fewer blocks.
+    sh = max(6, (m.bit_length() + 1) // 2)
+    marks = bytearray(m + 1)
+    count = [0] * ((m >> sh) + 1)
+    seen = 0
     for i, x in enumerate(items, start=1):
-        p = last.get(x)
+        p = last[x]
         if p:
             prev[i] = p
             nxt[p] = i
-            marked, t = 0, p
-            while t:
-                marked += tree[t]
-                t &= t - 1
-            work[i] = len(last) - marked
-            t = p
-            while t <= m:
-                tree[t] -= 1
-                t += t & -t
+            bp, bi = p >> sh, i >> sh
+            if bp == bi:
+                work[i] = marks.count(1, p + 1, i)
+            elif bi - bp <= bp:
+                work[i] = marks.count(1, p + 1, (bp + 1) << sh) + sum(count[bp + 1:bi + 1])
+            else:
+                work[i] = seen - sum(count[:bp]) - marks.count(1, bp << sh, p + 1)
+            marks[p] = 0
+            count[bp] -= 1
+        else:
+            seen += 1
         last[x] = i
-        t = i
-        while t <= m:
-            tree[t] += 1
-            t += t & -t
+        marks[i] = 1
+        count[i >> sh] += 1
     # future at one occurrence is work at the next; the interval window also
     # holds the access that closes it
     future = [0] + [work[j] if j <= m else n for j in nxt[1:]]

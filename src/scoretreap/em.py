@@ -572,11 +572,8 @@ class TierForestBTreap:
             t = tier[tree.top]
             if tree.tier != t:
                 return f"component {tree.top} tree records tier {tree.tier}, its root has {t}"
-            for k in tree.keys_inorder():
-                if tier[k] != t:
-                    return f"component {tree.top} mixes tiers at key {k}"
         return _check_trees({tree.top: tree for tree in trees},
-                            [0] + [tree.top for tree in comp_of[1:]], self.n)
+                            [0] + [tree.top for tree in comp_of[1:]], self.n, tier)
 
 
 def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[Block]]:
@@ -592,15 +589,19 @@ def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[Block]]:
     raise KeyError(key)
 
 
-def _check_trees(trees: dict[int, BTree], tree_of: list[int], n: int) -> str | None:
+def _check_trees(trees: dict[int, BTree], tree_of: list[int], n: int,
+                 tier: list[int] | None = None) -> str | None:
     """Every tree is a valid B-tree, ``tree_of`` names the tree of each key
-    it holds, and the trees hold ``n`` keys in all."""
+    it holds, and the trees hold ``n`` keys in all; given ``tier``, every key
+    has its tree's tier (the trees are then components, named by their top)."""
     total = 0
     for i, tree in trees.items():
         err = tree.validate()
         if err:
             return f"tree {i}: {err}"
         for k in tree.keys_inorder():
+            if tier is not None and tier[k] != tree.tier:
+                return f"component {i} mixes tiers at key {k}"
             if tree_of[k] != i:
                 return f"key {k} marked in tree {tree_of[k]}, stored in tree {i}"
         total += len(tree)
@@ -626,10 +627,6 @@ class DetScoreForest:
             self.tree_index[k] = idx
             buckets.setdefault(idx, []).append(k)
         self.trees = {idx: BTree(cfg.B, ks) for idx, ks in sorted(buckets.items())}
-        if sum(wl) <= 1.0 + 1e-9:
-            err = self.check_sizes()
-            if err:
-                raise AssertionError(err)
 
     def check_sizes(self) -> str | None:
         """Unit total score forces |T_i| <= B^(2^(i+1))."""

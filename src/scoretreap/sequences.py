@@ -1,7 +1,7 @@
 """Workload generators: distributions and access traces.
 
 A trace's working-set sizes are counted offline by ``dynamic.compute_stats``,
-with one Fenwick tree over access times.
+which marks the latest access time of each key and counts the marks.
 """
 
 from __future__ import annotations

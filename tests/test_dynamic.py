@@ -81,6 +81,16 @@ class TestComputeStats:
         TraceSpec("uniform", n=16, m=5_000, seed=2),
         TraceSpec("zipf", n=300, m=20_000, seed=3),
         TraceSpec("round-robin", n=64, m=3_000),
+        # every gap spans about 16 blocks of 128 times, counted from either side
+        TraceSpec("round-robin", n=2_000, m=6_000),
+        # m at the edges of the block size: times 1..63 fill block 0 of 64
+        # and m = 64, 65 spill past it; blocks of 64 up to m = 2^12 - 1,
+        # blocks of 128 from m = 2^12 on
+        *(TraceSpec("uniform", n=24, m=m, seed=m) for m in (63, 64, 65)),
+        *(TraceSpec("zipf", n=500, m=m, seed=m) for m in (4_095, 4_096, 4_097)),
+        # runs of 75 repeats: most gaps lie inside one block
+        TraceSpec("block-repeat", n=40, m=3_000),
+        TraceSpec("uniform", n=3, m=1),
     ], ids=lambda spec: f"{spec.family}-{spec.n}-{spec.m}")
     def test_work_matches_move_to_front_list(self, spec):
         """On long traces every work[i] is x(i)'s index in a literal front
