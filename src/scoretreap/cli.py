@@ -130,9 +130,8 @@ def _resolve(key: str, default, raw: str | None) -> tuple[object, object]:
 
 
 def _rule_treap(rule, masses: list[float], rng: RandomStream) -> Treap:
-    """The treap in which key k has priority ``rule(masses[k-1], rng)``."""
-    tiers, offsets = zip(*[rule(w, rng) for w in masses])
-    return Treap.build_arrays(tiers, offsets)
+    """The treap whose keys take the tiers and offsets ``rule(masses, rng)`` returns."""
+    return Treap.build_arrays(*rule(masses, rng))
 
 
 def _expected_depth(rule, masses: list[float], rng: RandomStream) -> float:

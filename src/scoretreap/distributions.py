@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
+from operator import le, lt
 from typing import Sequence
 
 __all__ = [
@@ -25,17 +27,20 @@ class Distribution:
     """Probability masses for keys ``1..n``; must sum to 1 within 1e-9."""
 
     def __init__(self, masses: Sequence[float]):
-        vals = [float(v) for v in masses]
+        vals = list(map(float, masses))
         if not vals:
             raise ValueError("distribution must be non-empty")
-        for i, v in enumerate(vals):
-            if v < 0.0 or math.isnan(v) or math.isinf(v):
-                raise ValueError(f"mass for key {i + 1} must be a finite non-negative number")
+        n = len(vals)
+        # two C-level passes; NaN fails both, the loop only names the key
+        if not (all(map(le, repeat(0.0, n), vals)) and all(map(lt, vals, repeat(math.inf, n)))):
+            for i, v in enumerate(vals):
+                if v < 0.0 or math.isnan(v) or math.isinf(v):
+                    raise ValueError(f"mass for key {i + 1} must be a finite non-negative number")
         total = math.fsum(vals)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"masses sum to {total!r}, expected 1 within {_SUM_TOL}")
         self._p = vals
-        self.n = len(vals)
+        self.n = n
 
     def __getitem__(self, key: int) -> float:
         if not 1 <= key <= self.n:
@@ -206,9 +211,15 @@ def perturb(
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             val = _measure(p, family(mid), measure)
+            # a step that leaves (lo, hi) as it was repeats in every later
+            # step, so stopping here returns the same q
             if val < eps:
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         q = family(hi)
         got = _measure(p, q, measure)

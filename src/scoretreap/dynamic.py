@@ -355,8 +355,7 @@ def run_dynamic(
     # an updating structure takes a re-scored item's tier under its rule,
     # tier_value(w, inner, outer)
     if structure == "treap":
-        tiers, offsets = zip(*[composite_priority(w0, rng) for _ in range(n)])
-        st = Treap.build_arrays(tiers, offsets)
+        st = Treap.build_arrays(*composite_priority([w0] * n, rng))
         inner, outer = COMPOSITE_TIER_BASES
         update_priority = st.update_priority
         next_offset = rng.next_offset

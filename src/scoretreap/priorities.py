@@ -1,20 +1,24 @@
 """Priority assignment rules mapping per-item scores to treap priorities.
 
-Each rule returns a plain ``(tier, offset)`` pair, the form ``Treap`` stores;
-``tiers, offsets = zip(*pairs)`` turns a list of them into the arrays
-``Treap.build_arrays`` takes.  The doubly-logarithmic rules bucket an item of
-score ``w`` into tier ``floor(log_outer(log_inner(1/w)))`` clamped at 0, then
-add a fresh uniform offset in (0, 1).  Block structures name their own bases
-as ``tier_bases`` and take a re-scored item's tier from the driver
-(``dynamic.run_dynamic``).  Tier arithmetic uses integer power walks so
-scores that are exact powers of the inner base land in the mathematically
-exact tier instead of flickering across a floating-point floor boundary.
+The randomized rules take a whole weight sequence and return its
+``(tiers, offsets)`` lists, the arrays ``Treap.build_arrays`` takes: key ``k``
+gets ``tiers[k-1]`` and ``offsets[k-1]``.  The doubly-logarithmic rules bucket
+an item of score ``w`` into tier ``floor(log_outer(log_inner(1/w)))`` clamped
+at 0, computed once per distinct weight, and give every key a fresh uniform
+offset in (0, 1), drawn in key order.  ``raw_score_priority`` maps one score
+to one ``(tier, offset)`` pair, the form ``Treap.build`` takes.  Block
+structures name their own bases as ``tier_bases`` and take a re-scored item's
+tier from the driver (``dynamic.run_dynamic``).  Tier arithmetic uses integer
+power walks so scores that are exact powers of the inner base land in the
+mathematically exact tier instead of flickering across a floating-point floor
+boundary.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 __all__ = [
     "RandomStream",
@@ -55,6 +59,16 @@ class RandomStream:
         while u <= 0.0:  # random() yields [0, 1); keep the interval open
             u = self._rng.random()
         return u
+
+    def offsets(self, k: int) -> list[float]:
+        """``k`` offsets: the values and ``counter`` of ``k`` calls of ``next_offset``."""
+        self.counter += k
+        rand = self._rng.random
+        out = [rand() for _ in range(k)]
+        while 0.0 in out:  # drop the zero draws, in order, and draw the shortfall
+            out = [u for u in out if u]
+            out += [rand() for _ in range(k - len(out))]
+        return out
 
     def spawn(self, tag: int) -> "RandomStream":
         """Independent child stream, deterministic in (seed, tag)."""
@@ -129,19 +143,19 @@ def single_log_tier(w: float) -> int:
 # priority rules
 
 COMPOSITE_TIER_BASES = (2, 2)  # (inner, outer) of the rule for binary trees
-# unpacked once: composite_priority runs per key of every static build, where
-# a starred call is measurably slower
-_COMPOSITE_INNER, _COMPOSITE_OUTER = COMPOSITE_TIER_BASES
 
 
-def composite_priority(w: float, rng: RandomStream) -> tuple[int, float]:
-    """Doubly-logarithmic rule for binary trees: tier floor(lg lg (1/w))."""
-    return tier_value(w, _COMPOSITE_INNER, _COMPOSITE_OUTER), rng.next_offset()
+def composite_priority(weights: Sequence[float], rng: RandomStream) -> tuple[list[int], list[float]]:
+    """Doubly-logarithmic rule for binary trees: tier floor(lg lg (1/w)) per weight."""
+    inner, outer = COMPOSITE_TIER_BASES
+    tier_of = {w: tier_value(w, inner, outer) for w in dict.fromkeys(weights)}
+    return list(map(tier_of.__getitem__, weights)), rng.offsets(len(weights))
 
 
-def single_log_priority(w: float, rng: RandomStream) -> tuple[int, float]:
+def single_log_priority(weights: Sequence[float], rng: RandomStream) -> tuple[list[int], list[float]]:
     """Singly-logarithmic bucketing; kept as a deliberately weak baseline."""
-    return single_log_tier(w), rng.next_offset()
+    tier_of = {w: single_log_tier(w) for w in dict.fromkeys(weights)}
+    return list(map(tier_of.__getitem__, weights)), rng.offsets(len(weights))
 
 
 def raw_score_priority(w: float) -> tuple[int, float]:

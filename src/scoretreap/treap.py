@@ -18,6 +18,8 @@ parent links; nothing here recurses, so chains of any depth are fine.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import lt
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DuplicateKeyError
@@ -59,11 +61,13 @@ class Treap:
         n = len(tiers)
         if len(offsets) != n:
             raise ValueError("tiers and offsets must have equal length")
+        # two C-level passes; NaN fails both, wherever it sits
+        if not (all(map(lt, repeat(0.0, n), offsets)) and all(map(lt, offsets, repeat(1.0, n)))):
+            for k, o in enumerate(offsets, start=1):
+                _check_offset(k, o)
         t = cls(n)
-        for k, o in enumerate(offsets, start=1):
-            _check_offset(k, o)
-        t._tier[1:] = list(tiers)
-        t._off[1:] = list(offsets)
+        t._tier[1:] = tiers
+        t._off[1:] = offsets
         t._present = bytearray([0]) + bytearray([1] * n)
         t._sweep(range(1, n + 1))
         return t

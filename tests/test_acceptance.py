@@ -92,8 +92,7 @@ from scoretreap.treap import Treap
 
 
 def _build(masses, rng, maker):
-    tiers, offsets = zip(*[maker(w, rng) for w in masses])
-    return Treap.build_arrays(tiers, offsets)
+    return Treap.build_arrays(*maker(masses, rng))
 
 
 def _shape(t: Treap):

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from conftest import random_distribution
+from scoretreap import distributions
 from scoretreap.distributions import (
+    MEASURES,
     Distribution,
     cross_entropy,
     entropy,
@@ -153,6 +155,91 @@ class TestPerturb:
         p = Distribution.uniform(4)
         with pytest.raises(ValueError):
             perturb(p, "tv", 5.0, rng=random.Random(1))
+
+
+def _perturb_80_steps(p, measure, eps, rng, floor=None):
+    """``perturb`` as it was before its bisection stopped at a fixed point:
+    always 80 steps per family."""
+    n = p.n
+    if floor is None:
+        floor = 1.0 / (100.0 * n * n)
+
+    def measure_of(q):
+        return kl(p, q) if measure == "kl" else error_measures(p, q)[measure]
+
+    def apply_floor(vals):
+        clipped = [max(v, floor) for v in vals]
+        s = math.fsum(clipped)
+        return [v / s for v in clipped]
+
+    base = p.masses()
+    uni = [1.0 / n] * n
+    direction = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(n)]
+
+    def mixture(lam):
+        return Distribution(apply_floor([(1 - lam) * b + lam * u for b, u in zip(base, uni)]))
+
+    def tilt(lam):
+        vals = [max(b, floor) * math.exp(lam * d) for b, d in zip(base, direction)]
+        total = math.fsum(vals)
+        return Distribution(apply_floor([v / total for v in vals]))
+
+    for family, hi in ((mixture, 1.0), (tilt, 80.0)):
+        try:
+            reach = measure_of(family(hi))
+        except ValueError:
+            continue
+        if reach < eps:
+            continue
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if measure_of(family(mid)) < eps:
+                lo = mid
+            else:
+                hi = mid
+        q = family(hi)
+        if 0.9 * eps <= measure_of(q) <= 1.1 * eps:
+            return q
+    raise ValueError("unreachable")
+
+
+class TestPerturbEarlyStop:
+    """The bisection stops once a step leaves (lo, hi) unchanged; the
+    returned ``q`` must be bit-identical to the one 80 steps give."""
+
+    TARGETS = {"kl": 0.5, "tv": 0.1, "l2": 0.02, "linf": 0.002, "chi2": 0.3, "hellinger": 0.1}
+
+    @pytest.mark.parametrize("family", ["zipf", "uniform"])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_matches_the_80_step_bisection(self, monkeypatch, family, measure):
+        n = 300
+        if family == "zipf":  # reached by the mixture walk
+            p = Distribution.from_unnormalized([1.0 / k for k in range(1, n + 1)])
+        else:  # the mixture walk cannot move it: only the tilt reaches eps
+            p = Distribution.uniform(n)
+        eps = self.TARGETS[measure]
+        want = _perturb_80_steps(p, measure, eps, random.Random(5))
+        calls = []
+        inner = distributions._measure
+        monkeypatch.setattr(distributions, "_measure", lambda *a: calls.append(a) or inner(*a))
+        got = perturb(p, measure, eps, rng=random.Random(5))
+        assert got.masses() == want.masses()
+        # the stop fired: fewer measurements than one family's 80 steps
+        assert len(calls) < 80
+
+
+class TestDistributionMessages:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("key", [1, 3, 5])
+    def test_names_the_first_bad_key(self, key, bad):
+        masses = [0.2] * 5
+        masses[key - 1] = bad
+        with pytest.raises(ValueError, match=f"^mass for key {key} must be a finite non-negative number$"):
+            Distribution(masses)
+        masses[4] = bad
+        with pytest.raises(ValueError, match=f"^mass for key {key} must be a finite non-negative number$"):
+            Distribution(masses)
 
 
 class TestMae:

@@ -32,7 +32,7 @@ from scoretreap.dynamic import (
 from scoretreap.em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
 from scoretreap.errors import ConfigError
 from scoretreap.oracle import ExhaustiveStats
-from scoretreap.priorities import RandomStream, composite_priority, tier_value
+from scoretreap.priorities import RandomStream, tier_value
 from scoretreap.sequences import AccessSequence, TraceSpec, gen_sequence
 from scoretreap.treap import Treap
 
@@ -493,9 +493,10 @@ class TestRunDynamic:
 
 
 def reference_run(seq, scheme, structure, cfg, rng, predicted, stats):
-    """The driver loop written out literally: ``composite_priority`` on every
-    treap update, ``math.log`` of both weights on every update, and every
-    total accumulated on the ``CostBreakdown`` itself."""
+    """The driver loop written out literally: the composite rule's tier
+    (``tier_value(w, 2, 2)``) and one ``next_offset`` per key on the build and
+    on every treap update, ``math.log`` of both weights on every update, and
+    every total accumulated on the ``CostBreakdown`` itself."""
     n, m = seq.n, seq.m
     scores = (_scheme_scores(scheme, stats, predicted, m, n)
               if structure != "rank-forest" else None)
@@ -504,11 +505,12 @@ def reference_run(seq, scheme, structure, cfg, rng, predicted, stats):
     bd = CostBreakdown(scheme=scheme, structure=structure, n=n, m=m,
                        base=2.0 if structure == "treap" else float(cfg.B))
     if structure == "treap":
-        tiers, offsets = zip(*[composite_priority(w0, rng) for _ in range(n)])
+        tiers = [tier_value(w0, 2, 2) for _ in range(n)]
+        offsets = [rng.next_offset() for _ in range(n)]
         st = Treap.build_arrays(tiers, offsets)
 
         def update(x, w):
-            return st.update_priority(x, *composite_priority(w, rng)) + 1, 0
+            return st.update_priority(x, tier_value(w, 2, 2), rng.next_offset()) + 1, 0
     elif structure == "tier-forest":
         st = TierForestBTreap([w0] * n, cfg, rng=rng)
 

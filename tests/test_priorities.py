@@ -19,30 +19,33 @@ from scoretreap.treap import Treap
 
 class TestCompositePriority:
     def test_examples(self, stream):
-        assert composite_priority(1 / 16, stream)[0] == 2
-        assert composite_priority(0.6, stream)[0] == 0
-        assert composite_priority(2.0 ** -32, stream)[0] == 5
+        assert composite_priority([1 / 16, 0.6, 2.0 ** -32], stream)[0] == [2, 0, 5]
 
     def test_weights_at_or_above_one_clamp_to_zero(self, stream):
-        assert composite_priority(1.0, stream)[0] == 0
-        assert composite_priority(7.5, stream)[0] == 0
+        assert composite_priority([1.0, 7.5], stream)[0] == [0, 0]
 
     def test_nonpositive_weight_rejected(self, stream):
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
-                composite_priority(bad, stream)
+                composite_priority([bad], stream)
+            with pytest.raises(ValueError):
+                composite_priority([0.5, bad, 0.25], stream)
 
     def test_exact_powers_have_integral_tiers(self, stream):
         # 1/w = 2^(2^t) sits exactly on a tier boundary; floating-point noise
         # in the double log must not flip the floor
-        for t in range(0, 6):
-            w = 2.0 ** -(2 ** t)
-            assert composite_priority(w, stream)[0] == t
+        weights = [2.0 ** -(2 ** t) for t in range(0, 6)]
+        assert composite_priority(weights, stream)[0] == list(range(0, 6))
 
     def test_offsets_fresh_and_open_interval(self, stream):
-        offs = {composite_priority(0.25, stream)[1] for _ in range(50)}
+        offs = set(composite_priority([0.25] * 50, stream)[1])
         assert len(offs) == 50
         assert all(0.0 < o < 1.0 for o in offs)
+
+    def test_empty_weights_draw_nothing(self, stream):
+        assert composite_priority([], stream) == ([], [])
+        assert single_log_priority([], stream) == ([], [])
+        assert stream.counter == 0
 
 
 class TestBlockTier:
@@ -65,12 +68,15 @@ class TestBlockTier:
 
 class TestSingleLogPriority:
     def test_examples(self, stream):
-        assert single_log_priority(1 / 8, stream)[0] == 3
-        assert single_log_priority(0.9, stream)[0] == 0
+        assert single_log_priority([1 / 8, 0.9], stream)[0] == [3, 0]
 
     def test_exact_powers(self, stream):
-        for k in range(0, 60):
-            assert single_log_priority(2.0 ** -k, stream)[0] == k
+        assert single_log_priority([2.0 ** -k for k in range(0, 60)], stream)[0] == list(range(0, 60))
+
+    def test_nonpositive_weight_rejected(self, stream):
+        for bad in (0.0, -1.0, float("nan"), math.inf):
+            with pytest.raises(ValueError):
+                single_log_priority([0.5, bad], stream)
 
 
 class TestRawScorePriority:
@@ -104,19 +110,19 @@ class TestRawScorePriority:
 class TestCompositeTierBands:
     def test_uniform_frequencies_share_one_tier(self, stream):
         n = 64
-        tiers = {composite_priority(1.0 / n, stream)[0] for _ in range(n)}
+        tiers = set(composite_priority([1.0 / n] * n, stream)[0])
         assert tiers == {tier_value(1.0 / n, 2, 2)}
 
     def test_point_mass_lands_in_top_band(self, stream):
-        assert composite_priority(1.0, stream)[0] == 0
+        assert composite_priority([1.0], stream)[0] == [0]
 
 
 class TestTierMonotonicity:
     def test_heavier_weight_never_gets_larger_tier(self, py_rng, stream):
         schemes = (
-            lambda w: composite_priority(w, stream)[0],
+            lambda w: composite_priority([w], stream)[0][0],
             lambda w: tier_value(w, 16, 4),
-            lambda w: single_log_priority(w, stream)[0],
+            lambda w: single_log_priority([w], stream)[0][0],
         )
         for _ in range(300):
             wx, wy = sorted((py_rng.random() ** 4 + 1e-12, py_rng.random() ** 4 + 1e-12), reverse=True)
@@ -149,9 +155,9 @@ class TestTierBandSize:
 
 class TestDeterminism:
     def test_identical_seeds_reproduce_priorities_exactly(self):
-        def draw(seed: int) -> list[tuple[int, float]]:
+        def draw(seed: int) -> tuple[list[int], list[float]]:
             rng = RandomStream(seed)
-            return [composite_priority(w, rng) for w in (0.5, 0.03, 1e-6, 0.2)]
+            return composite_priority([0.5, 0.03, 1e-6, 0.2], rng)
 
         assert draw(42) == draw(42)
         assert draw(42) != draw(43)
@@ -160,14 +166,87 @@ class TestDeterminism:
         rng = RandomStream(7)
         assert rng.counter == 0
         rng.next_offset()
-        composite_priority(0.1, rng)
+        composite_priority([0.1], rng)
         assert rng.counter == 2
+        single_log_priority([0.1, 0.2, 0.1], rng)
+        assert rng.counter == 5
 
     def test_spawned_streams_deterministic_and_distinct(self):
         base = RandomStream(11)
         a, b = base.spawn(1), base.spawn(2)
         assert RandomStream(11).spawn(1).next_offset() == a.next_offset()
         assert a.seed != b.seed
+
+
+class _QueuedRandom:
+    """Stands in for a stream's ``random.Random``: hands out queued draws in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self) -> float:
+        return next(self._draws)
+
+
+def _queued_stream(draws) -> RandomStream:
+    rng = RandomStream(0)
+    rng._rng = _QueuedRandom(draws)
+    return rng
+
+
+class TestOffsets:
+    """``RandomStream.offsets(k)`` against ``k`` calls of ``next_offset``."""
+
+    K = 8
+
+    @pytest.mark.parametrize("zeros", [
+        [],
+        [0],          # first draw of the batch
+        [3],          # a middle draw
+        [7],          # the last draw of the batch
+        [0, 3, 7],
+        [2, 3, 4, 5],  # several in a row
+        [7, 8, 9],    # the refill draws zeros too
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+    ])
+    def test_matches_next_offset_around_zero_draws(self, zeros):
+        draws = [0.0 if i in zeros else (i + 1) / 64 for i in range(40)]
+        got, ref = _queued_stream(draws), _queued_stream(draws)
+        offs = got.offsets(self.K)
+        assert offs == [ref.next_offset() for _ in range(self.K)]
+        assert 0.0 not in offs
+        assert got.counter == ref.counter == self.K
+        # both consumed the same raw draws: the next one agrees
+        assert got.next_offset() == ref.next_offset()
+
+    def test_thousand_draws_on_a_real_seed(self):
+        got, ref = RandomStream(2024), RandomStream(2024)
+        got.next_offset(), ref.next_offset()
+        assert got.offsets(1000) == [ref.next_offset() for _ in range(1000)]
+        assert got.counter == ref.counter == 1001
+        assert got.next_offset() == ref.next_offset()
+
+    def test_zero_offsets(self, stream):
+        assert stream.offsets(0) == []
+        assert stream.counter == 0
+
+
+class TestRulesMatchPerKeyReference:
+    """Each rule gives key k the tier of its own weight and the k-th offset."""
+
+    @pytest.mark.parametrize("rule, tier_of", [
+        (composite_priority, lambda w: tier_value(w, 2, 2)),
+        (single_log_priority, single_log_tier),
+    ])
+    def test_segmented_weights(self, py_rng, rule, tier_of):
+        # a few distinct weights among many keys, as in the segmented builds
+        levels = [2.0 ** -k for k in (1, 3, 5, 9, 17, 33)] + [0.3, 7.5]
+        weights = [py_rng.choice(levels) for _ in range(500)]
+        got, ref = RandomStream(77), RandomStream(77)
+        tiers, offsets = rule(weights, got)
+        assert tiers == [tier_of(w) for w in weights]
+        assert offsets == [ref.next_offset() for _ in weights]
+        assert got.counter == ref.counter
 
 
 class TestEmpiricalDepthBound:
@@ -179,8 +258,7 @@ class TestEmpiricalDepthBound:
         totals = [0] * (n + 1)
         for s in range(seeds):
             rng = RandomStream(5000 + s)
-            tiers, offsets = zip(*[composite_priority(v, rng) for v in w])
-            t = Treap.build_arrays(tiers, offsets)
+            t = Treap.build_arrays(*composite_priority(w, rng))
             for k, d in t.depths().items():
                 totals[k] += d
         for x in range(1, n + 1):

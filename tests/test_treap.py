@@ -7,7 +7,9 @@ node because distinct priorities admit exactly one treap.
 """
 
 import itertools
+import math
 import random
+import re
 
 import pytest
 
@@ -465,6 +467,20 @@ def test_entry_points_reject_offsets_outside_open_interval(entry, offset):
     # a rejected insert or update leaves the tree as it was
     assert shape(t) == want and t.priority(2) == THREE[2] and 4 not in t
     assert t.validate() is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, math.inf, -0.25])
+@pytest.mark.parametrize("key", [1, 4, 7])
+def test_build_arrays_names_the_key_of_a_bad_offset(key, bad):
+    # the bulk check must catch a bad offset anywhere, NaN included, and the
+    # message must name the first such key, as the per-key check does
+    offsets = [(k + 0.5) / 8 for k in range(7)]
+    offsets[key - 1] = bad
+    with pytest.raises(ValueError, match=re.escape(f"offset for key {key} not in (0, 1): {bad!r}")):
+        Treap.build_arrays([0] * 7, offsets)
+    offsets[6] = bad
+    with pytest.raises(ValueError, match=re.escape(f"offset for key {key} not in (0, 1): {bad!r}")):
+        Treap.build_arrays([0] * 7, offsets)
 
 
 def test_deterministic_build_across_identical_streams():
