@@ -384,12 +384,12 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
     # block structures
     rf = RankForest(n, EMConfig(B=4))
     ok = True
-    for i in range(m):
+    for _ in range(m):
         rf.access(rnd.randint(1, n))
-        if rf.check_invariant() is not None:
+        if rf.validate() is not None:  # the recency lists, trees and size bands
             ok = False
             break
-    checks["rank_forest_invariant"] = ok and rf.validate() is None
+    checks["rank_forest_invariant"] = ok
     # both forests validate after every update and stop at the first failure
     w0 = [1.0 / (n + 1) ** 2] * n
     forests = {"det_forest_valid": DetScoreForest(w0, EMConfig(B=4)),
@@ -417,15 +417,14 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
     checks["isp_norm_and_unit_updates"] = ok
     oracle = CrudeOracle(n)
     ok = True
-    for i in range(1, m + 1):
-        U = oracle.step(seq.items[i - 1])
-        if len(U) > math.floor(math.log2(n)) + 1:
-            ok = False
+    for x in seq.items:
+        U = oracle.step(x)
+        ok = (len(U) <= math.floor(math.log2(n)) + 1
+              and all(math.log2(w + 1) <= math.log2(sc + 1) <= 2 * math.log2(w + 1) + 1
+                      for _item, sc, w in U[1:])
+              and oracle.validate() is None)
+        if not ok:
             break
-        for item, sc, w in U[1:]:
-            if not (math.log2(w + 1) <= math.log2(sc + 1) <= 2 * math.log2(w + 1) + 1):
-                ok = False
-                break
     checks["crude_band_and_volume"] = ok
     # against the window-rescan reference, which shares no code with compute_stats
     rescan = ExhaustiveStats(seq.items, n)

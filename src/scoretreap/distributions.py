@@ -6,7 +6,7 @@ import math
 import random
 from itertools import repeat
 from operator import le, lt
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "Distribution",
@@ -159,6 +159,27 @@ def _apply_floor(vals: list[float], floor: float) -> list[float]:
     return [v / s for v in clipped]
 
 
+def _bisect(below: Callable[[float], bool], hi: float) -> float:
+    """Bisect [0, hi], where ``below`` is false at ``hi``, for up to 80 steps;
+    returns the upper end, the smallest point found where ``below`` is false.
+
+    A step that would leave the interval as it was repeats in every later
+    step, so stopping there returns the same point.
+    """
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    return hi
+
+
 def perturb(
     p: Distribution,
     measure: str,
@@ -198,8 +219,7 @@ def perturb(
         return Distribution(_apply_floor([v / total for v in vals], floor))
 
     reached: list[float] = []  # each family's value at its far end
-    for family, hi_cap in ((mixture, 1.0), (tilt, 80.0)):
-        hi = hi_cap
+    for family, hi in ((mixture, 1.0), (tilt, 80.0)):
         try:
             reach = _measure(p, family(hi), measure)
         except ValueError:
@@ -207,21 +227,7 @@ def perturb(
         reached.append(reach)
         if reach < eps:
             continue
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            val = _measure(p, family(mid), measure)
-            # a step that leaves (lo, hi) as it was repeats in every later
-            # step, so stopping here returns the same q
-            if val < eps:
-                if mid == lo:
-                    break
-                lo = mid
-            else:
-                if mid == hi:
-                    break
-                hi = mid
-        q = family(hi)
+        q = family(_bisect(lambda lam: _measure(p, family(lam), measure) < eps, hi))
         got = _measure(p, q, measure)
         if 0.9 * eps <= got <= 1.1 * eps:
             return q
@@ -276,14 +282,7 @@ def noisy_scores(
         top *= 2.0
     else:
         raise ValueError(f"cannot reach summed error {target} within clamps")
-    bot = 0.0
-    for _ in range(80):
-        mid = 0.5 * (bot + top)
-        if mae(base, apply(mid)) < target:
-            bot = mid
-        else:
-            top = mid
-    out = apply(top)
+    out = apply(_bisect(lambda c: mae(base, apply(c)) < target, top))
     got = mae(base, out)
     if not 0.9 * target <= got <= 1.1 * target:
         raise ValueError(f"summed error {got} missed target {target}")

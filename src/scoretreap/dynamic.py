@@ -50,6 +50,7 @@ NORM_STEADY = 0.645
 class SequenceStats:
     """Per-step statistics of one access sequence (arrays are 1-based).
 
+    ``items`` is the sequence's own item list (0-based), not a copy.
     ``work[i]`` is the backward working-set size of the served item
     (distinct items since its previous access; n on a first access).
     ``future[i]`` counts distinct items strictly between i and the served
@@ -62,8 +63,6 @@ class SequenceStats:
     n: int
     m: int
     items: list[int]
-    prev: list[int]
-    next: list[int]
     work: list[int]
     future: list[int]
     interval: list[int]
@@ -75,16 +74,16 @@ class SequenceStats:
 
 def compute_stats(seq: AccessSequence) -> SequenceStats:
     n, m, items = seq.n, seq.m, seq.items
-    prev = [0] * (m + 1)
     nxt = [m + 1] * (m + 1)
     work = [0] + [n] * m
     last = [0] * (n + 1)
     # marks[t] is 1 while time t is the latest access of its key, so the
-    # marks after prev[i] are the distinct keys served since then; count[b]
-    # sums the marks of block b, times b*2^sh .. (b+1)*2^sh - 1, about sqrt(m)
-    # blocks in all.  No time at or after i is marked yet, so the marks after
-    # p are the marks from p + 1 to the end of i's block, or all ``seen``
-    # marks less those up to p: count whichever side spans fewer blocks.
+    # marks after x's previous access p are the distinct keys served since;
+    # count[b] sums the marks of block b, times b*2^sh .. (b+1)*2^sh - 1, about
+    # sqrt(m) blocks in all.  No time at or after i is marked yet, so the
+    # marks after p are the marks from p + 1 to the end of i's block, or all
+    # ``seen`` marks less those up to p: count whichever side spans fewer
+    # blocks.
     sh = max(6, (m.bit_length() + 1) // 2)
     marks = bytearray(m + 1)
     count = [0] * ((m >> sh) + 1)
@@ -92,7 +91,6 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
     for i, x in enumerate(items, start=1):
         p = last[x]
         if p:
-            prev[i] = p
             nxt[p] = i
             bp, bi = p >> sh, i >> sh
             if bp == bi:
@@ -112,8 +110,7 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
     # holds the access that closes it
     future = [0] + [work[j] if j <= m else n for j in nxt[1:]]
     interval = [0] + [work[j] + 1 if j <= m else n for j in nxt[1:]]
-    return SequenceStats(n=n, m=m, items=list(items), prev=prev, next=nxt,
-                         work=work, future=future, interval=interval)
+    return SequenceStats(n=n, m=m, items=items, work=work, future=future, interval=interval)
 
 
 class IntervalSetPriorityState:
@@ -151,13 +148,6 @@ class IntervalSetPriorityState:
             raise AssertionError(f"norm {self.norm} exceeds steady bound {NORM_STEADY}")
 
 
-def _round_score(work: int) -> int:
-    """Next-power-of-two rounding: 2^ceil(log2(work+1)) - 1, output 0 at 0."""
-    if work <= 0:
-        return 0
-    return (1 << work.bit_length()) - 1
-
-
 class CrudeOracle:
     """Move-to-front recency order with lazily rounded scores.
 
@@ -165,19 +155,18 @@ class CrudeOracle:
     ``next``, 0 past either end; ``head`` is rank 1, ``tail`` rank
     ``seen``), ``at[j]`` is the item at rank 2^j for every 2^j <= seen, and
     ``band[x]`` is the bit length of x's exact work rank(x) - 1 (-1 while x
-    is unseen), so ``score[x] == 2^band[x] - 1``.  An access at rank r moves
-    each item at rank 2^j < r one place back, to work exactly 2^j: those
-    ``band[key]`` items are ``at[:band[key]]``, and no rank is ever queried.
-    The rounded score of an item therefore changes only when its rank
-    crosses a power of two, so at most floor(log2 n) + 1 items (the accessed
-    one plus one per boundary) refresh per step, each in O(1).  Unseen items
-    carry the sentinel working-set size n.
+    is unseen).  The band is the only record of a score: a seen item's
+    rounded score is 2^band[x] - 1, and an unseen one keeps the driver's
+    starting weight, that of the sentinel working-set size n.  An access at
+    rank r moves each item at rank 2^j < r one place back, to work exactly
+    2^j: those ``band[key]`` items are ``at[:band[key]]``, and no rank is
+    ever queried.  The rounded score of an item therefore changes only when
+    its rank crosses a power of two, so at most floor(log2 n) + 1 items (the
+    accessed one plus one per boundary) refresh per step, each in O(1).
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.s_init = _round_score(n)
-        self.score = [self.s_init] * (n + 1)
         self.band = [-1] * (n + 1)
         self.prev = [0] * (n + 1)
         self.next = [0] * (n + 1)
@@ -193,7 +182,7 @@ class CrudeOracle:
         """
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        band, at, prev, nxt, score = self.band, self.at, self.prev, self.next, self.score
+        band, at, prev, nxt = self.band, self.at, self.prev, self.next
         c = band[key]
         first = c < 0
         if first:
@@ -205,12 +194,9 @@ class CrudeOracle:
         out = [(key, 0, 0)]
         for j in range(c):
             item = at[j]
-            s = (2 << j) - 1
-            score[item] = s
             band[item] = j + 1
-            out.append((item, s, 1 << j))
+            out.append((item, (2 << j) - 1, 1 << j))
             at[j] = prev[item]
-        score[key] = 0
         band[key] = 0
         if first:
             self.seen += 1
@@ -236,7 +222,7 @@ class CrudeOracle:
         return out
 
     def validate(self) -> str | None:
-        """The list, boundary pointers, bands and scores agree with each other."""
+        """The list, boundary pointers and bands agree with each other."""
         order: list[int] = []
         x, before = self.head, 0
         while x and len(order) <= self.seen:
@@ -255,13 +241,11 @@ class CrudeOracle:
         on_list = set(order)  # no repeats: each prev link was checked
         for rank, x in enumerate(order, start=1):
             b = (rank - 1).bit_length()
-            if self.band[x] != b or self.score[x] != (1 << b) - 1:
-                return (f"item {x} at rank {rank} has band {self.band[x]} and score "
-                        f"{self.score[x]}, expected {b} and {(1 << b) - 1}")
+            if self.band[x] != b:
+                return f"item {x} at rank {rank} has band {self.band[x]}, expected {b}"
         for x in range(1, self.n + 1):
-            if x not in on_list and (self.band[x] != -1 or self.score[x] != self.s_init):
-                return (f"unseen item {x} has band {self.band[x]} and score "
-                        f"{self.score[x]}, expected -1 and {self.s_init}")
+            if x not in on_list and self.band[x] != -1:
+                return f"unseen item {x} has band {self.band[x]}, expected -1"
         return None
 
 
@@ -289,7 +273,8 @@ class CostBreakdown:
 
 def _scheme_scores(scheme: str, stats: SequenceStats | None,
                    predicted: Sequence[float] | None, m: int, n: int):
-    """Per-step stored score after serving, or None for score-free schemes."""
+    """Per-step stored score after serving, 1-based, or None for score-free
+    schemes; the exact schemes return the statistics' own lists."""
     if scheme == "past-ws-crude" and predicted is not None:
         raise ConfigError("past-ws-crude derives its own scores")
     if scheme in ("static", "past-ws-crude"):
@@ -297,9 +282,9 @@ def _scheme_scores(scheme: str, stats: SequenceStats | None,
     if stats is None:
         raise ConfigError(f"scheme {scheme} needs sequence statistics")
     if scheme == "interval-set":
-        return [stats.interval[i] for i in range(1, m + 1)]
+        return stats.interval
     if scheme == "future-ws-exact":
-        return [stats.future[i] for i in range(1, m + 1)]
+        return stats.future
     if scheme == "future-ws-noisy":
         if predicted is None:
             raise ConfigError("future-ws-noisy needs predicted scores")
@@ -309,7 +294,7 @@ def _scheme_scores(scheme: str, stats: SequenceStats | None,
         for j, s in enumerate(clamped):
             if s != s:  # NaN survives the clamp; inf clamps to n
                 raise ConfigError(f"predicted score {j} is NaN")
-        return clamped
+        return [0.0] + clamped
     return None
 
 
@@ -405,7 +390,7 @@ def run_dynamic(
         access_cost += cost
         access_log_nat += -log_w[x]
         if scores is not None:
-            s = scores[i - 1]
+            s = scores[i]
             row = memo.get(s) or score_row(s)
             if isp_guard is not None:
                 isp_guard.step(i, stats)

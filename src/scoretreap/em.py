@@ -628,14 +628,6 @@ class DetScoreForest:
             buckets.setdefault(idx, []).append(k)
         self.trees = {idx: BTree(cfg.B, ks) for idx, ks in sorted(buckets.items())}
 
-    def check_sizes(self) -> str | None:
-        """Unit total score forces |T_i| <= B^(2^(i+1))."""
-        for idx, tree in self.trees.items():
-            cap = self.cfg.B ** (2 ** (idx + 1))
-            if len(tree) > cap:
-                return f"tree {idx} holds {len(tree)} items, cap {cap}"
-        return None
-
     def access(self, key: int) -> int:
         """Probe trees smallest-index-first; count every probed path block."""
         if not 1 <= key <= self.n:

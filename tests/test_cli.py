@@ -67,6 +67,47 @@ class TestPlumbing:
         # n > 2 B^4 = 512 at B = 4, so the front tree starts full
         assert self.failing_checks(tmp_path, "n = 600\nm = 500\n") == ["rank_forest_invariant"]
 
+    def test_validate_fails_on_a_key_in_the_wrong_recency_list_for_one_access(
+            self, tmp_path, monkeypatch):
+        # the drift lasts one access, so only a validate after every access
+        # sees it: the trees, and with them the size bands, never change
+        real_access = RankForest.access
+        calls = []
+
+        def drifting_access(self, key):
+            calls.append(key)
+            if len(calls) == 101:  # put the stray key back first
+                moved = calls[99]
+                del self.order[2][moved]
+                self.order[1][moved] = None
+            cost = real_access(self, key)
+            if len(calls) == 100:  # the served key lands in tree 2's list
+                del self.order[1][key]
+                self.order[2][key] = None
+            return cost
+
+        monkeypatch.setattr(RankForest, "access", drifting_access)
+        assert self.failing_checks(tmp_path) == ["rank_forest_invariant"]
+
+    def test_validate_fails_on_a_crude_boundary_pointer_stale_for_one_step(
+            self, tmp_path, monkeypatch):
+        # the update sets stay right, so only a validate after every step
+        # sees the drift
+        real_step = CrudeOracle.step
+        calls = []
+
+        def drifting_step(self, key):
+            calls.append(key)
+            if len(calls) == 101:  # put the rank-8 pointer back first
+                self.at[3] = self.prev[self.at[3]]
+            rows = real_step(self, key)
+            if len(calls) == 100:  # the rank-8 pointer names rank 9
+                self.at[3] = self.next[self.at[3]]
+            return rows
+
+        monkeypatch.setattr(CrudeOracle, "step", drifting_step)
+        assert self.failing_checks(tmp_path) == ["crude_band_and_volume"]
+
     @pytest.mark.parametrize("fault", ["norm drift", "extra item"])
     def test_validate_fails_on_a_drifting_interval_set_state(self, tmp_path, monkeypatch, fault):
         real_step = IntervalSetPriorityState.step
@@ -126,10 +167,12 @@ class TestPlumbing:
     def test_validate_fails_on_work_and_future_wrong_in_step(self, tmp_path, monkeypatch):
         def bad_stats(seq):
             stats = compute_stats(seq)
-            i = next(i for i in range(1, stats.m + 1) if stats.next[i] <= stats.m)
+            # the earliest access i whose key recurs, and its next access j
+            i, j = next((i, j) for i, x in enumerate(stats.items, start=1)
+                        for j in range(i + 1, stats.m + 1) if stats.items[j - 1] == x)
             # both ends of one occurrence pair count an extra item, so future
             # still equals work at the next access
-            stats.work[stats.next[i]] += 1
+            stats.work[j] += 1
             stats.future[i] += 1
             return stats
 

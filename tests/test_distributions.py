@@ -257,7 +257,41 @@ class TestMae:
             mae([1.0], [1.0, 2.0])
 
 
+def _noisy_scores_80_steps(scores, target, rng, lo, hi):
+    """``noisy_scores`` as it was before its bisection stopped at a fixed
+    point: always 80 steps after the doubling search."""
+    base = [float(s) for s in scores]
+    dirs = [rng.uniform(-1.0, 1.0) for _ in base]
+
+    def apply(c):
+        return [min(max(s + c * d, lo), hi) for s, d in zip(base, dirs)]
+
+    top = 1.0
+    while mae(base, apply(top)) < target:
+        top *= 2.0
+    bot = 0.0
+    for _ in range(80):
+        mid = 0.5 * (bot + top)
+        if mae(base, apply(mid)) < target:
+            bot = mid
+        else:
+            top = mid
+    return apply(top)
+
+
 class TestNoisyScores:
+    @pytest.mark.parametrize("target", [5.0, 40.0, 200.0, 5000.0])
+    def test_matches_the_80_step_bisection(self, monkeypatch, target):
+        scores = [float(k % 65) for k in range(0, 400 * 7, 7)]
+        want = _noisy_scores_80_steps(scores, target, random.Random(17), 0.0, 64.0)
+        calls = []
+        inner = distributions.mae
+        monkeypatch.setattr(distributions, "mae", lambda *a: calls.append(a) or inner(*a))
+        got = noisy_scores(scores, target, rng=random.Random(17), lo=0.0, hi=64.0)
+        assert got == want
+        # the stop fired: fewer passes than the 80 bisection steps alone
+        assert len(calls) < 80
+
     def test_zero_target_is_identity(self, py_rng):
         scores = [float(py_rng.randint(0, 9)) for _ in range(30)]
         assert noisy_scores(scores, 0.0) == scores

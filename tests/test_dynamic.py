@@ -23,7 +23,6 @@ from scoretreap.dynamic import (
     CostBreakdown,
     CrudeOracle,
     IntervalSetPriorityState,
-    _round_score,
     _scheme_scores,
     compute_stats,
     cost_decomposition_check,
@@ -62,17 +61,15 @@ class TestComputeStats:
                 assert st.work[i] == ex.work_past(i, key)
                 assert st.future[i] == ex.future(i, key)
                 assert st.interval[i] == ex.interval(i, key)
-                assert st.prev[i] == (ex.prev_strict(i, key) or 0)
-                nx = ex.next(i, key)
-                assert st.next[i] == (nx if nx else m + 1)
 
     def test_future_at_one_occurrence_is_work_at_the_next(self, py_rng):
         for _ in range(40):
             seq = random_trace(py_rng, py_rng.randint(1, 12), 30)
             st = compute_stats(seq)
+            ex = ExhaustiveStats(seq.items, seq.n)
             for i in range(1, seq.m + 1):
-                j = st.next[i]
-                if j <= seq.m:
+                j = ex.next(i, seq.at(i))
+                if j:
                     assert st.future[i] == st.work[j]
 
     @pytest.mark.parametrize("spec", [
@@ -109,6 +106,10 @@ class TestComputeStats:
     def test_empty_sequence(self):
         st = compute_stats(AccessSequence(4, []))
         assert st.m == 0 and st.work == [0]
+
+    def test_items_are_the_sequence_own_list(self):
+        seq = AccessSequence(4, [1, 2, 1, 4])
+        assert compute_stats(seq).items is seq.items
 
 
 class TestForwardPermutationProperty:
@@ -234,6 +235,20 @@ class TestIntervalSetPriority:
                     assert norm <= NORM_STEADY + 1e-12
 
 
+def _round_score(work: int) -> int:
+    """Next-power-of-two rounding: 2^ceil(log2(work+1)) - 1, output 0 at 0."""
+    if work <= 0:
+        return 0
+    return (1 << work.bit_length()) - 1
+
+
+def stored_scores(oracle: CrudeOracle) -> list[int]:
+    """Each item's rounded score as its band records it; unseen items (and
+    the unused slot 0) carry the rounded sentinel n."""
+    unseen = _round_score(oracle.n)
+    return [(1 << b) - 1 if b >= 0 else unseen for b in oracle.band]
+
+
 class RankQueryOracle:
     """Reference crude oracle: exact ranks from a literal move-to-front list
     (rank r is ``front[r - 1]``), one crosser read per power-of-two boundary,
@@ -289,7 +304,7 @@ class TestCrudeOracle:
             assert oracle.step(key) == ref.step(key), (trace, i)
             if i % 500 == 0 or i == seq.m:
                 assert oracle.validate() is None, (trace, i)
-        assert oracle.score == ref.score
+        assert stored_scores(oracle) == ref.score
 
     @pytest.mark.parametrize("field", ["link", "boundary", "band", "link range", "tail",
                                        "unseen band"])
@@ -312,10 +327,9 @@ class TestCrudeOracle:
             want = list(oracle.at)
             oracle.at[3] = order[8]
             message = f"boundary pointers {oracle.at}, expected {want}"
-        elif field == "band":  # rank 16 (work 15) claims the next band up, score and all
+        elif field == "band":  # rank 16 (work 15) claims the next band up
             oracle.band[order[15]] = 5
-            oracle.score[order[15]] = 31
-            message = f"item {order[15]} at rank 16 has band 5 and score 31, expected 4 and 15"
+            message = f"item {order[15]} at rank 16 has band 5, expected 4"
         elif field == "link range":  # rank 10 links past the universe
             oracle.next[order[9]] = n + 1
             message = f"link after {order[9]} points to {n + 1}, outside 1..{n}"
@@ -325,7 +339,7 @@ class TestCrudeOracle:
                        f"tail is {order[-2]}, {n} seen")
         else:  # an item never served claims rank 1's band
             oracle.band[n] = 0
-            message = f"unseen item {n} has band 0 and score 127, expected -1 and 127"
+            message = f"unseen item {n} has band 0, expected -1"
         assert oracle.validate() == message
 
     def test_rounded_score_values(self):
@@ -346,7 +360,7 @@ class TestCrudeOracle:
         for _ in range(steps):
             key = py_rng.randint(1, n)
             pre_work = front.index(key) if key in front else n
-            assert oracle.score[key] == _round_score(pre_work)
+            assert stored_scores(oracle)[key] == _round_score(pre_work)
             rows = oracle.step(key)
             if key in front:
                 front.remove(key)
@@ -363,7 +377,7 @@ class TestCrudeOracle:
             assert len(rows) <= math.floor(math.log2(n - 1)) + 2
             # lazily stored scores stay within the two-sided log band
             for pos, item in enumerate(front):
-                band = math.log2(oracle.score[item] + 1)
+                band = oracle.band[item]
                 assert math.log2(pos + 1) <= band <= 2 * math.log2(pos + 1) + 1
 
     def test_update_volume_bound(self, py_rng):
@@ -386,6 +400,16 @@ class TestRunDynamic:
         seq = AccessSequence(64, [5] * 400)
         bd = run_dynamic(seq, "future-ws-exact", "treap", rng=RandomStream(1))
         assert bd.access_cost / seq.m <= 3.0
+
+    def test_exact_schemes_read_the_stats_own_lists(self):
+        seq = AccessSequence(4, [1, 2, 1, 4, 2])
+        st = compute_stats(seq)
+        m, n = seq.m, seq.n
+        assert _scheme_scores("interval-set", st, None, m, n) is st.interval
+        assert _scheme_scores("future-ws-exact", st, None, m, n) is st.future
+        # predictions are 0-based; the driver reads the step-i score at [i]
+        noisy = _scheme_scores("future-ws-noisy", st, [2.5, 9.0, -1.0, 0.5, 1.0], m, n)
+        assert noisy == [0.0, 2.5, 4.0, 0.0, 0.5, 1.0]
 
     def test_noisy_with_zero_error_equals_exact(self):
         seq = gen_sequence(TraceSpec("zipf", n=48, m=1200, seed=3))
@@ -533,7 +557,7 @@ def reference_run(seq, scheme, structure, cfg, rng, predicted, stats):
         bd.access_log_nat += -math.log(weights[x])
         updates = []
         if scores is not None:
-            w_new = 1.0 / (1.0 + scores[i - 1]) ** 2
+            w_new = 1.0 / (1.0 + scores[i]) ** 2
             if guard is not None:
                 guard.step(i, stats)
             if w_new != weights[x]:

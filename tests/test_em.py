@@ -779,17 +779,6 @@ class TestDetScoreForest:
         assert st.tree_index[1:] == [0, 0, 1, 2, 3, 4]
         assert st.validate() is None
 
-    def test_unit_mass_respects_size_caps(self, py_rng):
-        raw = [py_rng.random() ** 5 for _ in range(400)]
-        tot = sum(raw)
-        st = DetScoreForest([r / tot for r in raw], EMConfig(4))
-        assert st.check_sizes() is None
-
-    def test_overfull_bucket_reported(self):
-        # twenty items of score 1/4 all land in tree 0, over its B^2 = 16 cap
-        st = DetScoreForest([0.25] * 20, EMConfig(4))
-        assert "tree 0" in st.check_sizes()
-
     def test_access_cost_geometric_in_bucket_index(self, py_rng):
         raw = [py_rng.random() ** 5 for _ in range(300)]
         tot = sum(raw)
