@@ -20,7 +20,6 @@ import math
 import os
 import random
 import sys
-import warnings
 from dataclasses import dataclass
 
 from .distributions import MEASURES, cross_entropy, entropy, kl, noisy_scores, perturb
@@ -476,11 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        # the experiments run small fanouts on purpose
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=r"fanout B=\d+ is small",
-                                    category=UserWarning)
-            result = COMMANDS[args.subcommand](params, params["seed"], params["trials"])
+        result = COMMANDS[args.subcommand](params, params["seed"], params["trials"])
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

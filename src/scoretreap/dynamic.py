@@ -6,7 +6,8 @@ the forward (next-access) counterpart, and the between-occurrences interval
 size.  On top of those:
 
 * ``IntervalSetPriorityState`` -- stored weight 1/(1+interval)^2 per item,
-  at most one change per step, running norm certificate.
+  at most one change per step, norm certificate checked every step; the
+  literal reference for the driver's own check, which reads its weights.
 * ``CrudeOracle`` -- a move-to-front list with one pointer per power-of-two
   rank boundary; scores rounded to the next power of two, refreshed only for
   the items whose rank steps over a boundary, with no rank query.
@@ -113,6 +114,15 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
     return SequenceStats(n=n, m=m, items=items, work=work, future=future, interval=interval)
 
 
+def _check_norm(norm: float, steady: bool) -> None:
+    """The interval-set norm certificate: pi^2/6 always, and the steady
+    bound once every item has been served."""
+    if norm > NORM_CEILING + 1e-9:
+        raise AssertionError(f"norm {norm} exceeds pi^2/6")
+    if steady and norm > NORM_STEADY + 1e-9:
+        raise AssertionError(f"norm {norm} exceeds steady bound {NORM_STEADY}")
+
+
 class IntervalSetPriorityState:
     """Stored weights 1/(1+interval)^2 with the running norm certificate."""
 
@@ -142,10 +152,7 @@ class IntervalSetPriorityState:
         return {x}
 
     def _check(self) -> None:
-        if self.norm > NORM_CEILING + 1e-9:
-            raise AssertionError(f"norm {self.norm} exceeds pi^2/6")
-        if self.all_seen and self.norm > NORM_STEADY + 1e-9:
-            raise AssertionError(f"norm {self.norm} exceeds steady bound {NORM_STEADY}")
+        _check_norm(self.norm, self.all_seen)
 
 
 class CrudeOracle:
@@ -295,7 +302,6 @@ def _scheme_scores(scheme: str, stats: SequenceStats | None,
             if s != s:  # NaN survives the clamp; inf clamps to n
                 raise ConfigError(f"predicted score {j} is NaN")
         return [0.0] + clamped
-    return None
 
 
 def run_dynamic(
@@ -314,7 +320,8 @@ def run_dynamic(
     then re-weight the scheme's update set, drawing a fresh priority offset
     for every re-weighted item.  All items start at weight 1/(n+1)^2, and a
     score s maps to the weight 1/(1+s)^2, the form the norm certificate of
-    the interval-set scheme is stated for.  The driver maps a score to its
+    the interval-set scheme is stated for; under that scheme the driver
+    checks the certificate on its own weights.  The driver maps a score to its
     weight, log weight and tier under the structure's rule, memoised per
     run; a structure takes the tier on update.
     """
@@ -331,10 +338,20 @@ def run_dynamic(
         stats = compute_stats(seq)
     scores = _scheme_scores(scheme, stats, predicted_scores, m, n)
     oracle = CrudeOracle(n) if scheme == "past-ws-crude" else None
-    isp_guard = IntervalSetPriorityState(n) if scheme == "interval-set" else None
 
     w0 = 1.0 / (n + 1) ** 2
     weights = [w0] * (n + 1)
+    # the interval-set norm certificate: norm is the sum of the stored weights,
+    # which move only on updates; it stays under pi^2/6 throughout and under
+    # the steady bound from step ``steady_from``, where the last unseen key is
+    # first served (m + 1 when some key is never served)
+    certify = scheme == "interval-set"
+    norm = n * w0
+    steady_from = m + 1
+    if certify:
+        first_served = dict.fromkeys(seq.items)
+        if len(first_served) == n:
+            steady_from = seq.items.index(next(reversed(first_served))) + 1
     log_w = [math.log(w0)] * (n + 1)  # log of weights, from the score memo
 
     # an updating structure takes a re-scored item's tier under its rule,
@@ -392,12 +409,13 @@ def run_dynamic(
         if scores is not None:
             s = scores[i]
             row = memo.get(s) or score_row(s)
-            if isp_guard is not None:
-                isp_guard.step(i, stats)
             updates = [(x, row)] if row[0] != weights[x] else ()
         elif oracle is not None:
             updates = [(item, memo.get(s) or score_row(s)) for item, s, _w in oracle.step(x)]
         for item, (w_new, lw, tier) in updates:
+            if certify:
+                norm += w_new - weights[item]
+                _check_norm(norm, i >= steady_from)
             ucost, rcost = do_update(item, tier)
             update_cost += ucost
             rebuild_cost += rcost
@@ -405,6 +423,8 @@ def run_dynamic(
             log_w[item] = lw
             weights[item] = w_new
             update_events += 1
+        if i == steady_from:
+            _check_norm(norm, True)
         if keep_steps:
             steps.append((i, x, cost, len(updates), stats.work[i], stats.interval[i],
                           stats.future[i]))

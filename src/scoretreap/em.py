@@ -18,8 +18,7 @@ touches.
 from __future__ import annotations
 
 import math
-import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,28 +38,19 @@ __all__ = [
 ]
 
 
-# the depth slack of the fanout advisory in ``EMConfig.warn_if_small``
-_DEPTH_SLACK = 0.5
-
-
 @dataclass
 class EMConfig:
-    """External-memory knobs: the block fanout B."""
+    """External-memory knobs: the block fanout B.
+
+    The block experiments run below B = ln(n)^2 on purpose (B=16 is below
+    it for every n >= 55), where the block depth guarantees degrade.
+    """
 
     B: int
 
     def __post_init__(self) -> None:
         if self.B < 4:
             raise ConfigError(f"block fanout must be >= 4, got {self.B}")
-
-    def warn_if_small(self, n: int) -> None:
-        """Advisory: fanout below log(n)^(1/(1-slack)) weakens depth bounds."""
-        if n >= 3 and self.B < math.log(n) ** (1.0 / (1.0 - _DEPTH_SLACK)):
-            warnings.warn(
-                f"fanout B={self.B} is small for n={n} at depth slack {_DEPTH_SLACK}; "
-                "depth guarantees degrade",
-                stacklevel=3,
-            )
 
 
 class Block:
@@ -331,12 +321,17 @@ class TierForestBTreap:
     """Block-tree over a score-tiered treap.
 
     The base treap orders keys by ``floor(log4 log_B (1/w))`` tiers; tiers
-    only grow along root-to-leaf paths, so maximal same-tier regions form a
-    forest of components.  Each component is one bulk-built B-tree, which
-    records the component's tier and its top (its root in the base treap);
-    ``comp_of[k]`` is the tree of ``k``'s component.  The tree's root hangs
-    (conceptually) below the block containing the top's treap parent.
-    Rebuild writes are counted apart from search touches.
+    never fall going down the treap, so maximal same-tier regions form a
+    forest of components.  The component topped by g is exactly the keys of
+    g's tier inside g's subtree: every node between g and such a key has a
+    tier between theirs.  All of 1..n are present, so g's subtree is the key
+    range from the end of its left spine to the end of its right spine, and
+    the component is one slice of ``keys_of_tier[tier]``, the sorted keys of
+    that tier.  Each component is one bulk-built B-tree, which records the
+    component's tier and its top (its root in the base treap); ``comp_of[k]``
+    is the tree of ``k``'s component.  The tree's root hangs (conceptually)
+    below the block containing the top's treap parent.  Rebuild writes are
+    counted apart from search touches.
 
     A weight update re-prioritizes one key of the base treap, and its
     rotations re-hang only nodes beside that key's root path.  On a tier
@@ -352,12 +347,14 @@ class TierForestBTreap:
         wl = [float(v) for v in weights]
         self.cfg = cfg
         self.n = len(wl)
-        cfg.warn_if_small(self.n)
         self._rng = rng if rng is not None else RandomStream(0)
         offsets = [self._rng.next_offset() for _ in range(self.n)]
         self.tier_bases = (cfg.B, 4)  # the tier rule: floor(log4 log_B (1/w))
         tiers = [tier_value(w, *self.tier_bases) for w in wl]
         self.base = Treap.build_arrays(tiers, offsets)
+        self.keys_of_tier: dict[int, list[int]] = {}
+        for k, t in enumerate(tiers, start=1):
+            self.keys_of_tier.setdefault(t, []).append(k)
         self.comp_of: list[BTree | None] = [None] * (self.n + 1)  # slot 0 unused
         for top, members in self._components(self._tops(range(1, self.n + 1))):
             self._new_component(top, members)
@@ -373,25 +370,20 @@ class TierForestBTreap:
         return [k for k in keys if not parent[k] or tier[parent[k]] != tier[k]]
 
     def _components(self, tops: list[int]) -> list[tuple[int, list[int]]]:
-        """(top, members) for each top; members are the top and every node
-        reached from it through child links within its tier."""
+        """(top, sorted members) for each top: the keys of the top's tier
+        between the ends of its left and right spines, which bound its
+        subtree's key range."""
         left, right, tier = self.base._left, self.base._right, self.base._tier
+        keys_of_tier = self.keys_of_tier
         out = []
         for top in tops:
-            t = tier[top]
-            members = [top]
-            stack = [top]
-            while stack:
-                k = stack.pop()
-                c = left[k]
-                if c and tier[c] == t:
-                    members.append(c)
-                    stack.append(c)
-                c = right[k]
-                if c and tier[c] == t:
-                    members.append(c)
-                    stack.append(c)
-            out.append((top, members))
+            lo = hi = top
+            while left[lo]:
+                lo = left[lo]
+            while right[hi]:
+                hi = right[hi]
+            ks = keys_of_tier[tier[top]]
+            out.append((top, ks[bisect_left(ks, lo):bisect_right(ks, hi)]))
         return out
 
     def _new_component(self, top: int, members: list[int]) -> int:
@@ -416,7 +408,8 @@ class TierForestBTreap:
         """Re-group the components that ``key``'s tier change can alter.
 
         ``ancestors`` and ``children`` are ``_neighbours(key)`` from before
-        the base treap update.  Each rotation re-hangs ``key``, the node it
+        the base treap update; ``keys_of_tier`` already lists ``key`` under
+        its new tier.  Each rotation re-hangs ``key``, the node it
         passes and one child between them, so every node whose parent
         changed is ``key``, an ancestor before or after (not both), or a
         child before or after; ``key``'s children are also the only nodes
@@ -425,8 +418,9 @@ class TierForestBTreap:
         members and top.  Only a moved node changes its parent, its parent's
         tier or its own tier, so no other member of a dirty component gains
         or loses top status: the new tops are among the moved nodes and the
-        dirty components' old tops.  Returns the blocks written for rebuilt
-        components.
+        dirty components' old tops, and each new group is the slice of its
+        top's tier keys within the top's subtree range.  Returns the blocks
+        written for rebuilt components.
         """
         parent, tier = self.base._parent, self.base._tier
         comp_of = self.comp_of
@@ -489,7 +483,9 @@ class TierForestBTreap:
         """The number of distinct blocks on the path to ``key``."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        return len(set(self._path_blocks(key)))
+        # a top's treap parent has a strictly smaller tier, so each component
+        # tree lies on the glued path at most once and no block repeats
+        return len(self._path_blocks(key))
 
     # -- updates ------------------------------------------------------------
 
@@ -497,20 +493,25 @@ class TierForestBTreap:
         """Re-prioritize one item at its new score's tier; returns the phase-split touches."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        removal = len(set(self._path_blocks(key)))
+        removal = len(self._path_blocks(key))  # no block repeats: see ``access``
         old_tier = self.base._tier[key]
         offset = self._rng.next_offset()
         before = self._neighbours(key) if new_tier != old_tier else None
         rot = self.base.update_priority(key, new_tier, offset)
         written = 0
         if before is not None:
+            ks = self.keys_of_tier[old_tier]
+            del ks[bisect_left(ks, key)]
+            if not ks:
+                del self.keys_of_tier[old_tier]
+            insort(self.keys_of_tier.setdefault(new_tier, []), key)
             written = self._retier(key, *before)
         elif rot:
             self._refresh_root(key)
         # without a tier change, key rotates only past nodes of its own tier:
         # its component keeps its members, its B-tree and the treap parent of
         # its top, so the glued path to key is the one walked for removal
-        insertion = removal if before is None else len(set(self._path_blocks(key)))
+        insertion = removal if before is None else len(self._path_blocks(key))
         return UpdateCost(removal, insertion, written)
 
     # -- serialization / checks ----------------------------------------------
@@ -555,9 +556,23 @@ class TierForestBTreap:
         err = self.base.validate()
         if err:
             return f"base treap: {err}"
+        tier = self.base._tier
+        # each list is sorted and holds only keys of its tier, so n listed
+        # keys in all means every key sits in its own tier's list once
+        for t, ks in self.keys_of_tier.items():
+            if not ks:
+                return f"tier {t} keeps an empty key list"
+            if any(a >= b for a, b in zip(ks, ks[1:])):
+                return f"tier {t} key list is not strictly increasing"
+            for k in ks:
+                if tier[k] != t:
+                    return f"key {k} listed in tier {t}, has tier {tier[k]}"
+        listed = sum(map(len, self.keys_of_tier.values()))
+        if listed != self.n:
+            return f"tier lists hold {listed} keys, expected {self.n}"
         # the decomposition must be the one the base treap implies now; a
         # component is named by its top
-        parent, tier, comp_of = self.base._parent, self.base._tier, self.comp_of
+        parent, comp_of = self.base._parent, self.comp_of
         for k in range(1, self.n + 1):
             p = parent[k]
             if p and tier[p] == tier[k]:
@@ -618,7 +633,6 @@ class DetScoreForest:
         wl = [float(v) for v in weights]
         self.cfg = cfg
         self.n = len(wl)
-        cfg.warn_if_small(self.n)
         self.tree_index = [0] * (self.n + 1)
         self.tier_bases = (cfg.B, 2)  # the bucket rule: floor(log2 log_B (1/w))
         buckets: dict[int, list[int]] = {}
@@ -673,7 +687,6 @@ class RankForest:
             raise ConfigError(f"universe size must be >= 1, got {n}")
         self.cfg = cfg
         self.n = n
-        cfg.warn_if_small(n)
         S = 1
         while cfg.B ** (2 ** S) < n:
             S += 1

@@ -179,6 +179,12 @@ class TestPlumbing:
         monkeypatch.setattr("scoretreap.cli.compute_stats", bad_stats)
         assert self.failing_checks(tmp_path) == ["futures_match_next_work"]
 
+    def test_runs_without_a_config_file(self, tmp_path):
+        code, summary, _ = run_cli(tmp_path, "validate", trials=1)
+        assert code == 0 and summary["all_passed"] is True
+        assert summary["parameters"] == {"trials": 1, "n": 128, "m": 2_000, "seed": 0,
+                                         "threads": 1}
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])

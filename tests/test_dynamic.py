@@ -9,6 +9,7 @@ Window conventions under test (all 1-based):
               sentinel n when there is no next access.
 """
 
+import collections
 import math
 import random
 import re
@@ -440,6 +441,76 @@ class TestRunDynamic:
             run_dynamic(seq, "future-ws-noisy", "treap")  # needs predictions
         with pytest.raises(ConfigError):
             run_dynamic(seq, "past-ws-crude", "treap", predicted_scores=[1.0, 1.0])
+
+    @pytest.mark.parametrize("structure", ["treap", "tier-forest", "det-forest"])
+    def test_doctored_intervals_break_the_norm_ceiling(self, structure):
+        # two items at weight 1 sum past pi^2/6 on the second step
+        seq = AccessSequence(4, [1, 2, 3, 4, 1, 2])
+        st = compute_stats(seq)
+        st.interval[1] = st.interval[2] = 0
+        with pytest.raises(AssertionError, match=re.escape("exceeds pi^2/6")):
+            run_dynamic(seq, "interval-set", structure, cfg=self.CFG, stats=st)
+
+    def test_steady_bound_holds_from_the_last_first_service(self):
+        # item 1 at weight 1 keeps the norm near 1.12: under pi^2/6, over the
+        # steady bound.  Step 4 serves the last unseen item without an update
+        seq = AccessSequence(4, [1, 2, 3, 4])
+        st = compute_stats(seq)
+        st.interval[1] = 0
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"exceeds steady bound {NORM_STEADY}")):
+            run_dynamic(seq, "interval-set", "treap", stats=st)
+        # with item 4 never served the steady bound never applies
+        seq = AccessSequence(4, [1, 2, 3, 1])
+        st = compute_stats(seq)
+        st.interval[1] = 0
+        run_dynamic(seq, "interval-set", "treap", stats=st)
+
+    def test_norm_certificate_fails_where_the_per_step_state_fails(self, py_rng):
+        """The driver's running norm raises at the same step, with the same
+        message, as stepping ``IntervalSetPriorityState`` over the stats."""
+        outcomes = collections.Counter()
+        for _ in range(150):
+            n = py_rng.randint(2, 8)
+            seq = random_trace(py_rng, n, 30)
+            st = compute_stats(seq)
+            for i in py_rng.sample(range(1, seq.m + 1), py_rng.randint(0, 6)):
+                st.interval[i] = py_rng.randint(0, 1)
+            state, want = IntervalSetPriorityState(n), None
+            try:
+                for i in range(1, seq.m + 1):
+                    state.step(i, st)
+            except AssertionError as exc:
+                want = str(exc)
+            try:
+                run_dynamic(seq, "interval-set", "treap", stats=st)
+                got = None
+            except AssertionError as exc:
+                got = str(exc)
+            assert got == want
+            outcomes[want.split(" exceeds ")[1] if want else None] += 1
+        assert min(outcomes[k] for k in (None, "pi^2/6", f"steady bound {NORM_STEADY}")) >= 5
+
+    @pytest.mark.parametrize("B", [4, 16])
+    def test_glued_paths_never_repeat_a_block(self, B, monkeypatch):
+        """A top's treap parent has a strictly smaller tier, so the tier
+        forest counts a glued path's blocks without deduplicating them."""
+        walks = []
+        real = TierForestBTreap._path_blocks
+
+        def checked(self, key):
+            blocks = real(self, key)
+            assert len({id(blk) for blk in blocks}) == len(blocks), key
+            walks.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(TierForestBTreap, "_path_blocks", checked)
+        for family in ("zipf", "block-repeat", "uniform", "round-robin"):
+            seq = gen_sequence(TraceSpec(family, n=256, m=3_000, seed=7))
+            for scheme in ("interval-set", "future-ws-exact", "past-ws-crude"):
+                run_dynamic(seq, scheme, "tier-forest", cfg=EMConfig(B), rng=RandomStream(5))
+        assert len(walks) > 12 * 3_000
+        assert max(walks) > 1
 
     @pytest.mark.parametrize("structure", ["treap", "tier-forest", "det-forest", "rank-forest"])
     @pytest.mark.parametrize(

@@ -198,7 +198,6 @@ class StampHeapRankForest:
             raise ConfigError(f"universe size must be >= 1, got {n}")
         self.cfg = cfg
         self.n = n
-        cfg.warn_if_small(n)
         S = 1
         while cfg.B ** (2 ** S) < n:
             S += 1
@@ -346,24 +345,6 @@ class TestEMConfig:
         with pytest.raises(ConfigError):
             EMConfig(0)
         assert EMConfig(4).B == 4
-
-    def test_small_fanout_warns(self):
-        with pytest.warns(UserWarning, match="fanout"):
-            EMConfig(4).warn_if_small(10_000)
-
-    def test_large_fanout_quiet(self, recwarn):
-        EMConfig(256).warn_if_small(10_000)
-        assert not recwarn.list
-
-    @pytest.mark.parametrize("B, n, warns", [(4, 7, False), (4, 8, True),
-                                             (16, 54, False), (16, 55, True)])
-    def test_advisory_threshold_is_log_n_squared(self, recwarn, B, n, warns):
-        # depth slack 1/2: the advisory fires exactly when B < ln(n)^2
-        assert (B < math.log(n) ** 2) == warns
-        EMConfig(B).warn_if_small(n)
-        assert [str(w.message) for w in recwarn.list] == (
-            [f"fanout B={B} is small for n={n} at depth slack 0.5; depth guarantees degrade"]
-            if warns else [])
 
 
 @pytest.mark.parametrize("forest", [TierForestBTreap, DetScoreForest])
@@ -750,6 +731,54 @@ class TestTierForest:
                 other.insert(top)
                 message = (f"key {top} marked in tree {top}, stored in tree {other.top}" if same
                            else f"component {other.top} mixes tiers at key {top}")
+        assert st.validate() == message
+
+    def test_components_match_the_treap_walk_partition(self):
+        """Each top's key-range slice of its tier's keys is the component
+        that the reference's DFS over parent links finds."""
+        py = random.Random(21)
+        for trial in range(200):
+            n, B = py.randint(1, 300), py.choice((4, 8, 16))
+            hi = py.randint(0, 4)
+            if trial % 2:  # runs of one tier, as in segmented profiles
+                tiers = []
+                while len(tiers) < n:
+                    tiers += [py.randint(0, hi)] * py.randint(1, 40)
+                tiers = tiers[:n]
+            else:
+                tiers = [py.randint(0, hi) for _ in range(n)]
+            st = TierForestBTreap([float(B) ** -(4.0 ** t) for t in tiers], EMConfig(B),
+                                  rng=RandomStream(trial))
+            assert [st.tier_of(k) for k in range(1, n + 1)] == tiers
+            tier = st.base._tier
+            got = {top: (tier[top], members)
+                   for top, members in st._components(st._tops(range(1, n + 1)))}
+            comp = FullRepartitionForest._partition(st)
+            want: dict[int, tuple[int, list[int]]] = {}
+            for k in range(1, n + 1):
+                want.setdefault(comp[k], (tier[comp[k]], []))[1].append(k)
+            assert got == want, trial
+
+    @pytest.mark.parametrize("corrupt", ["wrong tier", "out of order", "missing", "empty list"])
+    def test_validate_names_drift_in_the_tier_key_lists(self, corrupt):
+        st = churned_forest()
+        lists = st.keys_of_tier
+        t, ks = next((t, ks) for t, ks in sorted(lists.items()) if len(ks) >= 2)
+        if corrupt == "empty list":
+            t = max(lists) + 1
+            lists[t] = []
+            message = f"tier {t} keeps an empty key list"
+        elif corrupt == "wrong tier":
+            other = next(u for u in sorted(lists) if u != t)
+            key = ks.pop()
+            bisect.insort(lists[other], key)
+            message = f"key {key} listed in tier {other}, has tier {t}"
+        elif corrupt == "out of order":
+            ks[0], ks[1] = ks[1], ks[0]
+            message = f"tier {t} key list is not strictly increasing"
+        else:
+            ks.pop()
+            message = f"tier lists hold {st.n - 1} keys, expected {st.n}"
         assert st.validate() == message
 
     @pytest.mark.parametrize("n, B, updates, seed, digest", [
