@@ -210,15 +210,19 @@ def cmd_static_opt(p: dict, seed: int, trials: int) -> dict:
 def cmd_robustness(p: dict, seed: int, trials: int) -> dict:
     n, m, s, measure = p["n"], p["m"], p["s"], p["measure"]
     dist = gen_distribution(TraceSpec(family="zipf", n=n, m=m, seed=seed, s=s))
-    # every perturbation first, so an unreachable eps fails before any sweep work
+    # every perturbation first, so an unreachable eps fails before any sweep
+    # work; the trials of one eps share the mixture walk, which ``dist`` keeps
     perturbed = [[perturb(dist, measure, eps, rng=random.Random(seed * 7717 + t))
                   for t in range(trials)] for eps in p["eps"]]
+    # a trial's trace does not depend on eps
+    trial_counts = [_trace_counts(TraceSpec(family="zipf", n=n, m=m, seed=seed + t, s=s))
+                    for t in range(trials)]
     points = []
     checks: dict[str, bool] = {}
     for eps, prs in zip(p["eps"], perturbed):
         rows = []
-        for t, pr in enumerate(prs):
-            counts = _trace_counts(TraceSpec(family="zipf", n=n, m=m, seed=seed + t, s=s))
+        for t, (pr, counts) in enumerate(zip(prs, trial_counts)):
+            # the noisy build continues the base build's stream
             rng = RandomStream(seed).spawn(t)
             base_cost = _static_treap_cost(dist.masses(), counts, rng)
             noisy_cost = _static_treap_cost(pr.masses(), counts, rng)

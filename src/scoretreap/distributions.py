@@ -41,6 +41,8 @@ class Distribution:
             raise ValueError(f"masses sum to {total!r}, expected 1 within {_SUM_TOL}")
         self._p = vals
         self.n = n
+        # ``perturb``'s mixture-walk outcomes, by (measure, eps, floor)
+        self._mixture_walks: dict[tuple[str, float, float], Distribution | float | None] = {}
 
     def __getitem__(self, key: int) -> float:
         if not 1 <= key <= self.n:
@@ -154,7 +156,8 @@ def _measure(p: Distribution, q: Distribution, name: str) -> float:
 
 
 def _apply_floor(vals: list[float], floor: float) -> list[float]:
-    clipped = [max(v, floor) for v in vals]
+    # max(v, floor) without the call: v unless floor is strictly larger
+    clipped = [floor if v < floor else v for v in vals]
     s = math.fsum(clipped)
     return [v / s for v in clipped]
 
@@ -180,6 +183,21 @@ def _bisect(below: Callable[[float], bool], hi: float) -> float:
     return hi
 
 
+def _walk(p: Distribution, family: Callable[[float], Distribution], hi: float,
+          measure: str, eps: float) -> Distribution | float | None:
+    """One monotone family on [0, hi]: the accepted ``q``, else the value
+    reached at ``hi``, else None when ``family(hi)`` is not a valid ``q``."""
+    try:
+        reach = _measure(p, family(hi), measure)
+    except ValueError:
+        return None
+    if reach < eps:
+        return reach
+    q = family(_bisect(lambda lam: _measure(p, family(lam), measure) < eps, hi))
+    got = _measure(p, q, measure)
+    return q if 0.9 * eps <= got <= 1.1 * eps else reach
+
+
 def perturb(
     p: Distribution,
     measure: str,
@@ -195,6 +213,13 @@ def perturb(
     reach the target, e.g. for ``p`` uniform -- an exponential tilt along a
     random +/-1 direction.  A ``floor`` (default ``1/(100 n^2)``) keeps every
     mass polynomially bounded away from zero.
+
+    The mixture walk draws nothing at random, so its outcome (the accepted
+    ``q``, or the value it reached) is remembered on ``p`` per
+    ``(measure, eps, floor)``; a repeat call returns the same ``q`` object.
+    Only the tilt consults ``rng``, but every call with ``eps > 0`` first
+    draws its n directions, so a shared ``rng`` advances by n draws whichever
+    family answers.
     """
     n = p.n
     if floor is None:
@@ -207,30 +232,28 @@ def perturb(
         return Distribution(p.masses())
     rng = rng or random.Random(0)
     base = p.masses()
-    uni = [1.0 / n] * n
     direction = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(n)]
 
     def mixture(lam: float) -> Distribution:
-        return Distribution(_apply_floor([(1 - lam) * b + lam * u for b, u in zip(base, uni)], floor))
+        keep, add = 1 - lam, lam * (1.0 / n)
+        return Distribution(_apply_floor([keep * b + add for b in base], floor))
 
     def tilt(lam: float) -> Distribution:
         vals = [max(b, floor) * math.exp(lam * d) for b, d in zip(base, direction)]
         total = math.fsum(vals)
         return Distribution(_apply_floor([v / total for v in vals], floor))
 
-    reached: list[float] = []  # each family's value at its far end
-    for family, hi in ((mixture, 1.0), (tilt, 80.0)):
-        try:
-            reach = _measure(p, family(hi), measure)
-        except ValueError:
-            continue
-        reached.append(reach)
-        if reach < eps:
-            continue
-        q = family(_bisect(lambda lam: _measure(p, family(lam), measure) < eps, hi))
-        got = _measure(p, q, measure)
-        if 0.9 * eps <= got <= 1.1 * eps:
-            return q
+    walks = p._mixture_walks
+    key = (measure, eps, floor)
+    if key not in walks:
+        walks[key] = _walk(p, mixture, 1.0, measure, eps)
+    mixed = walks[key]
+    if isinstance(mixed, Distribution):
+        return mixed
+    tilted = _walk(p, tilt, 80.0, measure, eps)
+    if isinstance(tilted, Distribution):
+        return tilted
+    reached = [r for r in (mixed, tilted) if r is not None]  # each family's far-end value
     largest = f" (largest reached {max(reached):.3f})" if reached else ""
     raise ValueError(f"cannot reach {measure}={eps} from this distribution{largest}")
 

@@ -2,13 +2,17 @@
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
+from scoretreap import distributions
 from scoretreap.cli import main
+from scoretreap.distributions import perturb
 from scoretreap.dynamic import CrudeOracle, IntervalSetPriorityState, compute_stats
 from scoretreap.em import DetScoreForest, RankForest, TierForestBTreap
+from scoretreap.sequences import TraceSpec, gen_distribution
 from scoretreap.treap import Treap
 
 
@@ -354,6 +358,21 @@ class TestExperiments:
                            "noisy_cost", "cost_bound", "overhead_bound"}
         assert pt["eps"] == 0.5
         assert pt["noisy_cost"] <= pt["cost_bound"]
+
+    def test_robustness_walks_once_per_eps(self, tmp_path, monkeypatch):
+        """The trials of one eps share the mixture walk: three trials run as
+        many measurements as one ``perturb`` call on the same input."""
+        calls = []
+        inner = distributions._measure
+        monkeypatch.setattr(distributions, "_measure", lambda *a: calls.append(a) or inner(*a))
+        code, s, _ = run_cli(tmp_path, "robustness",
+                             "n = 128\nm = 3000\ns = 1.0\nmeasure = kl\neps = 0.5\n", trials=3)
+        assert code == 0 and s["all_passed"]
+        swept = len(calls)
+        calls.clear()
+        dist = gen_distribution(TraceSpec(family="zipf", n=128, m=3000, seed=0, s=1.0))
+        perturb(dist, "kl", 0.5, rng=random.Random(0))
+        assert swept == len(calls) > 0
 
     def test_counterexamples_linear_profile(self, tmp_path):
         code, s, _ = run_cli(tmp_path, "counterexamples",

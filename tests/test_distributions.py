@@ -229,6 +229,139 @@ class TestPerturbEarlyStop:
         assert len(calls) < 80
 
 
+def _perturb_unremembered(p, measure, eps, rng=None, floor=None):
+    """``perturb`` as it was before it remembered its mixture walk on ``p``:
+    the eager direction draw, the ``uni`` list, the ``max`` clip and the
+    two-family loop, run afresh on every call."""
+    n = p.n
+    if floor is None:
+        floor = 1.0 / (100.0 * n * n)
+    if eps == 0.0:
+        return Distribution(p.masses())
+    rng = rng or random.Random(0)
+
+    def measure_of(q):
+        return kl(p, q) if measure == "kl" else error_measures(p, q)[measure]
+
+    def apply_floor(vals):
+        clipped = [max(v, floor) for v in vals]
+        s = math.fsum(clipped)
+        return [v / s for v in clipped]
+
+    def bisect(below, hi):
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if below(mid):
+                if mid == lo:
+                    break
+                lo = mid
+            else:
+                if mid == hi:
+                    break
+                hi = mid
+        return hi
+
+    base = p.masses()
+    uni = [1.0 / n] * n
+    direction = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(n)]
+
+    def mixture(lam):
+        return Distribution(apply_floor([(1 - lam) * b + lam * u for b, u in zip(base, uni)]))
+
+    def tilt(lam):
+        vals = [max(b, floor) * math.exp(lam * d) for b, d in zip(base, direction)]
+        total = math.fsum(vals)
+        return Distribution(apply_floor([v / total for v in vals]))
+
+    reached = []
+    for family, hi in ((mixture, 1.0), (tilt, 80.0)):
+        try:
+            reach = measure_of(family(hi))
+        except ValueError:
+            continue
+        reached.append(reach)
+        if reach < eps:
+            continue
+        q = family(bisect(lambda lam: measure_of(family(lam)) < eps, hi))
+        if 0.9 * eps <= measure_of(q) <= 1.1 * eps:
+            return q
+    largest = f" (largest reached {max(reached):.3f})" if reached else ""
+    raise ValueError(f"cannot reach {measure}={eps} from this distribution{largest}")
+
+
+def _zipf(n):
+    return Distribution.from_unnormalized([1.0 / k for k in range(1, n + 1)])
+
+
+class TestPerturbRemembersTheMixtureWalk:
+    """``perturb`` runs its rng-free mixture walk once per (p, measure, eps,
+    floor); every call must still return what a fresh walk returns, and
+    advance its ``rng`` exactly as before."""
+
+    TARGETS = {"kl": (0.5, 0.2), "tv": (0.1, 0.2), "l2": (0.02, 0.01),
+               "linf": (0.002, 0.001), "chi2": (0.3, 0.6), "hellinger": (0.1, 0.05)}
+
+    @staticmethod
+    def _outcome(fn, p, measure, eps, rng):
+        try:
+            return fn(p, measure, eps, rng=rng).masses()
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh-rngs", "shared-rng"])
+    @pytest.mark.parametrize("family", ["zipf", "uniform"])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_matches_the_unremembered_perturb(self, family, measure, shared):
+        n = 300
+        # zipf is reached by the mixture walk; uniform only by the tilt
+        p = _zipf(n) if family == "zipf" else Distribution.uniform(n)
+        a, b = self.TARGETS[measure]
+        got_rng, want_rng = random.Random(11), random.Random(11)
+        for i, eps in enumerate((a, b, a)):
+            if not shared:
+                got_rng, want_rng = random.Random(20 + i), random.Random(20 + i)
+            want = self._outcome(_perturb_unremembered, p, measure, eps, want_rng)
+            got = self._outcome(perturb, p, measure, eps, got_rng)
+            assert isinstance(want, list), want
+            assert got == want, (eps, i)
+            assert got_rng.getstate() == want_rng.getstate(), (eps, i)
+        assert len(p._mixture_walks) == 2
+
+    @pytest.mark.parametrize("family", ["zipf", "uniform"])
+    def test_unreachable_target_gives_the_same_error_on_a_repeat(self, family):
+        n = 300
+        p = _zipf(n) if family == "zipf" else Distribution.uniform(n)
+        got_rng, want_rng = random.Random(4), random.Random(4)
+        for _ in range(2):  # the walk, then its remembered outcome
+            want = self._outcome(_perturb_unremembered, p, "tv", 5.0, want_rng)
+            assert want.startswith("cannot reach tv=5.0 from this distribution (largest reached ")
+            assert self._outcome(perturb, p, "tv", 5.0, got_rng) == want
+            assert got_rng.getstate() == want_rng.getstate()
+
+    def test_the_tilt_is_never_remembered(self):
+        p = Distribution.uniform(300)
+        qs = [perturb(p, "tv", 0.1, rng=random.Random(seed)) for seed in (1, 2)]
+        assert qs[0].masses() != qs[1].masses()
+        for seed, q in zip((1, 2), qs):
+            want = _perturb_unremembered(p, "tv", 0.1, rng=random.Random(seed))
+            assert q.masses() == want.masses()
+
+    def test_a_repeat_call_runs_no_mixture_step(self, monkeypatch):
+        p = _zipf(300)
+        calls = []
+        inner = distributions._measure
+        monkeypatch.setattr(distributions, "_measure", lambda *a: calls.append(a) or inner(*a))
+        first = perturb(p, "kl", 0.5, rng=random.Random(1))
+        walked = len(calls)
+        assert walked > 0
+        assert perturb(p, "kl", 0.5, rng=random.Random(2)) is first
+        assert len(calls) == walked
+        # a new floor is a new walk
+        perturb(p, "kl", 0.5, rng=random.Random(2), floor=1e-7)
+        assert len(calls) > walked
+
+
 class TestDistributionMessages:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     @pytest.mark.parametrize("key", [1, 3, 5])

@@ -23,6 +23,7 @@ from scoretreap.em import (
 from scoretreap.errors import ConfigError, DuplicateKeyError
 from scoretreap.priorities import RandomStream, tier_value
 from scoretreap.sequences import TraceSpec, gen_sequence
+from scoretreap.treap import Treap
 
 
 class ReplayStream:
@@ -40,7 +41,21 @@ class FullRepartitionForest(TierForestBTreap):
     """Reference update rule: on every tier change, re-partition all n keys
     and match old to new components by (tier, member set).  Its glued path
     is found top-down: the chain of components on the root path first, then
-    one search per component tree, with the tiers checked afterwards."""
+    one search per component tree, with the tiers checked afterwards.  Its
+    first forest, too, comes from its own DFS, not from ``_components``."""
+
+    def __init__(self, weights, cfg: EMConfig, rng=None):
+        self.cfg = cfg
+        self.n = len(weights)
+        self._rng = rng if rng is not None else RandomStream(0)
+        offsets = [self._rng.next_offset() for _ in range(self.n)]
+        self.base = Treap.build_arrays([tier_value(float(w), cfg.B, 4) for w in weights], offsets)
+        self.comp_of = [None] * (self.n + 1)
+        for top, ks in self._groups().items():
+            tree = BTree(cfg.B, ks, tier=self.base._tier[top])
+            tree.top = top
+            for k in ks:
+                self.comp_of[k] = tree
 
     def _chain(self, key: int) -> list[BTree]:
         """Component trees on the root path, top component first."""
@@ -87,11 +102,16 @@ class FullRepartitionForest(TierForestBTreap):
                 stack.append(right[k])
         return comp
 
-    def _rebuild(self) -> int:
+    def _groups(self) -> dict[int, list[int]]:
+        """Each component's sorted members, by top, from ``_partition``."""
         comp_top = self._partition()
         groups: dict[int, list[int]] = {}
         for k in range(1, self.n + 1):
             groups.setdefault(comp_top[k], []).append(k)
+        return groups
+
+    def _rebuild(self) -> int:
+        groups = self._groups()
         members: dict[BTree, list[int]] = {}
         for k in range(1, self.n + 1):
             members.setdefault(self.comp_of[k], []).append(k)
