@@ -21,6 +21,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 from .distributions import MEASURES, cross_entropy, entropy, kl, noisy_scores, perturb
 from .dynamic import (SCHEMES, STRUCTURES, CrudeOracle, IntervalSetPriorityState,
@@ -277,7 +278,7 @@ def cmd_working_set(p: dict, seed: int, trials: int) -> dict:
     seq = gen_sequence(TraceSpec(family=p["family"], n=n, m=m, seed=seed, s=p["s"]))
     stats = compute_stats(seq)
     bound = p["factor"] * (n * math.log(n, base) +
-                           sum(math.log(stats.work[i] + 1, base) for i in range(1, m + 1)))
+                           sum(map(math.log, [w + 1 for w in stats.work[1:]], repeat(base))))
     runs = []
     for t in range(trials):
         runs.append(run_dynamic(seq, scheme, structure, cfg=cfg,

@@ -340,7 +340,7 @@ def run_dynamic(
     oracle = CrudeOracle(n) if scheme == "past-ws-crude" else None
 
     w0 = 1.0 / (n + 1) ** 2
-    weights = [w0] * (n + 1)
+    weights = [w0] * (n + 1)  # stored weights; only the exact schemes read them
     # the interval-set norm certificate: norm is the sum of the stored weights,
     # which move only on updates; it stays under pi^2/6 throughout and under
     # the steady bound from step ``steady_from``, where the last unseen key is
@@ -401,32 +401,44 @@ def run_dynamic(
     access_cost = update_cost = rebuild_cost = update_events = 0
     access_log_nat = shift_l1_nat = 0.0
     steps: list[tuple] = []
-    updates: Sequence[tuple[int, tuple[float, float, int]]] = ()
+    updated = 0  # size of the step's update set
     for i, x in enumerate(seq.items, start=1):
         cost = do_access(x)
         access_cost += cost
         access_log_nat += -log_w[x]
         if scores is not None:
+            # an exact-score scheme re-weights at most the served item
             s = scores[i]
-            row = memo.get(s) or score_row(s)
-            updates = [(x, row)] if row[0] != weights[x] else ()
-        elif oracle is not None:
-            updates = [(item, memo.get(s) or score_row(s)) for item, s, _w in oracle.step(x)]
-        for item, (w_new, lw, tier) in updates:
-            if certify:
-                norm += w_new - weights[item]
-                _check_norm(norm, i >= steady_from)
-            ucost, rcost = do_update(item, tier)
-            update_cost += ucost
-            rebuild_cost += rcost
-            shift_l1_nat += abs(lw - log_w[item])
-            log_w[item] = lw
-            weights[item] = w_new
-            update_events += 1
-        if i == steady_from:
-            _check_norm(norm, True)
+            w_new, lw, tier = memo.get(s) or score_row(s)
+            if w_new == weights[x]:
+                updated = 0
+            else:
+                updated = 1
+                if certify:
+                    norm += w_new - weights[x]
+                    _check_norm(norm, i >= steady_from)
+                ucost, rcost = do_update(x, tier)
+                update_cost += ucost
+                rebuild_cost += rcost
+                shift_l1_nat += abs(lw - log_w[x])
+                log_w[x] = lw
+                weights[x] = w_new
+                update_events += 1
+            if i == steady_from:
+                _check_norm(norm, True)
+        elif oracle is not None:  # the crude scheme re-weights every row it is given
+            rows = oracle.step(x)
+            for item, s, _w in rows:
+                w_new, lw, tier = memo.get(s) or score_row(s)
+                ucost, rcost = do_update(item, tier)
+                update_cost += ucost
+                rebuild_cost += rcost
+                shift_l1_nat += abs(lw - log_w[item])
+                log_w[item] = lw
+            update_events += len(rows)
+            updated = len(rows)
         if keep_steps:
-            steps.append((i, x, cost, len(updates), stats.work[i], stats.interval[i],
+            steps.append((i, x, cost, updated, stats.work[i], stats.interval[i],
                           stats.future[i]))
     return CostBreakdown(
         scheme=scheme, structure=structure, n=n, m=m,

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DuplicateKeyError
@@ -78,9 +79,13 @@ class BTree:
         self.B = B
         self.tier = tier
         self.top = 0
-        ks = sorted(keys)
-        if len(set(ks)) != len(ks):
-            raise DuplicateKeyError("bulk keys contain duplicates")
+        ks = list(keys)
+        # one C-level pass shows the usual input strictly increasing;
+        # anything else is sorted and checked for a repeat
+        if not all(map(lt, ks, ks[1:])):
+            ks.sort()
+            if len(set(ks)) != len(ks):
+                raise DuplicateKeyError("bulk keys contain duplicates")
         self.size = len(ks)
         if ks:
             self.root, self.built = self._bulk(ks)
@@ -409,8 +414,11 @@ class TierForestBTreap:
 
         ``ancestors`` and ``children`` are ``_neighbours(key)`` from before
         the base treap update; ``keys_of_tier`` already lists ``key`` under
-        its new tier.  Each rotation re-hangs ``key``, the node it
-        passes and one child between them, so every node whose parent
+        its new tier.  The base treap's update reaches the tree that
+        rotating ``key`` past each node it passes would, and each such
+        rotation re-hangs ``key``, the node it passes and one child between
+        them; the argument below reads only the trees before and after the
+        update, not how the update got there.  So every node whose parent
         changed is ``key``, an ancestor before or after (not both), or a
         child before or after; ``key``'s children are also the only nodes
         whose parent changed tier.  A component that holds none of these

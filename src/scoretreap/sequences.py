@@ -46,9 +46,12 @@ class AccessSequence:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"universe size must be >= 1, got {self.n}")
-        for i, k in enumerate(self.items, start=1):
-            if not 1 <= k <= self.n:
-                raise ConfigError(f"access {i}: key {k} outside 1..{self.n}")
+        items = self.items
+        # min and max in C; the loop runs only to name the first bad access
+        if items and not (1 <= min(items) and max(items) <= self.n):
+            for i, k in enumerate(items, start=1):
+                if not 1 <= k <= self.n:
+                    raise ConfigError(f"access {i}: key {k} outside 1..{self.n}")
 
     @property
     def m(self) -> int:
@@ -129,7 +132,8 @@ def gen_sequence(spec: TraceSpec) -> AccessSequence:
             acc += v
             cum.append(acc)
         cum[-1] = 1.0  # guard the final bucket against fp drift
-        rng = random.Random(spec.seed)
-        items = [bisect.bisect_left(cum, rng.random()) + 1 for _ in range(m)]
+        bisect_left = bisect.bisect_left
+        draw = random.Random(spec.seed).random
+        items = [bisect_left(cum, draw()) + 1 for _ in range(m)]
         return AccessSequence(n, items)
     raise ConfigError(f"unknown sequence family {fam!r}")

@@ -9,10 +9,14 @@ that stores one (``build``, ``build_arrays``, ``insert``,
 lexicographically by ``(-tier, offset)`` and ties are broken toward the
 smaller key, so the heap order is a strict total order and any priority
 assignment induces exactly one tree; both builders link it with one shared
-right-spine sweep.  ``update_priority`` holds the only rotation code:
-``insert`` links a leaf and rises it there, and ``delete`` sinks its key to
-a leaf there before unlinking it.  All operations use iterative descent and
-parent links; nothing here recurses, so chains of any depth are fine.
+right-spine sweep.  ``update_priority`` is the only code that restructures
+the tree: it unzips the ancestors a key rises past, or zips the spines below
+a key that sinks, and reaches the same unique tree that rotating the key one
+level at a time would, passing the same number of nodes.  ``insert`` links a
+leaf and rises it there, and ``delete`` sinks its key to a leaf there before
+unlinking it.  ``access`` counts a key's path up the parent links, which on
+a valid tree is its root-to-key search path.  Nothing here recurses, so
+chains of any depth are fine.
 """
 
 from __future__ import annotations
@@ -183,30 +187,23 @@ class Treap:
     # queries
 
     def access(self, key: int) -> int:
-        """Root-to-key descent; returns the number of nodes on the path."""
+        """Nodes on the root-to-key path, counted up the parent links.
+
+        On a valid treap (search order is what ``validate`` checks) this is
+        the length of the root-to-key descent, so the count is that of a
+        search; the root has depth 1.
+        """
         if not (1 <= key <= self.n and self._present[key]):
             raise KeyError(key)
-        left = self._left
-        right = self._right
-        cur = self.root
-        d = 0
-        while True:
-            d += 1
-            if cur == key:
-                break
-            cur = left[cur] if key < cur else right[cur]
-        return d
-
-    def depth(self, key: int) -> int:
-        """Depth by parent walk (root has depth 1)."""
-        self._require(key)
         parent = self._parent
         d = 1
-        cur = key
-        while parent[cur]:
-            cur = parent[cur]
+        key = parent[key]
+        while key:
             d += 1
+            key = parent[key]
         return d
+
+    depth = access
 
     def depths(self) -> dict[int, int]:
         """Depth of every present key in one traversal."""
@@ -232,7 +229,7 @@ class Treap:
 
     def insert(self, key: int, tier: int, offset: float) -> int:
         """Link ``key`` as a leaf, then let ``update_priority`` rise it to its
-        place; returns the number of rotations (a leaf only rises)."""
+        place; returns the number of nodes it passes (a leaf only rises)."""
         _check_offset(key, offset)
         if not 1 <= key <= self.n:
             raise KeyError(f"key {key} outside universe 1..{self.n}")
@@ -258,7 +255,7 @@ class Treap:
 
     def delete(self, key: int) -> int:
         """Sink ``key`` to a leaf by re-prioritising it below every tier, then
-        unlink it; returns the number of rotations."""
+        unlink it; returns the number of nodes it passes."""
         self._require(key)
         rot = self.update_priority(key, math.inf, self._off[key])
         p = self._parent[key]
@@ -274,15 +271,26 @@ class Treap:
         return rot
 
     def update_priority(self, key: int, tier: int, offset: float) -> int:
-        """Re-prioritize ``key`` in place; returns the number of rotations.
+        """Re-prioritize ``key`` in place; returns the number of nodes it
+        passes, which is ``|depth_before - depth_after|`` (the rotation count).
 
-        The heap order is restored by rotating ``key`` up or down from where
-        it sits, which costs exactly ``|depth_before - depth_after|``
-        rotations.  The ``(tier, offset, key)`` comparisons and the rotations
-        are inlined on the arrays: the rise tries first, and the sink runs
-        only when the key does not outrank its parent.
+        The heap order is restored by unzipping or zipping around ``key``
+        rather than rotation by rotation; each passed node costs one child
+        write and one parent write.
+
+        * Rise: each ancestor that ``key`` outranks, from the bottom up, is
+          hung on ``key``'s left chain (an ancestor smaller than ``key``, by
+          its right link) or on its right chain (a larger one, by its left
+          link); the lowest of each chain takes ``key``'s old subtree.
+        * Sink: the right spine of ``key``'s left subtree and the left spine
+          of its right subtree are zipped above ``key`` while a spine node
+          outranks it; of two heads with equal pairs the left one wins.
+
+        The comparisons are inlined on the arrays: the rise tries first, and
+        the sink runs only when the key does not outrank its parent.
         """
-        _check_offset(key, offset)
+        if not 0.0 < offset < 1.0:
+            _check_offset(key, offset)
         if not (1 <= key <= self.n and self._present[key]):
             raise KeyError(key)
         tiers = self._tier
@@ -292,78 +300,81 @@ class Treap:
         parent = self._parent
         tiers[key] = tier
         offs[key] = offset
-        rot = 0
-        # rise: rotate key over each parent it outranks.  Key order tells
-        # which side key hangs on, so the parent link of key and the child
-        # link above it are written once, after the last rotation.
+        passed = 0
+        # rise: lo and hi are the heads of the chains that become key's left
+        # and right subtrees
+        lo = left[key]
+        hi = right[key]
         p = parent[key]
         while p:
             tp = tiers[p]
             if tier > tp or (tier == tp and (offset < offs[p] or (offset == offs[p] and key > p))):
                 break
             g = parent[p]
-            if key < p:
-                b = right[key]
-                left[p] = b
-                right[key] = p
+            if p < key:
+                right[p] = lo
+                if lo:
+                    parent[lo] = p
+                lo = p
             else:
-                b = left[key]
-                right[p] = b
-                left[key] = p
-            if b:
-                parent[b] = p
-            parent[p] = key
-            rot += 1
+                left[p] = hi
+                if hi:
+                    parent[hi] = p
+                hi = p
+            passed += 1
             p = g
-        if rot:
-            parent[key] = p
-            if not p:
-                self.root = key
-            elif key < p:
-                left[p] = key
-            else:
-                right[p] = key
-            return rot
-        # sink: rotate the higher-priority child over key while it outranks
-        # key; of two children with equal pairs the left (smaller) one wins
-        while True:
-            l = left[key]
-            r = right[key]
-            if l:
-                c = l
-                if r:
-                    tl = tiers[l]
-                    tr = tiers[r]
-                    if tr < tl or (tr == tl and offs[r] > offs[l]):
-                        c = r
-            elif r:
-                c = r
-            else:
-                break
-            tc = tiers[c]
-            if tc > tier or (tc == tier and (offs[c] < offset or (offs[c] == offset and c > key))):
-                break
-            if c == l:
-                b = right[c]
-                left[key] = b
-                right[c] = key
-            else:
-                b = left[c]
-                right[key] = b
-                left[c] = key
-            if b:
-                parent[b] = key
-            parent[c] = p
-            if not p:
-                self.root = c
-            elif key < p:
-                left[p] = c
-            else:
-                right[p] = c
-            p = c
-            rot += 1
+        # key ends in the slot below p that at_left names
+        at_left = key < p
+        if not passed:
+            # sink: lo walks the right spine of key's left subtree and hi the
+            # left spine of its right subtree; each winning head takes the
+            # slot below the previous one, starting with the slot key held
+            while True:
+                if lo:
+                    c = lo
+                    if hi:
+                        tl = tiers[lo]
+                        th = tiers[hi]
+                        if th < tl or (th == tl and offs[hi] > offs[lo]):
+                            c = hi
+                elif hi:
+                    c = hi
+                else:
+                    break
+                tc = tiers[c]
+                if tc > tier or (tc == tier and (offs[c] < offset or (offs[c] == offset and c > key))):
+                    break
+                if not p:
+                    self.root = c
+                elif at_left:
+                    left[p] = c
+                else:
+                    right[p] = c
+                parent[c] = p
+                p = c
+                if c == lo:
+                    lo = right[c]
+                    at_left = False
+                else:
+                    hi = left[c]
+                    at_left = True
+                passed += 1
+            if not passed:
+                return 0
+        if not p:
+            self.root = key
+        elif at_left:
+            left[p] = key
+        else:
+            right[p] = key
         parent[key] = p
-        return rot
+        left[key] = lo
+        right[key] = hi
+        if lo:
+            parent[lo] = key
+        if hi:
+            parent[hi] = key
+        return passed
 
     # ------------------------------------------------------------------
     # validation

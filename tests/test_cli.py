@@ -12,7 +12,7 @@ from scoretreap.cli import main
 from scoretreap.distributions import perturb
 from scoretreap.dynamic import CrudeOracle, IntervalSetPriorityState, compute_stats
 from scoretreap.em import DetScoreForest, RankForest, TierForestBTreap
-from scoretreap.sequences import TraceSpec, gen_distribution
+from scoretreap.sequences import TraceSpec, gen_distribution, gen_sequence
 from scoretreap.treap import Treap
 
 
@@ -394,6 +394,17 @@ class TestExperiments:
         header = (out / "steps.csv").read_text().splitlines()[0]
         assert header == "i,key,cost,update_set_size,work,interval,future"
         assert len((out / "steps.csv").read_text().splitlines()) == 1501
+
+    @pytest.mark.parametrize("structure, base", [("treap", 2.0), ("det-forest", 16.0)])
+    def test_working_set_bound_is_the_literal_log_sum(self, tmp_path, structure, base):
+        # bit for bit: the same log calls added in the same order
+        n, m, seed = 64, 1500, 3
+        _, s, _ = run_cli(tmp_path, "working-set",
+                          f"n = {n}\nm = {m}\nstructure = {structure}\n", seed=seed, trials=1)
+        st = compute_stats(gen_sequence(TraceSpec("zipf", n=n, m=m, seed=seed, s=1.0)))
+        want = 8.0 * (n * math.log(n, base) +
+                      sum(math.log(st.work[i] + 1, base) for i in range(1, m + 1)))
+        assert s["working_set_bound"] == want
 
     def test_working_set_bound_can_fail(self, tmp_path):
         code, s, _ = run_cli(tmp_path, "working-set",

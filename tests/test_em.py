@@ -435,6 +435,27 @@ class TestBTree:
         found, path = tree.search(3)
         assert found and len(path) == 1
 
+    @pytest.mark.parametrize("keys", [
+        [1, 2, 2, 3], [3, 1, 3], [5, 5], [9, 8, 7, 8], list(range(1, 60)) + [30],
+    ])
+    def test_bulk_keys_with_a_repeat_rejected(self, keys):
+        with pytest.raises(DuplicateKeyError, match="bulk keys contain duplicates"):
+            BTree(4, keys)
+
+    def test_bulk_keys_in_any_order_build_the_sorted_tree(self):
+        py = random.Random(5)
+        for n in (2, 3, 40, 300):
+            want = sorted(py.sample(range(1, 10 * n), n))
+            for keys in (want[::-1], py.sample(want, n), want[1:] + want[:1]):
+                given = list(keys)
+                tree = BTree(5, keys)
+                assert keys == given  # the caller's list is not sorted in place
+                assert tree.keys_inorder() == want
+                assert tree.built == BTree(5, want).built
+                assert tree.validate() is None
+            tree = BTree(5, iter(want))  # any iterable, read once
+            assert tree.keys_inorder() == want and len(tree) == n
+
     def test_duplicate_insert_rejected(self):
         tree = BTree(4, [1, 2, 3])
         with pytest.raises(DuplicateKeyError):

@@ -1,6 +1,9 @@
 """Trace and distribution generator tests."""
 
+import bisect
+import itertools
 import math
+import random
 
 import pytest
 
@@ -85,6 +88,17 @@ class TestGenSequence:
             assert a.items != c.items
             assert all(1 <= k <= 20 for k in a.items)
 
+    @pytest.mark.parametrize("fam", ["zipf", "uniform", "linear", "segmented"])
+    def test_iid_items_are_the_cumulative_mass_draws(self, fam):
+        # the literal draw: one rng.random() per access, bisected into the
+        # running sums of the masses, last sum pinned to 1
+        spec = TraceSpec(fam, n=64, m=3000, seed=9, s=1.2)
+        cum = list(itertools.accumulate(gen_distribution(spec).masses()))
+        cum[-1] = 1.0
+        rng = random.Random(spec.seed)
+        want = [bisect.bisect_left(cum, rng.random()) + 1 for _ in range(spec.m)]
+        assert gen_sequence(spec).items == want
+
     def test_segmented_zero_mass_tail_never_sampled(self):
         seq = gen_sequence(TraceSpec("segmented", n=16, m=2000, seed=1))
         assert max(seq.items) <= 12
@@ -100,6 +114,16 @@ class TestAccessSequenceType:
             AccessSequence(3, [1, 4])
         with pytest.raises(ConfigError):
             AccessSequence(3, [0])
+
+    @pytest.mark.parametrize("items, message", [
+        ([1, 4], "access 2: key 4 outside 1..3"),
+        ([0], "access 1: key 0 outside 1..3"),
+        ([2, 3, 9, 0, 1], "access 3: key 9 outside 1..3"),  # the first bad access
+        ([2, -1, 7], "access 2: key -1 outside 1..3"),
+    ])
+    def test_message_names_the_first_bad_access(self, items, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            AccessSequence(3, items)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_universe_must_be_nonempty(self, n):

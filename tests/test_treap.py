@@ -189,6 +189,16 @@ class TestInsertDelete:
             t.insert(9, 0, 0.5)
 
 
+def descent(t: Treap, key: int) -> int:
+    """Nodes on the search path from the root down to ``key``."""
+    cur = t.root
+    d = 1
+    while cur != key:
+        cur = t.left_of(cur) if key < cur else t.right_of(cur)
+        d += 1
+    return d
+
+
 class TestAccess:
     def test_access_root_costs_one(self):
         t = Treap.build(THREE)
@@ -213,8 +223,35 @@ class TestAccess:
         for _ in range(30):
             n = py_rng.randint(1, 40)
             t = Treap.build(random_priorities(py_rng, n))
-            assert [t.access(k) for k in range(1, n + 1)] == \
-                [t.depth(k) for k in range(1, n + 1)]
+            want = [descent(t, k) for k in range(1, n + 1)]
+            assert [t.access(k) for k in range(1, n + 1)] == want
+            assert [t.depth(k) for k in range(1, n + 1)] == want
+
+    def test_access_matches_naive_depths_and_descent_through_churn(self, py_rng):
+        # the count walks parent links, so it is checked after updates,
+        # inserts and deletes have rewritten them, not only on fresh builds
+        for n in (1, 2, 9, 60):
+            t = Treap.build(random_priorities(py_rng, n))
+            for _ in range(200):
+                k = py_rng.randint(1, n)
+                roll = py_rng.random()
+                if k not in t:
+                    t.insert(k, py_rng.randint(0, 3), py_rng.random())
+                elif roll < 0.2 and t.size > 1:
+                    t.delete(k)
+                else:
+                    t.update_priority(k, py_rng.randint(0, 3), py_rng.random())
+                want = naive_depths({k: t.priority(k) for k in t.keys()})
+                assert {k: t.access(k) for k in t.keys()} == want
+                assert {k: descent(t, k) for k in t.keys()} == want
+
+    def test_access_on_a_5000_deep_chain(self):
+        n = 5000
+        t = Treap.build_arrays([0] * n, [1.0 - k / (n + 1) for k in range(1, n + 1)])
+        assert t.access(n) == descent(t, n) == n
+        assert t.access(1) == 1
+        with pytest.raises(KeyError):
+            t.access(n + 1)
 
 
 class TestUpdatePriority:
@@ -309,7 +346,7 @@ def reference_update_priority(t: Treap, key: int, tier: int, offset: float) -> i
 
 
 def arrays(t: Treap) -> tuple:
-    return t.root, t._parent, t._left, t._right
+    return t.root, t.size, t._parent, t._left, t._right, t._tier, t._off, t._present
 
 
 class TestUpdatePriorityTies:
@@ -381,6 +418,173 @@ class TestUpdatePriorityTies:
             assert arrays(new) == arrays(ref), step
         assert new.validate() is None
         assert new.depths() == naive_depths({k: new.priority(k) for k in new.keys()})
+
+
+class RotationTreap(Treap):
+    """A treap whose ``update_priority`` rotates the key one level at a time,
+    kept literal as the reference for the unzip/zip form; ``insert`` and
+    ``delete`` reach it through ``self``, as they reach the real one."""
+
+    def update_priority(self, key: int, tier: int, offset: float) -> int:
+        if not 0.0 < offset < 1.0:
+            raise ValueError(f"offset for key {key} not in (0, 1): {offset!r}")
+        if not (1 <= key <= self.n and self._present[key]):
+            raise KeyError(key)
+        tiers = self._tier
+        offs = self._off
+        left = self._left
+        right = self._right
+        parent = self._parent
+        tiers[key] = tier
+        offs[key] = offset
+        rot = 0
+        p = parent[key]
+        while p:
+            tp = tiers[p]
+            if tier > tp or (tier == tp and (offset < offs[p] or (offset == offs[p] and key > p))):
+                break
+            g = parent[p]
+            if key < p:
+                b = right[key]
+                left[p] = b
+                right[key] = p
+            else:
+                b = left[key]
+                right[p] = b
+                left[key] = p
+            if b:
+                parent[b] = p
+            parent[p] = key
+            rot += 1
+            p = g
+        if rot:
+            parent[key] = p
+            if not p:
+                self.root = key
+            elif key < p:
+                left[p] = key
+            else:
+                right[p] = key
+            return rot
+        while True:
+            l = left[key]
+            r = right[key]
+            if l:
+                c = l
+                if r:
+                    tl = tiers[l]
+                    tr = tiers[r]
+                    if tr < tl or (tr == tl and offs[r] > offs[l]):
+                        c = r
+            elif r:
+                c = r
+            else:
+                break
+            tc = tiers[c]
+            if tc > tier or (tc == tier and (offs[c] < offset or (offs[c] == offset and c > key))):
+                break
+            if c == l:
+                b = right[c]
+                left[key] = b
+                right[c] = key
+            else:
+                b = left[c]
+                right[key] = b
+                left[c] = key
+            if b:
+                parent[b] = key
+            parent[c] = p
+            if not p:
+                self.root = c
+            elif key < p:
+                left[p] = c
+            else:
+                right[p] = c
+            p = c
+            rot += 1
+        parent[key] = p
+        return rot
+
+
+class TestUnzipZipLockstep:
+    """``update_priority`` unzips and zips; ``RotationTreap`` rotates.  Driven
+    side by side, the two must write the same arrays and return the same
+    counts, through ties, tier moves both ways, inserts and deletes."""
+
+    @staticmethod
+    def pair(pris: dict[int, tuple[int, float]], n: int) -> tuple[Treap, Treap]:
+        return Treap.build(pris, n), RotationTreap.build(pris, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 300])
+    def test_random_treaps_with_ties(self, py_rng, n):
+        pool = [0.25, 0.5, 0.75]  # shared offsets, so whole pairs tie
+        for trial in range(4):
+            pris = {k: (py_rng.randint(0, 3), py_rng.choice(pool))
+                    for k in range(1, n + 1) if py_rng.random() < 0.9 or k == 1}
+            new, ref = self.pair(pris, n)
+            for step in range(200):
+                key = py_rng.randint(1, n)
+                roll = py_rng.random()
+                if key not in new:
+                    pair = (py_rng.randint(0, 3), py_rng.choice(pool))
+                    got, want = new.insert(key, *pair), ref.insert(key, *pair)
+                elif roll < 0.15:
+                    got, want = new.delete(key), ref.delete(key)
+                else:
+                    tier, off = new.priority(key)
+                    if roll < 0.35 and new.size > 1:  # another key's exact pair
+                        pair = new.priority(py_rng.choice(list(new.keys())))
+                    elif roll < 0.5:  # up a few tiers
+                        pair = (tier - py_rng.randint(1, 3), off)
+                    elif roll < 0.65:  # down a few tiers
+                        pair = (tier + py_rng.randint(1, 3), off)
+                    elif roll < 0.75:  # unchanged
+                        pair = (tier, off)
+                    else:
+                        pair = (py_rng.randint(-1, 4), py_rng.choice(pool + [py_rng.random()]))
+                    got = new.update_priority(key, *pair)
+                    want = ref.update_priority(key, *pair)
+                assert got == want, (trial, step)
+                assert arrays(new) == arrays(ref), (trial, step)
+            assert new.validate() is None
+
+    def test_a_5000_deep_chain(self):
+        n = 5000
+        # key 1 on top, each key the right child of the one before
+        pris = {k: (0, 1.0 - k / (n + 1)) for k in range(1, n + 1)}
+        new, ref = self.pair(pris, n)
+        ops = [
+            ("update", n, -1, 0.5),  # the deepest key rises to the root
+            ("update", n, 1, 0.5),  # and sinks back past every other key
+            ("update", 1, 0, 1.0 / (n + 1)),  # the top key sinks below its right child
+            ("update", 2500, -1, 0.5),  # a middle key splits the chain
+            ("delete", 1),
+            ("insert", 1, -2, 0.5),  # a new root over the whole tree
+            ("delete", n),
+            ("insert", n, 0, 0.5),
+        ]
+        counts = []
+        for op in ops:
+            if op[0] == "update":
+                got, want = new.update_priority(*op[1:]), ref.update_priority(*op[1:])
+            elif op[0] == "delete":
+                got, want = new.delete(op[1]), ref.delete(op[1])
+            else:
+                got, want = new.insert(*op[1:]), ref.insert(*op[1:])
+            assert got == want, op
+            assert arrays(new) == arrays(ref), op
+            counts.append(got)
+        assert counts[:2] == [n - 1, n - 1]  # a rise and a zip through the whole chain
+        assert new.validate() is None
+
+    def test_offset_error_text_is_unchanged(self):
+        new, ref = self.pair(THREE, 3)
+        for bad in (0.0, 1.0, float("nan"), -0.5):
+            want = f"offset for key 2 not in (0, 1): {bad!r}"
+            for t in (new, ref):
+                with pytest.raises(ValueError, match=re.escape(want)):
+                    t.update_priority(2, 0, bad)
+        assert arrays(new) == arrays(ref)
 
 
 class TestValidate:
