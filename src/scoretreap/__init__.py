@@ -24,7 +24,6 @@ from .dynamic import (
 from .em import (
     BTree,
     DetScoreForest,
-    EMConfig,
     RankForest,
     TierForestBTreap,
     UpdateCost,
@@ -61,7 +60,6 @@ __all__ = [
     "DetScoreForest",
     "Distribution",
     "DuplicateKeyError",
-    "EMConfig",
     "IntervalSetPriorityState",
     "RandomStream",
     "RankForest",

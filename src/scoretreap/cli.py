@@ -26,7 +26,7 @@ from itertools import repeat
 from .distributions import MEASURES, cross_entropy, entropy, kl, noisy_scores, perturb
 from .dynamic import (SCHEMES, STRUCTURES, CrudeOracle, IntervalSetPriorityState,
                       compute_stats, cost_decomposition_check, run_dynamic)
-from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
+from .em import DetScoreForest, RankForest, TierForestBTreap
 from .errors import ConfigError
 from .oracle import ExhaustiveStats, optimal_static_bst_cost
 from .priorities import (RandomStream, composite_priority, raw_score_priority,
@@ -272,18 +272,15 @@ def cmd_counterexamples(p: dict, seed: int, trials: int) -> dict:
 
 
 def cmd_working_set(p: dict, seed: int, trials: int) -> dict:
-    n, m, scheme, structure, B = p["n"], p["m"], p["scheme"], p["structure"], p["b"]
-    cfg = EMConfig(B=B)
-    base = 2.0 if structure == "treap" else float(B)
+    n, m, scheme, structure = p["n"], p["m"], p["scheme"], p["structure"]
     seq = gen_sequence(TraceSpec(family=p["family"], n=n, m=m, seed=seed, s=p["s"]))
     stats = compute_stats(seq)
+    runs = [run_dynamic(seq, scheme, structure, B=p["b"], rng=RandomStream(seed).spawn(t),
+                        stats=stats, keep_steps=p["trace"] and t == 0)
+            for t in range(trials)]
+    base = runs[0].base
     bound = p["factor"] * (n * math.log(n, base) +
                            sum(map(math.log, [w + 1 for w in stats.work[1:]], repeat(base))))
-    runs = []
-    for t in range(trials):
-        runs.append(run_dynamic(seq, scheme, structure, cfg=cfg,
-                                rng=RandomStream(seed).spawn(t), stats=stats,
-                                keep_steps=p["trace"] and t == 0))
     mean_total = sum(r.total_cost for r in runs) / trials
     checks = {"cost_le_working_set_bound": mean_total <= bound}
     return {
@@ -294,16 +291,15 @@ def cmd_working_set(p: dict, seed: int, trials: int) -> dict:
 
 
 def cmd_interval_set(p: dict, seed: int, trials: int) -> dict:
-    n, m, structure = p["n"], p["m"], p["structure"]
-    cfg = EMConfig(B=p["b"])
+    n, m, structure, B = p["n"], p["m"], p["structure"], p["b"]
     x1 = gen_sequence(TraceSpec(family="round-robin", n=n, m=m, seed=seed))
     x2 = gen_sequence(TraceSpec(family="block-repeat", n=n, m=m, seed=seed))
     st1, st2 = compute_stats(x1), compute_stats(x2)
     runs = []
     for t in range(trials):
-        c1 = run_dynamic(x1, "interval-set", structure, cfg=cfg, rng=RandomStream(seed).spawn(t),
+        c1 = run_dynamic(x1, "interval-set", structure, B=B, rng=RandomStream(seed).spawn(t),
                          stats=st1, keep_steps=p["trace"] and t == 0)
-        c2 = run_dynamic(x2, "interval-set", structure, cfg=cfg, rng=RandomStream(seed).spawn(t),
+        c2 = run_dynamic(x2, "interval-set", structure, B=B, rng=RandomStream(seed).spawn(t),
                          stats=st2)
         runs.append((c1, c2))
     per_seed = [(a.total_cost, b.total_cost) for a, b in runs]
@@ -313,17 +309,17 @@ def cmd_interval_set(p: dict, seed: int, trials: int) -> dict:
     stz = compute_stats(zipf)
     truth = [float(stz.future[i]) for i in range(1, m + 1)]
     sweep = []
-    exact_run = run_dynamic(zipf, "future-ws-exact", structure, cfg=cfg,
+    exact_run = run_dynamic(zipf, "future-ws-exact", structure, B=B,
                             rng=RandomStream(seed).spawn(91), stats=stz)
     for rel in p["eps"]:
         target = rel * m / n
         pred = truth if target == 0 else noisy_scores(
             truth, target, random.Random(seed * 31 + int(rel * 1000)), lo=0.0, hi=float(n))
-        noisy_run = run_dynamic(zipf, "future-ws-noisy", structure, cfg=cfg,
+        noisy_run = run_dynamic(zipf, "future-ws-noisy", structure, B=B,
                                 rng=RandomStream(seed).spawn(91), stats=stz,
                                 predicted_scores=pred)
         budget = exact_run.total_cost + 8.0 * m * math.log(
-            1.0 + n * target / m, cfg.B if structure != "treap" else 2) + 8.0 * n
+            1.0 + n * target / m, exact_run.base) + 8.0 * n
         checks[f"mae_{rel}"] = noisy_run.total_cost <= budget
         sweep.append({"eps_rel": rel, "mae_target": target,
                       "noisy_cost": noisy_run.total_cost, "budget": budget})
@@ -337,14 +333,13 @@ def cmd_interval_set(p: dict, seed: int, trials: int) -> dict:
 
 def cmd_em_compare(p: dict, seed: int, trials: int) -> dict:
     n, m, B, scheme = p["n"], p["m"], p["b"], p["scheme"]
-    cfg = EMConfig(B=B)
     seq = gen_sequence(TraceSpec(family="zipf", n=n, m=m, seed=seed, s=1.0))
     stats = compute_stats(seq)
     runs = []
     for t in range(trials):
-        tf = run_dynamic(seq, scheme, "tier-forest", cfg=cfg,
+        tf = run_dynamic(seq, scheme, "tier-forest", B=B,
                          rng=RandomStream(seed).spawn(t), stats=stats)
-        df = run_dynamic(seq, scheme, "det-forest", cfg=cfg,
+        df = run_dynamic(seq, scheme, "det-forest", B=B,
                          rng=RandomStream(seed).spawn(t), stats=stats)
         runs.append((tf, df))
     rep_tf = cost_decomposition_check(runs[0][0])
@@ -386,7 +381,8 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
             break
     checks["treap_fuzz"] = ok
     # block structures
-    rf = RankForest(n, EMConfig(B=4))
+    B = 4
+    rf = RankForest(n, B)
     ok = True
     for _ in range(m):
         rf.access(rnd.randint(1, n))
@@ -394,15 +390,18 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
             ok = False
             break
     checks["rank_forest_invariant"] = ok
-    # both forests validate after every update and stop at the first failure
-    w0 = [1.0 / (n + 1) ** 2] * n
-    forests = {"det_forest_valid": DetScoreForest(w0, EMConfig(B=4)),
-               "tier_forest_valid": TierForestBTreap(w0, EMConfig(B=4), rng=RandomStream(seed))}
+    # both forests start at the driver's starting weight, validate after
+    # every update and stop at the first failure
+    w0 = 1.0 / (n + 1) ** 2
+    det, tf = DetScoreForest.OUTER_BASE, TierForestBTreap.OUTER_BASE
+    forests = {"det_forest_valid": DetScoreForest([tier_value(w0, B, det)] * n, B),
+               "tier_forest_valid": TierForestBTreap([tier_value(w0, B, tf)] * n, B,
+                                                     rng=RandomStream(seed))}
     for name, forest in forests.items():
         checks[name] = True
         for _ in range(200):
             k = rnd.randint(1, n)
-            forest.update_weight(k, tier_value(2.0 ** -rnd.randint(1, 60), *forest.tier_bases))
+            forest.update_weight(k, tier_value(2.0 ** -rnd.randint(1, 60), B, forest.OUTER_BASE))
             if forest.validate() is not None:
                 checks[name] = False
                 break
@@ -476,6 +475,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"trials must be at least 1, got {params['trials']}")
         if params["threads"] != 1:
             raise ConfigError(f"threads must be 1 (trials run in one loop), got {params['threads']}")
+        # checked for every structure, the treap included, so that a config
+        # runs under any structure it names
+        if params.get("b", 4) < 4:
+            raise ConfigError(f"block fanout must be >= 4, got {params['b']}")
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
+from .em import DetScoreForest, RankForest, TierForestBTreap
 from .errors import ConfigError
 from .priorities import COMPOSITE_TIER_BASES, RandomStream, composite_priority, tier_value
 from .sequences import AccessSequence
@@ -308,7 +308,7 @@ def run_dynamic(
     seq: AccessSequence,
     scheme: str,
     structure: str,
-    cfg: EMConfig | None = None,
+    B: int | None = None,
     rng: RandomStream | None = None,
     predicted_scores: Sequence[float] | None = None,
     stats: SequenceStats | None = None,
@@ -321,16 +321,19 @@ def run_dynamic(
     for every re-weighted item.  All items start at weight 1/(n+1)^2, and a
     score s maps to the weight 1/(1+s)^2, the form the norm certificate of
     the interval-set scheme is stated for; under that scheme the driver
-    checks the certificate on its own weights.  The driver maps a score to its
-    weight, log weight and tier under the structure's rule, memoised per
-    run; a structure takes the tier on update.
+    checks the certificate on its own weights.  The block structures need the
+    fanout ``B``.  The driver alone applies a structure's tier rule,
+    ``tier_value(w, inner, outer)``: (2, 2) for the treap and
+    (B, ``OUTER_BASE``) for a score forest.  It builds the structure from the
+    starting weight's tier and maps each score to its weight, log weight and
+    tier, memoised per run; a structure takes the tier on update.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
     if structure not in STRUCTURES:
         raise ConfigError(f"unknown structure {structure!r}")
-    if structure != "treap" and cfg is None:
-        raise ConfigError(f"structure {structure} needs an EMConfig")
+    if structure != "treap" and B is None:
+        raise ConfigError(f"structure {structure} needs a block fanout B")
     rng = rng if rng is not None else RandomStream(0)
     n, m = seq.n, seq.m
     needs_stats = scheme in ("interval-set", "future-ws-exact", "future-ws-noisy") or keep_steps
@@ -354,8 +357,6 @@ def run_dynamic(
             steady_from = seq.items.index(next(reversed(first_served))) + 1
     log_w = [math.log(w0)] * (n + 1)  # log of weights, from the score memo
 
-    # an updating structure takes a re-scored item's tier under its rule,
-    # tier_value(w, inner, outer)
     if structure == "treap":
         st = Treap.build_arrays(*composite_priority([w0] * n, rng))
         inner, outer = COMPOSITE_TIER_BASES
@@ -366,22 +367,22 @@ def run_dynamic(
             return update_priority(x, tier, next_offset()) + 1, 0
 
     elif structure == "tier-forest":
-        st = TierForestBTreap([w0] * n, cfg, rng=rng)
-        inner, outer = st.tier_bases
+        inner, outer = B, TierForestBTreap.OUTER_BASE
+        st = TierForestBTreap([tier_value(w0, inner, outer)] * n, B, rng=rng)
 
         def do_update(x: int, tier: int) -> tuple[int, int]:
             uc = st.update_weight(x, tier)
             return uc.search_total, uc.rebuild_writes
 
     elif structure == "det-forest":
-        st = DetScoreForest([w0] * n, cfg)
-        inner, outer = st.tier_bases
+        inner, outer = B, DetScoreForest.OUTER_BASE
+        st = DetScoreForest([tier_value(w0, inner, outer)] * n, B)
 
         def do_update(x: int, tier: int) -> tuple[int, int]:
             return st.update_weight(x, tier), 0
 
     else:  # rank-forest is self-organizing: it ignores the scheme's scores
-        st = RankForest(n, cfg)
+        st = RankForest(n, B)
         scores = oracle = None
     do_access = st.access
 
@@ -442,7 +443,7 @@ def run_dynamic(
                           stats.future[i]))
     return CostBreakdown(
         scheme=scheme, structure=structure, n=n, m=m,
-        base=2.0 if structure == "treap" else float(cfg.B),
+        base=2.0 if structure == "treap" else float(B),
         access_cost=access_cost, update_cost=update_cost, rebuild_cost=rebuild_cost,
         access_log_nat=access_log_nat, shift_l1_nat=shift_l1_nat,
         update_events=update_events, steps=steps)

@@ -13,6 +13,12 @@ touches.
 * ``DetScoreForest`` -- deterministic score bucketing into doubly
   exponentially growing trees, probed smallest-first.
 * ``RankForest`` -- a self-organizing forest keyed by recency rank.
+
+Every structure takes the fanout ``B`` as a plain int; ``BTree`` rejects
+``B < 4``.  The two score forests take per-key tiers, on build and on
+update, never weights: each names the outer base of its tier rule as
+``OUTER_BASE`` (the inner base is ``B``), and the caller maps a weight to its
+tier (``dynamic.run_dynamic`` does).
 """
 
 from __future__ import annotations
@@ -25,11 +31,10 @@ from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DuplicateKeyError
-from .priorities import RandomStream, tier_value
+from .priorities import RandomStream
 from .treap import Treap
 
 __all__ = [
-    "EMConfig",
     "Block",
     "BTree",
     "UpdateCost",
@@ -37,21 +42,6 @@ __all__ = [
     "DetScoreForest",
     "RankForest",
 ]
-
-
-@dataclass
-class EMConfig:
-    """External-memory knobs: the block fanout B.
-
-    The block experiments run below B = ln(n)^2 on purpose (B=16 is below
-    it for every n >= 55), where the block depth guarantees degrade.
-    """
-
-    B: int
-
-    def __post_init__(self) -> None:
-        if self.B < 4:
-            raise ConfigError(f"block fanout must be >= 4, got {self.B}")
 
 
 class Block:
@@ -325,8 +315,8 @@ class UpdateCost:
 class TierForestBTreap:
     """Block-tree over a score-tiered treap.
 
-    The base treap orders keys by ``floor(log4 log_B (1/w))`` tiers; tiers
-    never fall going down the treap, so maximal same-tier regions form a
+    The base treap orders keys by their tiers, ``tiers[k-1]`` for key ``k``;
+    tiers never fall going down the treap, so maximal same-tier regions form a
     forest of components.  The component topped by g is exactly the keys of
     g's tier inside g's subtree: every node between g and such a key has a
     tier between theirs.  All of 1..n are present, so g's subtree is the key
@@ -348,14 +338,13 @@ class TierForestBTreap:
     and tree.
     """
 
-    def __init__(self, weights: Sequence[float], cfg: EMConfig, rng: RandomStream | None = None):
-        wl = [float(v) for v in weights]
-        self.cfg = cfg
-        self.n = len(wl)
+    OUTER_BASE = 4  # the tier rule: floor(log4 log_B (1/w)), clamped at 0
+
+    def __init__(self, tiers: Sequence[int], B: int, rng: RandomStream | None = None):
+        self.B = B
+        self.n = len(tiers)
         self._rng = rng if rng is not None else RandomStream(0)
         offsets = [self._rng.next_offset() for _ in range(self.n)]
-        self.tier_bases = (cfg.B, 4)  # the tier rule: floor(log4 log_B (1/w))
-        tiers = [tier_value(w, *self.tier_bases) for w in wl]
         self.base = Treap.build_arrays(tiers, offsets)
         self.keys_of_tier: dict[int, list[int]] = {}
         for k, t in enumerate(tiers, start=1):
@@ -393,7 +382,7 @@ class TierForestBTreap:
 
     def _new_component(self, top: int, members: list[int]) -> int:
         """Bulk-build one component's tree; returns the blocks written."""
-        tree = BTree(self.cfg.B, members, tier=self.base._tier[top])
+        tree = BTree(self.B, members, tier=self.base._tier[top])
         tree.top = top
         for k in members:
             self.comp_of[k] = tree
@@ -634,21 +623,19 @@ def _check_trees(trees: dict[int, BTree], tree_of: list[int], n: int,
 
 
 class DetScoreForest:
-    """Deterministic score buckets: item with score w joins tree
-    ``max(0, floor(log2 log_B (1/w)))``; lookups probe trees in index order."""
+    """Deterministic score buckets: key ``k`` joins tree ``tiers[k-1]``, its
+    score's bucket; lookups probe trees in index order."""
 
-    def __init__(self, weights: Sequence[float], cfg: EMConfig):
-        wl = [float(v) for v in weights]
-        self.cfg = cfg
-        self.n = len(wl)
-        self.tree_index = [0] * (self.n + 1)
-        self.tier_bases = (cfg.B, 2)  # the bucket rule: floor(log2 log_B (1/w))
+    OUTER_BASE = 2  # the bucket rule: floor(log2 log_B (1/w)), clamped at 0
+
+    def __init__(self, tiers: Sequence[int], B: int):
+        self.B = B
+        self.n = len(tiers)
+        self.tree_index = [0, *tiers]
         buckets: dict[int, list[int]] = {}
-        for k, w in enumerate(wl, start=1):
-            idx = tier_value(w, *self.tier_bases)
-            self.tree_index[k] = idx
+        for k, idx in enumerate(tiers, start=1):
             buckets.setdefault(idx, []).append(k)
-        self.trees = {idx: BTree(cfg.B, ks) for idx, ks in sorted(buckets.items())}
+        self.trees = {idx: BTree(B, ks) for idx, ks in sorted(buckets.items())}
 
     def access(self, key: int) -> int:
         """Probe trees smallest-index-first; count every probed path block."""
@@ -666,7 +653,7 @@ class DetScoreForest:
             return 0
         touched = set(self.trees[old_idx].delete(key))
         if new_idx not in self.trees:
-            self.trees[new_idx] = BTree(self.cfg.B)
+            self.trees[new_idx] = BTree(self.B)
             self.trees = dict(sorted(self.trees.items()))
         touched.update(self.trees[new_idx].insert(key))
         self.tree_index[key] = new_idx
@@ -690,13 +677,15 @@ class RankForest:
     recent first, is the whole recency state.
     """
 
-    def __init__(self, n: int, cfg: EMConfig):
+    def __init__(self, n: int, B: int):
         if n < 1:
             raise ConfigError(f"universe size must be >= 1, got {n}")
-        self.cfg = cfg
+        if B < 4:  # checked before the tree count, which B < 2 would never settle
+            raise ConfigError(f"block fanout must be >= 4, got {B}")
+        self.B = B
         self.n = n
         S = 1
-        while cfg.B ** (2 ** S) < n:
+        while B ** (2 ** S) < n:
             S += 1
         self.S = S
         self.trees: dict[int, BTree] = {}
@@ -704,15 +693,15 @@ class RankForest:
         start = 1  # fill trees front to back; initial recency rank equals the key
         for i in range(1, S + 1):
             stop = n + 1 if i == S else min(start + self.cap_hi(i), n + 1)
-            self.trees[i] = BTree(cfg.B, range(start, stop))
+            self.trees[i] = BTree(B, range(start, stop))
             self.order[i] = OrderedDict.fromkeys(range(stop - 1, start - 1, -1))
             start = stop
 
     def cap_hi(self, i: int) -> int:
-        return 2 * self.cfg.B ** (2 ** (i + 1))
+        return 2 * self.B ** (2 ** (i + 1))
 
     def chunk(self, i: int) -> int:
-        return self.cfg.B ** (2 ** (i + 1))
+        return self.B ** (2 ** (i + 1))
 
     def access(self, key: int) -> int:
         """Probe trees in order, promote the item, cascade overflow chunks."""
@@ -740,10 +729,10 @@ class RankForest:
         worst = 0  # the ranks are contiguous, so tree i ends at the running size
         for i, size in nonempty:
             worst += size
-            lo = self.cfg.B ** (2 ** i)
+            lo = self.B ** (2 ** i)
             if i != nonempty[-1][0] and not lo <= size <= self.cap_hi(i):
                 return f"tree {i} has {size} items, band [{lo}, {self.cap_hi(i)}]"
-            cap = 4 * self.cfg.B ** (2 ** (i + 1))
+            cap = 4 * self.B ** (2 ** (i + 1))
             if worst > cap:
                 return f"tree {i} holds rank {worst}, cap {cap}"
         return None

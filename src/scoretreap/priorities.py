@@ -6,12 +6,13 @@ gets ``tiers[k-1]`` and ``offsets[k-1]``.  The doubly-logarithmic rules bucket
 an item of score ``w`` into tier ``floor(log_outer(log_inner(1/w)))`` clamped
 at 0, computed once per distinct weight, and give every key a fresh uniform
 offset in (0, 1), drawn in key order.  ``raw_score_priority`` maps one score
-to one ``(tier, offset)`` pair, the form ``Treap.build`` takes.  Block
-structures name their own bases as ``tier_bases`` and take a re-scored item's
-tier from the driver (``dynamic.run_dynamic``).  Tier arithmetic uses integer
-power walks so scores that are exact powers of the inner base land in the
-mathematically exact tier instead of flickering across a floating-point floor
-boundary.
+to one ``(tier, offset)`` pair, the form ``Treap.build`` takes.  The score
+forests take tiers, never weights: each names its rule's outer base as
+``OUTER_BASE`` (the inner base is its fanout B), and the driver
+(``dynamic.run_dynamic``) maps weights to their tiers.  Tier arithmetic uses
+integer power walks so scores that are exact powers of the inner base land in
+the mathematically exact tier instead of flickering across a floating-point
+floor boundary.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ with what it checks ("independent" means it shares none):
   and bounds from ``distributions.kl``/``cross_entropy``: shares the
   structure with what it checks; only the bounds are independent of it.
 * c08 -- the tier forest at the unperturbed weights (same
-  ``TierForestBTreap`` code) and budgets from ``distributions``: shares the
-  structure with what it checks.
+  ``TierForestBTreap`` code, both built from ``priorities.tier_value``
+  tiers) and budgets from ``distributions``: shares the structure with what
+  it checks.
 * c09 -- pi^2/6 and 0.645, against a norm the test re-sums with
   ``math.fsum`` from the stored weights, not the state's running norm;
   the weights come from ``compute_stats``, which ``test_dynamic`` checks
@@ -74,7 +75,7 @@ from scoretreap.dynamic import (
     compute_stats,
     run_dynamic,
 )
-from scoretreap.em import EMConfig, RankForest, TierForestBTreap
+from scoretreap.em import RankForest, TierForestBTreap
 from scoretreap.oracle import (
     ExhaustiveStats,
     analytic_expected_depth,
@@ -86,6 +87,7 @@ from scoretreap.priorities import (
     composite_priority,
     raw_score_priority,
     single_log_priority,
+    tier_value,
 )
 from scoretreap.sequences import TraceSpec, gen_distribution, gen_sequence
 from scoretreap.treap import Treap
@@ -294,10 +296,10 @@ def test_c08_block_overhead_within_each_measure_budget():
                "l2": 0.05, "linf": 0.01, "hellinger": 0.2}
     dist = gen_distribution(TraceSpec("zipf", n=n, m=0, seed=0, s=1.0))
     masses = dist.masses()
-    cfg = EMConfig(B)
 
     def static_blocks(weights, rng_seed, counts):
-        st = TierForestBTreap(weights, cfg, rng=RandomStream(rng_seed))
+        tiers = [tier_value(w, B, TierForestBTreap.OUTER_BASE) for w in weights]
+        st = TierForestBTreap(tiers, B, rng=RandomStream(rng_seed))
         return sum(c * st.access(k) for k, c in counts.items())
 
     for measure, eps in eps_for.items():
@@ -384,7 +386,7 @@ def test_c12_total_cost_within_working_set_budget():
                                  rng=RandomStream(50_000 + seed), stats=st)
                 assert bd.total_cost <= treap_budget, (spec.family, scheme, seed)
         B = 16
-        forest = RankForest(n, EMConfig(B))
+        forest = RankForest(n, B)
         blocks = sum(forest.access(x) for x in seq.items)
         forest_budget = 8.0 * (n * math.log(n, B) + work_log2 / math.log2(B))
         assert blocks <= forest_budget, (spec.family, blocks, forest_budget)
@@ -396,7 +398,7 @@ def test_c13_rank_forest_invariant_after_every_access():
     n, B = 1024, 4
     for family in ("round-robin", "block-repeat", "zipf", "uniform"):
         seq = gen_sequence(TraceSpec(family, n=n, m=2048, seed=9, s=1.0))
-        st = RankForest(n, EMConfig(B))
+        st = RankForest(n, B)
         for i, x in enumerate(seq.items, start=1):
             st.access(x)
             err = st.check_invariant()
@@ -467,11 +469,10 @@ def test_c17_noisy_interval_predictions_cost_within_mae_budget():
     """Tier forest at B=16, n=256: predictions perturbed to summed error
     eps in {0, m/2n, m/n} cost at most exact + 8 m log_B(1 + n eps/m) + 8n."""
     n, m, B = 256, 10_000, 16
-    cfg = EMConfig(B)
     seq = gen_sequence(TraceSpec("zipf", n=n, m=m, seed=2, s=1.0))
     st = compute_stats(seq)
     intervals = [float(st.interval[i]) for i in range(1, m + 1)]
-    exact = run_dynamic(seq, "future-ws-noisy", "tier-forest", cfg=cfg,
+    exact = run_dynamic(seq, "future-ws-noisy", "tier-forest", B=B,
                         rng=RandomStream(5), predicted_scores=intervals, stats=st)
     for eps in (0.0, m / (2 * n), m / n):
         if eps:
@@ -480,7 +481,7 @@ def test_c17_noisy_interval_predictions_cost_within_mae_budget():
         else:
             pred = intervals
         realized = mae(intervals, pred)
-        bd = run_dynamic(seq, "future-ws-noisy", "tier-forest", cfg=cfg,
+        bd = run_dynamic(seq, "future-ws-noisy", "tier-forest", B=B,
                          rng=RandomStream(5), predicted_scores=pred, stats=st)
         budget = exact.total_cost + 8.0 * m * math.log(1.0 + n * realized / m, B) + 8.0 * n
         assert bd.total_cost <= budget, (eps, bd.total_cost, budget)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from scoretreap import distributions
-from scoretreap.cli import main
+from scoretreap.cli import _PARAMETERS, main
 from scoretreap.distributions import perturb
 from scoretreap.dynamic import CrudeOracle, IntervalSetPriorityState, compute_stats
 from scoretreap.em import DetScoreForest, RankForest, TierForestBTreap
@@ -315,6 +315,21 @@ class TestPlumbing:
         code = main(["static-opt", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
         assert code == 2
         assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub", [sub for sub, keys in _PARAMETERS.items() if "b" in keys])
+    @pytest.mark.parametrize("b", [3, 2, 0])
+    def test_block_fanout_below_four_rejected(self, tmp_path, capsys, monkeypatch, sub, b):
+        # whatever the structure: the treap has no blocks, but the config is rejected
+        def no_work(spec):
+            raise AssertionError("the experiment ran before the fanout was checked")
+
+        monkeypatch.setattr("scoretreap.cli.gen_sequence", no_work)
+        cfg = tmp_path / "fanout.cfg"
+        cfg.write_text(f"b = {b}\n" + ("structure = treap\n" if sub != "em-compare" else ""))
+        code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"block fanout must be >= 4, got {b}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_list_parameters_echo_as_text(self, tmp_path):

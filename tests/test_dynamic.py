@@ -29,7 +29,7 @@ from scoretreap.dynamic import (
     cost_decomposition_check,
     run_dynamic,
 )
-from scoretreap.em import DetScoreForest, EMConfig, RankForest, TierForestBTreap
+from scoretreap.em import DetScoreForest, RankForest, TierForestBTreap
 from scoretreap.errors import ConfigError
 from scoretreap.oracle import ExhaustiveStats
 from scoretreap.priorities import RandomStream, tier_value
@@ -391,7 +391,7 @@ class TestCrudeOracle:
 
 
 class TestRunDynamic:
-    CFG = EMConfig(4)
+    B = 4
 
     def test_empty_sequence_gives_zero_costs(self):
         bd = run_dynamic(AccessSequence(8, []), "interval-set", "treap")
@@ -436,7 +436,7 @@ class TestRunDynamic:
         with pytest.raises(ConfigError):
             run_dynamic(seq, "interval-set", "no-such-structure")
         with pytest.raises(ConfigError):
-            run_dynamic(seq, "interval-set", "tier-forest")  # needs cfg
+            run_dynamic(seq, "interval-set", "tier-forest")  # needs B
         with pytest.raises(ConfigError):
             run_dynamic(seq, "future-ws-noisy", "treap")  # needs predictions
         with pytest.raises(ConfigError):
@@ -449,7 +449,7 @@ class TestRunDynamic:
         st = compute_stats(seq)
         st.interval[1] = st.interval[2] = 0
         with pytest.raises(AssertionError, match=re.escape("exceeds pi^2/6")):
-            run_dynamic(seq, "interval-set", structure, cfg=self.CFG, stats=st)
+            run_dynamic(seq, "interval-set", structure, B=self.B, stats=st)
 
     def test_steady_bound_holds_from_the_last_first_service(self):
         # item 1 at weight 1 keeps the norm near 1.12: under pi^2/6, over the
@@ -508,7 +508,7 @@ class TestRunDynamic:
         for family in ("zipf", "block-repeat", "uniform", "round-robin"):
             seq = gen_sequence(TraceSpec(family, n=256, m=3_000, seed=7))
             for scheme in ("interval-set", "future-ws-exact", "past-ws-crude"):
-                run_dynamic(seq, scheme, "tier-forest", cfg=EMConfig(B), rng=RandomStream(5))
+                run_dynamic(seq, scheme, "tier-forest", B=B, rng=RandomStream(5))
         assert len(walks) > 12 * 3_000
         assert max(walks) > 1
 
@@ -518,7 +518,7 @@ class TestRunDynamic:
     )
     def test_every_combination_satisfies_the_decomposition(self, scheme, structure):
         seq = gen_sequence(TraceSpec("zipf", n=48, m=900, seed=11))
-        bd = run_dynamic(seq, scheme, structure, cfg=self.CFG, rng=RandomStream(21))
+        bd = run_dynamic(seq, scheme, structure, B=self.B, rng=RandomStream(21))
         report = cost_decomposition_check(bd, factor=8.0)
         assert report["ok"], report
 
@@ -527,7 +527,7 @@ class TestRunDynamic:
         seq = AccessSequence(8, [1, 2, 3, 1])
         predicted = [1.0, math.nan, 2.0, 0.5]
         with pytest.raises(ConfigError, match="predicted score 1 is NaN"):
-            run_dynamic(seq, "future-ws-noisy", structure, cfg=self.CFG,
+            run_dynamic(seq, "future-ws-noisy", structure, B=self.B,
                         predicted_scores=predicted)
 
     @pytest.mark.parametrize("scheme, predicted, message", [
@@ -540,7 +540,7 @@ class TestRunDynamic:
         # structure rejects
         seq = AccessSequence(8, [1, 2, 3, 1])
         with pytest.raises(ConfigError, match=message):
-            run_dynamic(seq, scheme, "rank-forest", cfg=self.CFG, predicted_scores=predicted)
+            run_dynamic(seq, scheme, "rank-forest", B=self.B, predicted_scores=predicted)
 
     def test_infinite_predicted_score_clamps_to_n(self):
         seq = AccessSequence(8, [1, 2, 3, 1])
@@ -587,18 +587,20 @@ class TestRunDynamic:
         assert all(row[3] >= 1 for row in bd.steps)
 
 
-def reference_run(seq, scheme, structure, cfg, rng, predicted, stats):
-    """The driver loop written out literally: the composite rule's tier
-    (``tier_value(w, 2, 2)``) and one ``next_offset`` per key on the build and
-    on every treap update, ``math.log`` of both weights on every update, and
-    every total accumulated on the ``CostBreakdown`` itself."""
+def reference_run(seq, scheme, structure, B, rng, predicted, stats):
+    """The driver loop written out literally: each structure's tier rule
+    (``tier_value(w, 2, 2)`` for the treap, ``(B, 4)`` and ``(B, 2)`` for the
+    tier and det forests) on the build and on every update, one
+    ``next_offset`` per key on the build and on every treap update,
+    ``math.log`` of both weights on every update, and every total accumulated
+    on the ``CostBreakdown`` itself."""
     n, m = seq.n, seq.m
     scores = (_scheme_scores(scheme, stats, predicted, m, n)
               if structure != "rank-forest" else None)
     w0 = 1.0 / (n + 1) ** 2
     weights = [w0] * (n + 1)
     bd = CostBreakdown(scheme=scheme, structure=structure, n=n, m=m,
-                       base=2.0 if structure == "treap" else float(cfg.B))
+                       base=2.0 if structure == "treap" else float(B))
     if structure == "treap":
         tiers = [tier_value(w0, 2, 2) for _ in range(n)]
         offsets = [rng.next_offset() for _ in range(n)]
@@ -607,18 +609,18 @@ def reference_run(seq, scheme, structure, cfg, rng, predicted, stats):
         def update(x, w):
             return st.update_priority(x, tier_value(w, 2, 2), rng.next_offset()) + 1, 0
     elif structure == "tier-forest":
-        st = TierForestBTreap([w0] * n, cfg, rng=rng)
+        st = TierForestBTreap([tier_value(w0, B, 4) for _ in range(n)], B, rng=rng)
 
         def update(x, w):
-            uc = st.update_weight(x, tier_value(w, cfg.B, 4))
+            uc = st.update_weight(x, tier_value(w, B, 4))
             return uc.search_total, uc.rebuild_writes
     elif structure == "det-forest":
-        st = DetScoreForest([w0] * n, cfg)
+        st = DetScoreForest([tier_value(w0, B, 2) for _ in range(n)], B)
 
         def update(x, w):
-            return st.update_weight(x, tier_value(w, cfg.B, 2)), 0
+            return st.update_weight(x, tier_value(w, B, 2)), 0
     else:
-        st = RankForest(n, cfg)
+        st = RankForest(n, B)
     oracle = CrudeOracle(n) if scheme == "past-ws-crude" and structure != "rank-forest" else None
     guard = IntervalSetPriorityState(n) if scheme == "interval-set" else None
     for i in range(1, m + 1):
@@ -667,11 +669,10 @@ class TestDriverLockstep:
             assert any(p != int(p) for p in predicted)  # the memo sees fractional scores
             # more distinct weights than the memo holds, so it is emptied mid-run
             assert len({1.0 / (1.0 + p) ** 2 for p in predicted}) > seq.n + 1
-        cfg = EMConfig(4)
         got_rng, ref_rng = RandomStream(31), RandomStream(31)
-        got = run_dynamic(seq, scheme, structure, cfg=cfg, rng=got_rng,
+        got = run_dynamic(seq, scheme, structure, B=4, rng=got_rng,
                           predicted_scores=predicted, stats=st, keep_steps=True)
-        want, draws = reference_run(seq, scheme, structure, cfg, ref_rng, predicted, st)
+        want, draws = reference_run(seq, scheme, structure, 4, ref_rng, predicted, st)
         for name in ("access_cost", "update_cost", "rebuild_cost", "access_log_nat",
                      "shift_l1_nat", "update_events", "steps"):
             assert getattr(got, name) == getattr(want, name), name
@@ -680,7 +681,7 @@ class TestDriverLockstep:
 
 class TestScoreMemo:
     """The driver maps each distinct score to its tier once per run, and the
-    block structures compute tiers only while they are built."""
+    block structures compute no tiers: they are built from the driver's."""
 
     @pytest.mark.parametrize("structure", ["treap", "det-forest", "tier-forest"])
     def test_tier_value_calls(self, structure, monkeypatch):
@@ -692,16 +693,18 @@ class TestScoreMemo:
             def tier(w, inner, outer):
                 calls[name] += 1
                 return tier_value(w, inner, outer)
-            monkeypatch.setattr(module, "tier_value", tier)
+            # em holds no tier_value; one set there would count any call by name
+            monkeypatch.setattr(module, "tier_value", tier, raising=False)
 
         counted("dynamic", dynamic)
         counted("em", em)
         oracle = CrudeOracle(n)
         distinct = {s for x in seq.items for _, s, _w in oracle.step(x)}
-        bd = run_dynamic(seq, "past-ws-crude", structure, cfg=EMConfig(4), rng=RandomStream(3))
+        bd = run_dynamic(seq, "past-ws-crude", structure, B=4, rng=RandomStream(3))
         assert bd.update_events > 10 * len(distinct)
-        assert calls["em"] == (0 if structure == "treap" else n)  # the build alone
-        assert calls["dynamic"] == len(distinct)
+        assert calls["em"] == 0
+        # a forest's one starting tier; the treap's comes from composite_priority
+        assert calls["dynamic"] == (0 if structure == "treap" else 1) + len(distinct)
 
 
 class TestCostDecompositionCheck:

@@ -15,7 +15,6 @@ from scoretreap.em import (
     Block,
     BTree,
     DetScoreForest,
-    EMConfig,
     RankForest,
     TierForestBTreap,
     UpdateCost,
@@ -42,17 +41,19 @@ class FullRepartitionForest(TierForestBTreap):
     and match old to new components by (tier, member set).  Its glued path
     is found top-down: the chain of components on the root path first, then
     one search per component tree, with the tiers checked afterwards.  Its
-    first forest, too, comes from its own DFS, not from ``_components``."""
+    first forest, too, comes from its own DFS, not from ``_components``.
+    Its ``update_weight`` takes the new weight and maps it to its tier with
+    ``tier_value(w, B, 4)``."""
 
-    def __init__(self, weights, cfg: EMConfig, rng=None):
-        self.cfg = cfg
-        self.n = len(weights)
+    def __init__(self, tiers, B: int, rng=None):
+        self.B = B
+        self.n = len(tiers)
         self._rng = rng if rng is not None else RandomStream(0)
         offsets = [self._rng.next_offset() for _ in range(self.n)]
-        self.base = Treap.build_arrays([tier_value(float(w), cfg.B, 4) for w in weights], offsets)
+        self.base = Treap.build_arrays(tiers, offsets)
         self.comp_of = [None] * (self.n + 1)
         for top, ks in self._groups().items():
-            tree = BTree(cfg.B, ks, tier=self.base._tier[top])
+            tree = BTree(B, ks, tier=self.base._tier[top])
             tree.top = top
             for k in ks:
                 self.comp_of[k] = tree
@@ -122,7 +123,7 @@ class FullRepartitionForest(TierForestBTreap):
         for top, ks in groups.items():
             tree = old_by_sig.pop((self.base._tier[top], frozenset(ks)), None)
             if tree is None:
-                tree = BTree(self.cfg.B, ks, tier=self.base._tier[top])
+                tree = BTree(self.B, ks, tier=self.base._tier[top])
                 written += tree.built
             tree.top = top
             for k in ks:
@@ -133,7 +134,7 @@ class FullRepartitionForest(TierForestBTreap):
     def update_weight(self, key: int, w_new: float) -> UpdateCost:
         removal = len({blk for blk, _ in self.path_pairs(key)})
         old_tier = self.base._tier[key]
-        new_tier = tier_value(w_new, self.cfg.B, 4)
+        new_tier = tier_value(w_new, self.B, 4)
         offset = self._rng.next_offset()
         rot = self.base.update_priority(key, new_tier, offset)
         written = 0
@@ -152,17 +153,22 @@ class WeightDetScoreForest(DetScoreForest):
     def update_weight(self, key: int, w_new: float) -> int:
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        new_idx = tier_value(w_new, self.cfg.B, 2)
+        new_idx = tier_value(w_new, self.B, 2)
         old_idx = self.tree_index[key]
         if new_idx == old_idx:
             return 0
         touched = set(self.trees[old_idx].delete(key))
         if new_idx not in self.trees:
-            self.trees[new_idx] = BTree(self.cfg.B)
+            self.trees[new_idx] = BTree(self.B)
             self.trees = dict(sorted(self.trees.items()))
         touched.update(self.trees[new_idx].insert(key))
         self.tree_index[key] = new_idx
         return len(touched)
+
+
+def tiers_of(weights, B: int, forest=TierForestBTreap) -> list[int]:
+    """Each weight's tier under ``forest``'s rule, as the driver maps it."""
+    return [tier_value(w, B, forest.OUTER_BASE) for w in weights]
 
 
 def churned_forest(n: int = 200, B: int = 4, updates: int = 300, seed: int = 11) -> TierForestBTreap:
@@ -172,8 +178,7 @@ def churned_forest(n: int = 200, B: int = 4, updates: int = 300, seed: int = 11)
     def tier() -> int:  # log_B(1/w) = 4^u spans tiers 0..3
         return tier_value(float(B) ** -(4.0 ** py.uniform(-0.5, 3.5)), B, 4)
 
-    st = TierForestBTreap([float(B) ** -(4.0 ** t) for t in (tier() for _ in range(n))],
-                          EMConfig(B), rng=RandomStream(seed))
+    st = TierForestBTreap([tier() for _ in range(n)], B, rng=RandomStream(seed))
     for _ in range(updates):
         st.update_weight(py.randint(1, n), tier())
     assert st.validate() is None
@@ -213,13 +218,13 @@ class StampHeapRankForest:
     An access moves the item to recency rank 1 and into the first tree.
     """
 
-    def __init__(self, n: int, cfg: EMConfig):
+    def __init__(self, n: int, B: int):
         if n < 1:
             raise ConfigError(f"universe size must be >= 1, got {n}")
-        self.cfg = cfg
+        self.B = B
         self.n = n
         S = 1
-        while cfg.B ** (2 ** S) < n:
+        while B ** (2 ** S) < n:
             S += 1
         self.S = S
         self._clock = 0
@@ -234,13 +239,13 @@ class StampHeapRankForest:
         for i in range(1, S + 1):
             cap = n - start + 1 if i == S else min(self.cap_hi(i), n - start + 1)
             ks = list(range(start, start + max(cap, 0)))
-            self.trees[i] = BTree(cfg.B, ks)
+            self.trees[i] = BTree(B, ks)
             for k in ks:
                 self.tree_of[k] = i
             start += len(ks)
             if start > n:
                 for j in range(i + 1, S + 1):
-                    self.trees[j] = BTree(cfg.B)
+                    self.trees[j] = BTree(B)
                 break
         # per-tree min-heaps of (stamp, key), for finding each tree's oldest
         self._heaps: list[list[tuple[int, int]]] = [[] for _ in range(S + 1)]
@@ -250,10 +255,10 @@ class StampHeapRankForest:
             heapq.heapify(heap)
 
     def cap_hi(self, i: int) -> int:
-        return 2 * self.cfg.B ** (2 ** (i + 1))
+        return 2 * self.B ** (2 ** (i + 1))
 
     def chunk(self, i: int) -> int:
-        return self.cfg.B ** (2 ** (i + 1))
+        return self.B ** (2 ** (i + 1))
 
     def _touch(self, key: int) -> None:
         self._clock += 1
@@ -324,13 +329,13 @@ class StampHeapRankForest:
             if not len(tree):
                 continue
             if i != last_nonempty:
-                lo = self.cfg.B ** (2 ** i)
+                lo = self.B ** (2 ** i)
                 if not lo <= len(tree) <= self.cap_hi(i):
                     return f"tree {i} has {len(tree)} items, band [{lo}, {self.cap_hi(i)}]"
             entry = self._oldest(i)
             if entry is not None:
                 worst = self.rank(entry[1])
-                cap = 4 * self.cfg.B ** (2 ** (i + 1))
+                cap = 4 * self.B ** (2 ** (i + 1))
                 if worst > cap:
                     return f"tree {i} holds rank {worst}, cap {cap}"
         return None
@@ -358,20 +363,25 @@ class StampHeapRankForest:
         return self.check_invariant()
 
 
-class TestEMConfig:
-    def test_fanout_floor(self):
-        with pytest.raises(ConfigError):
-            EMConfig(3)
-        with pytest.raises(ConfigError):
-            EMConfig(0)
-        assert EMConfig(4).B == 4
+def test_fanout_floor():
+    """Every block structure refuses a fanout below 4 before it serves a key."""
+    builders = {"BTree": lambda B: BTree(B, [1, 2, 3]),
+                "TierForestBTreap": lambda B: TierForestBTreap([0, 1, 0, 2], B),
+                "DetScoreForest": lambda B: DetScoreForest([0, 1, 0, 2], B),
+                "RankForest": lambda B: RankForest(64, B)}
+    for name, build in builders.items():
+        for B in (3, 0):
+            with pytest.raises(ConfigError, match=f"block fanout must be >= 4, got {B}"):
+                build(B)
+        assert build(4).B == 4, name
 
 
 @pytest.mark.parametrize("forest", [TierForestBTreap, DetScoreForest])
 def test_nonpositive_or_nonfinite_weight_rejected(forest):
+    # a forest takes tiers: a bad weight is refused where its rule maps it to one
     for bad in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive finite"):
-            forest([0.5, bad, 0.25, 0.25], EMConfig(4))
+            tier_value(bad, 4, forest.OUTER_BASE)
 
 
 def leaf_depths(tree: BTree) -> set[int]:
@@ -544,7 +554,7 @@ class TestTierForest:
     def test_uniform_square_universe_is_one_flat_component(self):
         for B in (4, 16):
             n = B * B
-            st = TierForestBTreap([1.0 / n] * n, EMConfig(B))
+            st = TierForestBTreap(tiers_of([1.0 / n] * n, B), B)
             assert st.validate() is None
             assert len(st._trees()) == 1
             assert all(st.tier_of(k) == 0 for k in range(1, n + 1))
@@ -553,7 +563,7 @@ class TestTierForest:
     def test_heavy_item_reads_one_block(self):
         n, B = 257, 4
         w = [1.0] + [1.0 / 256.0] * (n - 1)
-        st = TierForestBTreap(w, EMConfig(B), rng=RandomStream(5))
+        st = TierForestBTreap(tiers_of(w, B), B, rng=RandomStream(5))
         assert st.tier_of(1) == 0
         assert all(st.tier_of(k) == 1 for k in range(2, n + 1))
         assert st.access(1) == 1
@@ -563,7 +573,7 @@ class TestTierForest:
         n, B = 300, 4
         raw = [py.random() ** 6 for _ in range(n)]
         tot = sum(raw)
-        st = TierForestBTreap([r / tot for r in raw], EMConfig(B), rng=stream)
+        st = TierForestBTreap(tiers_of([r / tot for r in raw], B), B, rng=stream)
         per_tier: dict[int, list[int]] = {}
         for k in range(1, n + 1):
             per_tier.setdefault(st.tier_of(k), []).append(st.access(k))
@@ -579,21 +589,21 @@ class TestTierForest:
     def test_update_matches_scratch_rebuild(self):
         py = random.Random(9)
         n, B = 24, 4
-        weights = [1.0 / (n + 1)] * n
+        tiers = tiers_of([1.0 / (n + 1)] * n, B)
         rng = RandomStream(31)
         offsets = [rng.next_offset() for _ in range(n)]
         replay = ReplayStream(offsets)
-        st = TierForestBTreap(weights, EMConfig(B), rng=replay)
+        st = TierForestBTreap(tiers, B, rng=replay)
         for _ in range(60):
             k = py.randint(1, n)
-            w_new = 2.0 ** -py.uniform(0.1, 24)
+            tier = tier_value(2.0 ** -py.uniform(0.1, 24), B, 4)
             off = py.random()
             replay.queue.append(off)
-            st.update_weight(k, tier_value(w_new, B, 4))
+            st.update_weight(k, tier)
             assert not replay.queue
-            weights[k - 1] = w_new
+            tiers[k - 1] = tier
             offsets[k - 1] = off
-            fresh = TierForestBTreap(weights, EMConfig(B), rng=ReplayStream(offsets))
+            fresh = TierForestBTreap(tiers, B, rng=ReplayStream(offsets))
             assert st.dump() == fresh.dump()
             assert st.validate() is None
 
@@ -611,8 +621,8 @@ class TestTierForest:
         weights = [weight() for _ in range(n)]
         offsets = [py.random() or 0.5 for _ in range(n)]
         replays = ReplayStream(offsets), ReplayStream(offsets)
-        st = TierForestBTreap(weights, EMConfig(B), rng=replays[0])
-        ref = FullRepartitionForest(weights, EMConfig(B), rng=replays[1])
+        st = TierForestBTreap(tiers_of(weights, B), B, rng=replays[0])
+        ref = FullRepartitionForest(tiers_of(weights, B), B, rng=replays[1])
         assert st.dump() == ref.dump()
         retiers = 0
         # summed returned costs of (st, ref): search touches, rebuild writes
@@ -652,7 +662,7 @@ class TestTierForest:
         rng = RandomStream(2)
         offsets = [rng.next_offset() for _ in range(n)]
         replay = ReplayStream(offsets + [offsets[6]])
-        st = TierForestBTreap([1.0 / n] * n, EMConfig(4), rng=replay)
+        st = TierForestBTreap(tiers_of([1.0 / n] * n, 4), 4, rng=replay)
         before = st.dump()
         uc = st.update_weight(7, tier_value(1.0 / n, 4, 4))
         assert not replay.queue
@@ -664,7 +674,7 @@ class TestTierForest:
         n = 200
         raw = [py.random() ** 4 for _ in range(n)]
         tot = sum(raw)
-        st = TierForestBTreap([r / tot for r in raw], EMConfig(4), rng=stream)
+        st = TierForestBTreap(tiers_of([r / tot for r in raw], 4), 4, rng=stream)
         key = max(range(1, n + 1), key=st.access)
         before = st.access(key)
         st.update_weight(key, tier_value(0.9, 4, 4))
@@ -679,7 +689,7 @@ class TestTierForest:
         n = 120
         raw = [py.random() ** 3 for _ in range(n)]
         tot = sum(raw)
-        st = TierForestBTreap([r / tot for r in raw], EMConfig(4), rng=RandomStream(8))
+        st = TierForestBTreap(tiers_of([r / tot for r in raw], 4), 4, rng=RandomStream(8))
         for step in range(301):
             if step % 50 == 0:
                 reachable = reachable_blocks(st._trees())
@@ -692,7 +702,7 @@ class TestTierForest:
 
     def test_io_counters_split_by_phase(self):
         n = 64
-        st = TierForestBTreap([1.0 / n] * n, EMConfig(4), rng=RandomStream(8))
+        st = TierForestBTreap(tiers_of([1.0 / n] * n, 4), 4, rng=RandomStream(8))
         before = st.access(10)
         uc = st.update_weight(10, tier_value(2.0 ** -40, 4, 4))
         assert uc.removal_path == before
@@ -705,7 +715,7 @@ class TestTierForest:
     ])
     def test_validate_catches_decomposition_drift(self, corrupt, message):
         n = 64  # uniform weights: one tier-0 component
-        st = TierForestBTreap([1.0 / n] * n, EMConfig(4), rng=RandomStream(3))
+        st = TierForestBTreap(tiers_of([1.0 / n] * n, 4), 4, rng=RandomStream(3))
         assert st.validate() is None
         tree, = st._trees()
         top = tree.top
@@ -788,8 +798,7 @@ class TestTierForest:
                 tiers = tiers[:n]
             else:
                 tiers = [py.randint(0, hi) for _ in range(n)]
-            st = TierForestBTreap([float(B) ** -(4.0 ** t) for t in tiers], EMConfig(B),
-                                  rng=RandomStream(trial))
+            st = TierForestBTreap(tiers, B, rng=RandomStream(trial))
             assert [st.tier_of(k) for k in range(1, n + 1)] == tiers
             tier = st.base._tier
             got = {top: (tier[top], members)
@@ -836,7 +845,7 @@ class TestTierForest:
     def test_dump_is_deterministic(self):
         n = 40
         mk = lambda: TierForestBTreap(
-            [2.0 ** -(1 + (k % 9)) / 4 for k in range(n)], EMConfig(4),
+            tiers_of([2.0 ** -(1 + (k % 9)) / 4 for k in range(n)], 4), 4,
             rng=ReplayStream((k * 0.61803398875) % 1.0 or 0.5 for k in range(1, n + 1)))
         assert mk().dump() == mk().dump()
 
@@ -845,19 +854,19 @@ class TestDetScoreForest:
     def test_bucket_placement(self):
         B = 4
         w = [0.5, 4.0 ** -1, 4.0 ** -2, 4.0 ** -4, 4.0 ** -8, 4.0 ** -16]
-        st = DetScoreForest(w, EMConfig(B))
+        st = DetScoreForest(tiers_of(w, B, DetScoreForest), B)
         assert st.tree_index[1:] == [0, 0, 1, 2, 3, 4]
         assert st.validate() is None
 
     def test_access_cost_geometric_in_bucket_index(self, py_rng):
         raw = [py_rng.random() ** 5 for _ in range(300)]
         tot = sum(raw)
-        st = DetScoreForest([r / tot for r in raw], EMConfig(4))
+        st = DetScoreForest(tiers_of([r / tot for r in raw], 4, DetScoreForest), 4)
         for k in range(1, 301):
             assert st.access(k) <= 2 ** (st.tree_index[k] + 2)
 
     def test_update_moves_between_buckets(self):
-        st = DetScoreForest([0.5, 0.25, 4.0 ** -4], EMConfig(4))
+        st = DetScoreForest(tiers_of([0.5, 0.25, 4.0 ** -4], 4, DetScoreForest), 4)
         assert st.update_weight(1, tier_value(0.4, 4, 2)) == 0  # same bucket, free
         touched = st.update_weight(1, tier_value(4.0 ** -16, 4, 2))
         assert touched > 0
@@ -875,9 +884,9 @@ class TestDetScoreForest:
             return float(B) ** -(2.0 ** py.uniform(-0.5, 4.5))
 
         # one start bucket, as in the driver, so updates open the others
-        weights = [1.0 / (n + 1) ** 2] * n
-        st = DetScoreForest(weights, EMConfig(B))
-        ref = WeightDetScoreForest(weights, EMConfig(B))
+        tiers = tiers_of([1.0 / (n + 1) ** 2] * n, B, DetScoreForest)
+        st = DetScoreForest(tiers, B)
+        ref = WeightDetScoreForest(tiers, B)
         moves = 0
         touches = [0, 0]  # summed returned costs of st and ref
         for step in range(400):
@@ -899,7 +908,7 @@ class TestDetScoreForest:
     def test_validate_names_a_corrupt_tree(self):
         py = random.Random(8)
         n, B = 300, 4
-        st = DetScoreForest([1.0 / (n + 1) ** 2] * n, EMConfig(B))
+        st = DetScoreForest(tiers_of([1.0 / (n + 1) ** 2] * n, B, DetScoreForest), B)
         for _ in range(400):
             st.update_weight(py.randint(1, n),
                              tier_value(float(B) ** -(2.0 ** py.uniform(-0.5, 4.5)), B, 2))
@@ -910,7 +919,7 @@ class TestDetScoreForest:
 
     def test_validate_catches_unsorted_tree_order(self):
         # access probes trees in dict order, so that order must stay ascending
-        st = DetScoreForest([0.5, 4.0 ** -2, 4.0 ** -4, 4.0 ** -16], EMConfig(4))
+        st = DetScoreForest([0, 1, 2, 4], 4)
         assert list(st.trees) == [0, 1, 2, 4]
         assert st.validate() is None
         st.trees = dict(reversed(st.trees.items()))
@@ -933,19 +942,19 @@ def tree_of(st: RankForest) -> list[int]:
 
 class TestRankForest:
     def test_tree_count_is_minimal(self):
-        assert RankForest(16, EMConfig(4)).S == 1
-        assert RankForest(17, EMConfig(4)).S == 2
-        assert RankForest(256, EMConfig(4)).S == 2
-        assert RankForest(257, EMConfig(4)).S == 3
-        assert RankForest(65_536, EMConfig(16)).S == 2
-        assert RankForest(65_537, EMConfig(16)).S == 3
+        assert RankForest(16, 4).S == 1
+        assert RankForest(17, 4).S == 2
+        assert RankForest(256, 4).S == 2
+        assert RankForest(257, 4).S == 3
+        assert RankForest(65_536, 16).S == 2
+        assert RankForest(65_537, 16).S == 3
 
     def test_initial_rank_equals_key(self):
-        st = RankForest(100, EMConfig(4))
+        st = RankForest(100, 4)
         assert recency(st) == list(range(1, 101))
 
     def test_second_access_stays_in_the_front_tree(self):
-        st = RankForest(600, EMConfig(4))
+        st = RankForest(600, 4)
         assert 590 in st.order[2]  # initial fill puts ranks 513.. in tree 2
         a1 = st.access(590)
         a2 = st.access(590)
@@ -956,7 +965,7 @@ class TestRankForest:
     def test_overflow_cascades_and_holds_invariants(self):
         py = random.Random(6)
         n = 600  # tree 1 caps at 2 * 4^4 = 512, so promotions must cascade
-        st = RankForest(n, EMConfig(4))
+        st = RankForest(n, 4)
         demoted = 0
         for _ in range(1500):
             before = set(st.order[1])
@@ -969,7 +978,7 @@ class TestRankForest:
     def test_block_repeat_trace_is_cheap(self):
         n, B = 512, 4
         seq = gen_sequence(TraceSpec("block-repeat", n=n, m=4096))
-        st = RankForest(n, EMConfig(B))
+        st = RankForest(n, B)
         total = sum(st.access(x) for x in seq.items)
         assert st.validate() is None
         assert total / seq.m <= 16.0
@@ -977,12 +986,12 @@ class TestRankForest:
     def test_round_robin_amortized_bound(self):
         n, B = 1024, 16
         seq = gen_sequence(TraceSpec("round-robin", n=n, m=3 * n))
-        st = RankForest(n, EMConfig(B))
+        st = RankForest(n, B)
         total = sum(st.access(x) for x in seq.items)
         assert total / seq.m <= 8.0 * (1.0 + math.log(n, B))
 
     def test_degenerate_single_tree_universe(self):
-        st = RankForest(1024, EMConfig(16))  # everything fits in tree 1
+        st = RankForest(1024, 16)  # everything fits in tree 1
         for k in (1, 512, 1024):
             assert st.access(k) >= 1
         assert st.check_invariant() is None
@@ -991,7 +1000,7 @@ class TestRankForest:
         """Every access of a long random trace leaves the trees' recency
         lists equal to a literal move-to-front list and the forest valid."""
         n = 64
-        st = RankForest(n, EMConfig(4))
+        st = RankForest(n, 4)
         py = random.Random(1)
         front = list(range(1, n + 1))
         for i in range(1, 2001):
@@ -1006,7 +1015,7 @@ class TestRankForest:
                                          "key dropped from tree", "key in two trees",
                                          "key lost"])
     def test_validate_catches_state_drift(self, corrupt):
-        st = RankForest(600, EMConfig(4))  # ranks 513.. start in tree 2
+        st = RankForest(600, 4)  # ranks 513.. start in tree 2
         for k in (5, 9, 590):
             st.access(k)
         assert st.validate() is None
@@ -1034,7 +1043,7 @@ class TestRankForest:
     def test_check_invariant_catches_drift(self, corrupt):
         py = random.Random(12)
         n = 1100  # at B = 4, tree 1 keeps 16..512 items and ranks up to 1024
-        st = RankForest(n, EMConfig(4))
+        st = RankForest(n, 4)
         for _ in range(300):
             st.access(py.randint(1, n))
         assert st.validate() is None
@@ -1063,8 +1072,8 @@ class TestRankForest:
     ], ids=lambda v: str(v))
     def test_matches_stamp_heap_forest(self, family, n, m, B):
         seq = gen_sequence(TraceSpec(family, n=n, m=m, seed=4))
-        st = RankForest(n, EMConfig(B))
-        ref = StampHeapRankForest(n, EMConfig(B))
+        st = RankForest(n, B)
+        ref = StampHeapRankForest(n, B)
         touches = [0, 0]  # summed returned costs of st and ref
 
         def same_state() -> None:
@@ -1086,8 +1095,8 @@ class TestRankForest:
         same_state()
 
     def test_out_of_range_key(self):
-        st = RankForest(8, EMConfig(4))
+        st = RankForest(8, 4)
         with pytest.raises(KeyError):
             st.access(9)
         with pytest.raises(ConfigError):
-            RankForest(0, EMConfig(4))
+            RankForest(0, 4)

@@ -9,7 +9,6 @@ import sys
 
 import scoretreap
 from scoretreap import dynamic
-from scoretreap.em import EMConfig
 from scoretreap.priorities import RandomStream
 from scoretreap.sequences import TraceSpec, gen_sequence
 
@@ -39,6 +38,24 @@ def test_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "scoretreap":
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside
+
+
+def test_em_maps_no_weight_to_a_tier():
+    """The block structures take tiers: ``em`` imports nothing from
+    ``priorities`` but ``RandomStream``, and the tier rules' arithmetic stays
+    with the driver."""
+    path = pathlib.Path(scoretreap.__file__).parent / "em.py"
+    taken = [alias.name for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("priorities")
+             for alias in node.names]
+    assert taken == ["RandomStream"]
+
+
+def test_block_fanout_is_a_plain_int():
+    """No config object wraps ``B``: the block structures take it as an int,
+    and the package exports no ``*Config`` class."""
+    assert [name for name in scoretreap.__all__ if name.endswith("Config")] == []
+    assert [name for name in dir(scoretreap) if name.endswith("Config")] == []
 
 
 def _load_layers(monkeypatch):
@@ -74,7 +91,7 @@ def test_the_benchmark_tracer_hooks_agree_with_the_driver_costs(monkeypatch):
     try:
         for scheme, structure in (("interval-set", "treap"), ("past-ws-crude", "tier-forest"),
                                   ("past-ws-crude", "det-forest")):
-            dynamic.run_dynamic(seq, scheme, structure, cfg=EMConfig(4), rng=RandomStream(2))
+            dynamic.run_dynamic(seq, scheme, structure, B=4, rng=RandomStream(2))
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
