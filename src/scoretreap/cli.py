@@ -14,6 +14,7 @@ nonzero iff any of the experiment's checks fails.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -215,18 +216,22 @@ def cmd_robustness(p: dict, seed: int, trials: int) -> dict:
     # work; the trials of one eps share the mixture walk, which ``dist`` keeps
     perturbed = [[perturb(dist, measure, eps, rng=random.Random(seed * 7717 + t))
                   for t in range(trials)] for eps in p["eps"]]
-    # a trial's trace does not depend on eps
+    # a trial's trace and base build do not depend on eps: each trial keeps
+    # its base cost and its stream as the base build left it, and every
+    # eps's noisy build continues a copy of that stream
     trial_counts = [_trace_counts(TraceSpec(family="zipf", n=n, m=m, seed=seed + t, s=s))
                     for t in range(trials)]
+    masses = dist.masses()
+    trial_bases = []
+    for t, counts in enumerate(trial_counts):
+        rng = RandomStream(seed).spawn(t)
+        trial_bases.append((_static_treap_cost(masses, counts, rng), rng))
     points = []
     checks: dict[str, bool] = {}
     for eps, prs in zip(p["eps"], perturbed):
         rows = []
-        for t, (pr, counts) in enumerate(zip(prs, trial_counts)):
-            # the noisy build continues the base build's stream
-            rng = RandomStream(seed).spawn(t)
-            base_cost = _static_treap_cost(dist.masses(), counts, rng)
-            noisy_cost = _static_treap_cost(pr.masses(), counts, rng)
+        for pr, counts, (base_cost, after_base) in zip(prs, trial_counts, trial_bases):
+            noisy_cost = _static_treap_cost(pr.masses(), counts, copy.deepcopy(after_base))
             rows.append((base_cost, noisy_cost, cross_entropy(dist, pr), kl(dist, pr)))
         base, noisy, ce, dk = _means(rows, trials)
         cost_bound = 4.0 * m * ce + 4.0 * n

@@ -6,7 +6,9 @@ touches.
 
 * ``BTree`` -- a plain B-tree (bulk build, search, insert, delete) whose
   operations return the blocks they touch; its blocks are the only record
-  of its keys.
+  of its keys.  ``insert`` and ``delete`` clear its ``depth`` memo of
+  search-path lengths; any other edit of its blocks (a future local
+  re-packing, say) must clear it too.
 * ``TierForestBTreap`` -- a treap under the doubly-logarithmic block rule,
   decomposed into maximal same-tier components, each materialized as a
   bulk-built B-tree and glued below the block holding its root's parent.
@@ -15,10 +17,11 @@ touches.
 * ``RankForest`` -- a self-organizing forest keyed by recency rank.
 
 Every structure takes the fanout ``B`` as a plain int; ``BTree`` rejects
-``B < 4``.  The two score forests take per-key tiers, on build and on
-update, never weights: each names the outer base of its tier rule as
-``OUTER_BASE`` (the inner base is ``B``), and the caller maps a weight to its
-tier (``dynamic.run_dynamic`` does).
+``B < 4``.  The two score forests take per-key int tiers, on build and on
+update, never weights (a build refuses a tier that is not an int): each
+names the outer base of its tier rule as ``OUTER_BASE`` (the inner base is
+``B``), and the caller maps a weight to its tier (``dynamic.run_dynamic``
+does).
 """
 
 from __future__ import annotations
@@ -61,14 +64,22 @@ class BTree:
     blocks the bulk build wrote.  Only ``TierForestBTreap`` sets ``tier``
     and ``top``: the tier of the component the tree holds, and the
     component's root in the base treap.
+
+    ``depth`` maps a key the tree holds to the length of its search path;
+    only ``TierForestBTreap`` fills it.  ``insert`` and ``delete`` clear it
+    on every path, so an entry holds while the blocks are unchanged; code
+    that edits blocks any other way must clear it too.
     """
 
     def __init__(self, B: int, keys: Sequence[int] = (), tier: int | None = None):
         if B < 4:
             raise ConfigError(f"block fanout must be >= 4, got {B}")
         self.B = B
+        self.max_keys = B - 1
+        self.min_keys = (B + 1) // 2 - 1
         self.tier = tier
         self.top = 0
+        self.depth: dict[int, int] = {}
         ks = list(keys)
         # one C-level pass shows the usual input strictly increasing;
         # anything else is sorted and checked for a repeat
@@ -88,37 +99,33 @@ class BTree:
     def __contains__(self, key: int) -> bool:
         return self.search(key)[0]
 
-    @property
-    def max_keys(self) -> int:
-        return self.B - 1
-
-    @property
-    def min_keys(self) -> int:
-        return (self.B + 1) // 2 - 1
-
     # -- bulk construction -------------------------------------------------
 
     def _bulk(self, keys: list[int]) -> tuple[Block, int]:
-        """Minimal uniform-depth packing of sorted keys; returns (root,
-        blocks written)."""
-        if len(keys) <= self.max_keys:
-            return Block(list(keys), []), 1
-        B = self.B
-        child_cap = self.max_keys  # capacity of a height-1 subtree
-        while child_cap * B + (B - 1) < len(keys):
-            child_cap = child_cap * B + (B - 1)
+        """Minimal uniform-depth packing of sorted keys, which the result
+        owns; returns (root, blocks written)."""
+        B, max_keys = self.B, self.max_keys
+        if len(keys) <= max_keys:
+            return Block(keys, []), 1
+        child_cap = max_keys  # capacity of a height-1 subtree
+        while child_cap * B + max_keys < len(keys):
+            child_cap = child_cap * B + max_keys
         fanout = -((len(keys) + 1) // -(child_cap + 1))  # ceil division
         spread = len(keys) - (fanout - 1)
         base, extra = divmod(spread, fanout)
         sizes = [base + 1] * extra + [base] * (fanout - extra)
         node_keys: list[int] = []
         children: list[Block] = []
-        written = 1
+        leaves = child_cap == max_keys  # built here, not by one call per leaf
+        written = 1 + fanout if leaves else 1
         idx = 0
         for j, size in enumerate(sizes):
-            child, cw = self._bulk(keys[idx : idx + size])
-            children.append(child)
-            written += cw
+            if leaves:
+                children.append(Block(keys[idx : idx + size], []))
+            else:
+                child, cw = self._bulk(keys[idx : idx + size])
+                children.append(child)
+                written += cw
             idx += size
             if j < fanout - 1:
                 node_keys.append(keys[idx])
@@ -166,7 +173,9 @@ class BTree:
     # -- updates -----------------------------------------------------------
 
     def insert(self, key: int) -> list[Block]:
-        """Insert ``key``; returns the blocks touched (path + splits)."""
+        """Insert ``key``; returns the blocks touched: the descent path (the
+        list itself when nothing splits), then the blocks splits made."""
+        self.depth.clear()
         path: list[Block] = []
         blk = self.root
         while True:
@@ -179,6 +188,8 @@ class BTree:
             blk = blk.children[i]
         blk.keys.insert(i, key)
         self.size += 1
+        if len(blk.keys) <= self.max_keys:
+            return path
         touched = list(path)
         pos = len(path) - 1
         while len(blk.keys) > self.max_keys:
@@ -202,7 +213,9 @@ class BTree:
 
     def delete(self, key: int) -> list[Block]:
         """Delete ``key``; returns the blocks touched (path + rebalances) that
-        are still in the tree."""
+        are still in the tree: the descent path itself when nothing
+        underflows.  A block can be listed twice."""
+        self.depth.clear()
         path: list[Block] = []
         blk = self.root
         while True:
@@ -224,6 +237,9 @@ class BTree:
         else:
             blk.keys.pop(i)
         self.size -= 1
+        # the root never empties without a merge below it
+        if len(path) == 1 or len(path[-1].keys) >= self.min_keys:
+            return path
         touched = list(path)
         gone: list[Block] = []  # blocks merged away or collapsed
         pos = len(path) - 1
@@ -328,6 +344,11 @@ class TierForestBTreap:
     below the block containing the top's treap parent.  Rebuild writes are
     counted apart from search touches.
 
+    A component tree is never edited, only replaced by a bulk build (the
+    forest is uniquely represented, like Golovin's B-treaps), so each
+    tree's ``depth`` memo stays valid for the tree's life and a glued path
+    costs one memo lookup per component once each key has been searched.
+
     A weight update re-prioritizes one key of the base treap, and its
     rotations re-hang only nodes beside that key's root path.  On a tier
     change only the components holding such a node, or gaining one from
@@ -341,6 +362,9 @@ class TierForestBTreap:
     OUTER_BASE = 4  # the tier rule: floor(log4 log_B (1/w)), clamped at 0
 
     def __init__(self, tiers: Sequence[int], B: int, rng: RandomStream | None = None):
+        err = _non_int_tier(tiers)
+        if err:
+            raise ConfigError(err)
         self.B = B
         self.n = len(tiers)
         self._rng = rng if rng is not None else RandomStream(0)
@@ -453,12 +477,16 @@ class TierForestBTreap:
 
     # -- access -------------------------------------------------------------
 
-    def _path_blocks(self, key: int) -> list[Block]:
-        """Blocks on the glued search path to ``key``, walked upward: each
-        component tree is searched for ``key`` or for the treap parent of the
-        top of the component below, and tree tiers never grow on the way up."""
+    def _path_length(self, key: int) -> int:
+        """The number of blocks on the glued search path to ``key``, walked
+        upward: each component tree is searched for ``key`` or for the treap
+        parent of the top of the component below, and tree tiers never grow
+        on the way up.  A top's treap parent has a strictly smaller tier, so
+        each tree lies on the path at most once and no block repeats: the
+        count is the sum of the trees' search depths, read from their
+        ``depth`` memos once a search has filled them."""
         comp_of, parent = self.comp_of, self.base._parent
-        out: list[Block] = []
+        count = 0
         target = key
         tree = comp_of[key]
         below = tree.tier
@@ -466,23 +494,24 @@ class TierForestBTreap:
             if tree.tier > below:
                 raise AssertionError(f"tiers not monotone on the path to {key}: "
                                      f"tier {tree.tier} above tier {below}")
-            found, path = tree.search(target)
-            if not found:
-                raise AssertionError(f"key {target} missing from its component tree")
-            out += path
+            d = tree.depth.get(target)
+            if d is None:
+                found, path = tree.search(target)
+                if not found:
+                    raise AssertionError(f"key {target} missing from its component tree")
+                d = tree.depth[target] = len(path)
+            count += d
             below = tree.tier
             target = parent[tree.top]
             if not target:
-                return out
+                return count
             tree = comp_of[target]
 
     def access(self, key: int) -> int:
         """The number of distinct blocks on the path to ``key``."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        # a top's treap parent has a strictly smaller tier, so each component
-        # tree lies on the glued path at most once and no block repeats
-        return len(self._path_blocks(key))
+        return self._path_length(key)
 
     # -- updates ------------------------------------------------------------
 
@@ -490,7 +519,7 @@ class TierForestBTreap:
         """Re-prioritize one item at its new score's tier; returns the phase-split touches."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        removal = len(self._path_blocks(key))  # no block repeats: see ``access``
+        removal = self._path_length(key)
         old_tier = self.base._tier[key]
         offset = self._rng.next_offset()
         before = self._neighbours(key) if new_tier != old_tier else None
@@ -508,7 +537,7 @@ class TierForestBTreap:
         # without a tier change, key rotates only past nodes of its own tier:
         # its component keeps its members, its B-tree and the treap parent of
         # its top, so the glued path to key is the one walked for removal
-        insertion = removal if before is None else len(self._path_blocks(key))
+        insertion = removal if before is None else self._path_length(key)
         return UpdateCost(removal, insertion, written)
 
     # -- serialization / checks ----------------------------------------------
@@ -550,6 +579,9 @@ class TierForestBTreap:
         return "\n".join(lines) + "\n"
 
     def validate(self) -> str | None:
+        err = _non_int_tier(self.base._tier[1:])
+        if err:
+            return err
         err = self.base.validate()
         if err:
             return f"base treap: {err}"
@@ -584,8 +616,27 @@ class TierForestBTreap:
             t = tier[tree.top]
             if tree.tier != t:
                 return f"component {tree.top} tree records tier {tree.tier}, its root has {t}"
-        return _check_trees({tree.top: tree for tree in trees},
-                            [0] + [tree.top for tree in comp_of[1:]], self.n, tier)
+        err = _check_trees({tree.top: tree for tree in trees},
+                           [0] + [tree.top for tree in comp_of[1:]], self.n, tier)
+        if err:
+            return err
+        # a memo entry must still be the search depth of a key the tree holds
+        for tree in trees:
+            for k, d in tree.depth.items():
+                found, path = tree.search(k)
+                if not found or len(path) != d:
+                    fresh = f"gives {len(path)}" if found else "misses it"
+                    return f"component {tree.top} memo gives key {k} depth {d}, a fresh search {fresh}"
+        return None
+
+
+def _non_int_tier(tiers: Sequence) -> str | None:
+    """None, or the first key (``tiers[k-1]`` is key ``k``'s) whose tier is
+    not an int: a weight passed in a tier's place, say."""
+    if set(map(type, tiers)) <= {int}:
+        return None
+    k, t = next((k, t) for k, t in enumerate(tiers, start=1) if type(t) is not int)
+    return f"key {k} has tier {t!r}, not an int"
 
 
 def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[Block]]:
@@ -629,6 +680,9 @@ class DetScoreForest:
     OUTER_BASE = 2  # the bucket rule: floor(log2 log_B (1/w)), clamped at 0
 
     def __init__(self, tiers: Sequence[int], B: int):
+        err = _non_int_tier(tiers)
+        if err:
+            raise ConfigError(err)
         self.B = B
         self.n = len(tiers)
         self.tree_index = [0, *tiers]
@@ -638,11 +692,20 @@ class DetScoreForest:
         self.trees = {idx: BTree(B, ks) for idx, ks in sorted(buckets.items())}
 
     def access(self, key: int) -> int:
-        """Probe trees smallest-index-first; count every probed path block."""
+        """Probe trees smallest-index-first; count every probed path block.
+        The trees share no block and a search path repeats none, so the
+        count is the sum of the probed path lengths."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
+        count = 0
         # ``trees`` is kept in ascending index order; ``validate`` checks it
-        return len(_probe(self.trees, key)[1])
+        for tree in self.trees.values():
+            if tree.size:
+                found, path = tree.search(key)
+                count += len(path)
+                if found:
+                    return count
+        raise KeyError(key)
 
     def update_weight(self, key: int, new_idx: int) -> int:
         """Move the item to bucket ``new_idx``, its new score's tier; returns touches."""
@@ -651,15 +714,19 @@ class DetScoreForest:
         old_idx = self.tree_index[key]
         if new_idx == old_idx:
             return 0
-        touched = set(self.trees[old_idx].delete(key))
+        # a merge can list a block twice; the two trees share no block
+        touched = len(set(self.trees[old_idx].delete(key)))
         if new_idx not in self.trees:
             self.trees[new_idx] = BTree(self.B)
             self.trees = dict(sorted(self.trees.items()))
-        touched.update(self.trees[new_idx].insert(key))
+        touched += len(self.trees[new_idx].insert(key))
         self.tree_index[key] = new_idx
-        return len(touched)
+        return touched
 
     def validate(self) -> str | None:
+        err = _non_int_tier(self.tree_index[1:])
+        if err:
+            return err
         order = list(self.trees)
         if order != sorted(order):
             return f"tree indices {order} not in ascending order"

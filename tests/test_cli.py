@@ -1,5 +1,6 @@
 """End-to-end runs of the benchmark command line."""
 
+import hashlib
 import json
 import math
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scoretreap import distributions
+from scoretreap import cli, distributions
 from scoretreap.cli import _PARAMETERS, main
 from scoretreap.distributions import perturb
 from scoretreap.dynamic import CrudeOracle, IntervalSetPriorityState, compute_stats
@@ -388,6 +389,23 @@ class TestExperiments:
         dist = gen_distribution(TraceSpec(family="zipf", n=128, m=3000, seed=0, s=1.0))
         perturb(dist, "kl", 0.5, rng=random.Random(0))
         assert swept == len(calls) > 0
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "cb027d331ae0da49866df7f85e7c9c20ce97bb67824642b52f97aac650555587"),
+        (1, "1a1fa8e3430222bfa08eb8664703e94fff41c2bf818732603cd9bc71ea141dee"),
+    ], ids=["seed0", "seed1"])
+    def test_robustness_builds_each_base_once(self, tmp_path, monkeypatch, seed, digest):
+        """At the defaults (10 trials, three eps) a trial's base treap is
+        built once, not once per eps, and every noisy build continues the
+        stream from where the base build left it: the summary keeps the
+        bytes that a base build per eps gave (these sha256 literals)."""
+        builds = []
+        inner = cli._static_treap_cost
+        monkeypatch.setattr(cli, "_static_treap_cost", lambda *a: builds.append(a) or inner(*a))
+        out = tmp_path / "o"
+        assert main(["robustness", "--out", str(out), "--seed", str(seed), "--threads", "1"]) == 0
+        assert len(builds) == 10 + 10 * 3
+        assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == digest
 
     def test_counterexamples_linear_profile(self, tmp_path):
         code, s, _ = run_cli(tmp_path, "counterexamples",

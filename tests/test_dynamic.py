@@ -494,17 +494,27 @@ class TestRunDynamic:
     @pytest.mark.parametrize("B", [4, 16])
     def test_glued_paths_never_repeat_a_block(self, B, monkeypatch):
         """A top's treap parent has a strictly smaller tier, so the tier
-        forest counts a glued path's blocks without deduplicating them."""
+        forest counts a glued path's blocks without deduplicating them: a
+        walk that gathers each path's blocks with ``BTree.search`` finds no
+        block twice, and as many blocks as the forest counted."""
         walks = []
-        real = TierForestBTreap._path_blocks
+        real = TierForestBTreap._path_length
 
         def checked(self, key):
-            blocks = real(self, key)
-            assert len({id(blk) for blk in blocks}) == len(blocks), key
-            walks.append(len(blocks))
-            return blocks
+            count = real(self, key)
+            blocks = []
+            target, tree = key, self.comp_of[key]
+            while target:
+                found, path = tree.search(target)
+                assert found, target
+                blocks += path
+                target = self.base.parent_of(tree.top)
+                tree = self.comp_of[target]
+            assert len({id(blk) for blk in blocks}) == len(blocks) == count, key
+            walks.append(count)
+            return count
 
-        monkeypatch.setattr(TierForestBTreap, "_path_blocks", checked)
+        monkeypatch.setattr(TierForestBTreap, "_path_length", checked)
         for family in ("zipf", "block-repeat", "uniform", "round-robin"):
             seq = gen_sequence(TraceSpec(family, n=256, m=3_000, seed=7))
             for scheme in ("interval-set", "future-ws-exact", "past-ws-crude"):

@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from scoretreap import dynamic
 from scoretreap.em import (
     Block,
     BTree,
@@ -384,6 +385,131 @@ def test_nonpositive_or_nonfinite_weight_rejected(forest):
             tier_value(bad, 4, forest.OUTER_BASE)
 
 
+@pytest.mark.parametrize("forest", [TierForestBTreap, DetScoreForest])
+def test_weights_in_place_of_tiers_rejected(forest):
+    """The old call shape, weights where the tiers go, fails at build."""
+    for given, key, bad in (([0.5, 0.25, 0.125, 1e-9], 1, 0.5), ([0.5, 0.25, 1e-9], 1, 0.5),
+                            ([0, 1, 2.0, 1], 3, 2.0), ([0, 1, True], 3, True)):
+        with pytest.raises(ConfigError, match=re.escape(f"key {key} has tier {bad!r}, not an int")):
+            forest(given, 4)
+
+
+class LiteralBTree(BTree):
+    """Reference updates: ``insert`` and ``delete`` are literal copies of the
+    B-tree's updates before their no-split and no-underflow fast paths and
+    the depth memo, always copying the descent path."""
+
+    def insert(self, key: int) -> list[Block]:
+        path: list[Block] = []
+        blk = self.root
+        while True:
+            path.append(blk)
+            i = bisect.bisect_left(blk.keys, key)
+            if i < len(blk.keys) and blk.keys[i] == key:
+                raise DuplicateKeyError(f"key {key} already present")
+            if not blk.children:
+                break
+            blk = blk.children[i]
+        blk.keys.insert(i, key)
+        self.size += 1
+        touched = list(path)
+        pos = len(path) - 1
+        while len(blk.keys) > self.max_keys:
+            mid = len(blk.keys) // 2
+            sep = blk.keys[mid]
+            right = Block(blk.keys[mid + 1 :], blk.children[mid + 1 :])
+            blk.keys = blk.keys[:mid]
+            blk.children = blk.children[: mid + 1]
+            touched.append(right)
+            if pos == 0:
+                self.root = Block([sep], [blk, right])
+                touched.append(self.root)
+                break
+            parent = path[pos - 1]
+            j = bisect.bisect_left(parent.keys, sep)
+            parent.keys.insert(j, sep)
+            parent.children.insert(j + 1, right)
+            blk = parent
+            pos -= 1
+        return touched
+
+    def delete(self, key: int) -> list[Block]:
+        path: list[Block] = []
+        blk = self.root
+        while True:
+            path.append(blk)
+            i = bisect.bisect_left(blk.keys, key)
+            if i < len(blk.keys) and blk.keys[i] == key:
+                break
+            if not blk.children:
+                raise KeyError(key)
+            blk = blk.children[i]
+        if blk.children:
+            # swap with the predecessor so the removal happens at a leaf
+            leaf = blk.children[i]
+            while leaf.children:
+                path.append(leaf)
+                leaf = leaf.children[-1]
+            path.append(leaf)
+            blk.keys[i] = leaf.keys.pop()
+        else:
+            blk.keys.pop(i)
+        self.size -= 1
+        touched = list(path)
+        gone: list[Block] = []  # blocks merged away or collapsed
+        pos = len(path) - 1
+        while pos > 0:
+            cur = path[pos]
+            if len(cur.keys) >= self.min_keys:
+                break
+            parent = path[pos - 1]
+            ci = parent.children.index(cur)
+            if ci > 0 and len(parent.children[ci - 1].keys) > self.min_keys:
+                left = parent.children[ci - 1]
+                touched.append(left)
+                cur.keys.insert(0, parent.keys[ci - 1])
+                parent.keys[ci - 1] = left.keys.pop()
+                if left.children:
+                    cur.children.insert(0, left.children.pop())
+                break
+            if ci < len(parent.children) - 1 and len(parent.children[ci + 1].keys) > self.min_keys:
+                right = parent.children[ci + 1]
+                touched.append(right)
+                cur.keys.append(parent.keys[ci])
+                parent.keys[ci] = right.keys.pop(0)
+                if right.children:
+                    cur.children.append(right.children.pop(0))
+                break
+            # merge with a sibling and recurse on the parent
+            li = ci - 1 if ci > 0 else ci
+            left, right = parent.children[li], parent.children[li + 1]
+            touched.append(left)
+            touched.append(right)
+            left.keys.append(parent.keys.pop(li))
+            left.keys.extend(right.keys)
+            left.children.extend(right.children)
+            parent.children.pop(li + 1)
+            gone.append(right)
+            pos -= 1
+        if not self.root.keys and self.root.children:
+            gone.append(self.root)
+            self.root = self.root.children[0]
+        return [b for b in touched if b not in gone] if gone else touched
+
+
+def twin_blocks(a: BTree, b: BTree) -> dict[int, Block]:
+    """The id of each block of ``a`` -> the block of ``b`` in its place; the
+    two trees must have the same keys in the same shape."""
+    out: dict[int, Block] = {}
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
+        assert x.keys == y.keys and len(x.children) == len(y.children)
+        out[id(x)] = y
+        stack.extend(zip(x.children, y.children))
+    return out
+
+
 def leaf_depths(tree: BTree) -> set[int]:
     out: set[int] = set()
     stack = [(tree.root, 1)]
@@ -438,6 +564,7 @@ class TestBTree:
                 assert tree.validate() is None
                 assert len(leaf_depths(tree)) == 1
                 assert len(tree) == n
+                assert tree.built == len(reachable_blocks([tree]))
 
     def test_small_tree_is_one_block(self):
         tree = BTree(8, list(range(1, 8)))
@@ -512,6 +639,57 @@ class TestBTree:
             tree.insert(tree.root.keys[0])  # the descent meets the key at the root
         assert (tree.keys_inorder(), len(tree)) == before
         assert tree.validate() is None
+
+    @pytest.mark.parametrize("B", [4, 5, 16])
+    def test_updates_match_the_literal_reference(self, B):
+        """Grow-and-shrink rounds that reach every split, borrow, merge and
+        root change: after each update both trees hold the same keys in the
+        same shape, and the returned lists name the blocks in the same
+        places in the same order.  Every update, a refused one included,
+        clears the depth memo."""
+        py = random.Random(B)
+        start = py.sample(range(1, 5_000), 40)
+        tree, ref = BTree(B, start), LiteralBTree(B, start)
+        present = set(start)
+        seen = collections.Counter()
+        for rnd in range(4):
+            goal = 250 if rnd % 2 == 0 else 3
+            while len(present) != goal:
+                grow = py.random() < (0.8 if len(present) < goal else 0.2)
+                blocks, height = len(twin_blocks(tree, ref)), tree.height()
+                tree.depth[0] = 1  # a stale entry each update must drop
+                if grow:
+                    k = py.randrange(1, 5_000)
+                    while k in present:
+                        k = py.randrange(1, 5_000)
+                    got, want = tree.insert(k), ref.insert(k)
+                    present.add(k)
+                else:
+                    k = py.choice(list(present))
+                    got, want = tree.delete(k), ref.delete(k)
+                    present.discard(k)
+                assert tree.depth == {}
+                twins = twin_blocks(tree, ref)
+                assert len(got) == len(want)
+                assert all(twins[id(g)] is w for g, w in zip(got, want)), (rnd, k)
+                if grow:
+                    seen["split"] += len(twins) > blocks
+                    seen["root split"] += tree.height() > height
+                else:
+                    seen["merge"] += len(twins) < blocks
+                    seen["root collapse"] += tree.height() < height
+                    seen["borrow"] += len(twins) == blocks and len(got) > height
+                    seen["repeat"] += len({id(g) for g in got}) < len(got)
+                assert tree.keys_inorder() == ref.keys_inorder() == sorted(present)
+                assert len(tree) == len(ref) == len(present)
+                assert tree.validate() is None and ref.validate() is None
+            for k in (min(present), py.randint(5_000, 6_000)):  # a refused update
+                tree.depth[0] = 1
+                with pytest.raises((DuplicateKeyError, KeyError)):
+                    tree.insert(k) if k in present else tree.delete(k)
+                assert tree.depth == {}
+        assert min(seen[e] for e in ("split", "root split", "merge", "root collapse",
+                                     "borrow", "repeat")) > 0, seen
 
     @pytest.mark.parametrize("corrupt", [
         "unsorted keys", "key range", "overfull", "underfull", "missing child",
@@ -757,6 +935,52 @@ class TestTierForest:
         with pytest.raises(AssertionError, match=f"key {key} missing from its component tree"):
             st.access(top)
 
+    @pytest.mark.parametrize("corrupt", ["depth", "foreign key"])
+    def test_validate_names_a_stale_depth_memo(self, corrupt):
+        st = churned_forest()
+        for k in range(1, st.n + 1):
+            st.access(k)  # fills the memo of every tree on every path
+        assert st.validate() is None
+        tree = next(t for t in st._trees() if t.height() > 1)
+        if corrupt == "depth":
+            k = max(tree.depth)
+            d = tree.depth[k] = tree.depth[k] + 1
+            message = f"component {tree.top} memo gives key {k} depth {d}, a fresh search gives {d - 1}"
+        else:  # an entry for a key the tree does not hold
+            k = next(k for k in range(1, st.n + 1) if st.comp_of[k] is not tree)
+            tree.depth[k] = 1
+            message = f"component {tree.top} memo gives key {k} depth 1, a fresh search misses it"
+        assert st.validate() == message
+
+    @pytest.mark.parametrize("B", [4, 16])
+    @pytest.mark.parametrize("scheme", ["interval-set", "past-ws-crude"])
+    def test_driven_access_matches_the_top_down_walk(self, scheme, B, monkeypatch):
+        """Under ``run_dynamic``, after every re-tier, the memoised path counts
+        of the updated key and of a sample of others equal the reference's
+        top-down glued path (``FullRepartitionForest.path_pairs``)."""
+        py = random.Random(B)
+        retiers = []
+
+        class Checked(TierForestBTreap):
+            _chain = FullRepartitionForest._chain
+            path_pairs = FullRepartitionForest.path_pairs
+
+            def update_weight(self, key, new_tier):
+                retier = new_tier != self.tier_of(key)
+                cost = super().update_weight(key, new_tier)
+                if retier:
+                    retiers.append(key)
+                    for k in (key, *(py.randint(1, self.n) for _ in range(4))):
+                        want = len({blk for blk, _ in self.path_pairs(k)})
+                        assert self.access(k) == want, (len(retiers), k)
+                    assert cost.insertion_path == len({blk for blk, _ in self.path_pairs(key)})
+                return cost
+
+        monkeypatch.setattr(dynamic, "TierForestBTreap", Checked)
+        seq = gen_sequence(TraceSpec("zipf", n=300, m=4_000, seed=B))
+        dynamic.run_dynamic(seq, scheme, "tier-forest", B=B, rng=RandomStream(3))
+        assert len(retiers) >= 100
+
     @pytest.mark.parametrize("corrupt", [
         "base heap order", "tree tier", "foreign tier", "foreign component", "lost key",
     ])
@@ -916,6 +1140,36 @@ class TestDetScoreForest:
         i, tree = next((i, t) for i, t in st.trees.items() if i and len(t.root.keys) >= 2)
         tree.root.keys.reverse()
         assert st.validate() == f"tree {i}: block {tree.root.keys} keys not strictly increasing"
+
+    def test_access_counts_the_union_of_probed_paths(self):
+        """After churn, each access equals the distinct blocks on the search
+        paths of the non-empty trees probed in index order up to the key's."""
+        py = random.Random(2)
+        n, B = 400, 4
+        st = DetScoreForest(tiers_of([1.0 / (n + 1) ** 2] * n, B, DetScoreForest), B)
+        for _ in range(600):
+            st.update_weight(py.randint(1, n),
+                             tier_value(float(B) ** -(2.0 ** py.uniform(-0.5, 4.5)), B, 2))
+        probed = collections.Counter()
+        for k in range(1, n + 1):
+            seen: set[int] = set()
+            for i, tree in st.trees.items():
+                if len(tree):
+                    found, path = tree.search(k)
+                    seen.update(map(id, path))
+                    probed[k] += 1
+                    if found:
+                        break
+            assert st.access(k) == len(seen), k
+        assert max(probed.values()) >= 3
+
+    def test_validate_names_a_tier_that_is_not_an_int(self):
+        st = DetScoreForest([0, 1, 0, 2], 4)
+        st.tree_index[2] = 1.0  # equal to its tree's index, but a float
+        assert st.validate() == "key 2 has tier 1.0, not an int"
+        ts = TierForestBTreap([0, 1, 0, 2], 4)
+        ts.base._tier[4] = 2.0
+        assert ts.validate() == "key 4 has tier 2.0, not an int"
 
     def test_validate_catches_unsorted_tree_order(self):
         # access probes trees in dict order, so that order must stay ascending
