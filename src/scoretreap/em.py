@@ -6,22 +6,24 @@ touches.
 
 * ``BTree`` -- a plain B-tree (bulk build, search, insert, delete) whose
   operations return the blocks they touch; its blocks are the only record
-  of its keys.  ``insert`` and ``delete`` clear its ``depth`` memo of
-  search-path lengths; any other edit of its blocks (a future local
-  re-packing, say) must clear it too.
+  of its keys.
+* ``bulk_depth`` and ``bulk_written`` -- the search-path length to each
+  rank, and the blocks written, of ``BTree``'s bulk build, by arithmetic
+  on the key count and ``B`` alone.
 * ``TierForestBTreap`` -- a treap under the doubly-logarithmic block rule,
-  decomposed into maximal same-tier components, each materialized as a
-  bulk-built B-tree and glued below the block holding its root's parent.
+  decomposed into maximal same-tier components, each counted as a
+  bulk-built B-tree glued below the block holding its root's parent.  A
+  component is its sorted members; its blocks are built only for ``dump``.
 * ``DetScoreForest`` -- deterministic score bucketing into doubly
   exponentially growing trees, probed smallest-first.
 * ``RankForest`` -- a self-organizing forest keyed by recency rank.
 
-Every structure takes the fanout ``B`` as a plain int; ``BTree`` rejects
-``B < 4``.  The two score forests take per-key int tiers, on build and on
-update, never weights (a build refuses a tier that is not an int): each
-names the outer base of its tier rule as ``OUTER_BASE`` (the inner base is
-``B``), and the caller maps a weight to its tier (``dynamic.run_dynamic``
-does).
+Every structure takes the fanout ``B`` as a plain int; ``BTree``,
+``TierForestBTreap`` and ``RankForest`` reject ``B < 4``.  The two score
+forests take per-key int tiers, on build and on update, never weights (a
+build refuses a tier that is not an int): each names the outer base of its
+tier rule as ``OUTER_BASE`` (the inner base is ``B``), and the caller maps
+a weight to its tier (``dynamic.run_dynamic`` does).
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ from .treap import Treap
 __all__ = [
     "Block",
     "BTree",
+    "bulk_depth",
+    "bulk_written",
     "UpdateCost",
+    "Component",
     "TierForestBTreap",
     "DetScoreForest",
     "RankForest",
@@ -61,25 +66,15 @@ class BTree:
     Blocks hold at most ``B - 1`` keys; non-root blocks keep at least
     ``ceil(B/2) - 1`` after deletions.  The blocks are the only record of
     the keys the tree holds; ``size`` counts them, and ``built`` counts the
-    blocks the bulk build wrote.  Only ``TierForestBTreap`` sets ``tier``
-    and ``top``: the tier of the component the tree holds, and the
-    component's root in the base treap.
-
-    ``depth`` maps a key the tree holds to the length of its search path;
-    only ``TierForestBTreap`` fills it.  ``insert`` and ``delete`` clear it
-    on every path, so an entry holds while the blocks are unchanged; code
-    that edits blocks any other way must clear it too.
+    blocks the bulk build wrote.
     """
 
-    def __init__(self, B: int, keys: Sequence[int] = (), tier: int | None = None):
+    def __init__(self, B: int, keys: Sequence[int] = ()):
         if B < 4:
             raise ConfigError(f"block fanout must be >= 4, got {B}")
         self.B = B
         self.max_keys = B - 1
         self.min_keys = (B + 1) // 2 - 1
-        self.tier = tier
-        self.top = 0
-        self.depth: dict[int, int] = {}
         ks = list(keys)
         # one C-level pass shows the usual input strictly increasing;
         # anything else is sorted and checked for a repeat
@@ -175,7 +170,6 @@ class BTree:
     def insert(self, key: int) -> list[Block]:
         """Insert ``key``; returns the blocks touched: the descent path (the
         list itself when nothing splits), then the blocks splits made."""
-        self.depth.clear()
         path: list[Block] = []
         blk = self.root
         while True:
@@ -215,7 +209,6 @@ class BTree:
         """Delete ``key``; returns the blocks touched (path + rebalances) that
         are still in the tree: the descent path itself when nothing
         underflows.  A block can be listed twice."""
-        self.depth.clear()
         path: list[Block] = []
         blk = self.root
         while True:
@@ -315,6 +308,49 @@ class BTree:
         return None
 
 
+def _split(size: int, B: int) -> tuple[int, int, int]:
+    """``BTree._bulk``'s root split of ``size >= B`` sorted keys: (fanout,
+    base, extra).  The first ``extra`` children take ``base + 1`` keys, the
+    rest ``base``, and one separator key stands between neighbours."""
+    max_keys = B - 1
+    child_cap = max_keys
+    while child_cap * B + max_keys < size:
+        child_cap = child_cap * B + max_keys
+    fanout = -((size + 1) // -(child_cap + 1))
+    base, extra = divmod(size - (fanout - 1), fanout)
+    return fanout, base, extra
+
+
+def bulk_depth(size: int, B: int, rank: int) -> int:
+    """The blocks on the search path to the key of 0-based ``rank`` in a
+    bulk-built ``BTree`` of ``size`` keys: the root is 1, and the path ends
+    at the block where the key is a separator or a leaf key."""
+    depth = 1
+    while size >= B:
+        _, base, extra = _split(size, B)
+        span = extra * (base + 2)  # the larger children, each with the separator after it
+        if rank < span:
+            size = base + 1
+            rank %= base + 2
+        else:
+            size = base
+            rank = (rank - span) % (base + 1)
+        if rank == size:  # the separator after the child
+            return depth
+        depth += 1
+    return depth
+
+
+def bulk_written(size: int, B: int) -> int:
+    """The blocks a ``BTree`` bulk build of ``size`` keys writes (an empty
+    build writes its empty root)."""
+    if size < B:
+        return 1
+    fanout, base, extra = _split(size, B)
+    return (1 + extra * bulk_written(base + 1, B)
+            + (fanout - extra) * bulk_written(base, B))
+
+
 @dataclass
 class UpdateCost:
     """Block touches of one weight update, split by phase."""
@@ -328,6 +364,22 @@ class UpdateCost:
         return self.removal_path + self.insertion_path
 
 
+class Component:
+    """One tier-forest component: its ``tier``, its ``top`` (its root in the
+    base treap) and its sorted ``members``.  ``depths[r]`` is the search
+    depth of the member of rank ``r`` in the component's bulk-built tree, 0
+    until first needed; the members never change, so an entry holds for
+    the record's life."""
+
+    __slots__ = ("tier", "top", "members", "depths")
+
+    def __init__(self, tier: int, top: int, members: list[int]):
+        self.tier = tier
+        self.top = top
+        self.members = members
+        self.depths = bytearray(len(members))
+
+
 class TierForestBTreap:
     """Block-tree over a score-tiered treap.
 
@@ -338,30 +390,34 @@ class TierForestBTreap:
     tier between theirs.  All of 1..n are present, so g's subtree is the key
     range from the end of its left spine to the end of its right spine, and
     the component is one slice of ``keys_of_tier[tier]``, the sorted keys of
-    that tier.  Each component is one bulk-built B-tree, which records the
-    component's tier and its top (its root in the base treap); ``comp_of[k]``
-    is the tree of ``k``'s component.  The tree's root hangs (conceptually)
-    below the block containing the top's treap parent.  Rebuild writes are
-    counted apart from search touches.
+    that tier.  Each component stands for one bulk-built B-tree of its
+    members, glued (conceptually) below the block containing its top's
+    treap parent; ``comp_of[k]`` is the ``Component`` record of ``k``'s
+    component.  Rebuild writes are counted apart from search touches.
 
     A component tree is never edited, only replaced by a bulk build (the
-    forest is uniquely represented, like Golovin's B-treaps), so each
-    tree's ``depth`` memo stays valid for the tree's life and a glued path
-    costs one memo lookup per component once each key has been searched.
+    forest is uniquely represented, like Golovin's B-treaps), and a bulk
+    build's packing depends only on the key count and ``B``.  So the forest
+    builds no blocks: it counts a search path with ``bulk_depth`` at the
+    key's rank among the members, kept in the component's ``depths``, and a
+    rebuild with ``bulk_written``, kept per component size (``B`` is
+    fixed).  ``dump`` builds each component's ``BTree`` from its members.
 
     A weight update re-prioritizes one key of the base treap, and its
     rotations re-hang only nodes beside that key's root path.  On a tier
     change only the components holding such a node, or gaining one from
     below, are re-grouped from their new tops: a group equal to an old
-    component (same tier, same members) keeps its tree, every other group
-    is bulk-built, and an old tree that no ``comp_of`` entry names any more
-    is simply dropped.  All other components keep their members, tier, top
-    and tree.
+    component (same tier, same members) keeps its record, every other group
+    gets a new record and counts a bulk build, and an old record that no
+    ``comp_of`` entry names any more is simply dropped.  All other
+    components keep their members, tier and top.
     """
 
     OUTER_BASE = 4  # the tier rule: floor(log4 log_B (1/w)), clamped at 0
 
     def __init__(self, tiers: Sequence[int], B: int, rng: RandomStream | None = None):
+        if B < 4:
+            raise ConfigError(f"block fanout must be >= 4, got {B}")
         err = _non_int_tier(tiers)
         if err:
             raise ConfigError(err)
@@ -373,7 +429,8 @@ class TierForestBTreap:
         self.keys_of_tier: dict[int, list[int]] = {}
         for k, t in enumerate(tiers, start=1):
             self.keys_of_tier.setdefault(t, []).append(k)
-        self.comp_of: list[BTree | None] = [None] * (self.n + 1)  # slot 0 unused
+        self._written: dict[int, int] = {}  # size -> blocks a bulk build writes
+        self.comp_of: list[Component | None] = [None] * (self.n + 1)  # slot 0 unused
         for top, members in self._components(self._tops(range(1, self.n + 1))):
             self._new_component(top, members)
 
@@ -405,12 +462,16 @@ class TierForestBTreap:
         return out
 
     def _new_component(self, top: int, members: list[int]) -> int:
-        """Bulk-build one component's tree; returns the blocks written."""
-        tree = BTree(self.B, members, tier=self.base._tier[top])
-        tree.top = top
+        """Record one component; returns the blocks its bulk build writes."""
+        comp = Component(self.base._tier[top], top, members)
+        comp_of = self.comp_of
         for k in members:
-            self.comp_of[k] = tree
-        return tree.built
+            comp_of[k] = comp
+        size = len(members)
+        written = self._written.get(size)
+        if written is None:
+            written = self._written[size] = bulk_written(size, self.B)
+        return written
 
     def _neighbours(self, key: int) -> tuple[set[int], tuple[int, int]]:
         """``key``'s ancestors and its two child slots (0 when empty)."""
@@ -455,14 +516,13 @@ class TierForestBTreap:
             p = parent[x]
             if p and tier[p] == tier[x]:
                 dirty.add(comp_of[p])
-        tops = self._tops(sorted(moved.union([tree.top for tree in dirty])))
+        tops = self._tops(sorted(moved.union([comp.top for comp in dirty])))
         written = 0
         for top, members in self._components(tops):
-            # groups are disjoint, so comp_of still holds this group's old trees
-            tree = comp_of[top]
-            if (tree.tier == tier[top] and len(tree) == len(members)
-                    and all(comp_of[k] is tree for k in members)):
-                tree.top = top
+            # groups are disjoint, so comp_of still holds this group's old record
+            comp = comp_of[top]
+            if comp.tier == tier[top] and comp.members == members:
+                comp.top = top
             else:
                 written += self._new_component(top, members)
         return written
@@ -479,33 +539,36 @@ class TierForestBTreap:
 
     def _path_length(self, key: int) -> int:
         """The number of blocks on the glued search path to ``key``, walked
-        upward: each component tree is searched for ``key`` or for the treap
-        parent of the top of the component below, and tree tiers never grow
-        on the way up.  A top's treap parent has a strictly smaller tier, so
-        each tree lies on the path at most once and no block repeats: the
-        count is the sum of the trees' search depths, read from their
-        ``depth`` memos once a search has filled them."""
-        comp_of, parent = self.comp_of, self.base._parent
+        upward: each component's tree is searched for ``key`` or for the
+        treap parent of the top of the component below, and component tiers
+        never grow on the way up.  A top's treap parent has a strictly
+        smaller tier, so each tree lies on the path at most once and no
+        block repeats: the count is the sum of the search depths, each
+        ``bulk_depth`` of the searched key's rank among its component's
+        members, read from the component's ``depths`` once worked out."""
+        comp_of, parent, B = self.comp_of, self.base._parent, self.B
         count = 0
         target = key
-        tree = comp_of[key]
-        below = tree.tier
+        comp = comp_of[key]
+        below = comp.tier
         while True:
-            if tree.tier > below:
+            if comp.tier > below:
                 raise AssertionError(f"tiers not monotone on the path to {key}: "
-                                     f"tier {tree.tier} above tier {below}")
-            d = tree.depth.get(target)
-            if d is None:
-                found, path = tree.search(target)
-                if not found:
-                    raise AssertionError(f"key {target} missing from its component tree")
-                d = tree.depth[target] = len(path)
+                                     f"tier {comp.tier} above tier {below}")
+            members = comp.members
+            rank = bisect_left(members, target)
+            if rank == len(members) or members[rank] != target:
+                raise AssertionError(f"key {target} missing from its component")
+            depths = comp.depths
+            d = depths[rank]
+            if not d:
+                d = depths[rank] = bulk_depth(len(members), B, rank)
             count += d
-            below = tree.tier
-            target = parent[tree.top]
+            below = comp.tier
+            target = parent[comp.top]
             if not target:
                 return count
-            tree = comp_of[target]
+            comp = comp_of[target]
 
     def access(self, key: int) -> int:
         """The number of distinct blocks on the path to ``key``."""
@@ -535,33 +598,35 @@ class TierForestBTreap:
         elif rot:
             self._refresh_root(key)
         # without a tier change, key rotates only past nodes of its own tier:
-        # its component keeps its members, its B-tree and the treap parent of
-        # its top, so the glued path to key is the one walked for removal
+        # its component keeps its members and the treap parent of its top,
+        # so the glued path to key is the one walked for removal
         insertion = removal if before is None else self._path_length(key)
         return UpdateCost(removal, insertion, written)
 
     # -- serialization / checks ----------------------------------------------
 
-    def _trees(self) -> list[BTree]:
-        """The component trees that ``comp_of`` names, each once, by top."""
-        return sorted(set(self.comp_of[1:]), key=lambda tree: tree.top)
+    def _comps(self) -> list[Component]:
+        """The components that ``comp_of`` names, each once, by top."""
+        return sorted(set(self.comp_of[1:]), key=lambda comp: comp.top)
 
     def dump(self) -> str:
         """Canonical text form: one block per line (id, tier, keys, children).
 
-        Ids are reassigned in a deterministic traversal of the glued forest,
+        Each component's B-tree is bulk-built here from its members.  Ids
+        are reassigned in a deterministic traversal of the glued forest,
         with component roots appended to their glue block's child list, so
         two structurally identical forests dump to identical strings.
         """
+        trees = {comp: BTree(self.B, comp.members) for comp in self._comps()}
         glue_children: dict[Block, list[tuple[Block, int]]] = {}
         queue: list[tuple[Block, int]] = []  # (block, its tree's tier)
-        for tree in self._trees():
-            p = self.base._parent[tree.top]
+        for comp, tree in trees.items():
+            p = self.base._parent[comp.top]
             if p:
-                host = self.comp_of[p].search(p)[1][-1]
-                glue_children.setdefault(host, []).append((tree.root, tree.tier))
+                host = trees[self.comp_of[p]].search(p)[1][-1]
+                glue_children.setdefault(host, []).append((tree.root, comp.tier))
             else:
-                queue.append((tree.root, tree.tier))
+                queue.append((tree.root, comp.tier))
         number: dict[Block, int] = {}
         qi = 0
         while qi < len(queue):
@@ -610,23 +675,31 @@ class TierForestBTreap:
                             f"{comp_of[k].top} and {comp_of[p].top}")
             elif comp_of[k].top != k:
                 return f"top key {k} is not the root of its component {comp_of[k].top}"
-        # so each named tree's top is a key whose tree it is, and tops differ
-        trees = self._trees()
-        for tree in trees:
-            t = tier[tree.top]
-            if tree.tier != t:
-                return f"component {tree.top} tree records tier {tree.tier}, its root has {t}"
-        err = _check_trees({tree.top: tree for tree in trees},
-                           [0] + [tree.top for tree in comp_of[1:]], self.n, tier)
-        if err:
-            return err
-        # a memo entry must still be the search depth of a key the tree holds
-        for tree in trees:
-            for k, d in tree.depth.items():
-                found, path = tree.search(k)
-                if not found or len(path) != d:
-                    fresh = f"gives {len(path)}" if found else "misses it"
-                    return f"component {tree.top} memo gives key {k} depth {d}, a fresh search {fresh}"
+        # so each named component's top is a key whose component it is, and
+        # tops differ; its members must be the keys that name it, all of its
+        # tier, and the slice of its tier's keys that its top implies, and
+        # each filled memo entry the arithmetic depth of its rank
+        comps = self._comps()
+        total = sum(len(comp.members) for comp in comps)
+        if total != self.n:
+            return f"forest holds {total} keys, expected {self.n}"
+        for comp in comps:
+            top, members = comp.top, comp.members
+            if comp.tier != tier[top]:
+                return f"component {top} records tier {comp.tier}, its root has {tier[top]}"
+            if any(a >= b for a, b in zip(members, members[1:])):
+                return f"component {top} members are not strictly increasing"
+            for k in members:
+                if tier[k] != comp.tier:
+                    return f"component {top} mixes tiers at key {k}"
+                if comp_of[k] is not comp:
+                    return f"key {k} marked in component {comp_of[k].top}, listed in component {top}"
+            if members != self._components([top])[0][1]:
+                return f"component {top} members differ from its slice of tier {comp.tier}'s keys"
+            for r, d in enumerate(comp.depths):
+                if d and d != bulk_depth(len(members), self.B, r):
+                    return (f"component {top} memo gives rank {r} depth {d}, "
+                            f"bulk_depth gives {bulk_depth(len(members), self.B, r)}")
         return None
 
 
@@ -652,19 +725,15 @@ def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[Block]]:
     raise KeyError(key)
 
 
-def _check_trees(trees: dict[int, BTree], tree_of: list[int], n: int,
-                 tier: list[int] | None = None) -> str | None:
+def _check_trees(trees: dict[int, BTree], tree_of: list[int], n: int) -> str | None:
     """Every tree is a valid B-tree, ``tree_of`` names the tree of each key
-    it holds, and the trees hold ``n`` keys in all; given ``tier``, every key
-    has its tree's tier (the trees are then components, named by their top)."""
+    it holds, and the trees hold ``n`` keys in all."""
     total = 0
     for i, tree in trees.items():
         err = tree.validate()
         if err:
             return f"tree {i}: {err}"
         for k in tree.keys_inorder():
-            if tier is not None and tier[k] != tree.tier:
-                return f"component {i} mixes tiers at key {k}"
             if tree_of[k] != i:
                 return f"key {k} marked in tree {tree_of[k]}, stored in tree {i}"
         total += len(tree)

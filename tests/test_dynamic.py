@@ -29,7 +29,7 @@ from scoretreap.dynamic import (
     cost_decomposition_check,
     run_dynamic,
 )
-from scoretreap.em import DetScoreForest, RankForest, TierForestBTreap
+from scoretreap.em import BTree, DetScoreForest, RankForest, TierForestBTreap
 from scoretreap.errors import ConfigError
 from scoretreap.oracle import ExhaustiveStats
 from scoretreap.priorities import RandomStream, tier_value
@@ -495,21 +495,30 @@ class TestRunDynamic:
     def test_glued_paths_never_repeat_a_block(self, B, monkeypatch):
         """A top's treap parent has a strictly smaller tier, so the tier
         forest counts a glued path's blocks without deduplicating them: a
-        walk that gathers each path's blocks with ``BTree.search`` finds no
-        block twice, and as many blocks as the forest counted."""
+        walk that gathers each path's blocks with ``BTree.search``, in trees
+        built from the components' members, finds no block twice, and as
+        many blocks as the forest counted."""
         walks = []
         real = TierForestBTreap._path_length
+        trees = {}  # component record -> its tree, built once per record
+
+        def tree_of(forest, comp):
+            if comp not in trees:
+                if len(trees) >= 512:  # records die on re-tiers; keep the cache small
+                    trees.clear()
+                trees[comp] = BTree(forest.B, comp.members)
+            return trees[comp]
 
         def checked(self, key):
             count = real(self, key)
             blocks = []
-            target, tree = key, self.comp_of[key]
+            target, comp = key, self.comp_of[key]
             while target:
-                found, path = tree.search(target)
+                found, path = tree_of(self, comp).search(target)
                 assert found, target
                 blocks += path
-                target = self.base.parent_of(tree.top)
-                tree = self.comp_of[target]
+                target = self.base.parent_of(comp.top)
+                comp = self.comp_of[target]
             assert len({id(blk) for blk in blocks}) == len(blocks) == count, key
             walks.append(count)
             return count

@@ -15,10 +15,13 @@ from scoretreap import dynamic
 from scoretreap.em import (
     Block,
     BTree,
+    Component,
     DetScoreForest,
     RankForest,
     TierForestBTreap,
     UpdateCost,
+    bulk_depth,
+    bulk_written,
 )
 from scoretreap.errors import ConfigError, DuplicateKeyError
 from scoretreap.priorities import RandomStream, tier_value
@@ -37,13 +40,29 @@ class ReplayStream:
         return self.queue.popleft()
 
 
+class TreeComponent:
+    """``FullRepartitionForest``'s component record: a bulk-built ``BTree``
+    with the tier and top the forest keeps beside it."""
+
+    def __init__(self, tier: int, top: int, tree: BTree):
+        self.tier = tier
+        self.top = top
+        self.tree = tree
+
+    @property
+    def members(self) -> list[int]:
+        return self.tree.keys_inorder()
+
+
 class FullRepartitionForest(TierForestBTreap):
     """Reference update rule: on every tier change, re-partition all n keys
-    and match old to new components by (tier, member set).  Its glued path
-    is found top-down: the chain of components on the root path first, then
-    one search per component tree, with the tiers checked afterwards.  Its
-    first forest, too, comes from its own DFS, not from ``_components``.
-    Its ``update_weight`` takes the new weight and maps it to its tier with
+    and match old to new components by (tier, member set).  Each component
+    is a real bulk-built ``BTree``, so the rebuild writes it returns are the
+    trees' own ``built`` counts.  Its glued path is found top-down: the
+    chain of components on the root path first, then one search per
+    component tree, with the tiers checked afterwards.  Its first forest,
+    too, comes from its own DFS, not from ``_components``.  Its
+    ``update_weight`` takes the new weight and maps it to its tier with
     ``tier_value(w, B, 4)``."""
 
     def __init__(self, tiers, B: int, rng=None):
@@ -54,13 +73,15 @@ class FullRepartitionForest(TierForestBTreap):
         self.base = Treap.build_arrays(tiers, offsets)
         self.comp_of = [None] * (self.n + 1)
         for top, ks in self._groups().items():
-            tree = BTree(B, ks, tier=self.base._tier[top])
-            tree.top = top
+            comp = TreeComponent(self.base._tier[top], top, BTree(B, ks))
             for k in ks:
-                self.comp_of[k] = tree
+                self.comp_of[k] = comp
 
-    def _chain(self, key: int) -> list[BTree]:
-        """Component trees on the root path, top component first."""
+    def _tree(self, comp: TreeComponent) -> BTree:
+        return comp.tree
+
+    def _chain(self, key: int) -> list[TreeComponent]:
+        """Components on the root path, top component first."""
         chain = [self.comp_of[key]]
         while True:
             p = self.base._parent[chain[-1].top]
@@ -74,14 +95,14 @@ class FullRepartitionForest(TierForestBTreap):
         """(block, tier) pairs on the glued search path to ``key``, top first."""
         chain = self._chain(key)
         out: list[tuple[Block, int]] = []
-        for i, tree in enumerate(chain):
+        for i, comp in enumerate(chain):
             if i + 1 < len(chain):
                 target = self.base._parent[chain[i + 1].top]
             else:
                 target = key
-            found, path = tree.search(target)
+            found, path = self._tree(comp).search(target)
             assert found, f"key {target} missing from its component tree"
-            out.extend((blk, tree.tier) for blk in path)
+            out.extend((blk, comp.tier) for blk in path)
         tiers = [t for _, t in out]
         assert tiers == sorted(tiers), f"tiers not monotone along access path: {tiers}"
         return out
@@ -114,21 +135,21 @@ class FullRepartitionForest(TierForestBTreap):
 
     def _rebuild(self) -> int:
         groups = self._groups()
-        members: dict[BTree, list[int]] = {}
+        members: dict[TreeComponent, list[int]] = {}
         for k in range(1, self.n + 1):
             members.setdefault(self.comp_of[k], []).append(k)
-        # keyed by the tree's recorded tier: the updated key's base tier moved
-        old_by_sig = {(tree.tier, frozenset(ks)): tree for tree, ks in members.items()}
-        new_comp_of: list[BTree | None] = [None] * (self.n + 1)
+        # keyed by the recorded tier: the updated key's base tier moved
+        old_by_sig = {(comp.tier, frozenset(ks)): comp for comp, ks in members.items()}
+        new_comp_of: list[TreeComponent | None] = [None] * (self.n + 1)
         written = 0
         for top, ks in groups.items():
-            tree = old_by_sig.pop((self.base._tier[top], frozenset(ks)), None)
-            if tree is None:
-                tree = BTree(self.B, ks, tier=self.base._tier[top])
-                written += tree.built
-            tree.top = top
+            comp = old_by_sig.pop((self.base._tier[top], frozenset(ks)), None)
+            if comp is None:
+                comp = TreeComponent(self.base._tier[top], top, BTree(self.B, ks))
+                written += comp.tree.built
+            comp.top = top
             for k in ks:
-                new_comp_of[k] = tree
+                new_comp_of[k] = comp
         self.comp_of = new_comp_of
         return written
 
@@ -188,7 +209,7 @@ def churned_forest(n: int = 200, B: int = 4, updates: int = 300, seed: int = 11)
 
 def glued_top(st: TierForestBTreap) -> int:
     """The smallest component top that hangs below another component."""
-    return min(tree.top for tree in st._trees() if st.base.parent_of(tree.top))
+    return min(comp.top for comp in st._comps() if st.base.parent_of(comp.top))
 
 
 def reachable_blocks(trees) -> list[Block]:
@@ -566,6 +587,18 @@ class TestBTree:
                 assert len(tree) == n
                 assert tree.built == len(reachable_blocks([tree]))
 
+    @pytest.mark.parametrize("B", [4, 5, 7, 16, 33])
+    def test_bulk_arithmetic_matches_the_built_tree(self, B):
+        """``bulk_depth`` is the search path length to every rank, and
+        ``bulk_written`` the blocks the bulk build wrote, for sizes 0..399
+        and 30 seeded random sizes up to 20,000."""
+        py = random.Random(B)
+        for n in [*range(400), *(py.randint(400, 20_000) for _ in range(30))]:
+            tree = BTree(B, range(1, n + 1))
+            assert bulk_written(n, B) == tree.built, n
+            got = [bulk_depth(n, B, rank) for rank in range(n)]
+            assert got == [len(tree.search(k)[1]) for k in range(1, n + 1)], n
+
     def test_small_tree_is_one_block(self):
         tree = BTree(8, list(range(1, 8)))
         assert tree.height() == 1
@@ -645,8 +678,7 @@ class TestBTree:
         """Grow-and-shrink rounds that reach every split, borrow, merge and
         root change: after each update both trees hold the same keys in the
         same shape, and the returned lists name the blocks in the same
-        places in the same order.  Every update, a refused one included,
-        clears the depth memo."""
+        places in the same order."""
         py = random.Random(B)
         start = py.sample(range(1, 5_000), 40)
         tree, ref = BTree(B, start), LiteralBTree(B, start)
@@ -657,7 +689,6 @@ class TestBTree:
             while len(present) != goal:
                 grow = py.random() < (0.8 if len(present) < goal else 0.2)
                 blocks, height = len(twin_blocks(tree, ref)), tree.height()
-                tree.depth[0] = 1  # a stale entry each update must drop
                 if grow:
                     k = py.randrange(1, 5_000)
                     while k in present:
@@ -668,7 +699,6 @@ class TestBTree:
                     k = py.choice(list(present))
                     got, want = tree.delete(k), ref.delete(k)
                     present.discard(k)
-                assert tree.depth == {}
                 twins = twin_blocks(tree, ref)
                 assert len(got) == len(want)
                 assert all(twins[id(g)] is w for g, w in zip(got, want)), (rnd, k)
@@ -684,10 +714,8 @@ class TestBTree:
                 assert len(tree) == len(ref) == len(present)
                 assert tree.validate() is None and ref.validate() is None
             for k in (min(present), py.randint(5_000, 6_000)):  # a refused update
-                tree.depth[0] = 1
                 with pytest.raises((DuplicateKeyError, KeyError)):
                     tree.insert(k) if k in present else tree.delete(k)
-                assert tree.depth == {}
         assert min(seen[e] for e in ("split", "root split", "merge", "root collapse",
                                      "borrow", "repeat")) > 0, seen
 
@@ -734,7 +762,7 @@ class TestTierForest:
             n = B * B
             st = TierForestBTreap(tiers_of([1.0 / n] * n, B), B)
             assert st.validate() is None
-            assert len(st._trees()) == 1
+            assert len(st._comps()) == 1
             assert all(st.tier_of(k) == 0 for k in range(1, n + 1))
             assert max(st.access(k) for k in range(1, n + 1)) <= 3
 
@@ -821,8 +849,10 @@ class TestTierForest:
             writes[1] += want.rebuild_writes
             assert not any(r.queue for r in replays), step
             assert st.dump() == ref.dump(), step
-            assert (len(reachable_blocks(st._trees()))
-                    == len(reachable_blocks(ref._trees()))), step
+            # the blocks st counts for its live components are the blocks
+            # the reference's real trees hold
+            assert (sum(bulk_written(len(comp.members), B) for comp in st._comps())
+                    == len(reachable_blocks([comp.tree for comp in ref._comps()]))), step
             assert touches[0] == touches[1], step
             assert writes[0] == writes[1], step
             assert st.validate() is None, step
@@ -861,8 +891,8 @@ class TestTierForest:
         assert st.validate() is None
 
     def test_store_holds_each_key_once_after_updates(self):
-        # retiering drops the trees it replaces: no block is linked from two
-        # places, and the blocks of the component trees hold each key once
+        # retiering drops the records it replaces: the blocks of the
+        # component trees, built from the members, hold each key once
         py = random.Random(3)
         n = 120
         raw = [py.random() ** 3 for _ in range(n)]
@@ -870,7 +900,7 @@ class TestTierForest:
         st = TierForestBTreap(tiers_of([r / tot for r in raw], 4), 4, rng=RandomStream(8))
         for step in range(301):
             if step % 50 == 0:
-                reachable = reachable_blocks(st._trees())
+                reachable = reachable_blocks([BTree(4, comp.members) for comp in st._comps()])
                 assert len({id(blk) for blk in reachable}) == len(reachable)
                 stored = [k for blk in reachable for k in blk.keys]
                 assert sorted(stored) == list(range(1, n + 1))
@@ -895,17 +925,15 @@ class TestTierForest:
         n = 64  # uniform weights: one tier-0 component
         st = TierForestBTreap(tiers_of([1.0 / n] * n, 4), 4, rng=RandomStream(3))
         assert st.validate() is None
-        tree, = st._trees()
-        top = tree.top
+        comp, = st._comps()
+        top = comp.top
         child = st.base.left_of(top) or st.base.right_of(top)
         if corrupt == "stale root":
-            tree.top = child
+            comp.top = child
             message = f"top key {top} {message} of its component {child}"
         else:
-            tree.delete(child)
-            split = BTree(4, [child], tier=st.tier_of(child))
-            split.top = child
-            st.comp_of[child] = split
+            comp.members.remove(child)
+            st.comp_of[child] = Component(st.tier_of(child), child, [child])
             # the child's own children keep the old tree, and key order
             # reaches the smallest of the mismatched pairs first
             k = min(c for c in range(1, n + 1)
@@ -931,39 +959,26 @@ class TestTierForest:
         st = churned_forest()
         top = glued_top(st)
         key = top if gone == "target" else st.base.parent_of(top)
-        st.comp_of[key].delete(key)
-        with pytest.raises(AssertionError, match=f"key {key} missing from its component tree"):
+        st.comp_of[key].members.remove(key)
+        with pytest.raises(AssertionError, match=f"key {key} missing from its component$"):
             st.access(top)
-
-    @pytest.mark.parametrize("corrupt", ["depth", "foreign key"])
-    def test_validate_names_a_stale_depth_memo(self, corrupt):
-        st = churned_forest()
-        for k in range(1, st.n + 1):
-            st.access(k)  # fills the memo of every tree on every path
-        assert st.validate() is None
-        tree = next(t for t in st._trees() if t.height() > 1)
-        if corrupt == "depth":
-            k = max(tree.depth)
-            d = tree.depth[k] = tree.depth[k] + 1
-            message = f"component {tree.top} memo gives key {k} depth {d}, a fresh search gives {d - 1}"
-        else:  # an entry for a key the tree does not hold
-            k = next(k for k in range(1, st.n + 1) if st.comp_of[k] is not tree)
-            tree.depth[k] = 1
-            message = f"component {tree.top} memo gives key {k} depth 1, a fresh search misses it"
-        assert st.validate() == message
 
     @pytest.mark.parametrize("B", [4, 16])
     @pytest.mark.parametrize("scheme", ["interval-set", "past-ws-crude"])
     def test_driven_access_matches_the_top_down_walk(self, scheme, B, monkeypatch):
-        """Under ``run_dynamic``, after every re-tier, the memoised path counts
-        of the updated key and of a sample of others equal the reference's
-        top-down glued path (``FullRepartitionForest.path_pairs``)."""
+        """Under ``run_dynamic``, after every re-tier, the arithmetic path
+        counts of the updated key and of a sample of others equal the
+        reference's top-down glued path (``FullRepartitionForest.path_pairs``)
+        through trees built from the members."""
         py = random.Random(B)
         retiers = []
 
         class Checked(TierForestBTreap):
             _chain = FullRepartitionForest._chain
             path_pairs = FullRepartitionForest.path_pairs
+
+            def _tree(self, comp):
+                return BTree(self.B, comp.members)
 
             def update_weight(self, key, new_tier):
                 retier = new_tier != self.tier_of(key)
@@ -982,30 +997,66 @@ class TestTierForest:
         assert len(retiers) >= 100
 
     @pytest.mark.parametrize("corrupt", [
-        "base heap order", "tree tier", "foreign tier", "foreign component", "lost key",
+        "base heap order", "tree tier", "unsorted members", "foreign tier",
+        "foreign component", "stale slice", "lost key", "stale memo",
     ])
     def test_validate_names_drift_after_churn(self, corrupt):
+        """Each drift in the component records is named by its own message.
+        ``validate`` checks the key total first, then each component in top
+        order, so a member moved between components is named by the check
+        of whichever of the two comes first."""
         st = churned_forest()
         tier = st.base._tier
         top = glued_top(st)
         own = st.comp_of[top]
+        comps = st._comps()
+
+        def moved(same_tier: bool, into_earlier: bool) -> tuple[Component, Component, int]:
+            """Move the last member of one component into another of the
+            same tier or not, as asked; the destination is the earlier of
+            the two by top when ``into_earlier``.  Returns (source,
+            destination, key)."""
+            for i, a in enumerate(comps):
+                for b in comps[i + 1:]:
+                    if (a.tier == b.tier) == same_tier:
+                        src, dest = (b, a) if into_earlier else (a, b)
+                        key = src.members.pop()
+                        bisect.insort(dest.members, key)
+                        return src, dest, key
+            raise AssertionError("no such pair of components")
+
         if corrupt == "base heap order":
             p = st.base.parent_of(top)
             tier[top] = tier[p] - 1  # top now outranks its parent, and only it
             message = f"base treap: heap order violated between {p} and child {top}"
         elif corrupt == "tree tier":
             own.tier += 1
-            message = f"component {top} tree records tier {tier[top] + 1}, its root has {tier[top]}"
-        else:
-            own.delete(top)
+            message = f"component {top} records tier {tier[top] + 1}, its root has {tier[top]}"
+        elif corrupt == "unsorted members":
+            comp = next(c for c in comps if len(c.members) >= 2)
+            comp.members[0], comp.members[1] = comp.members[1], comp.members[0]
+            message = f"component {comp.top} members are not strictly increasing"
+        elif corrupt == "foreign tier":
+            _, dest, key = moved(same_tier=False, into_earlier=True)
+            message = f"component {dest.top} mixes tiers at key {key}"
+        elif corrupt == "foreign component":
+            src, dest, key = moved(same_tier=True, into_earlier=True)
+            message = f"key {key} marked in component {src.top}, listed in component {dest.top}"
+        elif corrupt == "stale slice":
+            src, _, _ = moved(same_tier=True, into_earlier=False)
+            message = f"component {src.top} members differ from its slice of tier {src.tier}'s keys"
+        elif corrupt == "lost key":
+            own.members.remove(top)
             message = f"forest holds {st.n - 1} keys, expected {st.n}"
-            if corrupt != "lost key":  # comp_of still names the old component
-                same = corrupt == "foreign component"
-                other = next(tree for tree in st._trees()  # the smallest such top
-                             if tree is not own and (tree.tier == tier[top]) == same)
-                other.insert(top)
-                message = (f"key {top} marked in tree {top}, stored in tree {other.top}" if same
-                           else f"component {other.top} mixes tiers at key {top}")
+        else:
+            for k in range(1, st.n + 1):
+                st.access(k)  # fills the memo of every component on every path
+            assert st.validate() is None
+            comp = next(c for c in comps if max(c.depths) > 1)
+            r = comp.depths.index(max(comp.depths))
+            d = comp.depths[r]
+            comp.depths[r] = d - 1
+            message = f"component {comp.top} memo gives rank {r} depth {d - 1}, bulk_depth gives {d}"
         assert st.validate() == message
 
     def test_components_match_the_treap_walk_partition(self):
