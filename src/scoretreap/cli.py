@@ -31,7 +31,7 @@ from .em import DetScoreForest, RankForest, TierForestBTreap
 from .errors import ConfigError
 from .oracle import ExhaustiveStats, optimal_static_bst_cost
 from .priorities import (RandomStream, composite_priority, raw_score_priority,
-                         single_log_priority, tier_value)
+                         single_log_priority)
 from .sequences import (DISTRIBUTION_FAMILIES, SEQUENCE_FAMILIES, TraceSpec,
                         gen_distribution, gen_sequence)
 from .treap import Treap
@@ -395,18 +395,15 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
             ok = False
             break
     checks["rank_forest_invariant"] = ok
-    # both forests start at the driver's starting weight, validate after
-    # every update and stop at the first failure
-    w0 = 1.0 / (n + 1) ** 2
-    det, tf = DetScoreForest.OUTER_BASE, TierForestBTreap.OUTER_BASE
-    forests = {"det_forest_valid": DetScoreForest([tier_value(w0, B, det)] * n, B),
-               "tier_forest_valid": TierForestBTreap([tier_value(w0, B, tf)] * n, B,
-                                                     rng=RandomStream(seed))}
+    # both forests take tiers, not weights: they start all in tier 0, take
+    # random tiers 0..2, validate after every update and stop at the first
+    # failure
+    forests = {"det_forest_valid": DetScoreForest([0] * n, B),
+               "tier_forest_valid": TierForestBTreap([0] * n, B, rng=RandomStream(seed))}
     for name, forest in forests.items():
         checks[name] = True
         for _ in range(200):
-            k = rnd.randint(1, n)
-            forest.update_weight(k, tier_value(2.0 ** -rnd.randint(1, 60), B, forest.OUTER_BASE))
+            forest.update_weight(rnd.randint(1, n), rnd.randint(0, 2))
             if forest.validate() is not None:
                 checks[name] = False
                 break

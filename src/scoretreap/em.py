@@ -9,7 +9,8 @@ touches.
   of its keys.
 * ``bulk_depth`` and ``bulk_written`` -- the search-path length to each
   rank, and the blocks written, of ``BTree``'s bulk build, by arithmetic
-  on the key count and ``B`` alone.
+  on the key count and ``B`` alone; ``bulk_written`` is the one count of
+  a bulk build's blocks.
 * ``TierForestBTreap`` -- a treap under the doubly-logarithmic block rule,
   decomposed into maximal same-tier components, each counted as a
   bulk-built B-tree glued below the block holding its root's parent.  A
@@ -32,6 +33,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cache
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -65,8 +67,7 @@ class BTree:
 
     Blocks hold at most ``B - 1`` keys; non-root blocks keep at least
     ``ceil(B/2) - 1`` after deletions.  The blocks are the only record of
-    the keys the tree holds; ``size`` counts them, and ``built`` counts the
-    blocks the bulk build wrote.
+    the keys the tree holds, and ``size`` counts them.
     """
 
     def __init__(self, B: int, keys: Sequence[int] = ()):
@@ -83,10 +84,7 @@ class BTree:
             if len(set(ks)) != len(ks):
                 raise DuplicateKeyError("bulk keys contain duplicates")
         self.size = len(ks)
-        if ks:
-            self.root, self.built = self._bulk(ks)
-        else:
-            self.root, self.built = Block([], []), 1
+        self.root = self._bulk(ks) if ks else Block([], [])
 
     def __len__(self) -> int:
         return self.size
@@ -96,12 +94,12 @@ class BTree:
 
     # -- bulk construction -------------------------------------------------
 
-    def _bulk(self, keys: list[int]) -> tuple[Block, int]:
+    def _bulk(self, keys: list[int]) -> Block:
         """Minimal uniform-depth packing of sorted keys, which the result
-        owns; returns (root, blocks written)."""
+        owns; returns its root (``bulk_written`` counts its blocks)."""
         B, max_keys = self.B, self.max_keys
         if len(keys) <= max_keys:
-            return Block(keys, []), 1
+            return Block(keys, [])
         child_cap = max_keys  # capacity of a height-1 subtree
         while child_cap * B + max_keys < len(keys):
             child_cap = child_cap * B + max_keys
@@ -112,20 +110,15 @@ class BTree:
         node_keys: list[int] = []
         children: list[Block] = []
         leaves = child_cap == max_keys  # built here, not by one call per leaf
-        written = 1 + fanout if leaves else 1
         idx = 0
         for j, size in enumerate(sizes):
-            if leaves:
-                children.append(Block(keys[idx : idx + size], []))
-            else:
-                child, cw = self._bulk(keys[idx : idx + size])
-                children.append(child)
-                written += cw
+            chunk = keys[idx : idx + size]
+            children.append(Block(chunk, []) if leaves else self._bulk(chunk))
             idx += size
             if j < fanout - 1:
                 node_keys.append(keys[idx])
                 idx += 1
-        return Block(node_keys, children), written
+        return Block(node_keys, children)
 
     # -- queries -----------------------------------------------------------
 
@@ -341,9 +334,11 @@ def bulk_depth(size: int, B: int, rank: int) -> int:
     return depth
 
 
+@cache
 def bulk_written(size: int, B: int) -> int:
     """The blocks a ``BTree`` bulk build of ``size`` keys writes (an empty
-    build writes its empty root)."""
+    build writes its empty root); memoised, so its recursion runs once per
+    distinct (size, B)."""
     if size < B:
         return 1
     fanout, base, extra = _split(size, B)
@@ -400,8 +395,8 @@ class TierForestBTreap:
     build's packing depends only on the key count and ``B``.  So the forest
     builds no blocks: it counts a search path with ``bulk_depth`` at the
     key's rank among the members, kept in the component's ``depths``, and a
-    rebuild with ``bulk_written``, kept per component size (``B`` is
-    fixed).  ``dump`` builds each component's ``BTree`` from its members.
+    rebuild with ``bulk_written``.  ``dump`` builds each component's
+    ``BTree`` from its members.
 
     A weight update re-prioritizes one key of the base treap, and its
     rotations re-hang only nodes beside that key's root path.  On a tier
@@ -429,7 +424,6 @@ class TierForestBTreap:
         self.keys_of_tier: dict[int, list[int]] = {}
         for k, t in enumerate(tiers, start=1):
             self.keys_of_tier.setdefault(t, []).append(k)
-        self._written: dict[int, int] = {}  # size -> blocks a bulk build writes
         self.comp_of: list[Component | None] = [None] * (self.n + 1)  # slot 0 unused
         for top, members in self._components(self._tops(range(1, self.n + 1))):
             self._new_component(top, members)
@@ -467,11 +461,7 @@ class TierForestBTreap:
         comp_of = self.comp_of
         for k in members:
             comp_of[k] = comp
-        size = len(members)
-        written = self._written.get(size)
-        if written is None:
-            written = self._written[size] = bulk_written(size, self.B)
-        return written
+        return bulk_written(len(members), self.B)
 
     def _neighbours(self, key: int) -> tuple[set[int], tuple[int, int]]:
         """``key``'s ancestors and its two child slots (0 when empty)."""

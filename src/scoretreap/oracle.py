@@ -108,16 +108,16 @@ class ExhaustiveStats:
         self.items = list(items)
         self.n = n
         self.m = len(self.items)
-
-    def _at(self, i: int) -> int:
-        return self.items[i - 1]
+        self.reversed = self.items[::-1]
 
     def prev(self, i: int, key: int) -> int:
         """Latest access time of ``key`` at or before i, or 0."""
-        for j in range(i, 0, -1):
-            if self._at(j) == key:
-                return j
-        return 0
+        try:
+            # the reversed list's index p is time m - p, so the scan runs
+            # backward from time i
+            return self.m - self.reversed.index(key, max(self.m - i, 0))
+        except ValueError:
+            return 0
 
     def prev_strict(self, i: int, key: int) -> int:
         """Latest access time of ``key`` strictly before i, or 0."""
@@ -125,24 +125,24 @@ class ExhaustiveStats:
 
     def next(self, i: int, key: int) -> int:
         """Earliest access time of ``key`` strictly after i, or 0."""
-        for j in range(i + 1, self.m + 1):
-            if self._at(j) == key:
-                return j
-        return 0
+        try:
+            return self.items.index(key, max(i, 0)) + 1  # list index i is time i+1
+        except ValueError:
+            return 0
 
     def work_past(self, i: int, key: int) -> int:
         """Distinct items strictly between key's previous access and time i."""
         j = self.prev_strict(i, key)
         if not j:
             return self.n
-        return len({self._at(t) for t in range(j + 1, i)})
+        return len(set(self.items[j : i - 1]))  # times j+1 .. i-1
 
     def work_next(self, i: int, key: int) -> int:
         """Distinct items in the window from i+1 through key's next access."""
         nx = self.next(i, key)
         if not nx:
             return self.n
-        return len({self._at(t) for t in range(i + 1, nx + 1)})
+        return len(set(self.items[i:nx]))  # times i+1 .. nx
 
     def interval(self, i: int, key: int) -> int:
         """Distinct items strictly after prev(i, key) through next(i, key)."""
@@ -150,7 +150,7 @@ class ExhaustiveStats:
         pv = self.prev(i, key)
         if not nx or not pv:
             return self.n
-        return len({self._at(t) for t in range(pv + 1, nx + 1)})
+        return len(set(self.items[pv:nx]))  # times pv+1 .. nx
 
     def future(self, i: int, key: int) -> int:
         """work_past evaluated at key's next access, or the n sentinel."""

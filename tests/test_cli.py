@@ -184,6 +184,34 @@ class TestPlumbing:
         monkeypatch.setattr("scoretreap.cli.compute_stats", bad_stats)
         assert self.failing_checks(tmp_path) == ["futures_match_next_work"]
 
+    def test_validate_defaults_reach_every_forest_update_path(self, tmp_path, monkeypatch):
+        """At its defaults the forest fuzz re-tiers, re-tops a component
+        after same-tier rotations and moves det-forest keys between buckets,
+        so the two forest checks validate all three update paths."""
+        calls = {"retier": 0, "refresh_root": 0, "bucket_move": 0}
+        real_retier = TierForestBTreap._retier
+        real_refresh_root = TierForestBTreap._refresh_root
+        real_det_update = DetScoreForest.update_weight
+
+        def retier(self, *args):
+            calls["retier"] += 1
+            return real_retier(self, *args)
+
+        def refresh_root(self, key):
+            calls["refresh_root"] += 1
+            return real_refresh_root(self, key)
+
+        def det_update(self, key, new_idx):
+            calls["bucket_move"] += new_idx != self.tree_index[key]
+            return real_det_update(self, key, new_idx)
+
+        monkeypatch.setattr(TierForestBTreap, "_retier", retier)
+        monkeypatch.setattr(TierForestBTreap, "_refresh_root", refresh_root)
+        monkeypatch.setattr(DetScoreForest, "update_weight", det_update)
+        code, summary, _ = run_cli(tmp_path, "validate", trials=1)
+        assert code == 0 and summary["all_passed"] is True
+        assert min(calls.values()) >= 1, calls
+
     def test_runs_without_a_config_file(self, tmp_path):
         code, summary, _ = run_cli(tmp_path, "validate", trials=1)
         assert code == 0 and summary["all_passed"] is True

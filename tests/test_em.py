@@ -42,23 +42,21 @@ class ReplayStream:
 
 class TreeComponent:
     """``FullRepartitionForest``'s component record: a bulk-built ``BTree``
-    with the tier and top the forest keeps beside it."""
+    with the tier and top the forest keeps beside it.  The tree is never
+    edited, so its in-order keys are read once, as ``members``."""
 
     def __init__(self, tier: int, top: int, tree: BTree):
         self.tier = tier
         self.top = top
         self.tree = tree
-
-    @property
-    def members(self) -> list[int]:
-        return self.tree.keys_inorder()
+        self.members = tree.keys_inorder()
 
 
 class FullRepartitionForest(TierForestBTreap):
     """Reference update rule: on every tier change, re-partition all n keys
     and match old to new components by (tier, member set).  Each component
     is a real bulk-built ``BTree``, so the rebuild writes it returns are the
-    trees' own ``built`` counts.  Its glued path is found top-down: the
+    blocks its new trees hold.  Its glued path is found top-down: the
     chain of components on the root path first, then one search per
     component tree, with the tiers checked afterwards.  Its first forest,
     too, comes from its own DFS, not from ``_components``.  Its
@@ -146,7 +144,7 @@ class FullRepartitionForest(TierForestBTreap):
             comp = old_by_sig.pop((self.base._tier[top], frozenset(ks)), None)
             if comp is None:
                 comp = TreeComponent(self.base._tier[top], top, BTree(self.B, ks))
-                written += comp.tree.built
+                written += len(reachable_blocks([comp.tree]))
             comp.top = top
             for k in ks:
                 new_comp_of[k] = comp
@@ -585,17 +583,16 @@ class TestBTree:
                 assert tree.validate() is None
                 assert len(leaf_depths(tree)) == 1
                 assert len(tree) == n
-                assert tree.built == len(reachable_blocks([tree]))
 
     @pytest.mark.parametrize("B", [4, 5, 7, 16, 33])
     def test_bulk_arithmetic_matches_the_built_tree(self, B):
         """``bulk_depth`` is the search path length to every rank, and
-        ``bulk_written`` the blocks the bulk build wrote, for sizes 0..399
-        and 30 seeded random sizes up to 20,000."""
+        ``bulk_written`` the blocks the bulk-built tree holds, for sizes
+        0..399 and 30 seeded random sizes up to 20,000."""
         py = random.Random(B)
         for n in [*range(400), *(py.randint(400, 20_000) for _ in range(30))]:
             tree = BTree(B, range(1, n + 1))
-            assert bulk_written(n, B) == tree.built, n
+            assert bulk_written(n, B) == len(reachable_blocks([tree])), n
             got = [bulk_depth(n, B, rank) for rank in range(n)]
             assert got == [len(tree.search(k)[1]) for k in range(1, n + 1)], n
 
@@ -621,7 +618,7 @@ class TestBTree:
                 tree = BTree(5, keys)
                 assert keys == given  # the caller's list is not sorted in place
                 assert tree.keys_inorder() == want
-                assert tree.built == BTree(5, want).built
+                assert tree_dump(tree.root) == tree_dump(BTree(5, want).root)
                 assert tree.validate() is None
             tree = BTree(5, iter(want))  # any iterable, read once
             assert tree.keys_inorder() == want and len(tree) == n
@@ -818,8 +815,13 @@ class TestTierForest:
     ])
     def test_incremental_retier_matches_full_repartition(self, seed, n, B):
         """The local re-tier keeps every counted cost and the whole forest
-        equal to re-partitioning all n keys on each tier change."""
+        equal to re-partitioning all n keys on each tier change.  Each step
+        compares the component records and the base treaps' parent links,
+        which fix the forest; every tenth step also compares ``dump()``."""
         py = random.Random(seed)
+
+        def records(comps) -> set:
+            return {(comp.tier, comp.top, tuple(comp.members)) for comp in comps}
 
         def weight() -> float:  # log_B(1/w) = 4^u spans tiers 0..3
             return float(B) ** -(4.0 ** py.uniform(-0.5, 3.5))
@@ -848,11 +850,15 @@ class TestTierForest:
             writes[0] += got.rebuild_writes
             writes[1] += want.rebuild_writes
             assert not any(r.queue for r in replays), step
-            assert st.dump() == ref.dump(), step
+            st_comps, ref_comps = st._comps(), ref._comps()
+            assert records(st_comps) == records(ref_comps), step
+            assert st.base._parent == ref.base._parent, step
+            if step % 10 == 9:
+                assert st.dump() == ref.dump(), step
             # the blocks st counts for its live components are the blocks
             # the reference's real trees hold
-            assert (sum(bulk_written(len(comp.members), B) for comp in st._comps())
-                    == len(reachable_blocks([comp.tree for comp in ref._comps()]))), step
+            assert (sum(bulk_written(len(comp.members), B) for comp in st_comps)
+                    == len(reachable_blocks([comp.tree for comp in ref_comps]))), step
             assert touches[0] == touches[1], step
             assert writes[0] == writes[1], step
             assert st.validate() is None, step
