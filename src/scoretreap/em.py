@@ -317,10 +317,19 @@ def _split(size: int, B: int) -> tuple[int, int, int]:
 def bulk_depth(size: int, B: int, rank: int) -> int:
     """The blocks on the search path to the key of 0-based ``rank`` in a
     bulk-built ``BTree`` of ``size`` keys: the root is 1, and the path ends
-    at the block where the key is a separator or a leaf key."""
+    at the block where the key is a separator or a leaf key.  Each level
+    does ``_split``'s arithmetic inline: ``power``, the largest power of
+    ``B`` at most ``size``, is the child capacity plus one, and a child
+    that is split in turn (``B`` keys or more) holds fewer than ``power``
+    keys and at least ``power / B``, so the power drops by a factor of
+    ``B`` at each level."""
+    power = B
+    while power * B <= size:
+        power *= B
     depth = 1
     while size >= B:
-        _, base, extra = _split(size, B)
+        fanout = -((size + 1) // -power)
+        base, extra = divmod(size - (fanout - 1), fanout)
         span = extra * (base + 2)  # the larger children, each with the separator after it
         if rank < span:
             size = base + 1
@@ -331,6 +340,7 @@ def bulk_depth(size: int, B: int, rank: int) -> int:
         if rank == size:  # the separator after the child
             return depth
         depth += 1
+        power //= B
     return depth
 
 
@@ -361,18 +371,14 @@ class UpdateCost:
 
 class Component:
     """One tier-forest component: its ``tier``, its ``top`` (its root in the
-    base treap) and its sorted ``members``.  ``depths[r]`` is the search
-    depth of the member of rank ``r`` in the component's bulk-built tree, 0
-    until first needed; the members never change, so an entry holds for
-    the record's life."""
+    base treap) and its sorted ``members``, which never change."""
 
-    __slots__ = ("tier", "top", "members", "depths")
+    __slots__ = ("tier", "top", "members")
 
     def __init__(self, tier: int, top: int, members: list[int]):
         self.tier = tier
         self.top = top
         self.members = members
-        self.depths = bytearray(len(members))
 
 
 class TierForestBTreap:
@@ -394,9 +400,8 @@ class TierForestBTreap:
     forest is uniquely represented, like Golovin's B-treaps), and a bulk
     build's packing depends only on the key count and ``B``.  So the forest
     builds no blocks: it counts a search path with ``bulk_depth`` at the
-    key's rank among the members, kept in the component's ``depths``, and a
-    rebuild with ``bulk_written``.  ``dump`` builds each component's
-    ``BTree`` from its members.
+    key's rank among the members, and a rebuild with ``bulk_written``.
+    ``dump`` builds each component's ``BTree`` from its members.
 
     A weight update re-prioritizes one key of the base treap, and its
     rotations re-hang only nodes beside that key's root path.  On a tier
@@ -419,8 +424,7 @@ class TierForestBTreap:
         self.B = B
         self.n = len(tiers)
         self._rng = rng if rng is not None else RandomStream(0)
-        offsets = [self._rng.next_offset() for _ in range(self.n)]
-        self.base = Treap.build_arrays(tiers, offsets)
+        self.base = Treap.build_arrays(tiers, self._rng.offsets(self.n))
         self.keys_of_tier: dict[int, list[int]] = {}
         for k, t in enumerate(tiers, start=1):
             self.keys_of_tier.setdefault(t, []).append(k)
@@ -511,9 +515,7 @@ class TierForestBTreap:
         for top, members in self._components(tops):
             # groups are disjoint, so comp_of still holds this group's old record
             comp = comp_of[top]
-            if comp.tier == tier[top] and comp.members == members:
-                comp.top = top
-            else:
+            if comp.tier != tier[top] or comp.members != members:
                 written += self._new_component(top, members)
         return written
 
@@ -535,7 +537,7 @@ class TierForestBTreap:
         smaller tier, so each tree lies on the path at most once and no
         block repeats: the count is the sum of the search depths, each
         ``bulk_depth`` of the searched key's rank among its component's
-        members, read from the component's ``depths`` once worked out."""
+        members."""
         comp_of, parent, B = self.comp_of, self.base._parent, self.B
         count = 0
         target = key
@@ -549,11 +551,7 @@ class TierForestBTreap:
             rank = bisect_left(members, target)
             if rank == len(members) or members[rank] != target:
                 raise AssertionError(f"key {target} missing from its component")
-            depths = comp.depths
-            d = depths[rank]
-            if not d:
-                d = depths[rank] = bulk_depth(len(members), B, rank)
-            count += d
+            count += bulk_depth(len(members), B, rank)
             below = comp.tier
             target = parent[comp.top]
             if not target:
@@ -667,8 +665,7 @@ class TierForestBTreap:
                 return f"top key {k} is not the root of its component {comp_of[k].top}"
         # so each named component's top is a key whose component it is, and
         # tops differ; its members must be the keys that name it, all of its
-        # tier, and the slice of its tier's keys that its top implies, and
-        # each filled memo entry the arithmetic depth of its rank
+        # tier, and the slice of its tier's keys that its top implies
         comps = self._comps()
         total = sum(len(comp.members) for comp in comps)
         if total != self.n:
@@ -686,10 +683,6 @@ class TierForestBTreap:
                     return f"key {k} marked in component {comp_of[k].top}, listed in component {top}"
             if members != self._components([top])[0][1]:
                 return f"component {top} members differ from its slice of tier {comp.tier}'s keys"
-            for r, d in enumerate(comp.depths):
-                if d and d != bulk_depth(len(members), self.B, r):
-                    return (f"component {top} memo gives rank {r} depth {d}, "
-                            f"bulk_depth gives {bulk_depth(len(members), self.B, r)}")
         return None
 
 
