@@ -194,14 +194,16 @@ def tiers_of(weights, B: int, forest=TierForestBTreap) -> list[int]:
     return [tier_value(w, B, forest.OUTER_BASE) for w in weights]
 
 
-def churned_forest(n: int = 200, B: int = 4, updates: int = 300, seed: int = 11) -> TierForestBTreap:
-    """A valid tier forest after ``updates`` random weight updates over tiers 0..3."""
+def churned_forest(n: int = 200, B: int = 4, updates: int = 300, seed: int = 11,
+                   forest: type[TierForestBTreap] = TierForestBTreap) -> TierForestBTreap:
+    """A valid tier forest (of class ``forest``) after ``updates`` random
+    weight updates over tiers 0..3."""
     py = random.Random(seed)
 
     def tier() -> int:  # log_B(1/w) = 4^u spans tiers 0..3
         return tier_value(float(B) ** -(4.0 ** py.uniform(-0.5, 3.5)), B, 4)
 
-    st = TierForestBTreap([tier() for _ in range(n)], B, rng=RandomStream(seed))
+    st = forest([tier() for _ in range(n)], B, rng=RandomStream(seed))
     for _ in range(updates):
         st.update_weight(py.randint(1, n), tier())
     assert st.validate() is None
@@ -1061,6 +1063,30 @@ class TestTierForest:
             own.members.remove(top)
             message = f"forest holds {st.n - 1} keys, expected {st.n}"
         assert st.validate() == message
+
+    def test_access_only_reads_the_records(self):
+        """``access`` keeps no depth memo and writes nothing: reading every
+        key twice gives the same counts, each equal to the distinct blocks
+        on the reference's top-down glued path through trees built from the
+        members, and leaves the component records and the dump as they were."""
+
+        class Walked(TierForestBTreap):
+            _chain = FullRepartitionForest._chain
+            path_pairs = FullRepartitionForest.path_pairs
+
+            def _tree(self, comp):
+                return BTree(self.B, comp.members)
+
+        st = churned_forest(forest=Walked)
+        keys = range(1, st.n + 1)
+        records = [(id(c), c.tier, c.top, list(c.members)) for c in st._comps()]
+        dump = st.dump()
+        counts = [st.access(k) for k in keys]
+        assert counts == [len({blk for blk, _ in st.path_pairs(k)}) for k in keys]
+        assert [st.access(k) for k in keys] == counts
+        assert [(id(c), c.tier, c.top, c.members) for c in st._comps()] == records
+        assert st.dump() == dump
+        assert st.validate() is None
 
     def test_components_match_the_treap_walk_partition(self):
         """Each top's key-range slice of its tier's keys is the component
