@@ -23,6 +23,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from operator import mul
 
 from .distributions import MEASURES, cross_entropy, entropy, kl, noisy_scores, perturb
 from .dynamic import (SCHEMES, STRUCTURES, CrudeOracle, IntervalSetPriorityState,
@@ -138,7 +139,7 @@ def _rule_treap(rule, masses: list[float], rng: RandomStream) -> Treap:
 def _expected_depth(rule, masses: list[float], rng: RandomStream) -> float:
     """Mean depth under ``masses`` of the treap ``_rule_treap`` builds."""
     depths = _rule_treap(rule, masses, rng).depths()
-    return math.fsum(masses[k - 1] * depths[k] for k in range(1, len(masses) + 1))
+    return math.fsum(map(mul, masses, depths[1:]))
 
 
 def _static_treap_cost(masses: list[float], counts: dict[int, int], rng: RandomStream) -> int:
@@ -254,8 +255,8 @@ def cmd_counterexamples(p: dict, seed: int, trials: int) -> dict:
         pris = {k: raw_score_priority(dist[k]) for k in range(1, n + 1)}
         tr = Treap.build(pris, n=n)
         depths = tr.depths()
-        chain = all(depths[k] == k for k in range(1, n + 1))
-        expected = math.fsum(dist[k] * depths[k] for k in range(1, n + 1))
+        chain = depths == list(range(n + 1))
+        expected = math.fsum(map(mul, dist.masses(), depths[1:]))
         checks[f"raw_chain_n{n}"] = chain
         checks[f"raw_expected_ge_n_over_3_n{n}"] = expected >= n / 3.0
         raw_rows.append({"n": n, "is_chain": chain, "expected_access": expected})

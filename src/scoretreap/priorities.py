@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 from typing import Sequence
 
 __all__ = [
@@ -64,11 +65,11 @@ class RandomStream:
     def offsets(self, k: int) -> list[float]:
         """``k`` offsets: the values and ``counter`` of ``k`` calls of ``next_offset``."""
         self.counter += k
-        rand = self._rng.random
-        out = [rand() for _ in range(k)]
+        draw = random.Random.random
+        out = list(map(draw, repeat(self._rng, k)))
         while 0.0 in out:  # drop the zero draws, in order, and draw the shortfall
             out = [u for u in out if u]
-            out += [rand() for _ in range(k - len(out))]
+            out += map(draw, repeat(self._rng, k - len(out)))
         return out
 
     def spawn(self, tag: int) -> "RandomStream":

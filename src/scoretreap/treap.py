@@ -9,10 +9,13 @@ that stores one (``build``, ``build_arrays``, ``insert``,
 lexicographically by ``(-tier, offset)`` and ties are broken toward the
 smaller key, so the heap order is a strict total order and any priority
 assignment induces exactly one tree; both builders link it with one shared
-right-spine sweep.  ``update_priority`` is the only code that restructures
-the tree: it unzips the ancestors a key rises past, or zips the spines below
-a key that sinks, and reaches the same unique tree that rotating the key one
-level at a time would, passing the same number of nodes.  ``insert`` links a
+right-spine sweep, which keeps the spine in the parent links, with slot 0 of
+the arrays standing above the root, and ends with slot 0 reset to 0.
+``depths`` walks the tree once into a list indexed by key.
+``update_priority`` is the only code that restructures the tree: it unzips
+the ancestors a key rises past, or zips the spines below a key that sinks,
+and reaches the same unique tree that rotating the key one level at a time
+would, passing the same number of nodes.  ``insert`` links a
 leaf and rises it there, and ``delete`` sinks its key to a leaf there before
 unlinking it.  ``access`` counts a key's path up the parent links, which on
 a valid tree is its root-to-key search path.  Nothing here recurses, so
@@ -105,36 +108,37 @@ class Treap:
 
         The right-spine sweep is O(len(keys)) and produces the same tree as
         inserting the keys in any order (uniqueness of the treap under a
-        strict priority order).
+        strict priority order).  The spine needs no stack of its own: it is
+        linked bottom-up by ``parent``, from the last key placed up to slot
+        0, which stands above the root.  Slot 0 takes the spine's writes like
+        any node, so ``right[0]`` ends as the root, and its links are reset.
         """
         tier = self._tier
         off = self._off
         left = self._left
         right = self._right
         parent = self._parent
-        stack: list[int] = []
+        top = 0
         for k in keys:
             tk = tier[k]
             ok = off[k]
             last = 0
             # pop spine nodes that k beats; equal (tier, offset) resolves to
-            # the smaller key, which is already on the stack, so no pop
-            while stack:
-                s = stack[-1]
-                ts = tier[s]
-                if ts > tk or (ts == tk and off[s] < ok):
-                    stack.pop()
-                    last = s
+            # the smaller key, which is already on the spine, so no pop
+            while top:
+                ts = tier[top]
+                if ts > tk or (ts == tk and off[top] < ok):
+                    last = top
+                    top = parent[top]
                 else:
                     break
-            if last:
-                left[k] = last
-                parent[last] = k
-            if stack:
-                right[stack[-1]] = k
-                parent[k] = stack[-1]
-            stack.append(k)
-        self.root = stack[0]
+            left[k] = last
+            parent[last] = k
+            right[top] = k
+            parent[k] = top
+            top = k
+        self.root = right[0]
+        right[0] = parent[0] = 0
         self.size = len(keys)
 
     # ------------------------------------------------------------------
@@ -205,23 +209,33 @@ class Treap:
 
     depth = access
 
-    def depths(self) -> dict[int, int]:
-        """Depth of every present key in one traversal."""
-        out: dict[int, int] = {}
-        if not self.root:
+    def depths(self) -> list[int]:
+        """Depth of every key in one traversal, as a list indexed by key.
+
+        ``depths()[k]`` is key ``k``'s depth (the root's is 1), and 0 when
+        ``k`` is absent; index 0 reads 0.
+        """
+        out = [0] * (self.n + 1)
+        root = self.root
+        if not root:
             return out
         left = self._left
         right = self._right
-        stack = [(self.root, 1)]
+        out[root] = 1
+        stack = [root]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            node, d = stack.pop()
-            out[node] = d
-            l = left[node]
-            r = right[node]
-            if l:
-                stack.append((l, d + 1))
-            if r:
-                stack.append((r, d + 1))
+            node = pop()
+            d = out[node] + 1
+            child = left[node]
+            if child:
+                out[child] = d
+                push(child)
+            child = right[node]
+            if child:
+                out[child] = d
+                push(child)
         return out
 
     # ------------------------------------------------------------------

@@ -178,20 +178,19 @@ class TestDeterminism:
         assert a.seed != b.seed
 
 
-class _QueuedRandom:
-    """Stands in for a stream's ``random.Random``: hands out queued draws in order."""
+@pytest.fixture
+def queued_stream(monkeypatch):
+    """Makes streams whose ``random.Random`` hands out queued draws in order:
+    ``random.Random.random`` is patched to read each generator's own queue."""
+    queues = {}
+    monkeypatch.setattr(random.Random, "random", lambda rng: next(queues[rng]))
 
-    def __init__(self, draws):
-        self._draws = iter(draws)
+    def make(draws) -> RandomStream:
+        stream = RandomStream(0)
+        queues[stream._rng] = iter(draws)
+        return stream
 
-    def random(self) -> float:
-        return next(self._draws)
-
-
-def _queued_stream(draws) -> RandomStream:
-    rng = RandomStream(0)
-    rng._rng = _QueuedRandom(draws)
-    return rng
+    return make
 
 
 class TestOffsets:
@@ -209,14 +208,34 @@ class TestOffsets:
         [7, 8, 9],    # the refill draws zeros too
         [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
     ])
-    def test_matches_next_offset_around_zero_draws(self, zeros):
+    def test_matches_next_offset_around_zero_draws(self, queued_stream, zeros):
         draws = [0.0 if i in zeros else (i + 1) / 64 for i in range(40)]
-        got, ref = _queued_stream(draws), _queued_stream(draws)
+        got, ref = queued_stream(draws), queued_stream(draws)
         offs = got.offsets(self.K)
         assert offs == [ref.next_offset() for _ in range(self.K)]
         assert 0.0 not in offs
         assert got.counter == ref.counter == self.K
         # both consumed the same raw draws: the next one agrees
+        assert got.next_offset() == ref.next_offset()
+
+    def test_matches_next_offset_across_zero_draws_on_a_real_seed(self, monkeypatch):
+        # draws 5 and 700 of each generator read 0.0, and the seeded
+        # generator goes on to redraw them
+        real = random.Random.random
+        drawn = {}
+
+        def zero_at(rng):
+            u = real(rng)
+            drawn[rng] = i = drawn.get(rng, 0) + 1
+            return 0.0 if i in (5, 700) else u
+
+        monkeypatch.setattr(random.Random, "random", zero_at)
+        got, ref = RandomStream(2024), RandomStream(2024)
+        offs = got.offsets(1000)
+        assert offs == [ref.next_offset() for _ in range(1000)]
+        assert 0.0 not in offs
+        assert got.counter == ref.counter == 1000
+        assert drawn[got._rng] == drawn[ref._rng] == 1002
         assert got.next_offset() == ref.next_offset()
 
     def test_thousand_draws_on_a_real_seed(self):
@@ -259,7 +278,7 @@ class TestEmpiricalDepthBound:
         for s in range(seeds):
             rng = RandomStream(5000 + s)
             t = Treap.build_arrays(*composite_priority(w, rng))
-            for k, d in t.depths().items():
+            for k, d in enumerate(t.depths()):
                 totals[k] += d
         for x in range(1, n + 1):
             bound = 6.0 * (1.0 + math.log2(1.0 / w[x - 1]))

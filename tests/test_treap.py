@@ -13,10 +13,11 @@ import re
 
 import pytest
 
-from conftest import random_priorities
+from conftest import depth_list, random_priorities
 from scoretreap.errors import DuplicateKeyError
 from scoretreap.oracle import naive_depths
-from scoretreap.priorities import RandomStream
+from scoretreap.priorities import RandomStream, raw_score_priority
+from scoretreap.sequences import TraceSpec, gen_distribution
 from scoretreap.treap import Treap
 
 THREE = {1: (0, 0.9), 2: (0, 0.5), 3: (0, 0.7)}
@@ -33,7 +34,7 @@ class TestBuild:
         assert t.root == 1
         assert t.right_of(1) == 3
         assert t.left_of(3) == 2
-        assert t.depths() == {1: 1, 3: 2, 2: 3}
+        assert t.depths() == [0, 1, 3, 2]
         assert t.validate() is None
 
     def test_singleton(self):
@@ -56,7 +57,7 @@ class TestBuild:
             pris = random_priorities(py_rng, n)
             t = Treap.build(pris)
             assert t.validate() is None
-            assert t.depths() == naive_depths(pris)
+            assert t.depths() == depth_list(naive_depths(pris), n)
 
     def test_build_arrays_matches_build(self, py_rng):
         for _ in range(100):
@@ -71,6 +72,105 @@ class TestBuild:
         t = Treap.build(pris)
         assert t.root == 1
         assert t.depth(1) == 1 and t.depth(2) == 2 and t.depth(3) == 3
+
+
+def reference_sweep(self: Treap, keys) -> None:
+    """The list-stack right-spine sweep, kept literal as the reference for
+    ``Treap._sweep``, which keeps its spine in the parent links."""
+    tier = self._tier
+    off = self._off
+    left = self._left
+    right = self._right
+    parent = self._parent
+    stack: list[int] = []
+    for k in keys:
+        tk = tier[k]
+        ok = off[k]
+        last = 0
+        # pop spine nodes that k beats; equal (tier, offset) resolves to
+        # the smaller key, which is already on the stack, so no pop
+        while stack:
+            s = stack[-1]
+            ts = tier[s]
+            if ts > tk or (ts == tk and off[s] < ok):
+                stack.pop()
+                last = s
+            else:
+                break
+        if last:
+            left[k] = last
+            parent[last] = k
+        if stack:
+            right[stack[-1]] = k
+            parent[k] = stack[-1]
+        stack.append(k)
+    self.root = stack[0]
+    self.size = len(keys)
+
+
+class TestSweepLockstep:
+    """``Treap._sweep`` links the same arrays as the list-stack sweep, and
+    leaves slot 0 of every array at 0."""
+
+    @staticmethod
+    def check(pris: dict[int, tuple[int, float]], n: int, built: Treap) -> None:
+        ref = Treap(n)
+        for k, (tier, offset) in pris.items():
+            ref._tier[k], ref._off[k], ref._present[k] = tier, offset, 1
+        reference_sweep(ref, sorted(pris))
+        assert (built.root, built.size) == (ref.root, ref.size)
+        assert built._left == ref._left
+        assert built._right == ref._right
+        assert built._parent == ref._parent
+        assert [a[0] for a in arrays(built)[2:]] == [0, 0, 0, 0, 0.0, 0]
+        assert built.validate() is None
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 500])
+    def test_few_tiers_and_repeated_offsets(self, py_rng, n):
+        # whole (tier, offset) pairs repeat, so the smaller-key rule decides
+        pool = [0.25, 0.5, 0.75]
+        for _ in range(20):
+            tiers = [py_rng.randint(0, 2) for _ in range(n)]
+            offsets = [py_rng.choice(pool) for _ in range(n)]
+            pris = {k: (tiers[k - 1], offsets[k - 1]) for k in range(1, n + 1)}
+            self.check(pris, n, Treap.build_arrays(tiers, offsets))
+            self.check(pris, n, Treap.build(pris))
+
+    def test_key_subsets_below_the_universe(self, py_rng):
+        for _ in range(100):
+            n = py_rng.randint(2, 60)
+            keys = py_rng.sample(range(1, n), py_rng.randint(1, n - 1))
+            pris = {k: (py_rng.randint(0, 2), py_rng.choice([0.25, 0.5, py_rng.random()]))
+                    for k in keys}
+            self.check(pris, n, Treap.build(pris, n))
+
+    def test_raw_score_chain(self):
+        n = 256
+        dist = gen_distribution(TraceSpec("linear", n=n, m=0, seed=0))
+        pris = {k: raw_score_priority(dist[k]) for k in range(1, n + 1)}
+        t = Treap.build(pris, n=n)
+        self.check(pris, n, t)
+        assert t.depths() == list(range(n + 1))
+
+    def test_single_key(self):
+        for tier in (0, 3):
+            pris = {1: (tier, 0.5)}
+            self.check(pris, 1, Treap.build(pris))
+            self.check(pris, 1, Treap.build_arrays([tier], [0.5]))
+
+
+class TestDepths:
+    def test_absent_keys_and_index_zero_read_zero(self):
+        assert Treap(4).depths() == [0, 0, 0, 0, 0]
+        subset = Treap.build({2: (0, 0.5), 5: (1, 0.25), 6: (0, 0.25)}, n=8)
+        assert subset.depths() == [0, 0, 1, 0, 0, 3, 2, 0, 0]
+        t = Treap.build(THREE)
+        t.delete(1)
+        assert t.depths() == [0, 0, 2, 1]
+        t.delete(3)
+        assert t.depths() == [0, 0, 1, 0]
+        t.delete(2)
+        assert t.depths() == [0, 0, 0, 0]
 
 
 class TestInsertDelete:
@@ -164,7 +264,7 @@ class TestInsertDelete:
                 t = Treap.build(pris)
                 t.delete(k)
                 rest = {j: p for j, p in pris.items() if j != k}
-                assert t.depths() == naive_depths(rest)
+                assert t.depths() == depth_list(naive_depths(rest), n)
                 assert t.validate() is None
 
     def test_delete_then_reinsert_restores_tree(self, py_rng):
@@ -278,7 +378,7 @@ class TestUpdatePriority:
             new = (py_rng.randint(0, 3), py_rng.random())
             t = Treap.build(pris)
             t.update_priority(k, *new)
-            want = naive_depths({**pris, k: new})
+            want = depth_list(naive_depths({**pris, k: new}), n)
             assert t.depths() == want
             # delete-then-insert must land on the same unique tree
             t2 = Treap.build(pris)
@@ -362,7 +462,7 @@ class TestUpdatePriorityTies:
         assert t.parent_of(1) == 2
         rot = t.update_priority(1, *t.priority(2))  # key 1 < parent 2: 1 wins
         assert rot == 1 and t.root == 1 and t.right_of(1) == 2
-        assert t.depths() == naive_depths({k: t.priority(k) for k in t.keys()})
+        assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
         assert t.validate() is None
 
     def test_rise_onto_a_tie_with_a_smaller_parent_stays(self):
@@ -371,7 +471,7 @@ class TestUpdatePriorityTies:
         want = shape(t)
         assert t.update_priority(3, *t.priority(2)) == 0  # 3 > 2: 2 keeps it
         assert shape(t) == want
-        assert t.depths() == naive_depths({k: t.priority(k) for k in t.keys()})
+        assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
 
     def test_sink_onto_a_tie_with_a_smaller_child_loses(self):
         t = self.chain()
@@ -379,7 +479,7 @@ class TestUpdatePriorityTies:
         assert t.left_of(5) == 4
         rot = t.update_priority(5, *t.priority(4))
         assert rot == 1 and t.parent_of(5) == 4
-        assert t.depths() == naive_depths({k: t.priority(k) for k in t.keys()})
+        assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
         assert t.validate() is None
 
     def test_sink_onto_a_tie_with_a_larger_child_stays(self):
@@ -388,14 +488,14 @@ class TestUpdatePriorityTies:
         want = shape(t)
         assert t.update_priority(3, *t.priority(5)) == 0  # 3 < 5: 3 keeps it
         assert shape(t) == want
-        assert t.depths() == naive_depths({k: t.priority(k) for k in t.keys()})
+        assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
 
     def test_two_tied_children_the_left_one_rises(self):
         t = Treap.build({1: (1, 0.5), 2: (0, 0.9), 3: (1, 0.5)})
         assert (t.left_of(2), t.right_of(2)) == (1, 3)
         assert t.update_priority(2, 2, 0.5) == 2
         assert t.root == 1 and t.right_of(1) == 3 and t.left_of(3) == 2
-        assert t.depths() == naive_depths({1: (1, 0.5), 2: (2, 0.5), 3: (1, 0.5)})
+        assert t.depths() == depth_list(naive_depths({1: (1, 0.5), 2: (2, 0.5), 3: (1, 0.5)}), 3)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_lockstep_with_the_reference(self, py_rng, n):
@@ -417,7 +517,7 @@ class TestUpdatePriorityTies:
             assert new.update_priority(key, *pair) == reference_update_priority(ref, key, *pair)
             assert arrays(new) == arrays(ref), step
         assert new.validate() is None
-        assert new.depths() == naive_depths({k: new.priority(k) for k in new.keys()})
+        assert new.depths() == depth_list(naive_depths({k: new.priority(k) for k in new.keys()}), n)
 
 
 class RotationTreap(Treap):
