@@ -65,7 +65,7 @@ class RandomStream:
     def offsets(self, k: int) -> list[float]:
         """``k`` offsets: the values and ``counter`` of ``k`` calls of ``next_offset``."""
         self.counter += k
-        draw = random.Random.random
+        draw = random.Random.random  # mapped over repeat(): no Python frame per draw
         out = list(map(draw, repeat(self._rng, k)))
         while 0.0 in out:  # drop the zero draws, in order, and draw the shortfall
             out = [u for u in out if u]

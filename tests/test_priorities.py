@@ -218,31 +218,24 @@ class TestOffsets:
         # both consumed the same raw draws: the next one agrees
         assert got.next_offset() == ref.next_offset()
 
-    def test_matches_next_offset_across_zero_draws_on_a_real_seed(self, monkeypatch):
-        # draws 5 and 700 of each generator read 0.0, and the seeded
-        # generator goes on to redraw them
+    @pytest.mark.parametrize("zeros", [(), (5, 700)], ids=["no-zero", "zeros"])
+    def test_thousand_draws_on_a_real_seed(self, monkeypatch, zeros):
+        # the generator's draws at positions ``zeros`` read 0.0, and the
+        # seeded generator goes on to redraw them
         real = random.Random.random
         drawn = {}
 
         def zero_at(rng):
             u = real(rng)
             drawn[rng] = i = drawn.get(rng, 0) + 1
-            return 0.0 if i in (5, 700) else u
+            return 0.0 if i in zeros else u
 
         monkeypatch.setattr(random.Random, "random", zero_at)
-        got, ref = RandomStream(2024), RandomStream(2024)
-        offs = got.offsets(1000)
-        assert offs == [ref.next_offset() for _ in range(1000)]
-        assert 0.0 not in offs
-        assert got.counter == ref.counter == 1000
-        assert drawn[got._rng] == drawn[ref._rng] == 1002
-        assert got.next_offset() == ref.next_offset()
-
-    def test_thousand_draws_on_a_real_seed(self):
         got, ref = RandomStream(2024), RandomStream(2024)
         got.next_offset(), ref.next_offset()
         assert got.offsets(1000) == [ref.next_offset() for _ in range(1000)]
         assert got.counter == ref.counter == 1001
+        assert drawn[got._rng] == drawn[ref._rng] == 1001 + len(zeros)
         assert got.next_offset() == ref.next_offset()
 
     def test_zero_offsets(self, stream):

@@ -122,7 +122,9 @@ class TestSweepLockstep:
         assert built._left == ref._left
         assert built._right == ref._right
         assert built._parent == ref._parent
-        assert [a[0] for a in arrays(built)[2:]] == [0, 0, 0, 0, 0.0, 0]
+        slot0 = (built._parent[0], built._left[0], built._right[0],
+                 built._tier[0], built._off[0], built._present[0])
+        assert slot0 == (0, 0, 0, 0, 0.0, 0)
         assert built.validate() is None
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 500])
