@@ -15,7 +15,6 @@ from .dynamic import (
     STRUCTURES,
     CostBreakdown,
     CrudeOracle,
-    IntervalSetPriorityState,
     SequenceStats,
     compute_stats,
     cost_decomposition_check,
@@ -60,7 +59,6 @@ __all__ = [
     "DetScoreForest",
     "Distribution",
     "DuplicateKeyError",
-    "IntervalSetPriorityState",
     "RandomStream",
     "RankForest",
     "SCHEMES",

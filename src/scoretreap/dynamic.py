@@ -5,9 +5,6 @@ a byte array and in per-block sums, the per-step backward working-set size,
 the forward (next-access) counterpart, and the between-occurrences interval
 size.  On top of those:
 
-* ``IntervalSetPriorityState`` -- stored weight 1/(1+interval)^2 per item,
-  at most one change per step, norm certificate checked every step; the
-  literal reference for the driver's own check, which reads its weights.
 * ``CrudeOracle`` -- a move-to-front list with one pointer per power-of-two
   rank boundary; scores rounded to the next power of two, refreshed only for
   the items whose rank steps over a boundary, with no rank query.
@@ -31,7 +28,6 @@ from .treap import Treap
 __all__ = [
     "SequenceStats",
     "compute_stats",
-    "IntervalSetPriorityState",
     "CrudeOracle",
     "CostBreakdown",
     "run_dynamic",
@@ -51,7 +47,6 @@ NORM_STEADY = 0.645
 class SequenceStats:
     """Per-step statistics of one access sequence (arrays are 1-based).
 
-    ``items`` is the sequence's own item list (0-based), not a copy.
     ``work[i]`` is the backward working-set size of the served item
     (distinct items since its previous access; n on a first access).
     ``future[i]`` counts distinct items strictly between i and the served
@@ -63,14 +58,9 @@ class SequenceStats:
 
     n: int
     m: int
-    items: list[int]
     work: list[int]
     future: list[int]
     interval: list[int]
-
-    def isp_after(self, i: int) -> float:
-        """Stored interval-set weight of x(i) right after step i."""
-        return 1.0 / (1.0 + self.interval[i]) ** 2
 
 
 def compute_stats(seq: AccessSequence) -> SequenceStats:
@@ -111,7 +101,7 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
     # holds the access that closes it
     future = [0] + [work[j] if j <= m else n for j in nxt[1:]]
     interval = [0] + [work[j] + 1 if j <= m else n for j in nxt[1:]]
-    return SequenceStats(n=n, m=m, items=items, work=work, future=future, interval=interval)
+    return SequenceStats(n=n, m=m, work=work, future=future, interval=interval)
 
 
 def _check_norm(norm: float, steady: bool) -> None:
@@ -121,38 +111,6 @@ def _check_norm(norm: float, steady: bool) -> None:
         raise AssertionError(f"norm {norm} exceeds pi^2/6")
     if steady and norm > NORM_STEADY + 1e-9:
         raise AssertionError(f"norm {norm} exceeds steady bound {NORM_STEADY}")
-
-
-class IntervalSetPriorityState:
-    """Stored weights 1/(1+interval)^2 with the running norm certificate."""
-
-    def __init__(self, n: int):
-        self.n = n
-        init = 1.0 / (1.0 + n) ** 2
-        self.isp = [init] * (n + 1)
-        self.norm = n * init
-        self._seen: set[int] = set()
-
-    @property
-    def all_seen(self) -> bool:
-        return len(self._seen) == self.n
-
-    def step(self, i: int, stats: SequenceStats) -> set[int]:
-        """Advance past step i; only the served item's weight may change."""
-        x = stats.items[i - 1]
-        self._seen.add(x)
-        new = stats.isp_after(i)
-        old = self.isp[x]
-        if new == old:
-            self._check()
-            return set()
-        self.isp[x] = new
-        self.norm += new - old
-        self._check()
-        return {x}
-
-    def _check(self) -> None:
-        _check_norm(self.norm, self.all_seen)
 
 
 class CrudeOracle:
@@ -286,8 +244,6 @@ def _scheme_scores(scheme: str, stats: SequenceStats | None,
         raise ConfigError("past-ws-crude derives its own scores")
     if scheme in ("static", "past-ws-crude"):
         return None  # score-free here: crude scores come from the oracle
-    if stats is None:
-        raise ConfigError(f"scheme {scheme} needs sequence statistics")
     if scheme == "interval-set":
         return stats.interval
     if scheme == "future-ws-exact":

@@ -58,7 +58,9 @@ class AccessSequence:
         return len(self.items)
 
     def at(self, i: int) -> int:
-        """Key accessed at time i (1-based)."""
+        """Key accessed at time i (1-based); IndexError outside 1..m."""
+        if not 1 <= i <= len(self.items):
+            raise IndexError(f"time {i} outside 1..{len(self.items)}")
         return self.items[i - 1]
 
 

@@ -72,7 +72,6 @@ from scoretreap.dynamic import (
     NORM_CEILING,
     NORM_STEADY,
     CrudeOracle,
-    IntervalSetPriorityState,
     compute_stats,
     run_dynamic,
 )
@@ -330,25 +329,26 @@ def test_c09_interval_score_norm_never_exceeds_the_certificate():
     for name, spec in SUITE_TRACES.items():
         seq = gen_sequence(spec)
         st = compute_stats(seq)
-        state = IntervalSetPriorityState(seq.n)
+        weights = [1.0 / (seq.n + 1) ** 2] * (seq.n + 1)  # stored, by key
         seen: set[int] = set()
-        for i in range(1, seq.m + 1):
-            state.step(i, st)
-            seen.add(seq.at(i))
-            norm = math.fsum(state.isp[1:])
+        for i, x in enumerate(seq.items, start=1):
+            weights[x] = 1.0 / (1.0 + st.interval[i]) ** 2
+            seen.add(x)
+            norm = math.fsum(weights[1:])
             assert norm <= NORM_CEILING + 1e-12, (name, i)
             if len(seen) == seq.n:
                 assert norm <= NORM_STEADY + 1e-12, (name, i)
 
 
 def test_c10_interval_scheme_reweights_at_most_one_item_per_step():
+    """The driver's step rows: every update set holds at most one item, and
+    the sizes sum to the run's update events."""
     for name, spec in SUITE_TRACES.items():
-        seq = gen_sequence(spec)
-        st = compute_stats(seq)
-        state = IntervalSetPriorityState(seq.n)
-        for i in range(1, seq.m + 1):
-            u = state.step(i, st)
-            assert len(u) <= 1 and u <= {seq.at(i)}, (name, i)
+        bd = run_dynamic(gen_sequence(spec), "interval-set", "treap",
+                         rng=RandomStream(10_000), keep_steps=True)
+        sizes = [row[3] for row in bd.steps]
+        assert max(sizes) <= 1, name
+        assert sum(sizes) == bd.update_events, name
 
 
 # -- 11 -----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from scoretreap import cli, distributions
 from scoretreap.cli import _PARAMETERS, main
 from scoretreap.distributions import perturb
-from scoretreap.dynamic import CrudeOracle, IntervalSetPriorityState, compute_stats
+from scoretreap.dynamic import CrudeOracle, compute_stats
 from scoretreap.em import DetScoreForest, RankForest, TierForestBTreap
 from scoretreap.sequences import TraceSpec, gen_distribution, gen_sequence
 from scoretreap.treap import Treap
@@ -113,20 +113,15 @@ class TestPlumbing:
         monkeypatch.setattr(CrudeOracle, "step", drifting_step)
         assert self.failing_checks(tmp_path) == ["crude_band_and_volume"]
 
-    @pytest.mark.parametrize("fault", ["norm drift", "extra item"])
-    def test_validate_fails_on_a_drifting_interval_set_state(self, tmp_path, monkeypatch, fault):
-        real_step = IntervalSetPriorityState.step
+    def test_validate_fails_on_doctored_intervals(self, tmp_path, monkeypatch):
+        def bad_stats(seq):
+            stats = compute_stats(seq)
+            # the first two served keys (distinct on this trace) at weight 1
+            # sum past pi^2/6
+            stats.interval[1] = stats.interval[2] = 0
+            return stats
 
-        def bad_step(self, i, stats):
-            old = self.isp[stats.items[i - 1]]
-            changed = real_step(self, i, stats)
-            if fault == "norm drift" and changed:
-                self.norm += old  # the update forgot to take the old weight off
-            elif fault == "extra item":
-                changed.add(i % self.n + 1)
-            return changed
-
-        monkeypatch.setattr(IntervalSetPriorityState, "step", bad_step)
+        monkeypatch.setattr("scoretreap.cli.compute_stats", bad_stats)
         assert self.failing_checks(tmp_path) == ["isp_norm_and_unit_updates"]
 
     @pytest.mark.parametrize("fault", ["score below band", "rows twice"])
@@ -173,8 +168,8 @@ class TestPlumbing:
         def bad_stats(seq):
             stats = compute_stats(seq)
             # the earliest access i whose key recurs, and its next access j
-            i, j = next((i, j) for i, x in enumerate(stats.items, start=1)
-                        for j in range(i + 1, stats.m + 1) if stats.items[j - 1] == x)
+            i, j = next((i, j) for i, x in enumerate(seq.items, start=1)
+                        for j in range(i + 1, seq.m + 1) if seq.at(j) == x)
             # both ends of one occurrence pair count an extra item, so future
             # still equals work at the next access
             stats.work[j] += 1
@@ -239,18 +234,21 @@ class TestPlumbing:
         assert "n must be int" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("sub, config", [
-        ("robustness", "eps =\n"),
-        ("interval-set", "eps = , ,\n"),
-        ("counterexamples", "raw_n =\n"),
-        ("counterexamples", "single_log_n = ,\n"),
-    ], ids=["eps-blank", "eps-commas", "raw_n-blank", "single_log_n-comma"])
-    def test_empty_list_option_rejected(self, tmp_path, capsys, sub, config):
+    @pytest.mark.parametrize("sub, config, message", [
+        ("robustness", "eps =\n", "at least one value"),
+        ("interval-set", "eps = , ,\n", "at least one value"),
+        ("counterexamples", "raw_n =\n", "at least one value"),
+        ("counterexamples", "single_log_n = ,\n", "at least one value"),
+        ("robustness", "eps = 0.1,x\n", "eps must list float values, got '0.1,x'"),
+        ("counterexamples", "raw_n = 64,1e3\n", "raw_n must list int values, got '64,1e3'"),
+    ], ids=["eps-blank", "eps-commas", "raw_n-blank", "single_log_n-comma", "eps-word",
+            "raw_n-float"])
+    def test_empty_list_option_rejected(self, tmp_path, capsys, sub, config, message):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text(config)
         code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "at least one value" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
 
     def test_non_boolean_switch_rejected(self, tmp_path, capsys):

@@ -23,7 +23,6 @@ from scoretreap.dynamic import (
     NORM_STEADY,
     CostBreakdown,
     CrudeOracle,
-    IntervalSetPriorityState,
     _scheme_scores,
     compute_stats,
     cost_decomposition_check,
@@ -49,6 +48,10 @@ class TestComputeStats:
         assert st.interval[1] == 3
         assert st.work[1] == st.work[2] == st.work[3] == 3  # first accesses
         assert st.interval[4] == 3  # no next occurrence -> n
+
+    def test_immediate_repeat_has_interval_one(self):
+        # the window is closed at the next access, so a repeat has interval 1
+        assert compute_stats(AccessSequence(3, [2, 2, 1])).interval[1] == 1
 
     def test_matches_exhaustive_oracle(self, py_rng):
         for _ in range(80):
@@ -108,10 +111,6 @@ class TestComputeStats:
         st = compute_stats(AccessSequence(4, []))
         assert st.m == 0 and st.work == [0]
 
-    def test_items_are_the_sequence_own_list(self):
-        seq = AccessSequence(4, [1, 2, 1, 4])
-        assert compute_stats(seq).items is seq.items
-
 
 class TestForwardPermutationProperty:
     """At a fixed time, ranking items by their next access is a permutation."""
@@ -163,77 +162,6 @@ class TestForwardPermutationProperty:
                         assert ex.interval(i, x) >= ex.work_past(i, x)
                     if seq.at(i) == x and ex.next(i, x):
                         assert ex.interval(i, x) == ex.work_next(i, x)
-
-
-class TestIntervalSetPriority:
-    def test_immediate_repeat_scores_quarter(self):
-        # window closed at the next access: a repeat has interval 1
-        seq = AccessSequence(3, [2, 2, 1])
-        st = compute_stats(seq)
-        state = IntervalSetPriorityState(3)
-        state.step(1, st)
-        assert state.isp[2] == pytest.approx(1.0 / 4.0)
-
-    def test_interval_three_scores_sixteenth(self):
-        seq = AccessSequence(4, [1, 2, 3, 1])
-        st = compute_stats(seq)
-        state = IntervalSetPriorityState(4)
-        changed = state.step(1, st)
-        assert changed == {1}
-        assert state.isp[1] == pytest.approx(1.0 / 16.0)
-
-    def test_no_change_means_empty_update_set(self):
-        # with n = 3 the initial score is already 1/16, so an interval of 3
-        # leaves the stored value alone and reports nothing to re-prioritize
-        seq = AccessSequence(3, [1, 2, 3, 1])
-        st = compute_stats(seq)
-        state = IntervalSetPriorityState(3)
-        assert state.step(1, st) == set()
-        assert state.isp[1] == pytest.approx(1.0 / 16.0)
-
-    def test_update_set_at_most_one_and_total_bounded(self, py_rng):
-        for _ in range(25):
-            n = py_rng.randint(2, 12)
-            seq = random_trace(py_rng, n, 60)
-            st = compute_stats(seq)
-            state = IntervalSetPriorityState(n)
-            total = 0
-            for i in range(1, seq.m + 1):
-                u = state.step(i, st)
-                assert len(u) <= 1
-                assert u <= {seq.at(i)}
-                total += len(u)
-            assert total <= seq.m
-
-    def test_norm_above_steady_bound_raises_once_all_seen(self):
-        # the bound applies only once every item has been served
-        seq = AccessSequence(3, [1, 2, 3, 1, 2])
-        st = compute_stats(seq)
-        state = IntervalSetPriorityState(3)
-        for i in (1, 2, 3):
-            state.step(i, st)
-        assert state.all_seen
-        # under the ceiling and over the steady bound, also after the step
-        # moves one weight by at most 1/4
-        state.norm = NORM_STEADY + 0.5
-        with pytest.raises(AssertionError,
-                           match=re.escape(f"exceeds steady bound {NORM_STEADY}")):
-            state.step(4, st)
-
-    def test_norm_bound_all_steps_and_steady_state(self, py_rng):
-        for trial in range(20):
-            n = py_rng.randint(2, 20)
-            seq = random_trace(py_rng, n, 120)
-            st = compute_stats(seq)
-            state = IntervalSetPriorityState(n)
-            seen: set[int] = set()
-            for i in range(1, seq.m + 1):
-                state.step(i, st)
-                seen.add(seq.at(i))
-                norm = sum(state.isp[x] for x in range(1, n + 1))
-                assert norm <= NORM_CEILING + 1e-12
-                if len(seen) == n:
-                    assert norm <= NORM_STEADY + 1e-12
 
 
 def _round_score(work: int) -> int:
@@ -466,9 +394,38 @@ class TestRunDynamic:
         st.interval[1] = 0
         run_dynamic(seq, "interval-set", "treap", stats=st)
 
+    def test_interval_set_step_rows_count_unchanged_weights_as_no_update(self):
+        # n = 3 starts every key at 1/16, the weight of interval 3, so step 1
+        # re-weights nothing; n = 4 starts at 1/25, and step 1 moves key 1
+        for n, want in ((3, 0), (4, 1)):
+            bd = run_dynamic(AccessSequence(n, [1, 2, 3, 1]), "interval-set", "treap",
+                             keep_steps=True)
+            assert bd.steps[0][3] == want, n
+
+    def test_interval_set_reweights_at_most_the_served_key(self, py_rng, monkeypatch):
+        """Every step row's update-set size is 0 or 1, the sizes sum to
+        ``update_events``, and each update re-prioritises that step's key."""
+        updated = []
+        real = Treap.update_priority
+
+        def spy(self, key, *args):
+            updated.append(key)
+            return real(self, key, *args)
+
+        monkeypatch.setattr(Treap, "update_priority", spy)
+        for _ in range(25):
+            n = py_rng.randint(2, 12)
+            seq = random_trace(py_rng, n, 60)
+            updated.clear()
+            bd = run_dynamic(seq, "interval-set", "treap", keep_steps=True)
+            assert all(row[3] <= 1 for row in bd.steps)
+            assert sum(row[3] for row in bd.steps) == bd.update_events
+            assert updated == [row[1] for row in bd.steps if row[3]]
+
     def test_norm_certificate_fails_where_the_per_step_state_fails(self, py_rng):
         """The driver's running norm raises at the same step, with the same
-        message, as stepping ``IntervalSetPriorityState`` over the stats."""
+        message, as a literal loop that keeps every key's stored weight
+        1/(1+interval)^2 and checks the sum after each step."""
         outcomes = collections.Counter()
         for _ in range(150):
             n = py_rng.randint(2, 8)
@@ -476,12 +433,19 @@ class TestRunDynamic:
             st = compute_stats(seq)
             for i in py_rng.sample(range(1, seq.m + 1), py_rng.randint(0, 6)):
                 st.interval[i] = py_rng.randint(0, 1)
-            state, want = IntervalSetPriorityState(n), None
-            try:
-                for i in range(1, seq.m + 1):
-                    state.step(i, st)
-            except AssertionError as exc:
-                want = str(exc)
+            w0 = 1.0 / (n + 1) ** 2
+            weights, norm, seen, want = [w0] * (n + 1), n * w0, set(), None
+            for i, x in enumerate(seq.items, start=1):
+                new = 1.0 / (1.0 + st.interval[i]) ** 2
+                norm += new - weights[x]
+                weights[x] = new
+                seen.add(x)
+                if norm > NORM_CEILING + 1e-9:
+                    want = f"norm {norm} exceeds pi^2/6"
+                elif len(seen) == n and norm > NORM_STEADY + 1e-9:
+                    want = f"norm {norm} exceeds steady bound {NORM_STEADY}"
+                if want:
+                    break
             try:
                 run_dynamic(seq, "interval-set", "treap", stats=st)
                 got = None
@@ -641,7 +605,6 @@ def reference_run(seq, scheme, structure, B, rng, predicted, stats):
     else:
         st = RankForest(n, B)
     oracle = CrudeOracle(n) if scheme == "past-ws-crude" and structure != "rank-forest" else None
-    guard = IntervalSetPriorityState(n) if scheme == "interval-set" else None
     for i in range(1, m + 1):
         x = seq.items[i - 1]
         cost = st.access(x)
@@ -650,8 +613,6 @@ def reference_run(seq, scheme, structure, B, rng, predicted, stats):
         updates = []
         if scores is not None:
             w_new = 1.0 / (1.0 + scores[i]) ** 2
-            if guard is not None:
-                guard.step(i, stats)
             if w_new != weights[x]:
                 updates.append((x, w_new))
         elif oracle is not None:
@@ -757,3 +718,35 @@ class TestCostDecompositionCheck:
         assert report["budget"] == pytest.approx(8.0 * report["rhs"] + 50.0)
         assert report["ratio"] == pytest.approx(report["lhs"] / report["rhs"])
         assert report["ok"] == (report["lhs"] <= report["budget"])
+
+
+# -- keys outside 1..n ---------------------------------------------------------
+
+_TIERS = [0, 1, 0, 2, 1, 0, 0, 1]
+_N = len(_TIERS)
+_BUILDS = {
+    "Treap": lambda: Treap.build_arrays(_TIERS, [(k + 0.5) / _N for k in range(_N)]),
+    "TierForestBTreap": lambda: TierForestBTreap(_TIERS, 4, rng=RandomStream(0)),
+    "DetScoreForest": lambda: DetScoreForest(_TIERS, 4),
+    "RankForest": lambda: RankForest(_N, 4),
+    "CrudeOracle": lambda: CrudeOracle(_N),
+}
+# (class, method, the arguments after the key)
+_KEYED_METHODS = [
+    ("Treap", "access", ()), ("Treap", "update_priority", (0, 0.5)),
+    ("TierForestBTreap", "access", ()), ("TierForestBTreap", "update_weight", (1,)),
+    ("DetScoreForest", "access", ()), ("DetScoreForest", "update_weight", (1,)),
+    ("RankForest", "access", ()), ("CrudeOracle", "step", ()),
+]
+
+
+@pytest.mark.parametrize("key", [0, _N + 1])
+@pytest.mark.parametrize("cls, method, args", _KEYED_METHODS,
+                         ids=[f"{cls}.{method}" for cls, method, _ in _KEYED_METHODS])
+def test_key_outside_the_universe_raises_and_keeps_the_structure_valid(cls, method, args, key):
+    st = _BUILDS[cls]()
+    call = getattr(st, method)
+    call(3, *args)  # a valid call first, so the structure has moved off its build
+    with pytest.raises(KeyError):
+        call(key, *args)
+    assert st.validate() is None

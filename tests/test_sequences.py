@@ -133,3 +133,9 @@ class TestAccessSequenceType:
     def test_at_is_one_based(self):
         seq = AccessSequence(3, [3, 1])
         assert seq.at(1) == 3 and seq.at(2) == 1 and seq.m == 2
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_at_rejects_times_outside_one_to_m(self, i):
+        # 0 and -1 would otherwise read the list from its end
+        with pytest.raises(IndexError, match=rf"^time {i} outside 1\.\.3$"):
+            AccessSequence(3, [1, 2, 3]).at(i)
