@@ -110,6 +110,8 @@ def _resolve(key: str, default, raw: str | None) -> tuple[object, object]:
             raise ConfigError(f"{key} must list {cast.__name__} values, got {text!r}") from None
         if not vals:
             raise ConfigError(f"{key} must list at least one value")
+        if cast is float and not all(map(math.isfinite, vals)):
+            raise ConfigError(f"{key} must list finite float values, got {text!r}")
         return vals, text
     if isinstance(default, _Choice):
         val = default.default if raw is None else raw
@@ -128,6 +130,8 @@ def _resolve(key: str, default, raw: str | None) -> tuple[object, object]:
         val = type(default)(raw)
     except ValueError:
         raise ConfigError(f"{key} must be {type(default).__name__}, got {raw!r}") from None
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{key} must be a finite float, got {raw!r}")
     return val, val
 
 

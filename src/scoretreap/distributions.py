@@ -49,9 +49,6 @@ class Distribution:
             raise KeyError(key)
         return self._p[key - 1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def masses(self) -> list[float]:
         return list(self._p)
 

@@ -282,7 +282,11 @@ def run_dynamic(
     ``tier_value(w, inner, outer)``: (2, 2) for the treap and
     (B, ``OUTER_BASE``) for a score forest.  It builds the structure from the
     starting weight's tier and maps each score to its weight, log weight and
-    tier, memoised per run; a structure takes the tier on update.
+    tier, memoised per run; a structure takes the tier on update.  An update
+    costs the pair (search touches, rebuild writes), which the driver adds
+    to ``update_cost`` and ``rebuild_cost``: the tier forest's
+    ``update_weight`` returns that pair; the treap's keys passed plus one
+    and the det forest's block touches come with no rebuild writes.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -325,10 +329,7 @@ def run_dynamic(
     elif structure == "tier-forest":
         inner, outer = B, TierForestBTreap.OUTER_BASE
         st = TierForestBTreap([tier_value(w0, inner, outer)] * n, B, rng=rng)
-
-        def do_update(x: int, tier: int) -> tuple[int, int]:
-            uc = st.update_weight(x, tier)
-            return uc.search_total, uc.rebuild_writes
+        do_update = st.update_weight
 
     elif structure == "det-forest":
         inner, outer = B, DetScoreForest.OUTER_BASE

@@ -15,6 +15,8 @@ touches.
   decomposed into maximal same-tier components, each counted as a
   bulk-built B-tree glued below the block holding its root's parent.  A
   component is its sorted members; its blocks are built only for ``dump``.
+  An update returns ``UpdateCost(search, rebuild_writes)``, the pair that
+  ``dynamic.run_dynamic`` adds up.
 * ``DetScoreForest`` -- deterministic score bucketing into doubly
   exponentially growing trees, probed smallest-first.
 * ``RankForest`` -- a self-organizing forest keyed by recency rank.
@@ -32,10 +34,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import cache
 from operator import lt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, DuplicateKeyError
 from .priorities import RandomStream
@@ -97,19 +98,14 @@ class BTree:
     def _bulk(self, keys: list[int]) -> Block:
         """Minimal uniform-depth packing of sorted keys, which the result
         owns; returns its root (``bulk_written`` counts its blocks)."""
-        B, max_keys = self.B, self.max_keys
-        if len(keys) <= max_keys:
+        B = self.B
+        if len(keys) < B:
             return Block(keys, [])
-        child_cap = max_keys  # capacity of a height-1 subtree
-        while child_cap * B + max_keys < len(keys):
-            child_cap = child_cap * B + max_keys
-        fanout = -((len(keys) + 1) // -(child_cap + 1))  # ceil division
-        spread = len(keys) - (fanout - 1)
-        base, extra = divmod(spread, fanout)
+        fanout, base, extra = _split(len(keys), B)
         sizes = [base + 1] * extra + [base] * (fanout - extra)
         node_keys: list[int] = []
         children: list[Block] = []
-        leaves = child_cap == max_keys  # built here, not by one call per leaf
+        leaves = len(keys) < B * B  # the children are leaves, built here
         idx = 0
         for j, size in enumerate(sizes):
             chunk = keys[idx : idx + size]
@@ -356,17 +352,13 @@ def bulk_written(size: int, B: int) -> int:
             + (fanout - extra) * bulk_written(base, B))
 
 
-@dataclass
-class UpdateCost:
-    """Block touches of one weight update, split by phase."""
+class UpdateCost(NamedTuple):
+    """The counted cost of one weight update: block touches of its searches
+    (the path walked before the update plus the path after it) and the
+    blocks its rebuilds write."""
 
-    removal_path: int
-    insertion_path: int
+    search: int
     rebuild_writes: int
-
-    @property
-    def search_total(self) -> int:
-        return self.removal_path + self.insertion_path
 
 
 class Component:
@@ -567,7 +559,10 @@ class TierForestBTreap:
     # -- updates ------------------------------------------------------------
 
     def update_weight(self, key: int, new_tier: int) -> UpdateCost:
-        """Re-prioritize one item at its new score's tier; returns the phase-split touches."""
+        """Re-prioritize one item at its new score's tier; returns
+        ``(search, rebuild_writes)``: the glued paths to ``key`` before and
+        after the update, summed, and the blocks written for rebuilt
+        components."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
         removal = self._path_length(key)
@@ -589,7 +584,7 @@ class TierForestBTreap:
         # its component keeps its members and the treap parent of its top,
         # so the glued path to key is the one walked for removal
         insertion = removal if before is None else self._path_length(key)
-        return UpdateCost(removal, insertion, written)
+        return UpdateCost(removal + insertion, written)
 
     # -- serialization / checks ----------------------------------------------
 
@@ -693,19 +688,6 @@ def _non_int_tier(tiers: Sequence) -> str | None:
         return None
     k, t = next((k, t) for k, t in enumerate(tiers, start=1) if type(t) is not int)
     return f"key {k} has tier {t!r}, not an int"
-
-
-def _probe(trees: dict[int, BTree], key: int) -> tuple[int, set[Block]]:
-    """Search non-empty trees in order; return (index of the tree with ``key``, probed blocks)."""
-    touched: set[Block] = set()
-    for i, tree in trees.items():
-        if not len(tree):
-            continue
-        found, path = tree.search(key)
-        touched.update(path)
-        if found:
-            return i, touched
-    raise KeyError(key)
 
 
 def _check_trees(trees: dict[int, BTree], tree_of: list[int], n: int) -> str | None:
@@ -823,10 +805,19 @@ class RankForest:
         return self.B ** (2 ** (i + 1))
 
     def access(self, key: int) -> int:
-        """Probe trees in order, promote the item, cascade overflow chunks."""
+        """Probe trees in order, promote the item, cascade overflow chunks.
+        The trees that hold keys are always 1..j (``check_invariant``
+        checks it), so the probe meets no empty tree before ``key``'s."""
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        found_at, touched = _probe(self.trees, key)
+        touched: set[Block] = set()
+        for found_at, tree in self.trees.items():
+            found, path = tree.search(key)
+            touched.update(path)
+            if found:
+                break
+        else:
+            raise KeyError(key)
         del self.order[found_at][key]
         self.order[1][key] = None
         if found_at != 1:
@@ -842,9 +833,12 @@ class RankForest:
         return len(touched)
 
     def check_invariant(self) -> str | None:
-        """Size and max-rank bands; the last non-empty tree is exempt from
-        the size band (it absorbs whatever the geometric prefix cannot)."""
+        """The trees holding keys are 1..j, within size and max-rank bands;
+        tree j is exempt from the size band (it absorbs whatever the
+        geometric prefix cannot)."""
         nonempty = [(i, len(tree)) for i, tree in self.trees.items() if len(tree)]
+        if nonempty and nonempty[-1][0] != len(nonempty):
+            return f"tree {nonempty[-1][0]} holds keys after an empty tree"
         worst = 0  # the ranks are contiguous, so tree i ends at the running size
         for i, size in nonempty:
             worst += size

@@ -251,6 +251,20 @@ class TestPlumbing:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
 
+    @pytest.mark.parametrize("sub, config, message", [
+        ("working-set", "factor = nan\n", "factor must be a finite float, got 'nan'"),
+        ("interval-set", "eps = 0.0,-inf\n",
+         "eps must list finite float values, got '0.0,-inf'"),
+        ("static-opt", "s = inf\n", "s must be a finite float, got 'inf'"),
+    ], ids=["working-set-factor", "interval-set-eps", "static-opt-s"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, sub, config, message):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(config)
+        code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_boolean_switch_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("n = 32\nm = 200\ntrace = ture\n")
@@ -431,6 +445,32 @@ class TestExperiments:
         out = tmp_path / "o"
         assert main(["robustness", "--out", str(out), "--seed", str(seed), "--threads", "1"]) == 0
         assert len(builds) == 10 + 10 * 3
+        assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("sub, config, trials, digest", [
+        ("static-opt", "n = 64\nm = 2000\n", 3,
+         "03f18b7fee46155f1d68a570d0f38f36890303ce4bf23bd865e7e79b75845e9b"),
+        ("counterexamples", "raw_n = 16\nsingle_log_n = 256,1024\n", 2,
+         "61813b85176ef98c5f22fefeec980b54fe41059e2e277538aac0536c31c9683a"),
+        ("working-set", "n = 64\nm = 1500\n", 2,
+         "f5c21406b1b3ddac25f77a34df4acda1247310051041ca6c2ebc7bd803fd8cc9"),
+        ("working-set", "n = 128\nm = 2000\nstructure = tier-forest\nb = 4\n", 2,
+         "d5e013dac3f301d8510386b049783741ab0cbe0a2ebfe7b8a0d0040ed816b0d4"),
+        ("interval-set", "n = 48\nm = 1200\n", 2,
+         "7c729cbf6e3472106ac9b5f6c523d2f6e85658a4147be2443572234c80a82a83"),
+        ("em-compare", "n = 256\nm = 1500\nb = 4\n", 1,
+         "8deeb9d18cbc4b330dfe91e52e51eff5a60ed37012f478bb98684da82f724c09"),
+        ("validate", "n = 64\nm = 500\n", 1,
+         "82cd36d543a40ee5f2b67bca818e952bb02d13a835ab25e0538e6280c0729620"),
+    ], ids=["static-opt", "counterexamples", "working-set-treap", "working-set-tier-forest",
+            "interval-set", "em-compare", "validate"])
+    def test_summary_digest(self, tmp_path, sub, config, trials, digest):
+        """Each command's summary at a small config and seed 0 keeps its
+        bytes (these sha256 literals); the tier-forest configs re-tier, so
+        their update and rebuild counts are part of what is pinned.  A
+        change that moves a summary on purpose re-pins its digest."""
+        code, s, out = run_cli(tmp_path, sub, config, trials=trials)
+        assert code == 0 and s["all_passed"] is True
         assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == digest
 
     def test_counterexamples_linear_profile(self, tmp_path):

@@ -105,6 +105,16 @@ class TestErrorMeasures:
             0.5 * math.sqrt((1 - math.sqrt(0.5)) ** 2 + 0.5)
         )
 
+    def test_chi_square_is_infinite_when_q_drops_supported_mass(self):
+        # key 2 has mass under p and none under q; key 3 after it adds a
+        # finite term, which leaves the sum infinite
+        p = Distribution([0.25, 0.25, 0.5])
+        q = Distribution([0.5, 0.0, 0.5])
+        em = error_measures(p, q)
+        assert em["chi2"] == math.inf
+        assert em["tv"] == pytest.approx(0.25)
+        assert all(math.isfinite(v) for name, v in em.items() if name != "chi2")
+
     def test_norm_ordering_and_hellinger_inequality(self, py_rng):
         for _ in range(1000):
             p, q = random_pair(py_rng, py_rng.randint(2, 40))
@@ -155,6 +165,17 @@ class TestPerturb:
         p = Distribution.uniform(4)
         with pytest.raises(ValueError):
             perturb(p, "tv", 5.0, rng=random.Random(1))
+
+    def test_walk_gives_none_when_the_family_end_is_not_a_distribution(self):
+        p = Distribution([0.75, 0.25])
+
+        def family(lam):  # moves mass lam from key 1 to key 2; tv(p, family(lam)) = lam
+            return Distribution([0.75 - lam, 0.25 + lam])
+
+        # family(1.0) has a negative mass, so the walk has no end to measure
+        assert distributions._walk(p, family, 1.0, "tv", 0.1) is None
+        q = distributions._walk(p, family, 0.5, "tv", 0.1)
+        assert 0.09 <= error_measures(p, q)["tv"] <= 0.11
 
 
 def _perturb_80_steps(p, measure, eps, rng, floor=None):

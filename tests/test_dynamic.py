@@ -595,8 +595,7 @@ def reference_run(seq, scheme, structure, B, rng, predicted, stats):
         st = TierForestBTreap([tier_value(w0, B, 4) for _ in range(n)], B, rng=rng)
 
         def update(x, w):
-            uc = st.update_weight(x, tier_value(w, B, 4))
-            return uc.search_total, uc.rebuild_writes
+            return st.update_weight(x, tier_value(w, B, 4))
     elif structure == "det-forest":
         st = DetScoreForest([tier_value(w0, B, 2) for _ in range(n)], B)
 

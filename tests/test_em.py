@@ -166,7 +166,7 @@ class FullRepartitionForest(TierForestBTreap):
         elif rot:
             self._refresh_root(key)
         insertion = len({blk for blk, _ in self.path_pairs(key)})
-        return UpdateCost(removal, insertion, written)
+        return UpdateCost(removal + insertion, written)
 
 
 class WeightDetScoreForest(DetScoreForest):
@@ -853,8 +853,8 @@ class TestTierForest:
             got = st.update_weight(k, tier_value(w_new, B, 4))
             want = ref.update_weight(k, w_new)
             assert got == want, step
-            touches[0] += got.search_total
-            touches[1] += want.search_total
+            touches[0] += got.search
+            touches[1] += want.search
             writes[0] += got.rebuild_writes
             writes[1] += want.rebuild_writes
             assert not any(r.queue for r in replays), step
@@ -927,8 +927,10 @@ class TestTierForest:
         st = TierForestBTreap(tiers_of([1.0 / n] * n, 4), 4, rng=RandomStream(8))
         before = st.access(10)
         uc = st.update_weight(10, tier_value(2.0 ** -40, 4, 4))
-        assert uc.removal_path == before
-        assert uc.insertion_path == st.access(10)
+        # search touches are the paths before and after the update, summed;
+        # rebuild writes are counted apart
+        assert UpdateCost._fields == ("search", "rebuild_writes")
+        assert uc.search == before + st.access(10)
         assert uc.rebuild_writes > 0  # the tier changed, so components did
 
     @pytest.mark.parametrize("corrupt, message", [
@@ -996,13 +998,15 @@ class TestTierForest:
 
             def update_weight(self, key, new_tier):
                 retier = new_tier != self.tier_of(key)
+                removal = len({blk for blk, _ in self.path_pairs(key)})
                 cost = super().update_weight(key, new_tier)
                 if retier:
                     retiers.append(key)
                     for k in (key, *(py.randint(1, self.n) for _ in range(4))):
                         want = len({blk for blk, _ in self.path_pairs(k)})
                         assert self.access(k) == want, (len(retiers), k)
-                    assert cost.insertion_path == len({blk for blk, _ in self.path_pairs(key)})
+                    insertion = len({blk for blk, _ in self.path_pairs(key)})
+                    assert cost.search == removal + insertion
                 return cost
 
         monkeypatch.setattr(dynamic, "TierForestBTreap", Checked)
@@ -1345,6 +1349,30 @@ class TestRankForest:
             assert recency(st) == front, i
             assert st.validate() is None, i
 
+    def test_one_access_cascades_through_two_trees(self):
+        """At B = 4 tree 2 holds up to 2 * 4^8 = 131,072 keys, so n = 140,000
+        starts with trees of 512, 131,072 and 8,416 keys and an empty tree 4.
+        Promoting one tree-3 key overfills tree 1, which sheds its 256 least
+        recent keys into tree 2; tree 2 then sheds its 65,536 least recent
+        into tree 3.  Each tree ends up holding its run of a literal
+        move-to-front list."""
+        n = 140_000
+        st = RankForest(n, 4)
+        assert st.S == 4
+        assert [len(st.trees[i]) for i in range(1, 5)] == [512, 131_072, 8_416, 0]
+        key = n  # the least recent key, in tree 3
+        # the union of the probed, deleted and inserted blocks, as
+        # StampHeapRankForest counts it for the same access
+        assert st.access(key) == 90_487
+        front = [key, *range(1, n)]
+        assert recency(st) == front
+        sizes = [257, 65_792, 73_951, 0]  # 513 - 256, 131_072 + 256 - 65_536, 8_415 + 65_536
+        start = 0
+        for i, size in enumerate(sizes, start=1):
+            assert st.trees[i].keys_inorder() == sorted(front[start:start + size]), i
+            start += size
+        assert st.validate() is None
+
     @pytest.mark.parametrize("corrupt", ["key moved between lists", "key dropped from list",
                                          "key dropped from tree", "key in two trees",
                                          "key lost"])
@@ -1373,7 +1401,7 @@ class TestRankForest:
             message = "forest holds 599 keys, expected 600"
         assert st.validate() == message
 
-    @pytest.mark.parametrize("corrupt", ["size band", "rank cap"])
+    @pytest.mark.parametrize("corrupt", ["size band", "rank cap", "empty front tree"])
     def test_check_invariant_catches_drift(self, corrupt):
         py = random.Random(12)
         n = 1100  # at B = 4, tree 1 keeps 16..512 items and ranks up to 1024
@@ -1390,6 +1418,9 @@ class TestRankForest:
         if corrupt == "size band":
             move(st.trees[1].keys_inorder()[15:], 1, 2)
             message = "tree 1 has 15 items, band [16, 512]"
+        elif corrupt == "empty front tree":  # the access probe relies on none
+            move(st.trees[1].keys_inorder(), 1, 2)
+            message = "tree 2 holds keys after an empty tree"
         else:  # tree 1 is now the last non-empty tree, so only its rank cap applies
             for i in range(2, st.S + 1):
                 move(st.trees[i].keys_inorder(), i, 1)
