@@ -16,7 +16,8 @@ touches.
   bulk-built B-tree glued below the block holding its root's parent.  A
   component is its sorted members; its blocks are built only for ``dump``.
   An update returns ``UpdateCost(search, rebuild_writes)``, the pair that
-  ``dynamic.run_dynamic`` adds up.
+  ``dynamic.run_dynamic`` adds up; an access records the count of its walk,
+  so an update of the same key right after it does not walk that path again.
 * ``DetScoreForest`` -- deterministic score bucketing into doubly
   exponentially growing trees, probed smallest-first.
 * ``RankForest`` -- a self-organizing forest keyed by recency rank.
@@ -395,6 +396,11 @@ class TierForestBTreap:
     key's rank among the members, and a rebuild with ``bulk_written``.
     ``dump`` builds each component's ``BTree`` from its members.
 
+    ``_walked`` is the one record an ``access`` writes: ``(key, count)`` of
+    the last access that completed.  ``update_weight``, the only method that
+    changes the forest, clears it on entry and takes the count as its removal
+    path when the keys match, so a record never outlives a change.
+
     A weight update re-prioritizes one key of the base treap, and its
     rotations re-hang only nodes beside that key's root path.  On a tier
     change only the components holding such a node, or gaining one from
@@ -421,6 +427,7 @@ class TierForestBTreap:
         for k, t in enumerate(tiers, start=1):
             self.keys_of_tier.setdefault(t, []).append(k)
         self.comp_of: list[Component | None] = [None] * (self.n + 1)  # slot 0 unused
+        self._walked: tuple[int, int] | None = None  # (key, count) of the last access
         for top, members in self._components(self._tops(range(1, self.n + 1))):
             self._new_component(top, members)
 
@@ -551,10 +558,15 @@ class TierForestBTreap:
             comp = comp_of[target]
 
     def access(self, key: int) -> int:
-        """The number of distinct blocks on the path to ``key``."""
+        """The number of distinct blocks on the path to ``key``.  Its one
+        write is the record ``_walked = (key, count)``, cleared first and set
+        only once the walk returns, so a walk that raises leaves no record."""
+        self._walked = None
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        return self._path_length(key)
+        count = self._path_length(key)
+        self._walked = (key, count)
+        return count
 
     # -- updates ------------------------------------------------------------
 
@@ -562,10 +574,13 @@ class TierForestBTreap:
         """Re-prioritize one item at its new score's tier; returns
         ``(search, rebuild_writes)``: the glued paths to ``key`` before and
         after the update, summed, and the blocks written for rebuilt
-        components."""
+        components.  The path before is the count of the ``access`` just
+        before, recorded in ``_walked``, when that access was of ``key``, and
+        is walked otherwise; the record is spent here whatever the key."""
+        walked, self._walked = self._walked, None
         if not 1 <= key <= self.n:
             raise KeyError(key)
-        removal = self._path_length(key)
+        removal = walked[1] if walked and walked[0] == key else self._path_length(key)
         old_tier = self.base._tier[key]
         offset = self._rng.next_offset()
         before = self._neighbours(key) if new_tier != old_tier else None

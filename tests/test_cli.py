@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scoretreap import cli, distributions
+from scoretreap import cli, distributions, dynamic
 from scoretreap.cli import _PARAMETERS, main
 from scoretreap.distributions import perturb
 from scoretreap.dynamic import CrudeOracle, compute_stats
@@ -123,6 +123,17 @@ class TestPlumbing:
 
         monkeypatch.setattr("scoretreap.cli.compute_stats", bad_stats)
         assert self.failing_checks(tmp_path) == ["isp_norm_and_unit_updates"]
+
+    def test_validate_steady_norm_bound_runs_on_every_seed(self, tmp_path, monkeypatch):
+        """The norm check's trace serves every key before its zipf accesses,
+        so with no room under the steady bound the check fails on every
+        seed, not only on those whose zipf trace happens to serve every key."""
+        monkeypatch.setattr(dynamic, "NORM_STEADY", 0.0)
+        for seed in range(8):
+            code, summary, _ = run_cli(tmp_path, "validate", seed=seed, trials=1, tag=f"s{seed}")
+            assert code == 1
+            assert [k for k, ok in summary["checks"].items() if not ok] == [
+                "isp_norm_and_unit_updates"], seed
 
     @pytest.mark.parametrize("fault", ["score below band", "rows twice"])
     def test_validate_fails_on_a_wrong_crude_update_set(self, tmp_path, monkeypatch, fault):
@@ -521,6 +532,27 @@ class TestExperiments:
         for row in s["mae_sweep"]:
             assert row["noisy_cost"] <= row["budget"]
         assert all(b < a for a, b in zip(s["x1_costs"], s["x2_costs"]))
+
+    @pytest.mark.parametrize("inflated", ["tier-forest", "det-forest"])
+    def test_em_compare_checks_can_fail(self, tmp_path, monkeypatch, inflated):
+        """A forest whose counted costs are inflated far past the bound fails
+        its own decomposition check alone, and the command exits 1."""
+        if inflated == "tier-forest":
+            real_update = TierForestBTreap.update_weight
+
+            def update_weight(self, key, new_tier):
+                cost = real_update(self, key, new_tier)
+                return cost._replace(search=cost.search + 10**9)
+
+            monkeypatch.setattr(TierForestBTreap, "update_weight", update_weight)
+        else:
+            real_access = DetScoreForest.access
+            monkeypatch.setattr(DetScoreForest, "access",
+                                lambda self, key: real_access(self, key) + 10**9)
+        code, s, _ = run_cli(tmp_path, "em-compare", "n = 256\nm = 1500\nb = 4\n", trials=1)
+        assert code == 1 and s["all_passed"] is False
+        assert s["checks"] == {"tier_forest_decomposition": inflated != "tier-forest",
+                               "det_forest_decomposition": inflated != "det-forest"}
 
     def test_em_compare(self, tmp_path):
         code, s, _ = run_cli(tmp_path, "em-compare",

@@ -1069,10 +1069,12 @@ class TestTierForest:
         assert st.validate() == message
 
     def test_access_only_reads_the_records(self):
-        """``access`` keeps no depth memo and writes nothing: reading every
-        key twice gives the same counts, each equal to the distinct blocks
-        on the reference's top-down glued path through trees built from the
-        members, and leaves the component records and the dump as they were."""
+        """``access`` keeps no depth memo and writes one record only, the
+        ``(key, count)`` of its walk that an update of that key reads: reading
+        every key twice gives the same counts, each equal to the distinct
+        blocks on the reference's top-down glued path through trees built
+        from the members, and leaves the component records and the dump as
+        they were."""
 
         class Walked(TierForestBTreap):
             _chain = FullRepartitionForest._chain
@@ -1090,6 +1092,82 @@ class TestTierForest:
         assert [st.access(k) for k in keys] == counts
         assert [(id(c), c.tier, c.top, c.members) for c in st._comps()] == records
         assert st.dump() == dump
+        assert st.validate() is None
+
+    @pytest.mark.parametrize("scheme", ["interval-set", "past-ws-crude"])
+    def test_driven_steps_walk_each_glued_path_once(self, scheme, monkeypatch):
+        """Under ``run_dynamic`` the update of the key just accessed takes
+        its removal count from that access, so the walks are one per access
+        and one per re-tier's insertion path; under the crude scheme each
+        row after the served one is of another key and walks for removal."""
+        walks = retiers = 0
+        rows = []
+        real_walk = TierForestBTreap._path_length
+        real_retier = TierForestBTreap._retier
+        real_step = dynamic.CrudeOracle.step
+
+        def walk(self, key):
+            nonlocal walks
+            walks += 1
+            return real_walk(self, key)
+
+        def retier(self, *args):
+            nonlocal retiers
+            retiers += 1
+            return real_retier(self, *args)
+
+        def step(self, key):
+            out = real_step(self, key)
+            rows.append(len(out) - 1)  # the served key's row comes first
+            return out
+
+        monkeypatch.setattr(TierForestBTreap, "_path_length", walk)
+        monkeypatch.setattr(TierForestBTreap, "_retier", retier)
+        monkeypatch.setattr(dynamic.CrudeOracle, "step", step)
+        seq = gen_sequence(TraceSpec("zipf", n=256, m=3_000, seed=5))
+        res = dynamic.run_dynamic(seq, scheme, "tier-forest", B=4, rng=RandomStream(5))
+        assert retiers >= 100 and res.update_events >= 1_000
+        assert walks == seq.m + retiers + sum(rows)
+        if scheme == "past-ws-crude":
+            assert sum(rows) >= 1_000
+        else:
+            assert rows == []
+
+    def test_update_reads_only_the_record_of_the_last_completed_access(self, monkeypatch):
+        """The record of ``access(k)`` is spent by the next update, of any key,
+        and a later update of ``k`` walks again; an access that raises, on a
+        corrupted forest or at a key outside 1..n, leaves no record."""
+        st = churned_forest()
+        walked = []
+        real_walk = st._path_length
+        monkeypatch.setattr(st, "_path_length", lambda key: walked.append(key) or real_walk(key))
+        k, j = glued_top(st), st.base.parent_of(glued_top(st))
+
+        def update_walks(key: int) -> list[int]:
+            """The keys walked by an update of ``key`` that keeps its tier."""
+            walked.clear()
+            st.update_weight(key, st.tier_of(key))
+            return walked
+
+        st.access(k)
+        assert update_walks(k) == []
+        assert update_walks(k) == [k]
+        st.access(k)
+        assert update_walks(j) == [j]
+        assert update_walks(k) == [k]
+
+        st.access(k)
+        above = st.comp_of[st.base.parent_of(st.comp_of[k].top)]
+        above_tier = above.tier
+        above.tier = st.comp_of[k].tier + 1  # the tier above k's component grows upward
+        with pytest.raises(AssertionError, match="tiers not monotone"):
+            st.access(k)
+        above.tier = above_tier
+        assert update_walks(k) == [k]
+        st.access(k)
+        with pytest.raises(KeyError):
+            st.access(st.n + 1)
+        assert update_walks(k) == [k]
         assert st.validate() is None
 
     def test_components_match_the_treap_walk_partition(self):

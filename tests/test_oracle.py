@@ -73,6 +73,10 @@ class TestOptimalStaticBstCost:
         with pytest.raises(ConfigError):
             optimal_static_bst_cost([1] * 2001)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigError, match="^frequencies must be non-negative$"):
+            optimal_static_bst_cost([3, -1, 2])
+
 
 class TestAnalyticExpectedDepth:
     def test_small_closed_forms(self):

@@ -83,6 +83,10 @@ class TestRawScorePriority:
     def test_deterministic(self):
         assert raw_score_priority(0.3) == raw_score_priority(0.3)
 
+    def test_zero_score_rejected(self):
+        with pytest.raises(ValueError, match=r"^score must be a positive finite number, got 0\.0$"):
+            raw_score_priority(0.0)
+
     def test_linear_distribution_builds_a_chain(self):
         n = 4
         p = [2 * (n - x + 1) / (n * (n + 1)) for x in range(1, n + 1)]

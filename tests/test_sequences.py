@@ -107,6 +107,10 @@ class TestGenSequence:
         with pytest.raises(ConfigError):
             gen_sequence(TraceSpec("uniform", n=4, m=0))
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown sequence family 'no-such-family'$"):
+            gen_sequence(TraceSpec("no-such-family", n=4, m=8))
+
 
 class TestAccessSequenceType:
     def test_key_bounds_checked(self):

@@ -775,6 +775,16 @@ def test_entry_points_reject_offsets_outside_open_interval(entry, offset):
     assert t.validate() is None
 
 
+def test_empty_universe_rejected():
+    with pytest.raises(ValueError, match="^universe size must be >= 1, got 0$"):
+        Treap(0)
+
+
+def test_build_arrays_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="^tiers and offsets must have equal length$"):
+        Treap.build_arrays([0, 0, 0], [0.25, 0.5])
+
+
 @pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, math.inf, -0.25])
 @pytest.mark.parametrize("key", [1, 4, 7])
 def test_build_arrays_names_the_key_of_a_bad_offset(key, bad):
