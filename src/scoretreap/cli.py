@@ -324,7 +324,7 @@ def cmd_interval_set(p: dict, seed: int, trials: int) -> dict:
     for rel in p["eps"]:
         target = rel * m / n
         pred = truth if target == 0 else noisy_scores(
-            truth, target, random.Random(seed * 31 + int(rel * 1000)), lo=0.0, hi=float(n))
+            truth, target, random.Random(seed * 31 + int(rel * 1000)), hi=float(n))
         noisy_run = run_dynamic(zipf, "future-ws-noisy", structure, B=B,
                                 rng=RandomStream(seed).spawn(91), stats=stz,
                                 predicted_scores=pred)
@@ -427,13 +427,24 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
     except AssertionError:
         ok = False
     checks["isp_norm_and_unit_updates"] = ok
+    # the crude oracle against a literal move-to-front list, where a key's
+    # exact work w is its index: after every step the score s that the rows
+    # last gave each seen key (n before any) must lie in the two-sided band
+    # log2(w + 1) <= log2(s + 1) <= 2 log2(w + 1) + 1, i.e. w <= s < 2 (w + 1)^2,
+    # so a wrong or missing row leaves a stale score that fails it
     oracle = CrudeOracle(n)
+    front: list[int] = []
+    score: dict[int, int] = {}
     ok = True
     for x in seq.items:
         U = oracle.step(x)
+        if x in front:
+            front.remove(x)
+        front.insert(0, x)
+        score.update(U)
         ok = (len(U) <= math.floor(math.log2(n)) + 1
-              and all(math.log2(w + 1) <= math.log2(sc + 1) <= 2 * math.log2(w + 1) + 1
-                      for _item, sc, w in U[1:])
+              and all(w <= s < 2 * (w + 1) ** 2
+                      for w, s in enumerate(map(score.get, front, repeat(n))))
               and oracle.validate() is None)
         if not ok:
             break

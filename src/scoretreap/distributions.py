@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
+_LN2 = math.log(2.0)
 
 
 class Distribution:
@@ -41,8 +42,8 @@ class Distribution:
             raise ValueError(f"masses sum to {total!r}, expected 1 within {_SUM_TOL}")
         self._p = vals
         self.n = n
-        # ``perturb``'s mixture-walk outcomes, by (measure, eps, floor)
-        self._mixture_walks: dict[tuple[str, float, float], Distribution | float | None] = {}
+        # ``perturb``'s mixture-walk outcomes, by (measure, eps)
+        self._mixture_walks: dict[tuple[str, float], Distribution | float | None] = {}
 
     def __getitem__(self, key: int) -> float:
         if not 1 <= key <= self.n:
@@ -76,35 +77,32 @@ def _check_pair(p: Distribution, q: Distribution) -> None:
         raise ValueError(f"length mismatch: {p.n} vs {q.n}")
 
 
-def entropy(p: Distribution, base: float = 2.0) -> float:
-    """Shannon entropy; zero-mass terms contribute nothing."""
-    lb = math.log(base)
-    return -math.fsum(v * math.log(v) / lb for v in p.masses() if v > 0.0)
+def entropy(p: Distribution) -> float:
+    """Shannon entropy in bits; zero-mass terms contribute nothing."""
+    return -math.fsum(v * math.log(v) / _LN2 for v in p.masses() if v > 0.0)
 
 
-def cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
-    """``-sum p_x log q_x``; infinite-support mismatches are an error."""
+def cross_entropy(p: Distribution, q: Distribution) -> float:
+    """``-sum p_x log2 q_x``; infinite-support mismatches are an error."""
     _check_pair(p, q)
-    lb = math.log(base)
     out = 0.0
     for pv, qv in zip(p.masses(), q.masses()):
         if pv > 0.0:
             if qv <= 0.0:
                 raise ValueError("cross entropy undefined: prediction drops supported mass")
-            out -= pv * math.log(qv) / lb
+            out -= pv * math.log(qv) / _LN2
     return out
 
 
-def kl(p: Distribution, q: Distribution, base: float = math.e) -> float:
-    """Relative entropy (defaults to nats); equals cross_entropy - entropy."""
+def kl(p: Distribution, q: Distribution) -> float:
+    """Relative entropy in nats; equals ln 2 (cross_entropy - entropy)."""
     _check_pair(p, q)
-    lb = math.log(base)
     out = 0.0
     for pv, qv in zip(p.masses(), q.masses()):
         if pv > 0.0:
             if qv <= 0.0:
                 raise ValueError("kl undefined: prediction drops supported mass")
-            out += pv * math.log(pv / qv) / lb
+            out += pv * math.log(pv / qv)
     if out < -1e-12:
         raise AssertionError(f"kl came out negative: {out}")
     return max(out, 0.0)
@@ -200,7 +198,6 @@ def perturb(
     measure: str,
     eps: float,
     rng: random.Random | None = None,
-    floor: float | None = None,
 ) -> Distribution:
     """Construct ``q`` with the requested divergence from ``p``.
 
@@ -208,19 +205,19 @@ def perturb(
     acceptance band [0.8*eps, 1.2*eps]).  Two monotone families are tried: a
     mixture walk toward the uniform distribution, and -- when that cannot
     reach the target, e.g. for ``p`` uniform -- an exponential tilt along a
-    random +/-1 direction.  A ``floor`` (default ``1/(100 n^2)``) keeps every
-    mass polynomially bounded away from zero.
+    random +/-1 direction.  Every mass of ``q`` is clipped up to the floor
+    ``1/(100 n^2)`` before renormalising, which keeps it polynomially bounded
+    away from zero.
 
     The mixture walk draws nothing at random, so its outcome (the accepted
     ``q``, or the value it reached) is remembered on ``p`` per
-    ``(measure, eps, floor)``; a repeat call returns the same ``q`` object.
+    ``(measure, eps)``; a repeat call returns the same ``q`` object.
     Only the tilt consults ``rng``, but every call with ``eps > 0`` first
     draws its n directions, so a shared ``rng`` advances by n draws whichever
     family answers.
     """
     n = p.n
-    if floor is None:
-        floor = 1.0 / (100.0 * n * n)
+    floor = 1.0 / (100.0 * n * n)
     if measure not in MEASURES:
         raise ValueError(f"unknown error measure {measure!r}")
     if eps < 0:
@@ -241,7 +238,7 @@ def perturb(
         return Distribution(_apply_floor([v / total for v in vals], floor))
 
     walks = p._mixture_walks
-    key = (measure, eps, floor)
+    key = (measure, eps)
     if key not in walks:
         walks[key] = _walk(p, mixture, 1.0, measure, eps)
     mixed = walks[key]
@@ -266,14 +263,14 @@ def noisy_scores(
     scores: Sequence[float],
     target: float,
     rng: random.Random | None = None,
-    lo: float = 0.0,
-    hi: float | None = None,
+    *,
+    hi: float,
 ) -> list[float]:
     """Perturb nonnegative scores to a summed absolute error near ``target``.
 
     Draws one uniform direction per entry and bisects a common amplitude
     until mae(scores, result) lands within 10% of the target (clamping to
-    [lo, hi] is folded into the search).  target = 0 returns the scores
+    [0, hi] is folded into the search).  target = 0 returns the scores
     unchanged.
     """
     if target < 0:
@@ -288,9 +285,9 @@ def noisy_scores(
         out = []
         for s, d in zip(base, dirs):
             v = s + c * d
-            if v < lo:
-                v = lo
-            if hi is not None and v > hi:
+            if v < 0.0:
+                v = 0.0
+            if v > hi:
                 v = hi
             out.append(v)
         return out

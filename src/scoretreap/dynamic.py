@@ -139,11 +139,12 @@ class CrudeOracle:
         self.seen = 0
         self.at: list[int] = []
 
-    def step(self, key: int) -> list[tuple[int, int, int]]:
-        """Serve ``key``; returns U_i as (item, new score, exact work) rows.
+    def step(self, key: int) -> list[tuple[int, int]]:
+        """Serve ``key``; returns U_i as (item, new score) rows.
 
-        The served item always appears first; the rest are the items whose
-        rank stepped over a power of two (one per boundary at most).
+        The served item always appears first, with score 0; the rest are the
+        items whose rank stepped over a power of two, one per boundary at
+        most: the item now at rank 2^j + 1 (work 2^j) gets score 2^(j+1) - 1.
         """
         if not 1 <= key <= self.n:
             raise KeyError(key)
@@ -153,14 +154,14 @@ class CrudeOracle:
         if first:
             c = self.seen.bit_length()
         elif c == 0:  # already at the front
-            return [(key, 0, 0)]
+            return [(key, 0)]
         elif c < len(at) and at[c] == key:  # key sits on boundary 2^c
             at[c] = prev[key]
-        out = [(key, 0, 0)]
+        out = [(key, 0)]
         for j in range(c):
             item = at[j]
             band[item] = j + 1
-            out.append((item, (2 << j) - 1, 1 << j))
+            out.append((item, (2 << j) - 1))
             at[j] = prev[item]
         band[key] = 0
         if first:
@@ -386,7 +387,7 @@ def run_dynamic(
                 _check_norm(norm, True)
         elif oracle is not None:  # the crude scheme re-weights every row it is given
             rows = oracle.step(x)
-            for item, s, _w in rows:
+            for item, s in rows:
                 w_new, lw, tier = memo.get(s) or score_row(s)
                 ucost, rcost = do_update(item, tier)
                 update_cost += ucost
@@ -406,15 +407,11 @@ def run_dynamic(
         update_events=update_events, steps=steps)
 
 
-def cost_decomposition_check(
-    breakdown: CostBreakdown,
-    factor: float = 8.0,
-    additive: float | None = None,
-) -> dict:
+def cost_decomposition_check(breakdown: CostBreakdown) -> dict:
     """Compare measured total cost against the weight-trajectory bound.
 
-    The bound is factor * (n log_b n + sum log_b(1/w at access) + total
-    L1 shift of log_b weights) + additive, with b the structure's cost base.
+    The bound is 8 (n log_b n + sum log_b(1/w at access) + total L1 shift
+    of log_b weights) + 8n, with b the structure's cost base.
     """
     b = breakdown.base
     lb = math.log(b)
@@ -425,15 +422,13 @@ def cost_decomposition_check(
         "weight_shift": breakdown.shift_l1_nat / lb,
     }
     rhs = sum(rhs_terms.values())
-    additive = factor * n if additive is None else additive
+    budget = 8.0 * rhs + 8.0 * n
     lhs = breakdown.total_cost
     return {
         "lhs": lhs,
         "rhs": rhs,
         "rhs_terms": rhs_terms,
-        "factor": factor,
-        "additive": additive,
-        "budget": factor * rhs + additive,
+        "budget": budget,
         "ratio": lhs / rhs if rhs > 0 else math.inf,
-        "ok": lhs <= factor * rhs + additive,
+        "ok": lhs <= budget,
     }

@@ -45,26 +45,22 @@ def _mix64(z: int) -> int:
 class RandomStream:
     """Seeded stream of uniform offsets in the open interval (0, 1).
 
-    Draw ``k`` of a stream is a deterministic function of the seed, and the
-    ``counter`` attribute records how many draws were taken, so two streams
-    with equal seeds produce identical offsets at identical counters.
+    Draw ``k`` of a stream is a deterministic function of the seed, so two
+    streams with equal seeds produce identical offsets draw for draw.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self.counter = 0
         self._rng = random.Random(self.seed)
 
     def next_offset(self) -> float:
-        self.counter += 1
         u = self._rng.random()
         while u <= 0.0:  # random() yields [0, 1); keep the interval open
             u = self._rng.random()
         return u
 
     def offsets(self, k: int) -> list[float]:
-        """``k`` offsets: the values and ``counter`` of ``k`` calls of ``next_offset``."""
-        self.counter += k
+        """``k`` offsets: the values and the draws of ``k`` calls of ``next_offset``."""
         draw = random.Random.random  # mapped over repeat(): no Python frame per draw
         out = list(map(draw, repeat(self._rng, k)))
         while 0.0 in out:  # drop the zero draws, in order, and draw the shortfall

@@ -207,8 +207,6 @@ class Treap:
             key = parent[key]
         return d
 
-    depth = access
-
     def depths(self) -> list[int]:
         """Depth of every key in one traversal, as a list indexed by key.
 

@@ -135,16 +135,24 @@ class TestPlumbing:
             assert [k for k, ok in summary["checks"].items() if not ok] == [
                 "isp_norm_and_unit_updates"], seed
 
-    @pytest.mark.parametrize("fault", ["score below band", "rows twice"])
+    @pytest.mark.parametrize("fault", ["score below band", "rows twice",
+                                       "item one place nearer the front", "last row dropped"])
     def test_validate_fails_on_a_wrong_crude_update_set(self, tmp_path, monkeypatch, fault):
+        """The last two faults give each row the score that is right for the
+        rank it names, so only a check of every key against its exact work
+        sees that the item that crossed the boundary kept its old score."""
         real_step = CrudeOracle.step
 
         def bad_step(self, key):
             head, *rows = real_step(self, key)
             if fault == "rows twice":  # over floor(log2 n) + 1 rows once 4 boundaries move
                 return [head] + rows + rows
+            if fault == "last row dropped":
+                return [head] + rows[:-1]
+            if fault == "item one place nearer the front":  # rank 2^j, not 2^j + 1
+                return [head] + [(self.prev[item], s) for item, s in rows]
             # the refreshed rows lose the top bit of their rounded score
-            return [head] + [(item, s >> 1, w) for item, s, w in rows]
+            return [head] + [(item, s >> 1) for item, s in rows]
 
         monkeypatch.setattr(CrudeOracle, "step", bad_step)
         assert self.failing_checks(tmp_path) == ["crude_band_and_volume"]
@@ -415,6 +423,22 @@ class TestExperiments:
         assert s["measured_cost"] >= s["dp_opt"] > 0
         assert s["ratio"] == pytest.approx(s["measured_cost"] / s["dp_opt"])
         assert s["entropy_bound"] >= s["entropy_bits"]
+
+    @pytest.mark.parametrize("doctored", ["dp_opt", "entropy"])
+    def test_static_opt_checks_can_fail(self, tmp_path, monkeypatch, doctored):
+        """A DP optimum a tenth of the real one puts the measured cost past
+        4x it (the ratio is about 1.5), and a zero entropy leaves only the
+        4n term of the entropy bound; each fails its own check alone, and the
+        command exits 1."""
+        if doctored == "dp_opt":
+            real_opt = cli.optimal_static_bst_cost
+            monkeypatch.setattr(cli, "optimal_static_bst_cost", lambda freqs: real_opt(freqs) / 10)
+        else:
+            monkeypatch.setattr(cli, "entropy", lambda dist: 0.0)
+        code, s, _ = run_cli(tmp_path, "static-opt", "n = 64\nm = 2000\n", trials=3)
+        assert code == 1 and s["all_passed"] is False
+        assert s["checks"] == {"cost_le_4x_dp_opt": doctored != "dp_opt",
+                               "cost_le_entropy_bound": doctored != "entropy"}
 
     def test_robustness_points(self, tmp_path):
         code, s, _ = run_cli(tmp_path, "robustness",

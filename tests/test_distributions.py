@@ -52,17 +52,13 @@ class TestEntropy:
         assert entropy(Distribution([1.0, 0.0])) == 0.0
         assert entropy(Distribution.uniform(8)) == pytest.approx(3.0)
 
-    def test_base_parameter(self):
-        d = Distribution.uniform(8)
-        assert entropy(d, base=math.e) == pytest.approx(3.0 * math.log(2.0))
-
 
 class TestCrossEntropyAndKl:
     def test_point_mass_example(self):
         p = Distribution([1.0, 0.0])
         q = Distribution([0.5, 0.5])
         assert cross_entropy(p, q) == pytest.approx(1.0)
-        assert kl(p, q, base=2.0) == pytest.approx(1.0)
+        assert kl(p, q) == pytest.approx(math.log(2.0))  # nats: one bit
 
     def test_kl_of_identical_is_zero(self, py_rng):
         for _ in range(30):
@@ -72,9 +68,9 @@ class TestCrossEntropyAndKl:
     def test_kl_nonnegative_and_decomposes(self, py_rng):
         for _ in range(200):
             p, q = random_pair(py_rng, py_rng.randint(2, 40))
-            d = kl(p, q, base=2.0)
+            d = kl(p, q)
             assert d >= -1e-12
-            assert d == pytest.approx(cross_entropy(p, q) - entropy(p), abs=1e-9)
+            assert d / math.log(2.0) == pytest.approx(cross_entropy(p, q) - entropy(p), abs=1e-9)
 
     def test_support_violation_is_an_error(self):
         p = Distribution([0.5, 0.5])
@@ -158,7 +154,7 @@ class TestPerturb:
 
     def test_floor_keeps_masses_positive(self, py_rng):
         p = Distribution(random_distribution(py_rng, 64, skew=6.0))
-        q = perturb(p, "kl", 1.0, rng=random.Random(8), floor=1e-6)
+        q = perturb(p, "kl", 1.0, rng=random.Random(8))
         assert min(q.masses()) > 0.0
 
     def test_infeasible_target_rejected(self):
@@ -178,12 +174,11 @@ class TestPerturb:
         assert 0.09 <= error_measures(p, q)["tv"] <= 0.11
 
 
-def _perturb_80_steps(p, measure, eps, rng, floor=None):
+def _perturb_80_steps(p, measure, eps, rng):
     """``perturb`` as it was before its bisection stopped at a fixed point:
     always 80 steps per family."""
     n = p.n
-    if floor is None:
-        floor = 1.0 / (100.0 * n * n)
+    floor = 1.0 / (100.0 * n * n)
 
     def measure_of(q):
         return kl(p, q) if measure == "kl" else error_measures(p, q)[measure]
@@ -250,13 +245,12 @@ class TestPerturbEarlyStop:
         assert len(calls) < 80
 
 
-def _perturb_unremembered(p, measure, eps, rng=None, floor=None):
+def _perturb_unremembered(p, measure, eps, rng=None):
     """``perturb`` as it was before it remembered its mixture walk on ``p``:
     the eager direction draw, the ``uni`` list, the ``max`` clip and the
     two-family loop, run afresh on every call."""
     n = p.n
-    if floor is None:
-        floor = 1.0 / (100.0 * n * n)
+    floor = 1.0 / (100.0 * n * n)
     if eps == 0.0:
         return Distribution(p.masses())
     rng = rng or random.Random(0)
@@ -316,9 +310,9 @@ def _zipf(n):
 
 
 class TestPerturbRemembersTheMixtureWalk:
-    """``perturb`` runs its rng-free mixture walk once per (p, measure, eps,
-    floor); every call must still return what a fresh walk returns, and
-    advance its ``rng`` exactly as before."""
+    """``perturb`` runs its rng-free mixture walk once per (p, measure, eps);
+    every call must still return what a fresh walk returns, and advance its
+    ``rng`` exactly as before."""
 
     TARGETS = {"kl": (0.5, 0.2), "tv": (0.1, 0.2), "l2": (0.02, 0.01),
                "linf": (0.002, 0.001), "chi2": (0.3, 0.6), "hellinger": (0.1, 0.05)}
@@ -378,8 +372,8 @@ class TestPerturbRemembersTheMixtureWalk:
         assert walked > 0
         assert perturb(p, "kl", 0.5, rng=random.Random(2)) is first
         assert len(calls) == walked
-        # a new floor is a new walk
-        perturb(p, "kl", 0.5, rng=random.Random(2), floor=1e-7)
+        # a new target is a new walk
+        perturb(p, "kl", 0.4, rng=random.Random(2))
         assert len(calls) > walked
 
 
@@ -441,19 +435,19 @@ class TestNoisyScores:
         calls = []
         inner = distributions.mae
         monkeypatch.setattr(distributions, "mae", lambda *a: calls.append(a) or inner(*a))
-        got = noisy_scores(scores, target, rng=random.Random(17), lo=0.0, hi=64.0)
+        got = noisy_scores(scores, target, rng=random.Random(17), hi=64.0)
         assert got == want
         # the stop fired: fewer passes than the 80 bisection steps alone
         assert len(calls) < 80
 
     def test_zero_target_is_identity(self, py_rng):
         scores = [float(py_rng.randint(0, 9)) for _ in range(30)]
-        assert noisy_scores(scores, 0.0) == scores
+        assert noisy_scores(scores, 0.0, hi=9.0) == scores
 
     def test_hits_target_within_ten_percent(self, py_rng):
         scores = [float(py_rng.randint(0, 64)) for _ in range(400)]
         for target in (5.0, 40.0, 200.0):
-            noisy = noisy_scores(scores, target, rng=random.Random(17), lo=0.0, hi=64.0)
+            noisy = noisy_scores(scores, target, rng=random.Random(17), hi=64.0)
             got = mae(scores, noisy)
             assert 0.9 * target <= got <= 1.1 * target
             assert all(0.0 <= v <= 64.0 for v in noisy)

@@ -66,7 +66,7 @@ class TestOptimalStaticBstCost:
             opt = optimal_static_bst_cost(freqs)
             rng = RandomStream(py_rng.randint(0, 10**6))
             t = Treap.build_arrays([0] * n, [rng.next_offset() for _ in range(n)])
-            cost = sum(f * d for f, d in zip(freqs, [t.depth(k) for k in range(1, n + 1)]))
+            cost = sum(f * d for f, d in zip(freqs, [t.access(k) for k in range(1, n + 1)]))
             assert cost >= opt
 
     def test_size_limit_guard(self):
@@ -107,7 +107,7 @@ class TestAnalyticExpectedDepth:
             for perm in itertools.permutations(range(n)):
                 offs = [(p + 1) / (n + 1) for p in perm]
                 t = Treap.build_arrays([0] * n, offs)
-                total += t.depth(x)
+                total += t.access(x)
                 count += 1
             assert total / count == pytest.approx(analytic_expected_depth(x, n))
 

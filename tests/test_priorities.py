@@ -45,7 +45,7 @@ class TestCompositePriority:
     def test_empty_weights_draw_nothing(self, stream):
         assert composite_priority([], stream) == ([], [])
         assert single_log_priority([], stream) == ([], [])
-        assert stream.counter == 0
+        assert stream._rng.getstate() == RandomStream(stream.seed)._rng.getstate()
 
 
 class TestBlockTier:
@@ -93,15 +93,15 @@ class TestRawScorePriority:
         assert p == [0.4, 0.3, 0.2, 0.1]
         t = Treap.build({x: raw_score_priority(p[x - 1]) for x in range(1, n + 1)})
         for x in range(1, n + 1):
-            assert t.depth(x) == x
-        expected_access = sum(p[x - 1] * t.depth(x) for x in range(1, n + 1))
+            assert t.access(x) == x
+        expected_access = sum(p[x - 1] * t.access(x) for x in range(1, n + 1))
         assert expected_access == pytest.approx(2.0)
 
     def test_uniform_scores_chain_through_key_tiebreak(self):
         n = 6
         t = Treap.build({x: raw_score_priority(1 / n) for x in range(1, n + 1)})
         for x in range(1, n + 1):
-            assert t.depth(x) == x
+            assert t.access(x) == x
 
     def test_priority_order_follows_score_order(self, py_rng):
         for _ in range(200):
@@ -166,14 +166,15 @@ class TestDeterminism:
         assert draw(42) == draw(42)
         assert draw(42) != draw(43)
 
-    def test_stream_counter_tracks_draws(self):
-        rng = RandomStream(7)
-        assert rng.counter == 0
+    def test_rules_draw_one_offset_per_weight(self):
+        rng, ref = RandomStream(7), RandomStream(7)
         rng.next_offset()
         composite_priority([0.1], rng)
-        assert rng.counter == 2
+        ref.next_offset(), ref.next_offset()
+        assert rng._rng.getstate() == ref._rng.getstate()
         single_log_priority([0.1, 0.2, 0.1], rng)
-        assert rng.counter == 5
+        ref.next_offset(), ref.next_offset(), ref.next_offset()
+        assert rng._rng.getstate() == ref._rng.getstate()
 
     def test_spawned_streams_deterministic_and_distinct(self):
         base = RandomStream(11)
@@ -218,7 +219,6 @@ class TestOffsets:
         offs = got.offsets(self.K)
         assert offs == [ref.next_offset() for _ in range(self.K)]
         assert 0.0 not in offs
-        assert got.counter == ref.counter == self.K
         # both consumed the same raw draws: the next one agrees
         assert got.next_offset() == ref.next_offset()
 
@@ -238,13 +238,13 @@ class TestOffsets:
         got, ref = RandomStream(2024), RandomStream(2024)
         got.next_offset(), ref.next_offset()
         assert got.offsets(1000) == [ref.next_offset() for _ in range(1000)]
-        assert got.counter == ref.counter == 1001
+        assert got._rng.getstate() == ref._rng.getstate()
         assert drawn[got._rng] == drawn[ref._rng] == 1001 + len(zeros)
         assert got.next_offset() == ref.next_offset()
 
     def test_zero_offsets(self, stream):
         assert stream.offsets(0) == []
-        assert stream.counter == 0
+        assert stream._rng.getstate() == RandomStream(stream.seed)._rng.getstate()
 
 
 class TestRulesMatchPerKeyReference:
@@ -262,7 +262,7 @@ class TestRulesMatchPerKeyReference:
         tiers, offsets = rule(weights, got)
         assert tiers == [tier_of(w) for w in weights]
         assert offsets == [ref.next_offset() for _ in weights]
-        assert got.counter == ref.counter
+        assert got._rng.getstate() == ref._rng.getstate()
 
 
 class TestEmpiricalDepthBound:

@@ -41,14 +41,14 @@ class TestBuild:
         t = Treap.build({1: (0, 0.5)})
         assert t.root == 1
         assert t.size == 1
-        assert t.depth(1) == 1
+        assert t.access(1) == 1
 
     def test_decreasing_priorities_make_a_right_chain(self):
         n = 12
         pris = {k: (0, 1.0 - k / (n + 1)) for k in range(1, n + 1)}
         t = Treap.build(pris)
         for k in range(1, n + 1):
-            assert t.depth(k) == k
+            assert t.access(k) == k
             assert t.left_of(k) == 0
 
     def test_build_matches_naive_depths(self, py_rng):
@@ -71,7 +71,7 @@ class TestBuild:
         pris = {1: (2, 0.25), 2: (2, 0.25), 3: (2, 0.25)}
         t = Treap.build(pris)
         assert t.root == 1
-        assert t.depth(1) == 1 and t.depth(2) == 2 and t.depth(3) == 3
+        assert t.access(1) == 1 and t.access(2) == 2 and t.access(3) == 3
 
 
 def reference_sweep(self: Treap, keys) -> None:
@@ -232,11 +232,11 @@ class TestInsertDelete:
             rest = {k: p for k, p in pris.items() if k != key}
             low, real = Treap.build(rest, n), Treap.build(rest, n)
             assert low.insert(key, 4, 0.5) == 0
-            leaf_depth = low.depth(key)
+            leaf_depth = low.access(key)
             rot = real.insert(key, *pris[key])
             assert rot == reference_update_priority(low, key, *pris[key])
             assert arrays(real) == arrays(low)
-            assert rot == leaf_depth - real.depth(key)
+            assert rot == leaf_depth - real.access(key)
             assert real.validate() is None
 
     def test_delete_rotations_equal_sink_to_leaf(self, py_rng):
@@ -282,7 +282,7 @@ class TestInsertDelete:
 
     def test_absent_key_operations_raise(self):
         t = Treap.build(THREE)
-        for op in (t.delete, t.access, t.depth):
+        for op in (t.delete, t.access):
             with pytest.raises(KeyError):
                 op(9)
         with pytest.raises(KeyError):
@@ -319,7 +319,8 @@ class TestAccess:
     def test_access_accumulates_nodes_touched(self):
         t = Treap.build(THREE)
         total = t.access(2) + t.access(1) + t.access(3)
-        assert total == t.depth(2) + t.depth(1) + t.depth(3) == 3 + 1 + 2
+        depth = t.depths()
+        assert total == depth[2] + depth[1] + depth[3] == 3 + 1 + 2
 
     def test_access_cost_equals_depth(self, py_rng):
         for _ in range(30):
@@ -327,7 +328,7 @@ class TestAccess:
             t = Treap.build(random_priorities(py_rng, n))
             want = [descent(t, k) for k in range(1, n + 1)]
             assert [t.access(k) for k in range(1, n + 1)] == want
-            assert [t.depth(k) for k in range(1, n + 1)] == want
+            assert t.depths()[1:] == want
 
     def test_access_matches_naive_depths_and_descent_through_churn(self, py_rng):
         # the count walks parent links, so it is checked after updates,
@@ -393,9 +394,9 @@ class TestUpdatePriority:
             n = py_rng.randint(2, 8)
             t = Treap.build(random_priorities(py_rng, n))
             k = py_rng.randint(1, n)
-            before = t.depth(k)
+            before = t.access(k)
             rot = t.update_priority(k, py_rng.randint(0, 3), py_rng.random())
-            assert rot == abs(before - t.depth(k))
+            assert rot == abs(before - t.access(k))
 
 
 def rotate_up(t: Treap, x: int) -> None:
