@@ -22,7 +22,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from operator import mul
 
 from .distributions import MEASURES, cross_entropy, entropy, kl, noisy_scores, perturb
@@ -289,8 +289,9 @@ def cmd_working_set(p: dict, seed: int, trials: int) -> dict:
                         stats=stats, keep_steps=p["trace"] and t == 0)
             for t in range(trials)]
     base = runs[0].base
+    log_of = [math.log(w + 1, base) for w in range(n + 1)]
     bound = p["factor"] * (n * math.log(n, base) +
-                           sum(map(math.log, [w + 1 for w in stats.work[1:]], repeat(base))))
+                           sum(map(log_of.__getitem__, islice(stats.work, 1, None))))
     mean_total = sum(r.total_cost for r in runs) / trials
     checks = {"cost_le_working_set_bound": mean_total <= bound}
     return {

@@ -197,7 +197,7 @@ def perturb(
     p: Distribution,
     measure: str,
     eps: float,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> Distribution:
     """Construct ``q`` with the requested divergence from ``p``.
 
@@ -224,7 +224,6 @@ def perturb(
         raise ValueError(f"target must be non-negative, got {eps}")
     if eps == 0.0:
         return Distribution(p.masses())
-    rng = rng or random.Random(0)
     base = p.masses()
     direction = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(n)]
 
@@ -262,7 +261,7 @@ def mae(truth: Sequence[float], predicted: Sequence[float]) -> float:
 def noisy_scores(
     scores: Sequence[float],
     target: float,
-    rng: random.Random | None = None,
+    rng: random.Random,
     *,
     hi: float,
 ) -> list[float]:
@@ -278,7 +277,6 @@ def noisy_scores(
     base = [float(s) for s in scores]
     if target == 0 or not base:
         return base
-    rng = rng if rng is not None else random.Random(0)
     dirs = [rng.uniform(-1.0, 1.0) for _ in base]
 
     def apply(c: float) -> list[float]:

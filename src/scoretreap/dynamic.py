@@ -1,9 +1,9 @@
 """Time-varying scores over an access sequence.
 
 ``compute_stats`` extracts, in one sweep that counts marked access times in
-a byte array and in per-block sums, the per-step backward working-set size,
-the forward (next-access) counterpart, and the between-occurrences interval
-size.  On top of those:
+a byte array and in per-block sums, the per-step backward working-set size
+and its forward (next-access) counterpart; the between-occurrences interval
+size is built from the forward one on first read.  On top of those:
 
 * ``CrudeOracle`` -- a move-to-front list with one pointer per power-of-two
   rank boundary; scores rounded to the next power of two, refreshed only for
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .em import DetScoreForest, RankForest, TierForestBTreap
@@ -53,25 +54,34 @@ class SequenceStats:
     item's next access (n when it never reappears); by construction
     ``future`` at one occurrence equals ``work`` at the next.
     ``interval[i]`` is the served item's between-occurrences interval size,
-    window closed at the next access (n when it never reappears).
+    window closed at the next access (n when it never reappears).  One sweep
+    yields ``work`` and ``future``; ``interval`` is built from ``future`` on
+    first read and the same list is returned after that.
     """
 
     n: int
     m: int
     work: list[int]
     future: list[int]
-    interval: list[int]
+
+    @cached_property
+    def interval(self) -> list[int]:
+        # the window also holds the access that closes it; future is at most
+        # n - 1 when the item reappears
+        n = self.n
+        return [0] + [f + 1 if f < n else n for f in self.future[1:]]
 
 
 def compute_stats(seq: AccessSequence) -> SequenceStats:
     n, m, items = seq.n, seq.m, seq.items
-    nxt = [m + 1] * (m + 1)
     work = [0] + [n] * m
+    future = [0] + [n] * m
     last = [0] * (n + 1)
     # marks[t] is 1 while time t is the latest access of its key, so the
-    # marks after x's previous access p are the distinct keys served since;
-    # count[b] sums the marks of block b, times b*2^sh .. (b+1)*2^sh - 1, about
-    # sqrt(m) blocks in all.  No time at or after i is marked yet, so the
+    # marks after x's previous access p are the distinct keys served since:
+    # work at i, and future at p (future at one occurrence is work at the
+    # next).  count[b] sums the marks of block b, times b*2^sh .. (b+1)*2^sh - 1,
+    # about sqrt(m) blocks in all.  No time at or after i is marked yet, so the
     # marks after p are the marks from p + 1 to the end of i's block, or all
     # ``seen`` marks less those up to p: count whichever side spans fewer
     # blocks.
@@ -82,14 +92,14 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
     for i, x in enumerate(items, start=1):
         p = last[x]
         if p:
-            nxt[p] = i
             bp, bi = p >> sh, i >> sh
             if bp == bi:
-                work[i] = marks.count(1, p + 1, i)
+                w = marks.count(1, p + 1, i)
             elif bi - bp <= bp:
-                work[i] = marks.count(1, p + 1, (bp + 1) << sh) + sum(count[bp + 1:bi + 1])
+                w = marks.count(1, p + 1, (bp + 1) << sh) + sum(count[bp + 1:bi + 1])
             else:
-                work[i] = seen - sum(count[:bp]) - marks.count(1, bp << sh, p + 1)
+                w = seen - sum(count[:bp]) - marks.count(1, bp << sh, p + 1)
+            work[i] = future[p] = w
             marks[p] = 0
             count[bp] -= 1
         else:
@@ -97,11 +107,7 @@ def compute_stats(seq: AccessSequence) -> SequenceStats:
         last[x] = i
         marks[i] = 1
         count[i >> sh] += 1
-    # future at one occurrence is work at the next; the interval window also
-    # holds the access that closes it
-    future = [0] + [work[j] if j <= m else n for j in nxt[1:]]
-    interval = [0] + [work[j] + 1 if j <= m else n for j in nxt[1:]]
-    return SequenceStats(n=n, m=m, work=work, future=future, interval=interval)
+    return SequenceStats(n=n, m=m, work=work, future=future)
 
 
 def _check_norm(norm: float, steady: bool) -> None:
@@ -266,7 +272,8 @@ def run_dynamic(
     scheme: str,
     structure: str,
     B: int | None = None,
-    rng: RandomStream | None = None,
+    *,
+    rng: RandomStream,
     predicted_scores: Sequence[float] | None = None,
     stats: SequenceStats | None = None,
     keep_steps: bool = False,
@@ -295,7 +302,6 @@ def run_dynamic(
         raise ConfigError(f"unknown structure {structure!r}")
     if structure != "treap" and B is None:
         raise ConfigError(f"structure {structure} needs a block fanout B")
-    rng = rng if rng is not None else RandomStream(0)
     n, m = seq.n, seq.m
     needs_stats = scheme in ("interval-set", "future-ws-exact", "future-ws-noisy") or keep_steps
     if needs_stats and stats is None:

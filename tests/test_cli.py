@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -529,15 +530,17 @@ class TestExperiments:
         assert header == "i,key,cost,update_set_size,work,interval,future"
         assert len((out / "steps.csv").read_text().splitlines()) == 1501
 
+    @pytest.mark.parametrize("family", ["zipf", "round-robin"])
     @pytest.mark.parametrize("structure, base", [("treap", 2.0), ("det-forest", 16.0)])
-    def test_working_set_bound_is_the_literal_log_sum(self, tmp_path, structure, base):
+    def test_working_set_bound_is_the_literal_log_sum(self, tmp_path, structure, base, family):
         # bit for bit: the same log calls added in the same order
         n, m, seed = 64, 1500, 3
         _, s, _ = run_cli(tmp_path, "working-set",
-                          f"n = {n}\nm = {m}\nstructure = {structure}\n", seed=seed, trials=1)
-        st = compute_stats(gen_sequence(TraceSpec("zipf", n=n, m=m, seed=seed, s=1.0)))
+                          f"n = {n}\nm = {m}\nstructure = {structure}\nfamily = {family}\n",
+                          seed=seed, trials=1)
+        st = compute_stats(gen_sequence(TraceSpec(family, n=n, m=m, seed=seed, s=1.0)))
         want = 8.0 * (n * math.log(n, base) +
-                      sum(math.log(st.work[i] + 1, base) for i in range(1, m + 1)))
+                      sum(map(math.log, [w + 1 for w in st.work[1:]], repeat(base))))
         assert s["working_set_bound"] == want
 
     def test_working_set_bound_can_fail(self, tmp_path):

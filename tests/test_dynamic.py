@@ -13,6 +13,7 @@ import collections
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -106,6 +107,32 @@ class TestComputeStats:
             else:
                 assert st.work[i] == seq.n, i
             front.insert(0, x)
+
+    def test_sweep_keeps_no_per_access_temporaries(self):
+        # work and future are 8 B per access each; next-access times or a
+        # stored interval list would add at least 8 more, and separate ints
+        # for the large ones about 36
+        seq = gen_sequence(TraceSpec("zipf", n=4096, m=100_000, seed=0))
+        tracemalloc.start()
+        try:
+            st = compute_stats(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / seq.m < 40
+        assert "interval" not in vars(st)
+        run_dynamic(seq, "future-ws-exact", "treap", rng=RandomStream(0), stats=st)
+        assert "interval" not in vars(st)
+
+    def test_interval_is_built_from_future_on_first_read(self, py_rng):
+        for _ in range(20):
+            n = py_rng.randint(1, 12)
+            st = compute_stats(random_trace(py_rng, n, 50))
+            assert "interval" not in vars(st)
+            interval = st.interval
+            assert interval == [0] + [f + 1 if f < n else n for f in st.future[1:]]
+            # fault-injection tests edit the list in place
+            assert st.interval is interval
 
     def test_empty_sequence(self):
         st = compute_stats(AccessSequence(4, []))
@@ -321,7 +348,7 @@ class TestRunDynamic:
     B = 4
 
     def test_empty_sequence_gives_zero_costs(self):
-        bd = run_dynamic(AccessSequence(8, []), "interval-set", "treap")
+        bd = run_dynamic(AccessSequence(8, []), "interval-set", "treap", rng=RandomStream(0))
         assert bd.access_cost == 0 and bd.update_cost == 0 and bd.update_events == 0
 
     def test_constant_sequence_is_cheap_after_warmup(self):
@@ -359,15 +386,16 @@ class TestRunDynamic:
     def test_incompatible_arguments_rejected(self):
         seq = AccessSequence(8, [1, 2])
         with pytest.raises(ConfigError):
-            run_dynamic(seq, "no-such-scheme", "treap")
+            run_dynamic(seq, "no-such-scheme", "treap", rng=RandomStream(0))
         with pytest.raises(ConfigError):
-            run_dynamic(seq, "interval-set", "no-such-structure")
+            run_dynamic(seq, "interval-set", "no-such-structure", rng=RandomStream(0))
         with pytest.raises(ConfigError):
-            run_dynamic(seq, "interval-set", "tier-forest")  # needs B
+            run_dynamic(seq, "interval-set", "tier-forest", rng=RandomStream(0))  # needs B
         with pytest.raises(ConfigError):
-            run_dynamic(seq, "future-ws-noisy", "treap")  # needs predictions
+            run_dynamic(seq, "future-ws-noisy", "treap", rng=RandomStream(0))  # needs predictions
         with pytest.raises(ConfigError):
-            run_dynamic(seq, "past-ws-crude", "treap", predicted_scores=[1.0, 1.0])
+            run_dynamic(seq, "past-ws-crude", "treap", predicted_scores=[1.0, 1.0],
+                        rng=RandomStream(0))
 
     @pytest.mark.parametrize("structure", ["treap", "tier-forest", "det-forest"])
     def test_doctored_intervals_break_the_norm_ceiling(self, structure):
@@ -376,7 +404,7 @@ class TestRunDynamic:
         st = compute_stats(seq)
         st.interval[1] = st.interval[2] = 0
         with pytest.raises(AssertionError, match=re.escape("exceeds pi^2/6")):
-            run_dynamic(seq, "interval-set", structure, B=self.B, stats=st)
+            run_dynamic(seq, "interval-set", structure, B=self.B, stats=st, rng=RandomStream(0))
 
     def test_steady_bound_holds_from_the_last_first_service(self):
         # item 1 at weight 1 keeps the norm near 1.12: under pi^2/6, over the
@@ -386,19 +414,19 @@ class TestRunDynamic:
         st.interval[1] = 0
         with pytest.raises(AssertionError,
                            match=re.escape(f"exceeds steady bound {NORM_STEADY}")):
-            run_dynamic(seq, "interval-set", "treap", stats=st)
+            run_dynamic(seq, "interval-set", "treap", stats=st, rng=RandomStream(0))
         # with item 4 never served the steady bound never applies
         seq = AccessSequence(4, [1, 2, 3, 1])
         st = compute_stats(seq)
         st.interval[1] = 0
-        run_dynamic(seq, "interval-set", "treap", stats=st)
+        run_dynamic(seq, "interval-set", "treap", stats=st, rng=RandomStream(0))
 
     def test_interval_set_step_rows_count_unchanged_weights_as_no_update(self):
         # n = 3 starts every key at 1/16, the weight of interval 3, so step 1
         # re-weights nothing; n = 4 starts at 1/25, and step 1 moves key 1
         for n, want in ((3, 0), (4, 1)):
             bd = run_dynamic(AccessSequence(n, [1, 2, 3, 1]), "interval-set", "treap",
-                             keep_steps=True)
+                             keep_steps=True, rng=RandomStream(0))
             assert bd.steps[0][3] == want, n
 
     def test_interval_set_reweights_at_most_the_served_key(self, py_rng, monkeypatch):
@@ -416,7 +444,7 @@ class TestRunDynamic:
             n = py_rng.randint(2, 12)
             seq = random_trace(py_rng, n, 60)
             updated.clear()
-            bd = run_dynamic(seq, "interval-set", "treap", keep_steps=True)
+            bd = run_dynamic(seq, "interval-set", "treap", keep_steps=True, rng=RandomStream(0))
             assert all(row[3] <= 1 for row in bd.steps)
             assert sum(row[3] for row in bd.steps) == bd.update_events
             assert updated == [row[1] for row in bd.steps if row[3]]
@@ -446,7 +474,7 @@ class TestRunDynamic:
                 if want:
                     break
             try:
-                run_dynamic(seq, "interval-set", "treap", stats=st)
+                run_dynamic(seq, "interval-set", "treap", stats=st, rng=RandomStream(0))
                 got = None
             except AssertionError as exc:
                 got = str(exc)
@@ -510,7 +538,7 @@ class TestRunDynamic:
         predicted = [1.0, math.nan, 2.0, 0.5]
         with pytest.raises(ConfigError, match="predicted score 1 is NaN"):
             run_dynamic(seq, "future-ws-noisy", structure, B=self.B,
-                        predicted_scores=predicted)
+                        predicted_scores=predicted, rng=RandomStream(0))
 
     @pytest.mark.parametrize("scheme, predicted, message", [
         ("future-ws-noisy", None, "needs predicted scores"),
@@ -522,7 +550,8 @@ class TestRunDynamic:
         # structure rejects
         seq = AccessSequence(8, [1, 2, 3, 1])
         with pytest.raises(ConfigError, match=message):
-            run_dynamic(seq, scheme, "rank-forest", B=self.B, predicted_scores=predicted)
+            run_dynamic(seq, scheme, "rank-forest", B=self.B, predicted_scores=predicted,
+                        rng=RandomStream(0))
 
     def test_infinite_predicted_score_clamps_to_n(self):
         seq = AccessSequence(8, [1, 2, 3, 1])
