@@ -22,6 +22,10 @@ __all__ = [
 
 _SUM_TOL = 1e-9
 _LN2 = math.log(2.0)
+# the least kl of two accepted distributions: by the log-sum inequality, with
+# p summing to at least 1 - tol and q to at most 1 + tol, kl(p, q) is at least
+# (1 - tol) ln((1 - tol) / (1 + tol)), about -2e-9
+_KL_FLOOR = (1.0 - _SUM_TOL) * math.log((1.0 - _SUM_TOL) / (1.0 + _SUM_TOL))
 
 
 class Distribution:
@@ -52,9 +56,6 @@ class Distribution:
 
     def masses(self) -> list[float]:
         return list(self._p)
-
-    def support(self) -> list[int]:
-        return [k + 1 for k, v in enumerate(self._p) if v > 0.0]
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -103,7 +104,7 @@ def kl(p: Distribution, q: Distribution) -> float:
             if qv <= 0.0:
                 raise ValueError("kl undefined: prediction drops supported mass")
             out += pv * math.log(pv / qv)
-    if out < -1e-12:
+    if out < _KL_FLOOR:
         raise AssertionError(f"kl came out negative: {out}")
     return max(out, 0.0)
 

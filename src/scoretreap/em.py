@@ -158,8 +158,8 @@ class BTree:
     # -- updates -----------------------------------------------------------
 
     def insert(self, key: int) -> list[Block]:
-        """Insert ``key``; returns the blocks touched: the descent path (the
-        list itself when nothing splits), then the blocks splits made."""
+        """Insert ``key``; returns the blocks touched: the descent path,
+        extended in place by the blocks splits make."""
         path: list[Block] = []
         blk = self.root
         while True:
@@ -172,9 +172,7 @@ class BTree:
             blk = blk.children[i]
         blk.keys.insert(i, key)
         self.size += 1
-        if len(blk.keys) <= self.max_keys:
-            return path
-        touched = list(path)
+        # the splits append to ``path`` but read it only below its descent
         pos = len(path) - 1
         while len(blk.keys) > self.max_keys:
             mid = len(blk.keys) // 2
@@ -182,10 +180,10 @@ class BTree:
             right = Block(blk.keys[mid + 1 :], blk.children[mid + 1 :])
             blk.keys = blk.keys[:mid]
             blk.children = blk.children[: mid + 1]
-            touched.append(right)
+            path.append(right)
             if pos == 0:
                 self.root = Block([sep], [blk, right])
-                touched.append(self.root)
+                path.append(self.root)
                 break
             parent = path[pos - 1]
             j = bisect_left(parent.keys, sep)
@@ -193,12 +191,12 @@ class BTree:
             parent.children.insert(j + 1, right)
             blk = parent
             pos -= 1
-        return touched
+        return path
 
     def delete(self, key: int) -> list[Block]:
-        """Delete ``key``; returns the blocks touched (path + rebalances) that
-        are still in the tree: the descent path itself when nothing
-        underflows.  A block can be listed twice."""
+        """Delete ``key``; returns the blocks touched that are still in the
+        tree: the descent path, extended in place by the blocks rebalances
+        touch.  A block can be listed twice."""
         path: list[Block] = []
         blk = self.root
         while True:
@@ -223,8 +221,8 @@ class BTree:
         # the root never empties without a merge below it
         if len(path) == 1 or len(path[-1].keys) >= self.min_keys:
             return path
-        touched = list(path)
         gone: list[Block] = []  # blocks merged away or collapsed
+        # the rebalances append to ``path`` but read it only below its descent
         pos = len(path) - 1
         while pos > 0:
             cur = path[pos]
@@ -234,7 +232,7 @@ class BTree:
             ci = parent.children.index(cur)
             if ci > 0 and len(parent.children[ci - 1].keys) > self.min_keys:
                 left = parent.children[ci - 1]
-                touched.append(left)
+                path.append(left)
                 cur.keys.insert(0, parent.keys[ci - 1])
                 parent.keys[ci - 1] = left.keys.pop()
                 if left.children:
@@ -242,7 +240,7 @@ class BTree:
                 break
             if ci < len(parent.children) - 1 and len(parent.children[ci + 1].keys) > self.min_keys:
                 right = parent.children[ci + 1]
-                touched.append(right)
+                path.append(right)
                 cur.keys.append(parent.keys[ci])
                 parent.keys[ci] = right.keys.pop(0)
                 if right.children:
@@ -251,8 +249,8 @@ class BTree:
             # merge with a sibling and recurse on the parent
             li = ci - 1 if ci > 0 else ci
             left, right = parent.children[li], parent.children[li + 1]
-            touched.append(left)
-            touched.append(right)
+            path.append(left)
+            path.append(right)
             left.keys.append(parent.keys.pop(li))
             left.keys.extend(right.keys)
             left.children.extend(right.children)
@@ -262,7 +260,7 @@ class BTree:
         if not self.root.keys and self.root.children:
             gone.append(self.root)
             self.root = self.root.children[0]
-        return [b for b in touched if b not in gone] if gone else touched
+        return [b for b in path if b not in gone] if gone else path
 
     # -- validation ---------------------------------------------------------
 
@@ -384,7 +382,8 @@ class TierForestBTreap:
     tier between theirs.  All of 1..n are present, so g's subtree is the key
     range from the end of its left spine to the end of its right spine, and
     the component is one slice of ``keys_of_tier[tier]``, the sorted keys of
-    that tier.  Each component stands for one bulk-built B-tree of its
+    that tier (a tier's list stays, empty, once an update moves its last key
+    away).  Each component stands for one bulk-built B-tree of its
     members, glued (conceptually) below the block containing its top's
     treap parent; ``comp_of[k]`` is the ``Component`` record of ``k``'s
     component.  Rebuild writes are counted apart from search touches.
@@ -409,11 +408,13 @@ class TierForestBTreap:
     gets a new record and counts a bulk build, and an old record that no
     ``comp_of`` entry names any more is simply dropped.  All other
     components keep their members, tier and top.
+
+    ``rng`` draws the base treap's offsets: n on build, then one per update.
     """
 
     OUTER_BASE = 4  # the tier rule: floor(log4 log_B (1/w)), clamped at 0
 
-    def __init__(self, tiers: Sequence[int], B: int, rng: RandomStream | None = None):
+    def __init__(self, tiers: Sequence[int], B: int, rng: RandomStream):
         if B < 4:
             raise ConfigError(f"block fanout must be >= 4, got {B}")
         err = _non_int_tier(tiers)
@@ -421,7 +422,7 @@ class TierForestBTreap:
             raise ConfigError(err)
         self.B = B
         self.n = len(tiers)
-        self._rng = rng if rng is not None else RandomStream(0)
+        self._rng = rng
         self.base = Treap.build_arrays(tiers, self._rng.offsets(self.n))
         self.keys_of_tier: dict[int, list[int]] = {}
         for k, t in enumerate(tiers, start=1):
@@ -589,8 +590,6 @@ class TierForestBTreap:
         if before is not None:
             ks = self.keys_of_tier[old_tier]
             del ks[bisect_left(ks, key)]
-            if not ks:
-                del self.keys_of_tier[old_tier]
             insort(self.keys_of_tier.setdefault(new_tier, []), key)
             written = self._retier(key, *before)
         elif rot:
@@ -652,8 +651,6 @@ class TierForestBTreap:
         # each list is sorted and holds only keys of its tier, so n listed
         # keys in all means every key sits in its own tier's list once
         for t, ks in self.keys_of_tier.items():
-            if not ks:
-                return f"tier {t} keeps an empty key list"
             if any(a >= b for a, b in zip(ks, ks[1:])):
                 return f"tier {t} key list is not strictly increasing"
             for k in ks:

@@ -101,8 +101,7 @@ def _segmented(n: int) -> Distribution:
     masses = [0.0] * n
     pos = 0
     for i in range(1, K + 1):
-        size = (n // K) >> (i - 1)
-        _require(size >= 1, f"segment {i} empty at n={n}")
+        size = (n // K) >> (i - 1)  # at least 2^(K+1) // K >= 1 keys
         unit = float(1 << (i - 1)) / n
         for _ in range(size):
             masses[pos] = unit

@@ -285,6 +285,20 @@ class TestPlumbing:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("sub, config, message", [
+        ("robustness", "n = 64\nm = 500\neps = 0.1,-0.5\n",
+         "target must be non-negative, got -0.5"),
+        ("interval-set", "n = 48\nm = 1200\neps = 0.0,-0.5\n",
+         "target error must be >= 0, got -12.5"),  # -0.5 m/n
+    ], ids=["robustness", "interval-set"])
+    def test_negative_eps_rejected(self, tmp_path, capsys, sub, config, message):
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(config)
+        code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o"), "--trials", "1"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_boolean_switch_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("n = 32\nm = 200\ntrace = ture\n")
@@ -559,6 +573,30 @@ class TestExperiments:
         for row in s["mae_sweep"]:
             assert row["noisy_cost"] <= row["budget"]
         assert all(b < a for a, b in zip(s["x1_costs"], s["x2_costs"]))
+
+    def test_interval_set_mae_0_requires_the_exact_cost(self, tmp_path, monkeypatch):
+        """A rel-0 noisy run one unit dearer than the exact run, far inside
+        the 8n room of the budget, fails ``mae_0.0`` alone, and the command
+        exits 1."""
+        real_run = cli.run_dynamic
+        noisy_runs = []
+
+        def run_dynamic(seq, scheme, structure, *args, **kwargs):
+            res = real_run(seq, scheme, structure, *args, **kwargs)
+            if scheme == "future-ws-noisy":
+                noisy_runs.append(res)
+                if len(noisy_runs) == 1:  # the sweep's first eps, rel 0
+                    res.access_cost += 1
+            return res
+
+        monkeypatch.setattr(cli, "run_dynamic", run_dynamic)
+        code, s, _ = run_cli(tmp_path, "interval-set", "n = 48\nm = 1200\n", trials=2)
+        assert code == 1 and s["all_passed"] is False
+        assert s["checks"] == {"mae_0.0": False, "mae_0.5": True, "mae_1.0": True,
+                               "x2_cheaper_every_seed": True}
+        row = s["mae_sweep"][0]
+        assert row["eps_rel"] == 0.0 and row["noisy_cost"] == s["exact_cost"] + 1
+        assert row["noisy_cost"] <= row["budget"]
 
     @pytest.mark.parametrize("inflated", ["tier-forest", "det-forest"])
     def test_em_compare_checks_can_fail(self, tmp_path, monkeypatch, inflated):

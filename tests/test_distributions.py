@@ -40,10 +40,24 @@ class TestDistributionType:
         d = Distribution.from_unnormalized([2.0, 1.0, 1.0])
         assert d.masses() == [0.5, 0.25, 0.25]
 
-    def test_uniform_and_support(self):
+    def test_uniform(self):
         d = Distribution.uniform(4)
         assert d.masses() == [0.25] * 4
-        assert Distribution([0.5, 0.0, 0.5]).support() == [1, 3]
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Distribution([]), "distribution must be non-empty"),
+        (lambda: Distribution.from_unnormalized([0.0]), "cannot normalize a non-positive vector"),
+    ], ids=["empty", "zero-vector"])
+    def test_rejected_with_its_message(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_keys_are_1_to_n(self):
+        d = Distribution([0.5, 0.25, 0.25])
+        assert (d[1], d[3]) == (0.5, 0.25)
+        for key in (0, 4):
+            with pytest.raises(KeyError):
+                d[key]
 
 
 class TestEntropy:
@@ -72,10 +86,28 @@ class TestCrossEntropyAndKl:
             assert d >= -1e-12
             assert d / math.log(2.0) == pytest.approx(cross_entropy(p, q) - entropy(p), abs=1e-9)
 
-    def test_support_violation_is_an_error(self):
+    @pytest.mark.parametrize("divergence, name", [(kl, "kl"), (cross_entropy, "cross entropy")],
+                             ids=["kl", "cross_entropy"])
+    def test_support_violation_is_an_error(self, divergence, name):
         p = Distribution([0.5, 0.5])
         q = Distribution([1.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{name} undefined: prediction drops supported mass$"):
+            divergence(p, q)
+
+    @pytest.mark.parametrize("divergence", [cross_entropy, kl, error_measures])
+    def test_length_mismatch_rejected(self, divergence):
+        with pytest.raises(ValueError, match="^length mismatch: 2 vs 3$"):
+            divergence(Distribution.uniform(2), Distribution.uniform(3))
+
+    def test_kl_floor_follows_the_sum_tolerance(self):
+        # both sums lie within 1e-9 of 1, so both are accepted; their kl
+        # sums to -1.6e-9, above the floor the tolerance allows
+        p = Distribution([0.5 - 4e-10] * 2)
+        q = Distribution([0.5 + 4e-10] * 2)
+        assert kl(p, q) == 0.0
+        # q's masses corrupted after the check to sum to 1.01: kl = -ln 1.01
+        q._p = [v * 1.01 for v in q._p]
+        with pytest.raises(AssertionError, match="^kl came out negative: -0.00995"):
             kl(p, q)
 
     def test_kl_bounded_by_chi_square_in_nats(self, py_rng):
@@ -439,6 +471,16 @@ class TestNoisyScores:
         assert got == want
         # the stop fired: fewer passes than the 80 bisection steps alone
         assert len(calls) < 80
+
+    @pytest.mark.parametrize("scores, target, hi, message", [
+        # clamped to [0, 1], two scores can move by 2 in all
+        ([0.0, 0.0], 10.0, 1.0, "cannot reach summed error 10.0 within clamps"),
+        # the least nonzero move of 1000.0 is one ulp, 1.137e-13
+        ([1000.0, 1000.0], 1e-20, 2000.0, "summed error 1.13"),
+    ], ids=["past-the-clamps", "below-one-ulp"])
+    def test_unreachable_target_rejected(self, scores, target, hi, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            noisy_scores(scores, target, rng=random.Random(0), hi=hi)
 
     def test_zero_target_is_identity(self, py_rng):
         scores = [float(py_rng.randint(0, 9)) for _ in range(30)]

@@ -391,7 +391,8 @@ class StampHeapRankForest:
 def test_fanout_floor():
     """Every block structure refuses a fanout below 4 before it serves a key."""
     builders = {"BTree": lambda B: BTree(B, [1, 2, 3]),
-                "TierForestBTreap": lambda B: TierForestBTreap([0, 1, 0, 2], B),
+                "TierForestBTreap":
+                    lambda B: TierForestBTreap([0, 1, 0, 2], B, rng=RandomStream(0)),
                 "DetScoreForest": lambda B: DetScoreForest([0, 1, 0, 2], B),
                 "RankForest": lambda B: RankForest(64, B)}
     for name, build in builders.items():
@@ -409,13 +410,30 @@ def test_nonpositive_or_nonfinite_weight_rejected(forest):
             tier_value(bad, 4, forest.OUTER_BASE)
 
 
-@pytest.mark.parametrize("forest", [TierForestBTreap, DetScoreForest])
+@pytest.mark.parametrize("forest", [
+    lambda tiers, B: TierForestBTreap(tiers, B, rng=RandomStream(0)), DetScoreForest,
+], ids=["TierForestBTreap", "DetScoreForest"])
 def test_weights_in_place_of_tiers_rejected(forest):
     """The old call shape, weights where the tiers go, fails at build."""
     for given, key, bad in (([0.5, 0.25, 0.125, 1e-9], 1, 0.5), ([0.5, 0.25, 1e-9], 1, 0.5),
                             ([0, 1, 2.0, 1], 3, 2.0), ([0, 1, True], 3, True)):
         with pytest.raises(ConfigError, match=re.escape(f"key {key} has tier {bad!r}, not an int")):
             forest(given, 4)
+
+
+@pytest.mark.parametrize("forest", ["det-forest", "rank-forest"])
+def test_access_to_a_key_its_tree_lost_raises(forest):
+    """A key in 1..n that no tree holds, deleted from its tree behind the
+    forest's back, fails the probe with a KeyError rather than a count."""
+    if forest == "det-forest":
+        st = DetScoreForest([0, 1, 0, 2], 4)
+        st.trees[st.tree_index[3]].delete(3)
+    else:
+        st = RankForest(8, 4)  # one tree holds every key
+        st.trees[1].delete(3)
+    with pytest.raises(KeyError, match="^3$"):
+        st.access(3)
+    assert st.validate() is not None
 
 
 class LiteralBTree(BTree):
@@ -765,7 +783,7 @@ class TestTierForest:
     def test_uniform_square_universe_is_one_flat_component(self):
         for B in (4, 16):
             n = B * B
-            st = TierForestBTreap(tiers_of([1.0 / n] * n, B), B)
+            st = TierForestBTreap(tiers_of([1.0 / n] * n, B), B, rng=RandomStream(0))
             assert st.validate() is None
             assert len(st._comps()) == 1
             assert all(st.tier_of(k) == 0 for k in range(1, n + 1))
@@ -1201,9 +1219,14 @@ class TestTierForest:
         lists = st.keys_of_tier
         t, ks = next((t, ks) for t, ks in sorted(lists.items()) if len(ks) >= 2)
         if corrupt == "empty list":
-            t = max(lists) + 1
-            lists[t] = []
-            message = f"tier {t} keeps an empty key list"
+            # no drift: updates that move a tier's last key away leave its
+            # list in place, empty, and the forest valid
+            t, ks = min(lists.items(), key=lambda item: len(item[1]))
+            other = next(u for u in sorted(lists) if u != t)
+            for key in list(ks):
+                st.update_weight(key, other)
+            assert lists[t] == []
+            message = None
         elif corrupt == "wrong tier":
             other = next(u for u in sorted(lists) if u != t)
             key = ks.pop()
@@ -1329,7 +1352,7 @@ class TestDetScoreForest:
         st = DetScoreForest([0, 1, 0, 2], 4)
         st.tree_index[2] = 1.0  # equal to its tree's index, but a float
         assert st.validate() == "key 2 has tier 1.0, not an int"
-        ts = TierForestBTreap([0, 1, 0, 2], 4)
+        ts = TierForestBTreap([0, 1, 0, 2], 4, rng=RandomStream(0))
         ts.base._tier[4] = 2.0
         assert ts.validate() == "key 4 has tier 2.0, not an int"
 

@@ -781,6 +781,16 @@ def test_empty_universe_rejected():
         Treap(0)
 
 
+@pytest.mark.parametrize("priorities, n, error, message", [
+    ({}, None, ValueError, "cannot build an empty treap"),
+    ({1: (0, 0.5), 5: (0, 0.25)}, 4, KeyError, "key 5 outside universe 1..4"),
+    ({0: (0, 0.5), 2: (0, 0.25)}, None, KeyError, "key 0 outside universe 1..2"),
+], ids=["empty", "above-n", "zero"])
+def test_build_rejects_no_keys_and_keys_outside_the_universe(priorities, n, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        Treap.build(priorities, n=n)
+
+
 def test_build_arrays_rejects_unequal_lengths():
     with pytest.raises(ValueError, match="^tiers and offsets must have equal length$"):
         Treap.build_arrays([0, 0, 0], [0.25, 0.5])
