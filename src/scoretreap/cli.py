@@ -421,8 +421,9 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
         ok = False
     checks["isp_norm_and_unit_updates"] = ok
     # the crude oracle against a literal move-to-front list, where a key's
-    # exact work w is its index: after every step the score s that the rows
-    # last gave each seen key (n before any) must lie in the two-sided band
+    # exact work w is its index: after every step the score s that the steps
+    # last gave each seen key (2^r - 1 at index r of a step's keys; n before
+    # any) must lie in the two-sided band
     # log2(w + 1) <= log2(s + 1) <= 2 log2(w + 1) + 1, i.e. w <= s < 2 (w + 1)^2,
     # so a wrong or missing row leaves a stale score that fails it
     oracle = CrudeOracle(n)
@@ -434,7 +435,7 @@ def cmd_validate(p: dict, seed: int, trials: int) -> dict:
         if x in front:
             front.remove(x)
         front.insert(0, x)
-        score.update(U)
+        score.update((item, (1 << r) - 1) for r, item in enumerate(U))
         ok = (len(U) <= math.floor(math.log2(n)) + 1
               and all(w <= s < 2 * (w + 1) ** 2
                       for w, s in enumerate(map(score.get, front, repeat(n))))

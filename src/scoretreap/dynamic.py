@@ -7,7 +7,8 @@ size is built from the forward one on first read.  On top of those:
 
 * ``CrudeOracle`` -- a move-to-front list with one pointer per power-of-two
   rank boundary; scores rounded to the next power of two, refreshed only for
-  the items whose rank steps over a boundary, with no rank query.
+  the items whose rank steps over a boundary, with no rank query.  A step
+  returns keys only: the key at index r takes band r, the score 2^r - 1.
 * ``run_dynamic`` -- drives a scheme x structure pair over a trace and
   tallies access/update/rebuild costs plus the weight trajectory sums that
   the cost-decomposition check consumes.
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Sequence
 
 from .em import DetScoreForest, RankForest, TierForestBTreap
@@ -145,12 +147,12 @@ class CrudeOracle:
         self.seen = 0
         self.at: list[int] = []
 
-    def step(self, key: int) -> list[tuple[int, int]]:
-        """Serve ``key``; returns U_i as (item, new score) rows.
+    def step(self, key: int) -> list[int]:
+        """Serve ``key``; returns U_i as keys whose index is their new band.
 
-        The served item always appears first, with score 0; the rest are the
-        items whose rank stepped over a power of two, one per boundary at
-        most: the item now at rank 2^j + 1 (work 2^j) gets score 2^(j+1) - 1.
+        The key at index r takes band r, the rounded score 2^r - 1.  Index 0
+        is the served item (score 0); index r >= 1 is the item whose rank
+        stepped over the boundary 2^(r-1): it now sits at rank 2^(r-1) + 1.
         """
         if not 1 <= key <= self.n:
             raise KeyError(key)
@@ -160,14 +162,14 @@ class CrudeOracle:
         if first:
             c = self.seen.bit_length()
         elif c == 0:  # already at the front
-            return [(key, 0)]
+            return [key]
         elif c < len(at) and at[c] == key:  # key sits on boundary 2^c
             at[c] = prev[key]
-        out = [(key, 0)]
+        out = [key]
         for j in range(c):
             item = at[j]
             band[item] = j + 1
-            out.append((item, (2 << j) - 1))
+            out.append(item)
             at[j] = prev[item]
         band[key] = 0
         if first:
@@ -267,6 +269,27 @@ def _scheme_scores(scheme: str, stats: SequenceStats | None,
         return [0.0] + clamped
 
 
+def _score_row(s: float, inner: int, outer: int) -> tuple[float, float, int]:
+    """(w, log w, tier) of a score s: w = 1/(1+s)^2 under the tier rule
+    (inner, outer)."""
+    w = 1.0 / (1.0 + s) ** 2
+    return w, math.log(w), tier_value(w, inner, outer)
+
+
+def _band_tables(n: int, w0: float, inner: int,
+                 outer: int) -> tuple[list[int], list[float], list[list[float]]]:
+    """The crude scheme's rows by band: band r has score 2^r - 1, for
+    r = 0 .. (n-1).bit_length().  Returns the tier and log weight of each
+    band, the log weights ending with the starting weight ``w0``'s so that
+    band -1 (unseen) reads it, and for each update-set size k the shifts
+    |log w_r - log w_(r-1)| of the keys at index r = 1 .. k - 1."""
+    rows = [_score_row((1 << r) - 1, inner, outer) for r in range((n - 1).bit_length() + 1)]
+    tiers = [tier for _, _, tier in rows]
+    lws = [lw for _, lw, _ in rows]
+    shifts = [0.0] + [abs(lws[r] - lws[r - 1]) for r in range(1, len(lws))]
+    return tiers, lws + [math.log(w0)], [shifts[1:k] for k in range(len(lws) + 1)]
+
+
 def run_dynamic(
     seq: AccessSequence,
     scheme: str,
@@ -289,12 +312,15 @@ def run_dynamic(
     fanout ``B``.  The driver alone applies a structure's tier rule,
     ``tier_value(w, inner, outer)``: (2, 2) for the treap and
     (B, ``OUTER_BASE``) for a score forest.  It builds the structure from the
-    starting weight's tier and maps each score to its weight, log weight and
-    tier, memoised per run; a structure takes the tier on update.  An update
-    costs the pair (search touches, rebuild writes), which the driver adds
-    to ``update_cost`` and ``rebuild_cost``: the tier forest's
-    ``update_weight`` returns that pair; the treap's keys passed plus one
-    and the det forest's block touches come with no rebuild writes.
+    starting weight's tier; a structure takes the tier on update.  The exact
+    schemes map each score to its weight, log weight and tier through a memo
+    kept per run.  The crude scheme reads per-band tables built once per
+    run: its oracle's keys come by band, and one ``update_rows`` call plays
+    a step's whole set.  An update costs the pair (search touches, rebuild
+    writes), which the driver adds to ``update_cost`` and ``rebuild_cost``:
+    the tier forest's ``update_weight`` returns that pair; the treap's keys
+    passed plus one and the det forest's block touches come with no rebuild
+    writes.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -322,46 +348,52 @@ def run_dynamic(
         first_served = dict.fromkeys(seq.items)
         if len(first_served) == n:
             steady_from = seq.items.index(next(reversed(first_served))) + 1
-    log_w = [math.log(w0)] * (n + 1)  # log of weights, from the score memo
+    log_w = [math.log(w0)] * (n + 1)  # log of weights; only the exact schemes read them
 
     if structure == "treap":
         st = Treap.build_arrays(*composite_priority([w0] * n, rng))
         inner, outer = COMPOSITE_TIER_BASES
         update_priority = st.update_priority
-        next_offset = rng.next_offset
+        draws = rng.draws()
 
         def do_update(x: int, tier: int) -> tuple[int, int]:
-            return update_priority(x, tier, next_offset()) + 1, 0
+            return update_priority(x, tier, next(draws)) + 1, 0
+
+        def update_rows(keys: list[int], tiers: list[int]) -> tuple[int, int]:
+            return sum(map(update_priority, keys, tiers, draws)) + len(keys), 0
 
     elif structure == "tier-forest":
         inner, outer = B, TierForestBTreap.OUTER_BASE
         st = TierForestBTreap([tier_value(w0, inner, outer)] * n, B, rng=rng)
         do_update = st.update_weight
 
+        def update_rows(keys: list[int], tiers: list[int]) -> tuple[int, int]:
+            search, writes = zip(*map(do_update, keys, tiers))
+            return sum(search), sum(writes)
+
     elif structure == "det-forest":
         inner, outer = B, DetScoreForest.OUTER_BASE
         st = DetScoreForest([tier_value(w0, inner, outer)] * n, B)
+        update_weight = st.update_weight
 
         def do_update(x: int, tier: int) -> tuple[int, int]:
-            return st.update_weight(x, tier), 0
+            return update_weight(x, tier), 0
+
+        def update_rows(keys: list[int], tiers: list[int]) -> tuple[int, int]:
+            return sum(map(update_weight, keys, tiers)), 0
 
     else:  # rank-forest is self-organizing: it ignores the scheme's scores
         st = RankForest(n, B)
         scores = oracle = None
     do_access = st.access
 
-    # score -> (w, log w, tier), pure functions of the score, memoised for
-    # this run.  Integer scores give at most n + 1 distinct values; noisy
-    # fractional ones rarely repeat, so the memo is emptied at n + 1 entries
-    log = math.log
+    # the exact schemes map a score to its row through a per-run memo.
+    # Integer scores give at most n + 1 distinct values; noisy fractional
+    # ones rarely repeat, so the memo is emptied at n + 1 entries
     memo: dict[float, tuple[float, float, int]] = {}
-
-    def score_row(s: float) -> tuple[float, float, int]:
-        if len(memo) > n:
-            memo.clear()
-        w = 1.0 / (1.0 + s) ** 2
-        row = memo[s] = (w, log(w), tier_value(w, inner, outer))
-        return row
+    if oracle is not None:
+        band_tier, band_lw, band_shifts = _band_tables(n, w0, inner, outer)
+        band = oracle.band
 
     access_cost = update_cost = rebuild_cost = update_events = 0
     access_log_nat = shift_l1_nat = 0.0
@@ -370,11 +402,16 @@ def run_dynamic(
     for i, x in enumerate(seq.items, start=1):
         cost = do_access(x)
         access_cost += cost
-        access_log_nat += -log_w[x]
         if scores is not None:
             # an exact-score scheme re-weights at most the served item
+            access_log_nat += -log_w[x]
             s = scores[i]
-            w_new, lw, tier = memo.get(s) or score_row(s)
+            row = memo.get(s)
+            if row is None:
+                if len(memo) > n:
+                    memo.clear()
+                row = memo[s] = _score_row(s, inner, outer)
+            w_new, lw, tier = row
             if w_new == weights[x]:
                 updated = 0
             else:
@@ -391,17 +428,21 @@ def run_dynamic(
                 update_events += 1
             if i == steady_from:
                 _check_norm(norm, True)
-        elif oracle is not None:  # the crude scheme re-weights every row it is given
-            rows = oracle.step(x)
-            for item, s in rows:
-                w_new, lw, tier = memo.get(s) or score_row(s)
-                ucost, rcost = do_update(item, tier)
-                update_cost += ucost
-                rebuild_cost += rcost
-                shift_l1_nat += abs(lw - log_w[item])
-                log_w[item] = lw
-            update_events += len(rows)
-            updated = len(rows)
+        elif oracle is not None:
+            # the crude scheme re-weights every key it is given, the key at
+            # index r to band r; the served key's weight before is its band's
+            lw = band_lw[band[x]]
+            access_log_nat += -lw
+            keys = oracle.step(x)
+            ucost, rcost = update_rows(keys, band_tier)
+            update_cost += ucost
+            rebuild_cost += rcost
+            updated = len(keys)
+            # one float addition per key, in key order: the served key first
+            shift_l1_nat = reduce(add, band_shifts[updated], shift_l1_nat + abs(0.0 - lw))
+            update_events += updated
+        else:  # no weight ever moves
+            access_log_nat += -log_w[x]
         if keep_steps:
             steps.append((i, x, cost, updated, stats.work[i], stats.interval[i],
                           stats.future[i]))

@@ -132,14 +132,6 @@ class BTree:
                 return False, path
             blk = blk.children[i]
 
-    def height(self) -> int:
-        h = 1
-        blk = self.root
-        while blk.children:
-            blk = blk.children[0]
-            h += 1
-        return h
-
     def keys_inorder(self) -> list[int]:
         out: list[int] = []
 

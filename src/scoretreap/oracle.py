@@ -65,29 +65,36 @@ def optimal_static_bst_cost(frequencies: Sequence[int]) -> int:
     W = [0] * (n + 1)
     for i in range(n):
         W[i + 1] = W[i] + f[i]
-    # cost[i][j] / root[i][j] for the key interval i..j (1-based); the extra
-    # row keeps cost[j+1][j] == 0 reachable without branching
-    cost = [[0] * (n + 1) for _ in range(n + 2)]
-    root = [[0] * (n + 1) for _ in range(n + 2)]
-    for i in range(1, n + 1):
-        cost[i][i] = f[i - 1]
-        root[i][i] = i
-    for length in range(2, n + 1):
-        for i in range(1, n - length + 2):
-            j = i + length - 1
-            lo = root[i][j - 1]
-            hi = root[i + 1][j]
-            ci = cost[i]
-            best = None
+    # col[j][i] is the cost of the key interval i..j (1-based), and
+    # col[j][j + 1] == 0 stands for the empty one.  Rows i are filled from n
+    # down to 1, each left to right, so the inner loop reads two flat lists:
+    # the current row (row[r - 1], the cost of i..r-1) and column j
+    # (col[j][r + 1], the cost of r+1..j).  root and root_below are the
+    # optimal roots of rows i and i + 1, which bound the search; of equal
+    # costs the first root is kept.  row[i - 1] is still 0 when row i reads it
+    col = [[0] * (n + 2) for _ in range(n + 1)]
+    row = [0] * (n + 1)
+    root_below = [0] * (n + 1)
+    for i in range(n, 0, -1):
+        root = [0] * (n + 1)
+        row[i] = col[i][i] = f[i - 1]
+        root[i] = i
+        left = W[i - 1]
+        for j in range(i + 1, n + 1):
+            lo = root[j - 1]
+            hi = root_below[j]
+            cj = col[j]
+            best = row[lo - 1] + cj[lo + 1]
             best_r = lo
-            for r in range(lo, hi + 1):
-                c = ci[r - 1] + cost[r + 1][j]
-                if best is None or c < best:
+            for r in range(lo + 1, hi + 1):
+                c = row[r - 1] + cj[r + 1]
+                if c < best:
                     best = c
                     best_r = r
-            cost[i][j] = best + (W[j] - W[i - 1])
-            root[i][j] = best_r
-    return cost[1][n]
+            row[j] = cj[i] = best + (W[j] - left)
+            root[j] = best_r
+        root_below = root
+    return col[n][1]
 
 
 def analytic_expected_depth(x: int, n: int) -> float:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
-from typing import Sequence
+from itertools import islice, repeat
+from typing import Iterator, Sequence
 
 __all__ = [
     "RandomStream",
@@ -59,14 +59,15 @@ class RandomStream:
             u = self._rng.random()
         return u
 
+    def draws(self) -> Iterator[float]:
+        """The ``next_offset`` sequence as an iterator that draws only when
+        advanced, so it can be interleaved with the other methods; mapped
+        over ``repeat()``, a draw runs no Python frame."""
+        return filter(None, map(random.Random.random, repeat(self._rng)))
+
     def offsets(self, k: int) -> list[float]:
         """``k`` offsets: the values and the draws of ``k`` calls of ``next_offset``."""
-        draw = random.Random.random  # mapped over repeat(): no Python frame per draw
-        out = list(map(draw, repeat(self._rng, k)))
-        while 0.0 in out:  # drop the zero draws, in order, and draw the shortfall
-            out = [u for u in out if u]
-            out += map(draw, repeat(self._rng, k - len(out)))
-        return out
+        return list(islice(self.draws(), k))
 
     def spawn(self, tag: int) -> "RandomStream":
         """Independent child stream, deterministic in (seed, tag)."""

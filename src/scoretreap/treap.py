@@ -158,19 +158,6 @@ class Treap:
         self._require(key)
         return self._tier[key], self._off[key]
 
-    def parent_of(self, key: int) -> int:
-        """Parent key, or 0 at the root."""
-        self._require(key)
-        return self._parent[key]
-
-    def left_of(self, key: int) -> int:
-        self._require(key)
-        return self._left[key]
-
-    def right_of(self, key: int) -> int:
-        self._require(key)
-        return self._right[key]
-
     def _require(self, key: int) -> None:
         if not (1 <= key <= self.n and self._present[key]):
             raise KeyError(key)

@@ -63,6 +63,29 @@ def depth_list(depths: Mapping[int, int], n: int) -> list[int]:
     return out
 
 
+def parent_of(t, key: int) -> int:
+    """A treap key's parent, 0 at the root, read from the node arrays."""
+    return t._parent[key]
+
+
+def left_of(t, key: int) -> int:
+    return t._left[key]
+
+
+def right_of(t, key: int) -> int:
+    return t._right[key]
+
+
+def btree_height(tree) -> int:
+    """Blocks on a B-tree's leftmost root-to-leaf path."""
+    h = 1
+    blk = tree.root
+    while blk.children:
+        blk = blk.children[0]
+        h += 1
+    return h
+
+
 def random_distribution(py: random.Random, n: int, skew: float = 3.0) -> list[float]:
     """A random probability vector with a controllable tail."""
     raw = [py.random() ** skew + 1e-12 for _ in range(n)]

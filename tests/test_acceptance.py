@@ -10,8 +10,8 @@ with what it checks ("independent" means it shares none):
 * c01 -- ``oracle.naive_depths`` (recursive argmax): independent.  Also
   insertion in every order against the bulk build: two construction paths
   of ``Treap`` (``update_priority`` rotations against ``_sweep``) that
-  share only the node arrays read through ``parent_of``/``left_of``/
-  ``right_of``.
+  share only the node arrays, read by the test helpers ``parent_of``,
+  ``left_of`` and ``right_of``.
 * c02 -- the interval maximum, computed in the test from the priorities;
   ancestors are read by walking ``parent_of``: independent.
 * c03 -- ``oracle.optimal_static_bst_cost`` (interval DP): independent; the
@@ -58,7 +58,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import depth_list
+from conftest import depth_list, left_of, parent_of, right_of
 from scoretreap.distributions import (
     cross_entropy,
     entropy,
@@ -98,7 +98,7 @@ def _build(masses, rng, maker):
 
 
 def _shape(t: Treap):
-    return {k: (t.parent_of(k), t.left_of(k), t.right_of(k)) for k in t.keys()}
+    return {k: (parent_of(t, k), left_of(t, k), right_of(t, k)) for k in t.keys()}
 
 
 SUITE_TRACES = {
@@ -151,10 +151,10 @@ def test_c02_ancestor_iff_interval_priority_max():
         t = Treap.build(pris, n=n)
         for y in range(1, n + 1):
             ancestors = set()
-            p = t.parent_of(y)
+            p = parent_of(t, y)
             while p:
                 ancestors.add(p)
-                p = t.parent_of(p)
+                p = parent_of(t, p)
             for x in range(1, n + 1):
                 if x == y:
                     continue
@@ -426,7 +426,8 @@ def test_c14_crude_scores_stay_in_band_with_few_updates():
             front.remove(key)
         front.insert(0, key)
         assert 1 <= len(rows) <= cap
-        for item, s in rows:
+        for r, item in enumerate(rows):  # the key at index r has score 2^r - 1
+            s = (1 << r) - 1
             w = front.index(item)
             assert math.log2(w + 1) <= math.log2(s + 1) <= 2.0 * math.log2(w + 1) + 1.0
 

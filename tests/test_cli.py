@@ -139,9 +139,11 @@ class TestPlumbing:
     @pytest.mark.parametrize("fault", ["score below band", "rows twice",
                                        "item one place nearer the front", "last row dropped"])
     def test_validate_fails_on_a_wrong_crude_update_set(self, tmp_path, monkeypatch, fault):
-        """The last two faults give each row the score that is right for the
-        rank it names, so only a check of every key against its exact work
-        sees that the item that crossed the boundary kept its old score."""
+        """Each fault returns keys only, as the oracle does: the key at index r
+        takes the score 2^r - 1.  The last two faults give each key the score
+        that is right for the rank it names, so only a check of every key
+        against its exact work sees that the item that crossed the boundary
+        kept its old score."""
         real_step = CrudeOracle.step
 
         def bad_step(self, key):
@@ -151,9 +153,10 @@ class TestPlumbing:
             if fault == "last row dropped":
                 return [head] + rows[:-1]
             if fault == "item one place nearer the front":  # rank 2^j, not 2^j + 1
-                return [head] + [(self.prev[item], s) for item, s in rows]
-            # the refreshed rows lose the top bit of their rounded score
-            return [head] + [(item, s >> 1) for item, s in rows]
+                return [head] + [self.prev[item] for item in rows]
+            # each refreshed key after the first sits one index early, so its
+            # score is one band below its rank's
+            return [head] + rows[1:]
 
         monkeypatch.setattr(CrudeOracle, "step", bad_step)
         assert self.failing_checks(tmp_path) == ["crude_band_and_volume"]
@@ -597,6 +600,24 @@ class TestExperiments:
         row = s["mae_sweep"][0]
         assert row["eps_rel"] == 0.0 and row["noisy_cost"] == s["exact_cost"] + 1
         assert row["noisy_cost"] <= row["budget"]
+
+    def test_interval_set_x2_check_fails_on_the_round_robin_trace(self, tmp_path, monkeypatch):
+        """Handed the round-robin trace in place of the block-repeat one, the
+        x2 runs replay the x1 runs on the same streams and cost exactly as
+        much, so ``x2_cheaper_every_seed`` alone fails and the command exits 1."""
+        real_gen = cli.gen_sequence
+
+        def gen_sequence(spec):
+            if spec.family == "block-repeat":
+                spec = TraceSpec("round-robin", n=spec.n, m=spec.m, seed=spec.seed, s=spec.s)
+            return real_gen(spec)
+
+        monkeypatch.setattr(cli, "gen_sequence", gen_sequence)
+        code, s, _ = run_cli(tmp_path, "interval-set", "n = 48\nm = 1200\n", trials=2)
+        assert code == 1 and s["all_passed"] is False
+        assert s["checks"] == {"mae_0.0": True, "mae_0.5": True, "mae_1.0": True,
+                               "x2_cheaper_every_seed": False}
+        assert s["x2_costs"] == s["x1_costs"]
 
     @pytest.mark.parametrize("inflated", ["tier-forest", "det-forest"])
     def test_em_compare_checks_can_fail(self, tmp_path, monkeypatch, inflated):

@@ -17,6 +17,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import parent_of
 from scoretreap import dynamic, em
 from scoretreap.distributions import noisy_scores
 from scoretreap.dynamic import (
@@ -24,7 +25,9 @@ from scoretreap.dynamic import (
     NORM_STEADY,
     CostBreakdown,
     CrudeOracle,
+    _band_tables,
     _scheme_scores,
+    _score_row,
     compute_stats,
     cost_decomposition_check,
     run_dynamic,
@@ -198,6 +201,11 @@ def _round_score(work: int) -> int:
     return (1 << work.bit_length()) - 1
 
 
+def scored(keys: list[int]) -> list[tuple[int, int]]:
+    """A step's keys as (item, score) rows: the key at index r has score 2^r - 1."""
+    return [(item, (1 << r) - 1) for r, item in enumerate(keys)]
+
+
 def stored_scores(oracle: CrudeOracle) -> list[int]:
     """Each item's rounded score as its band records it; unseen items (and
     the unused slot 0) carry the rounded sentinel n."""
@@ -256,7 +264,7 @@ class TestCrudeOracle:
         seq = gen_sequence(LOCKSTEP_TRACES[trace])
         oracle, ref = CrudeOracle(seq.n), RankQueryOracle(seq.n)
         for i, key in enumerate(seq.items, start=1):
-            assert oracle.step(key) == ref.step(key), (trace, i)
+            assert scored(oracle.step(key)) == ref.step(key), (trace, i)
             if i % 500 == 0 or i == seq.m:
                 assert oracle.validate() is None, (trace, i)
         assert stored_scores(oracle) == ref.score
@@ -303,7 +311,7 @@ class TestCrudeOracle:
         seq = [1, 2, 3, 4, 1, 1]
         rows = []
         for k in seq:
-            rows = oracle.step(k)
+            rows = scored(oracle.step(k))
         # immediate repeat: only the served key updates, with score 0
         assert rows[0] == (1, 0)
         assert len(rows) == 1
@@ -316,7 +324,7 @@ class TestCrudeOracle:
             key = py_rng.randint(1, n)
             pre_work = front.index(key) if key in front else n
             assert stored_scores(oracle)[key] == _round_score(pre_work)
-            rows = oracle.step(key)
+            rows = scored(oracle.step(key))
             if key in front:
                 front.remove(key)
             front.insert(0, key)
@@ -508,7 +516,7 @@ class TestRunDynamic:
                 found, path = tree_of(self, comp).search(target)
                 assert found, target
                 blocks += path
-                target = self.base.parent_of(comp.top)
+                target = parent_of(self.base, comp.top)
                 comp = self.comp_of[target]
             assert len({id(blk) for blk in blocks}) == len(blocks) == count, key
             walks.append(count)
@@ -643,7 +651,7 @@ def reference_run(seq, scheme, structure, B, rng, predicted, stats):
             if w_new != weights[x]:
                 updates.append((x, w_new))
         elif oracle is not None:
-            updates = [(item, 1.0 / (1.0 + s) ** 2) for item, s in oracle.step(x)]
+            updates = [(item, 1.0 / (1.0 + s) ** 2) for item, s in scored(oracle.step(x))]
         for item, w_new in updates:
             ucost, rcost = update(item, w_new)
             bd.update_cost += ucost
@@ -687,8 +695,8 @@ class TestDriverLockstep:
 
 
 class TestScoreMemo:
-    """The driver maps each distinct score to its tier once per run, and the
-    block structures compute no tiers: they are built from the driver's."""
+    """The driver maps each crude band's score to its tier once per run, and
+    the block structures compute no tiers: they are built from the driver's."""
 
     @pytest.mark.parametrize("structure", ["treap", "det-forest", "tier-forest"])
     def test_tier_value_calls(self, structure, monkeypatch):
@@ -705,13 +713,31 @@ class TestScoreMemo:
 
         counted("dynamic", dynamic)
         counted("em", em)
-        oracle = CrudeOracle(n)
-        distinct = {s for x in seq.items for _, s in oracle.step(x)}
+        bands = (n - 1).bit_length() + 1  # the scores 2^r - 1, r = 0 .. 8
         bd = run_dynamic(seq, "past-ws-crude", structure, B=4, rng=RandomStream(3))
-        assert bd.update_events > 10 * len(distinct)
+        assert bd.update_events > 10 * bands
         assert calls["em"] == 0
         # a forest's one starting tier; the treap's comes from composite_priority
-        assert calls["dynamic"] == (0 if structure == "treap" else 1) + len(distinct)
+        assert calls["dynamic"] == (0 if structure == "treap" else 1) + bands
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 300, 4096])
+    @pytest.mark.parametrize("inner, outer", [(2, 2), (16, 2), (16, 4), (4, 4), (7, 2)])
+    def test_band_tables_equal_the_score_rows(self, n, inner, outer):
+        """Bit for bit, band r's tier and log weight are the score row of
+        2^r - 1, band -1 reads the starting weight's log, and the shifts of
+        a k-key update set are |log w_r - log w_(r-1)| for r = 1 .. k - 1."""
+        w0 = 1.0 / (n + 1) ** 2
+        tiers, lws, shifts = _band_tables(n, w0, inner, outer)
+        top = (n - 1).bit_length()  # the band of rank n, work n - 1
+        rows = [_score_row((1 << r) - 1, inner, outer) for r in range(top + 1)]
+        assert tiers == [tier for _, _, tier in rows]
+        assert list(map(float.hex, lws)) == [float.hex(lw) for _, lw, _ in rows] + [
+            float.hex(math.log(w0))]
+        assert lws[-1] == _score_row(n, inner, outer)[1]  # unseen: the sentinel score n
+        assert len(shifts) == len(rows) + 1 and shifts[0] == []
+        for k in range(1, len(rows) + 1):
+            assert list(map(float.hex, shifts[k])) == [
+                float.hex(abs(rows[r][1] - rows[r - 1][1])) for r in range(1, k)]
 
 
 class TestCostDecompositionCheck:

@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from conftest import btree_height, left_of, parent_of, right_of
 from scoretreap import dynamic
 from scoretreap.em import (
     Block,
@@ -212,7 +213,7 @@ def churned_forest(n: int = 200, B: int = 4, updates: int = 300, seed: int = 11,
 
 def glued_top(st: TierForestBTreap) -> int:
     """The smallest component top that hangs below another component."""
-    return min(comp.top for comp in st._comps() if st.base.parent_of(comp.top))
+    return min(comp.top for comp in st._comps() if parent_of(st.base, comp.top))
 
 
 def reachable_blocks(trees) -> list[Block]:
@@ -624,7 +625,7 @@ class TestBTree:
 
     def test_small_tree_is_one_block(self):
         tree = BTree(8, list(range(1, 8)))
-        assert tree.height() == 1
+        assert btree_height(tree) == 1
         found, path = tree.search(3)
         assert found and len(path) == 1
 
@@ -658,7 +659,7 @@ class TestBTree:
         tree = BTree(4, list(range(1, 101)))
         assert 57 in tree and 0 not in tree and 101 not in tree
         found, path = tree.search(57)
-        assert found and 1 <= len(path) <= tree.height()
+        assert found and 1 <= len(path) <= btree_height(tree)
         found, path = tree.search(1000)
         assert not found and path  # still walks to a leaf
 
@@ -711,7 +712,7 @@ class TestBTree:
             goal = 250 if rnd % 2 == 0 else 3
             while len(present) != goal:
                 grow = py.random() < (0.8 if len(present) < goal else 0.2)
-                blocks, height = len(twin_blocks(tree, ref)), tree.height()
+                blocks, height = len(twin_blocks(tree, ref)), btree_height(tree)
                 if grow:
                     k = py.randrange(1, 5_000)
                     while k in present:
@@ -727,10 +728,10 @@ class TestBTree:
                 assert all(twins[id(g)] is w for g, w in zip(got, want)), (rnd, k)
                 if grow:
                     seen["split"] += len(twins) > blocks
-                    seen["root split"] += tree.height() > height
+                    seen["root split"] += btree_height(tree) > height
                 else:
                     seen["merge"] += len(twins) < blocks
-                    seen["root collapse"] += tree.height() < height
+                    seen["root collapse"] += btree_height(tree) < height
                     seen["borrow"] += len(twins) == blocks and len(got) > height
                     seen["repeat"] += len({id(g) for g in got}) < len(got)
                 assert tree.keys_inorder() == ref.keys_inorder() == sorted(present)
@@ -748,7 +749,7 @@ class TestBTree:
     ])
     def test_validate_names_drift_after_churn(self, corrupt):
         tree = churned_tree()
-        root, n, h = tree.root, len(tree), tree.height()
+        root, n, h = tree.root, len(tree), btree_height(tree)
         parent, j, leaf = next(t for t in leaves(tree) if len(t[2].keys) == 3)
         if corrupt == "unsorted keys":
             leaf.keys.reverse()
@@ -961,7 +962,7 @@ class TestTierForest:
         assert st.validate() is None
         comp, = st._comps()
         top = comp.top
-        child = st.base.left_of(top) or st.base.right_of(top)
+        child = left_of(st.base, top) or right_of(st.base, top)
         if corrupt == "stale root":
             comp.top = child
             message = f"top key {top} {message} of its component {child}"
@@ -971,8 +972,8 @@ class TestTierForest:
             # the child's own children keep the old tree, and key order
             # reaches the smallest of the mismatched pairs first
             k = min(c for c in range(1, n + 1)
-                    if c == child or st.base.parent_of(c) == child)
-            p = st.base.parent_of(k)
+                    if c == child or parent_of(st.base, c) == child)
+            p = parent_of(st.base, k)
             message = (f"{message} {k} and parent {p} in components "
                        f"{st.comp_of[k].top} and {st.comp_of[p].top}")
         assert st.validate() == message
@@ -981,7 +982,7 @@ class TestTierForest:
         st = churned_forest()
         top = glued_top(st)
         low = st.comp_of[top].tier
-        st.comp_of[st.base.parent_of(top)].tier = low + 1
+        st.comp_of[parent_of(st.base, top)].tier = low + 1
         msg = re.escape(f"tiers not monotone on the path to {top}: tier {low + 1} above tier {low}")
         with pytest.raises(AssertionError, match=msg):
             st.access(top)
@@ -992,7 +993,7 @@ class TestTierForest:
     def test_path_walk_rejects_a_key_missing_from_its_tree(self, gone):
         st = churned_forest()
         top = glued_top(st)
-        key = top if gone == "target" else st.base.parent_of(top)
+        key = top if gone == "target" else parent_of(st.base, top)
         st.comp_of[key].members.remove(key)
         with pytest.raises(AssertionError, match=f"key {key} missing from its component$"):
             st.access(top)
@@ -1062,7 +1063,7 @@ class TestTierForest:
             raise AssertionError("no such pair of components")
 
         if corrupt == "base heap order":
-            p = st.base.parent_of(top)
+            p = parent_of(st.base, top)
             tier[top] = tier[p] - 1  # top now outranks its parent, and only it
             message = f"base treap: heap order violated between {p} and child {top}"
         elif corrupt == "tree tier":
@@ -1159,7 +1160,7 @@ class TestTierForest:
         walked = []
         real_walk = st._path_length
         monkeypatch.setattr(st, "_path_length", lambda key: walked.append(key) or real_walk(key))
-        k, j = glued_top(st), st.base.parent_of(glued_top(st))
+        k, j = glued_top(st), parent_of(st.base, glued_top(st))
 
         def update_walks(key: int) -> list[int]:
             """The keys walked by an update of ``key`` that keeps its tier."""
@@ -1175,7 +1176,7 @@ class TestTierForest:
         assert update_walks(k) == [k]
 
         st.access(k)
-        above = st.comp_of[st.base.parent_of(st.comp_of[k].top)]
+        above = st.comp_of[parent_of(st.base, st.comp_of[k].top)]
         above_tier = above.tier
         above.tier = st.comp_of[k].tier + 1  # the tier above k's component grows upward
         with pytest.raises(AssertionError, match="tiers not monotone"):

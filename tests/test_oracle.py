@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from scoretreap.oracle import (
     optimal_static_bst_cost,
 )
 from scoretreap.priorities import RandomStream
+from scoretreap.sequences import TraceSpec, gen_sequence
 from scoretreap.treap import Treap
 
 
@@ -27,6 +29,37 @@ def brute_force_bst_cost(freqs: list[int]) -> int:
         return window + min(best(lo, r - 1) + best(r + 1, hi) for r in range(lo, hi + 1))
 
     return best(0, len(freqs) - 1)
+
+
+def row_only_bst_cost(frequencies: list[int]) -> int:
+    """The interval DP as it was before it kept columns: the inner loop reads
+    cost[r + 1][j] from the row table, and ties keep the first root."""
+    n = len(frequencies)
+    f = list(frequencies)
+    W = [0] * (n + 1)
+    for i in range(n):
+        W[i + 1] = W[i] + f[i]
+    cost = [[0] * (n + 1) for _ in range(n + 2)]
+    root = [[0] * (n + 1) for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        cost[i][i] = f[i - 1]
+        root[i][i] = i
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            lo = root[i][j - 1]
+            hi = root[i + 1][j]
+            ci = cost[i]
+            best = None
+            best_r = lo
+            for r in range(lo, hi + 1):
+                c = ci[r - 1] + cost[r + 1][j]
+                if best is None or c < best:
+                    best = c
+                    best_r = r
+            cost[i][j] = best + (W[j] - W[i - 1])
+            root[i][j] = best_r
+    return cost[1][n]
 
 
 class TestNaiveDepths:
@@ -58,6 +91,21 @@ class TestOptimalStaticBstCost:
             n = py_rng.randint(1, 7)
             freqs = [py_rng.randint(0, 9) for _ in range(n)]
             assert optimal_static_bst_cost(freqs) == brute_force_bst_cost(freqs)
+
+    def test_matches_the_row_only_dp(self, py_rng):
+        for _ in range(300):
+            n = py_rng.randint(1, 60)
+            hi = py_rng.choice([1, 3, 50, 10**6])
+            freqs = [py_rng.randint(0, hi) for _ in range(n)]
+            assert optimal_static_bst_cost(freqs) == row_only_bst_cost(freqs), freqs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_row_only_dp_on_the_c03_traces(self, seed):
+        # the static-optimality claim's zipf n=1024, m=1e5 trace at this seed
+        seq = gen_sequence(TraceSpec("zipf", n=1024, m=100_000, seed=seed, s=1.0))
+        counts = Counter(seq.items)
+        freqs = [counts.get(k, 0) for k in range(1, 1025)]
+        assert optimal_static_bst_cost(freqs) == row_only_bst_cost(freqs)
 
     def test_never_beaten_by_any_random_treap(self, py_rng):
         for _ in range(40):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -241,6 +242,30 @@ class TestOffsets:
         assert got._rng.getstate() == ref._rng.getstate()
         assert drawn[got._rng] == drawn[ref._rng] == 1001 + len(zeros)
         assert got.next_offset() == ref.next_offset()
+
+    @pytest.mark.parametrize("zeros", [(), (1,), (2, 3, 4), (1, 6, 7, 12, 13, 14, 20)])
+    def test_draws_interleave_with_next_offset_and_offsets(self, monkeypatch, zeros):
+        """``draws()`` draws only when advanced: mixed in any order with
+        ``next_offset``, ``offsets`` and a second ``draws()``, around zero
+        draws, the values are the ``next_offset`` sequence and the generator
+        ends in the same state after the same number of draws."""
+        real = random.Random.random
+        drawn = {}
+
+        def zero_at(rng):  # the generator's draws at positions ``zeros`` read 0.0
+            u = real(rng)
+            drawn[rng] = i = drawn.get(rng, 0) + 1
+            return 0.0 if i in zeros else u
+
+        monkeypatch.setattr(random.Random, "random", zero_at)
+        got, ref = RandomStream(36), RandomStream(36)
+        draws = got.draws()  # made before the stream is read, advanced after
+        values = [got.next_offset(), *got.offsets(3), next(draws), next(draws),
+                  got.next_offset(), *islice(got.draws(), 4), *got.offsets(2), next(draws)]
+        got.draws()  # an iterator never advanced draws nothing
+        assert values == [ref.next_offset() for _ in values]
+        assert got._rng.getstate() == ref._rng.getstate()
+        assert drawn[got._rng] == drawn[ref._rng] == len(values) + len(zeros)
 
     def test_zero_offsets(self, stream):
         assert stream.offsets(0) == []

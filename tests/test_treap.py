@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from conftest import depth_list, random_priorities
+from conftest import depth_list, left_of, parent_of, random_priorities, right_of
 from scoretreap.errors import DuplicateKeyError
 from scoretreap.oracle import naive_depths
 from scoretreap.priorities import RandomStream, raw_score_priority
@@ -25,15 +25,15 @@ THREE = {1: (0, 0.9), 2: (0, 0.5), 3: (0, 0.7)}
 
 def shape(t: Treap) -> list[tuple[int, int, int, int]]:
     """Canonical (key, parent, left, right) table for tree equality checks."""
-    return [(k, t.parent_of(k), t.left_of(k), t.right_of(k)) for k in sorted(t.keys())]
+    return [(k, parent_of(t, k), left_of(t, k), right_of(t, k)) for k in sorted(t.keys())]
 
 
 class TestBuild:
     def test_three_key_example(self):
         t = Treap.build(THREE)
         assert t.root == 1
-        assert t.right_of(1) == 3
-        assert t.left_of(3) == 2
+        assert right_of(t, 1) == 3
+        assert left_of(t, 3) == 2
         assert t.depths() == [0, 1, 3, 2]
         assert t.validate() is None
 
@@ -49,7 +49,7 @@ class TestBuild:
         t = Treap.build(pris)
         for k in range(1, n + 1):
             assert t.access(k) == k
-            assert t.left_of(k) == 0
+            assert left_of(t, k) == 0
 
     def test_build_matches_naive_depths(self, py_rng):
         for _ in range(200):
@@ -217,7 +217,7 @@ class TestInsertDelete:
             spine, node = 0, t.root
             while node:
                 spine += 1
-                node = t.right_of(node)
+                node = right_of(t, node)
             rot = t.insert(n, -1, 0.5)
             assert t.root == n
             assert rot == spine
@@ -296,7 +296,7 @@ def descent(t: Treap, key: int) -> int:
     cur = t.root
     d = 1
     while cur != key:
-        cur = t.left_of(cur) if key < cur else t.right_of(cur)
+        cur = left_of(t, cur) if key < cur else right_of(t, cur)
         d += 1
     return d
 
@@ -462,15 +462,15 @@ class TestUpdatePriorityTies:
 
     def test_rise_onto_a_tie_with_a_larger_parent_wins(self):
         t = self.chain()
-        assert t.parent_of(1) == 2
+        assert parent_of(t, 1) == 2
         rot = t.update_priority(1, *t.priority(2))  # key 1 < parent 2: 1 wins
-        assert rot == 1 and t.root == 1 and t.right_of(1) == 2
+        assert rot == 1 and t.root == 1 and right_of(t, 1) == 2
         assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
         assert t.validate() is None
 
     def test_rise_onto_a_tie_with_a_smaller_parent_stays(self):
         t = self.chain()
-        assert t.parent_of(3) == 2
+        assert parent_of(t, 3) == 2
         want = shape(t)
         assert t.update_priority(3, *t.priority(2)) == 0  # 3 > 2: 2 keeps it
         assert shape(t) == want
@@ -479,15 +479,15 @@ class TestUpdatePriorityTies:
     def test_sink_onto_a_tie_with_a_smaller_child_loses(self):
         t = self.chain()
         # 5's left child is 4; sinking 5 to 4's exact pair lets 4 win the tie
-        assert t.left_of(5) == 4
+        assert left_of(t, 5) == 4
         rot = t.update_priority(5, *t.priority(4))
-        assert rot == 1 and t.parent_of(5) == 4
+        assert rot == 1 and parent_of(t, 5) == 4
         assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
         assert t.validate() is None
 
     def test_sink_onto_a_tie_with_a_larger_child_stays(self):
         t = self.chain()
-        assert t.right_of(3) == 5
+        assert right_of(t, 3) == 5
         want = shape(t)
         assert t.update_priority(3, *t.priority(5)) == 0  # 3 < 5: 3 keeps it
         assert shape(t) == want
@@ -495,9 +495,9 @@ class TestUpdatePriorityTies:
 
     def test_two_tied_children_the_left_one_rises(self):
         t = Treap.build({1: (1, 0.5), 2: (0, 0.9), 3: (1, 0.5)})
-        assert (t.left_of(2), t.right_of(2)) == (1, 3)
+        assert (left_of(t, 2), right_of(t, 2)) == (1, 3)
         assert t.update_priority(2, 2, 0.5) == 2
-        assert t.root == 1 and t.right_of(1) == 3 and t.left_of(3) == 2
+        assert t.root == 1 and right_of(t, 1) == 3 and left_of(t, 3) == 2
         assert t.depths() == depth_list(naive_depths({1: (1, 0.5), 2: (2, 0.5), 3: (1, 0.5)}), 3)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
@@ -729,7 +729,7 @@ def test_validate_names_drift_after_churn(corrupt):
             t.insert(k, py.randint(0, 3), py.random() or 0.5)
     assert t.validate() is None
     root, size = t.root, t.size
-    child = t.left_of(root) or t.right_of(root)
+    child = left_of(t, root) or right_of(t, root)
     absent = next(k for k in range(1, t.n + 1) if k not in t)
     assert child and 0 < size < t.n
     if corrupt == "size":
