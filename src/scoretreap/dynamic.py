@@ -269,11 +269,11 @@ def _scheme_scores(scheme: str, stats: SequenceStats | None,
         return [0.0] + clamped
 
 
-def _score_row(s: float, inner: int, outer: int) -> tuple[float, float, int]:
-    """(w, log w, tier) of a score s: w = 1/(1+s)^2 under the tier rule
+def _score_row(s: float, inner: int, outer: int) -> tuple[tuple[float, float], int]:
+    """((w, log w), tier) of a score s: w = 1/(1+s)^2 under the tier rule
     (inner, outer)."""
     w = 1.0 / (1.0 + s) ** 2
-    return w, math.log(w), tier_value(w, inner, outer)
+    return (w, math.log(w)), tier_value(w, inner, outer)
 
 
 def _band_tables(n: int, w0: float, inner: int,
@@ -284,8 +284,8 @@ def _band_tables(n: int, w0: float, inner: int,
     band -1 (unseen) reads it, and for each update-set size k the shifts
     |log w_r - log w_(r-1)| of the keys at index r = 1 .. k - 1."""
     rows = [_score_row((1 << r) - 1, inner, outer) for r in range((n - 1).bit_length() + 1)]
-    tiers = [tier for _, _, tier in rows]
-    lws = [lw for _, lw, _ in rows]
+    tiers = [tier for _, tier in rows]
+    lws = [lw for (_, lw), _ in rows]
     shifts = [0.0] + [abs(lws[r] - lws[r - 1]) for r in range(1, len(lws))]
     return tiers, lws + [math.log(w0)], [shifts[1:k] for k in range(len(lws) + 1)]
 
@@ -313,8 +313,10 @@ def run_dynamic(
     ``tier_value(w, inner, outer)``: (2, 2) for the treap and
     (B, ``OUTER_BASE``) for a score forest.  It builds the structure from the
     starting weight's tier; a structure takes the tier on update.  The exact
-    schemes map each score to its weight, log weight and tier through a memo
-    kept per run.  The crude scheme reads per-band tables built once per
+    schemes keep one row (w, log w) per key and map each score to its row
+    and tier through a memo kept per run; a key is re-weighted when its
+    weight changes.  The static and rank-forest runs read the starting log
+    weight only.  The crude scheme reads per-band tables built once per
     run: its oracle's keys come by band, and one ``update_rows`` call plays
     a step's whole set.  An update costs the pair (search touches, rebuild
     writes), which the driver adds to ``update_cost`` and ``rebuild_cost``:
@@ -336,7 +338,7 @@ def run_dynamic(
     oracle = CrudeOracle(n) if scheme == "past-ws-crude" else None
 
     w0 = 1.0 / (n + 1) ** 2
-    weights = [w0] * (n + 1)  # stored weights; only the exact schemes read them
+    lw0 = math.log(w0)
     # the interval-set norm certificate: norm is the sum of the stored weights,
     # which move only on updates; it stays under pi^2/6 throughout and under
     # the steady bound from step ``steady_from``, where the last unseen key is
@@ -348,7 +350,6 @@ def run_dynamic(
         first_served = dict.fromkeys(seq.items)
         if len(first_served) == n:
             steady_from = seq.items.index(next(reversed(first_served))) + 1
-    log_w = [math.log(w0)] * (n + 1)  # log of weights; only the exact schemes read them
 
     if structure == "treap":
         st = Treap.build_arrays(*composite_priority([w0] * n, rng))
@@ -387,11 +388,14 @@ def run_dynamic(
         scores = oracle = None
     do_access = st.access
 
-    # the exact schemes map a score to its row through a per-run memo.
-    # Integer scores give at most n + 1 distinct values; noisy fractional
-    # ones rarely repeat, so the memo is emptied at n + 1 entries
-    memo: dict[float, tuple[float, float, int]] = {}
-    if oracle is not None:
+    # the exact schemes keep each key's stored row and map a score to its row
+    # and tier through a per-run memo.  Integer scores give at most n + 1
+    # distinct values; noisy fractional ones rarely repeat, so the memo is
+    # emptied at n + 1 entries
+    if scores is not None:
+        rows = [(w0, lw0)] * (n + 1)
+        memo: dict[float, tuple[tuple[float, float], int]] = {}
+    elif oracle is not None:
         band_tier, band_lw, band_shifts = _band_tables(n, w0, inner, outer)
         band = oracle.band
 
@@ -403,28 +407,29 @@ def run_dynamic(
         cost = do_access(x)
         access_cost += cost
         if scores is not None:
-            # an exact-score scheme re-weights at most the served item
-            access_log_nat += -log_w[x]
+            # an exact-score scheme re-weights at most the served item, when
+            # its weight moves (equal weights from unequal scores do not)
+            w, lw = rows[x]
+            access_log_nat += -lw
             s = scores[i]
-            row = memo.get(s)
-            if row is None:
+            got = memo.get(s)
+            if got is None:
                 if len(memo) > n:
                     memo.clear()
-                row = memo[s] = _score_row(s, inner, outer)
-            w_new, lw, tier = row
-            if w_new == weights[x]:
+                got = memo[s] = _score_row(s, inner, outer)
+            row, tier = got
+            if row[0] == w:
                 updated = 0
             else:
                 updated = 1
                 if certify:
-                    norm += w_new - weights[x]
+                    norm += row[0] - w
                     _check_norm(norm, i >= steady_from)
                 ucost, rcost = do_update(x, tier)
                 update_cost += ucost
                 rebuild_cost += rcost
-                shift_l1_nat += abs(lw - log_w[x])
-                log_w[x] = lw
-                weights[x] = w_new
+                shift_l1_nat += abs(row[1] - lw)
+                rows[x] = row
                 update_events += 1
             if i == steady_from:
                 _check_norm(norm, True)
@@ -442,7 +447,7 @@ def run_dynamic(
             shift_l1_nat = reduce(add, band_shifts[updated], shift_l1_nat + abs(0.0 - lw))
             update_events += updated
         else:  # no weight ever moves
-            access_log_nat += -log_w[x]
+            access_log_nat += -lw0
         if keep_steps:
             steps.append((i, x, cost, updated, stats.work[i], stats.interval[i],
                           stats.future[i]))

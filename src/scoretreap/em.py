@@ -91,9 +91,6 @@ class BTree:
     def __len__(self) -> int:
         return self.size
 
-    def __contains__(self, key: int) -> bool:
-        return self.search(key)[0]
-
     # -- bulk construction -------------------------------------------------
 
     def _bulk(self, keys: list[int]) -> Block:

@@ -8,6 +8,7 @@ windows literally.  Keep it that way -- the tests rely on the redundancy.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
@@ -62,9 +63,7 @@ def optimal_static_bst_cost(frequencies: Sequence[int]) -> int:
     for x in f:
         if x < 0:
             raise ConfigError("frequencies must be non-negative")
-    W = [0] * (n + 1)
-    for i in range(n):
-        W[i + 1] = W[i] + f[i]
+    W = list(accumulate(f, initial=0))
     # col[j][i] is the cost of the key interval i..j (1-based), and
     # col[j][j + 1] == 0 stands for the empty one.  Rows i are filled from n
     # down to 1, each left to right, so the inner loop reads two flat lists:

@@ -10,6 +10,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .distributions import Distribution
 from .errors import ConfigError
@@ -38,7 +39,8 @@ class TraceSpec:
 
 @dataclass
 class AccessSequence:
-    """A trace of key accesses over the universe ``1..n`` (times are 1-based)."""
+    """A trace of key accesses over the universe ``1..n``; time i (1-based)
+    is ``items[i - 1]``."""
 
     n: int
     items: list[int] = field(default_factory=list)
@@ -56,12 +58,6 @@ class AccessSequence:
     @property
     def m(self) -> int:
         return len(self.items)
-
-    def at(self, i: int) -> int:
-        """Key accessed at time i (1-based); IndexError outside 1..m."""
-        if not 1 <= i <= len(self.items):
-            raise IndexError(f"time {i} outside 1..{len(self.items)}")
-        return self.items[i - 1]
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -127,11 +123,7 @@ def gen_sequence(spec: TraceSpec) -> AccessSequence:
         return AccessSequence(n, items)
     if fam in DISTRIBUTION_FAMILIES:
         dist = gen_distribution(spec)
-        cum: list[float] = []
-        acc = 0.0
-        for v in dist.masses():
-            acc += v
-            cum.append(acc)
+        cum = list(accumulate(dist.masses()))
         cum[-1] = 1.0  # guard the final bucket against fp drift
         bisect_left = bisect.bisect_left
         draw = random.Random(spec.seed).random

@@ -3,8 +3,9 @@
 Keys live in ``[1, n]``.  A priority is a plain pair ``(tier, offset)``: an
 integer tier and an offset in the open interval (0, 1), standing for the real
 number ``-tier + offset`` (a smaller tier sits closer to the root).  The
-treap keeps the pairs as parallel tier/offset arrays, and every entry point
-that stores one (``build``, ``build_arrays``, ``insert``,
+treap keeps the pairs as parallel tier/offset arrays (``_tier``, ``_off``,
+with ``_present`` marking the keys held; there is no per-key accessor), and
+every entry point that stores one (``build``, ``build_arrays``, ``insert``,
 ``update_priority``) rejects an offset outside (0, 1).  Priorities compare
 lexicographically by ``(-tier, offset)`` and ties are broken toward the
 smaller key, so the heap order is a strict total order and any priority
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import lt
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DuplicateKeyError
 
@@ -142,21 +143,7 @@ class Treap:
         self.size = len(keys)
 
     # ------------------------------------------------------------------
-    # introspection
-
-    def __contains__(self, key: int) -> bool:
-        return 1 <= key <= self.n and bool(self._present[key])
-
-    def keys(self) -> Iterator[int]:
-        """Present keys in ascending order."""
-        for k in range(1, self.n + 1):
-            if self._present[k]:
-                yield k
-
-    def priority(self, key: int) -> tuple[int, float]:
-        """The key's ``(tier, offset)`` pair."""
-        self._require(key)
-        return self._tier[key], self._off[key]
+    # checks
 
     def _require(self, key: int) -> None:
         if not (1 <= key <= self.n and self._present[key]):

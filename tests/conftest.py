@@ -63,6 +63,12 @@ def depth_list(depths: Mapping[int, int], n: int) -> list[int]:
     return out
 
 
+def priorities_of(t) -> dict[int, tuple[int, float]]:
+    """A treap's present keys, ascending, each with its ``(tier, offset)``
+    pair, read from the node arrays."""
+    return {k: (t._tier[k], t._off[k]) for k in range(1, t.n + 1) if t._present[k]}
+
+
 def parent_of(t, key: int) -> int:
     """A treap key's parent, 0 at the root, read from the node arrays."""
     return t._parent[key]

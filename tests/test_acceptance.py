@@ -33,7 +33,7 @@ with what it checks ("independent" means it shares none):
   ``math.fsum`` from the stored weights, not the state's running norm;
   the weights come from ``compute_stats``, which ``test_dynamic`` checks
   against ``oracle.ExhaustiveStats``.
-* c10 -- the served item ``seq.at(i)``: independent.
+* c10 -- the served item ``seq.items[i - 1]``: independent.
 * c11 -- the round-robin trace through the same ``run_dynamic`` and treap:
   a relative claim, fully shared code.
 * c12 -- a budget from ``compute_stats``' work values, the same statistics
@@ -58,7 +58,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import depth_list, left_of, parent_of, right_of
+from conftest import depth_list, left_of, parent_of, priorities_of, right_of
 from scoretreap.distributions import (
     cross_entropy,
     entropy,
@@ -98,7 +98,7 @@ def _build(masses, rng, maker):
 
 
 def _shape(t: Treap):
-    return {k: (parent_of(t, k), left_of(t, k), right_of(t, k)) for k in t.keys()}
+    return {k: (parent_of(t, k), left_of(t, k), right_of(t, k)) for k in priorities_of(t)}
 
 
 SUITE_TRACES = {
@@ -442,7 +442,7 @@ def test_c15_future_at_previous_step_equals_work_now():
         ex = ExhaustiveStats(seq.items, seq.n)
         st = compute_stats(seq)
         for i in range(2, seq.m + 1):
-            x = seq.at(i)
+            x = seq.items[i - 1]
             if ex.prev_strict(i, x):
                 assert ex.future(i - 1, x) == st.work[i], (name, i)
 

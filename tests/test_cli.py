@@ -192,7 +192,7 @@ class TestPlumbing:
             stats = compute_stats(seq)
             # the earliest access i whose key recurs, and its next access j
             i, j = next((i, j) for i, x in enumerate(seq.items, start=1)
-                        for j in range(i + 1, seq.m + 1) if seq.at(j) == x)
+                        for j in range(i + 1, seq.m + 1) if seq.items[j - 1] == x)
             # both ends of one occurrence pair count an extra item, so future
             # still equals work at the next access
             stats.work[j] += 1

@@ -65,7 +65,7 @@ class TestComputeStats:
             st = compute_stats(seq)
             ex = ExhaustiveStats(seq.items, n)
             for i in range(1, m + 1):
-                key = seq.at(i)
+                key = seq.items[i - 1]
                 assert st.work[i] == ex.work_past(i, key)
                 assert st.future[i] == ex.future(i, key)
                 assert st.interval[i] == ex.interval(i, key)
@@ -76,7 +76,7 @@ class TestComputeStats:
             st = compute_stats(seq)
             ex = ExhaustiveStats(seq.items, seq.n)
             for i in range(1, seq.m + 1):
-                j = ex.next(i, seq.at(i))
+                j = ex.next(i, seq.items[i - 1])
                 if j:
                     assert st.future[i] == st.work[j]
 
@@ -188,9 +188,9 @@ class TestForwardPermutationProperty:
                     assert ex.interval(i, x) >= ex.work_next(i, x)
                     # ...and the backward one too, except at an access of x,
                     # where the interval restarts at the current position
-                    if ex.next(i, x) and ex.prev_strict(i, x) and seq.at(i) != x:
+                    if ex.next(i, x) and ex.prev_strict(i, x) and seq.items[i - 1] != x:
                         assert ex.interval(i, x) >= ex.work_past(i, x)
-                    if seq.at(i) == x and ex.next(i, x):
+                    if seq.items[i - 1] == x and ex.next(i, x):
                         assert ex.interval(i, x) == ex.work_next(i, x)
 
 
@@ -437,6 +437,17 @@ class TestRunDynamic:
                              keep_steps=True, rng=RandomStream(0))
             assert bd.steps[0][3] == want, n
 
+    @pytest.mark.parametrize("structure", ["treap", "tier-forest", "det-forest"])
+    def test_noisy_scores_with_one_weight_are_no_update(self, structure):
+        # two predictions one ulp apart square to the same weight: the second
+        # serve of key 1 re-weights nothing, though the scores differ
+        a, b = 7.463248692339043, 7.463248692339044
+        assert a != b and 1.0 / (1.0 + a) ** 2 == 1.0 / (1.0 + b) ** 2
+        bd = run_dynamic(AccessSequence(8, [1, 1]), "future-ws-noisy", structure, B=4,
+                         predicted_scores=[a, b], keep_steps=True, rng=RandomStream(0))
+        assert [row[3] for row in bd.steps] == [1, 0]
+        assert bd.update_events == 1
+
     def test_interval_set_reweights_at_most_the_served_key(self, py_rng, monkeypatch):
         """Every step row's update-set size is 0 or 1, the sizes sum to
         ``update_events``, and each update re-prioritises that step's key."""
@@ -594,7 +605,7 @@ class TestRunDynamic:
                          stats=st, keep_steps=True)
         assert len(bd.steps) == seq.m
         for i, x, cost, usize, work, interval, future in bd.steps:
-            assert x == seq.at(i)
+            assert x == seq.items[i - 1]
             assert cost >= 1
             assert usize in (0, 1)
             assert (work, interval, future) == (st.work[i], st.interval[i], st.future[i])
@@ -669,8 +680,9 @@ LOCKSTEP_SCHEMES = ("interval-set", "future-ws-exact", "future-ws-noisy", "past-
 
 
 class TestDriverLockstep:
-    """``run_dynamic`` keeps its totals in locals, caches log weights and
-    memoises tiers; none of that may move a total, a float bit or a draw."""
+    """``run_dynamic`` keeps its totals in locals, one (w, log w) row per key
+    and a memo from score to row and tier; none of that may move a total, a
+    float bit or a draw."""
 
     @pytest.mark.parametrize("structure", ["treap", "tier-forest", "det-forest", "rank-forest"])
     @pytest.mark.parametrize("scheme", LOCKSTEP_SCHEMES)
@@ -730,14 +742,14 @@ class TestScoreMemo:
         tiers, lws, shifts = _band_tables(n, w0, inner, outer)
         top = (n - 1).bit_length()  # the band of rank n, work n - 1
         rows = [_score_row((1 << r) - 1, inner, outer) for r in range(top + 1)]
-        assert tiers == [tier for _, _, tier in rows]
-        assert list(map(float.hex, lws)) == [float.hex(lw) for _, lw, _ in rows] + [
+        assert tiers == [tier for _, tier in rows]
+        assert list(map(float.hex, lws)) == [float.hex(lw) for (_, lw), _ in rows] + [
             float.hex(math.log(w0))]
-        assert lws[-1] == _score_row(n, inner, outer)[1]  # unseen: the sentinel score n
+        assert lws[-1] == _score_row(n, inner, outer)[0][1]  # unseen: the sentinel score n
         assert len(shifts) == len(rows) + 1 and shifts[0] == []
         for k in range(1, len(rows) + 1):
             assert list(map(float.hex, shifts[k])) == [
-                float.hex(abs(rows[r][1] - rows[r - 1][1])) for r in range(1, k)]
+                float.hex(abs(rows[r][0][1] - rows[r - 1][0][1])) for r in range(1, k)]
 
 
 class TestCostDecompositionCheck:
@@ -756,7 +768,7 @@ class TestCostDecompositionCheck:
         stored = {x: 1.0 / (1.0 + n) ** 2 for x in range(1, n + 1)}
         shift = 0.0
         for i in range(1, seq.m + 1):
-            x = seq.at(i)
+            x = seq.items[i - 1]
             new = 1.0 / (1.0 + st.interval[i]) ** 2
             if new != stored[x]:
                 shift += abs(math.log(new) - math.log(stored[x]))

@@ -657,7 +657,7 @@ class TestBTree:
 
     def test_contains_and_search_path(self):
         tree = BTree(4, list(range(1, 101)))
-        assert 57 in tree and 0 not in tree and 101 not in tree
+        assert tree.search(57)[0] and not tree.search(0)[0] and not tree.search(101)[0]
         found, path = tree.search(57)
         assert found and 1 <= len(path) <= btree_height(tree)
         found, path = tree.search(1000)
@@ -676,7 +676,7 @@ class TestBTree:
             elif k not in ref:
                 tree.insert(k)
                 ref.add(k)
-            assert (k in tree) == (k in ref)
+            assert tree.search(k)[0] == (k in ref)
             if step % 100 == 0:
                 assert tree.validate() is None
                 assert tree.keys_inorder() == sorted(ref)
@@ -688,7 +688,7 @@ class TestBTree:
         with pytest.raises(KeyError):
             tree.delete(9)
         tree = churned_tree()
-        missing = next(k for k in range(1, 301) if k not in tree)
+        missing = next(k for k in range(1, 301) if not tree.search(k)[0])
         before = (tree.keys_inorder(), len(tree))
         with pytest.raises(KeyError):
             tree.delete(missing)  # the descent ends at a leaf without the key
@@ -1398,7 +1398,7 @@ class TestRankForest:
         assert 590 in st.order[2]  # initial fill puts ranks 513.. in tree 2
         a1 = st.access(590)
         a2 = st.access(590)
-        assert 590 in st.order[1] and 590 in st.trees[1]
+        assert 590 in st.order[1] and st.trees[1].search(590)[0]
         assert a2 == 5  # one root-to-leaf path in the front tree
         assert a2 <= a1
 

@@ -1,14 +1,16 @@
 """The package's public names, its imports, and what the benchmark's tracer reads."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import pathlib
 import pkgutil
 import sys
 
 import scoretreap
-from scoretreap import dynamic
+from scoretreap import cli, dynamic
 from scoretreap.priorities import RandomStream
 from scoretreap.sequences import TraceSpec, gen_sequence
 
@@ -58,20 +60,21 @@ def test_block_fanout_is_a_plain_int():
     assert [name for name in dir(scoretreap) if name.endswith("Config")] == []
 
 
-def _load_layers(monkeypatch):
-    """The benchmark's ``perfbench/layers.py``, loaded without a package."""
+def _load_perfbench(monkeypatch, name: str):
+    """The benchmark's ``perfbench/<name>.py``, loaded without a package."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_function_the_benchmark_traces_resolves(monkeypatch):
     """The traced benchmark pass wraps functions by name; a rename in the
     package must fail here, not only in that pass."""
-    layers = _load_layers(monkeypatch)
+    layers = _load_perfbench(monkeypatch, "layers")
     for name in layers.function_names():
         _, _, raw = layers.resolve(name)
         fn = raw.__func__ if isinstance(raw, classmethod) else raw
@@ -84,7 +87,7 @@ def test_the_benchmark_tracer_hooks_agree_with_the_driver_costs(monkeypatch):
     ``update_weight``, ``tier_of``, ``Treap.access`` and ``run_dynamic``
     return, and checks them against each other; a change to those return
     shapes must fail here, not only in that pass."""
-    layers = _load_layers(monkeypatch)
+    layers = _load_perfbench(monkeypatch, "layers")
     seq = gen_sequence(TraceSpec("zipf", n=64, m=600, seed=5))
     tracer = layers.Tracer()
     tracer.install()
@@ -106,3 +109,34 @@ def test_the_benchmark_tracer_hooks_agree_with_the_driver_costs(monkeypatch):
             + metrics["em.DetScoreForest.update_weight.calls"]
             == metrics["dynamic.run_dynamic.update_events"])
     assert metrics["treap.nodes_touched"] == tracer.breakdowns[0][0] > 0
+
+
+def test_every_workload_reaches_what_it_exercises_and_nothing_it_bypasses(monkeypatch,
+                                                                          tmp_path):
+    """The traced benchmark pass fails a workload that leaves a function of
+    ``EXERCISED`` uncalled or calls one of ``BYPASSED``; moving work between
+    layers must fail here, not only in that pass.  Each workload's
+    invocations run once, at one trial."""
+    layers = _load_perfbench(monkeypatch, "layers")
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    problems = []
+    for workload, invocations in workloads.WORKLOADS.items():
+        exercised, bypassed = workloads.EXERCISED[workload], workloads.BYPASSED[workload]
+        tracer = layers.Tracer(only=exercised + bypassed)
+        tracer.install()
+        try:
+            for j, inv in enumerate(invocations):
+                cfg = tmp_path / f"{workload}-{j}.cfg"
+                cfg.write_text(inv.config)
+                argv = [inv.subcommand, "--config", str(cfg), "--out", str(tmp_path / cfg.stem),
+                        "--seed", "0", "--trials", "1", "--threads", "1"]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(argv)
+        finally:
+            tracer.uninstall()
+        calls = tracer.metrics()
+        problems += [f"{workload}: {name} was not called" for name in exercised
+                     if not calls[f"{name}.calls"]]
+        problems += [f"{workload}: {name} was called" for name in bypassed
+                     if calls[f"{name}.calls"]]
+    assert not problems

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from conftest import depth_list, left_of, parent_of, random_priorities, right_of
+from conftest import depth_list, left_of, parent_of, priorities_of, random_priorities, right_of
 from scoretreap.errors import DuplicateKeyError
 from scoretreap.oracle import naive_depths
 from scoretreap.priorities import RandomStream, raw_score_priority
@@ -25,7 +25,7 @@ THREE = {1: (0, 0.9), 2: (0, 0.5), 3: (0, 0.7)}
 
 def shape(t: Treap) -> list[tuple[int, int, int, int]]:
     """Canonical (key, parent, left, right) table for tree equality checks."""
-    return [(k, parent_of(t, k), left_of(t, k), right_of(t, k)) for k in sorted(t.keys())]
+    return [(k, parent_of(t, k), left_of(t, k), right_of(t, k)) for k in priorities_of(t)]
 
 
 class TestBuild:
@@ -338,15 +338,15 @@ class TestAccess:
             for _ in range(200):
                 k = py_rng.randint(1, n)
                 roll = py_rng.random()
-                if k not in t:
+                if not t._present[k]:
                     t.insert(k, py_rng.randint(0, 3), py_rng.random())
                 elif roll < 0.2 and t.size > 1:
                     t.delete(k)
                 else:
                     t.update_priority(k, py_rng.randint(0, 3), py_rng.random())
-                want = naive_depths({k: t.priority(k) for k in t.keys()})
-                assert {k: t.access(k) for k in t.keys()} == want
-                assert {k: descent(t, k) for k in t.keys()} == want
+                want = naive_depths(priorities_of(t))
+                assert {k: t.access(k) for k in want} == want
+                assert {k: descent(t, k) for k in want} == want
 
     def test_access_on_a_5000_deep_chain(self):
         n = 5000
@@ -463,35 +463,35 @@ class TestUpdatePriorityTies:
     def test_rise_onto_a_tie_with_a_larger_parent_wins(self):
         t = self.chain()
         assert parent_of(t, 1) == 2
-        rot = t.update_priority(1, *t.priority(2))  # key 1 < parent 2: 1 wins
+        rot = t.update_priority(1, *priorities_of(t)[2])  # key 1 < parent 2: 1 wins
         assert rot == 1 and t.root == 1 and right_of(t, 1) == 2
-        assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
+        assert t.depths() == depth_list(naive_depths(priorities_of(t)), t.n)
         assert t.validate() is None
 
     def test_rise_onto_a_tie_with_a_smaller_parent_stays(self):
         t = self.chain()
         assert parent_of(t, 3) == 2
         want = shape(t)
-        assert t.update_priority(3, *t.priority(2)) == 0  # 3 > 2: 2 keeps it
+        assert t.update_priority(3, *priorities_of(t)[2]) == 0  # 3 > 2: 2 keeps it
         assert shape(t) == want
-        assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
+        assert t.depths() == depth_list(naive_depths(priorities_of(t)), t.n)
 
     def test_sink_onto_a_tie_with_a_smaller_child_loses(self):
         t = self.chain()
         # 5's left child is 4; sinking 5 to 4's exact pair lets 4 win the tie
         assert left_of(t, 5) == 4
-        rot = t.update_priority(5, *t.priority(4))
+        rot = t.update_priority(5, *priorities_of(t)[4])
         assert rot == 1 and parent_of(t, 5) == 4
-        assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
+        assert t.depths() == depth_list(naive_depths(priorities_of(t)), t.n)
         assert t.validate() is None
 
     def test_sink_onto_a_tie_with_a_larger_child_stays(self):
         t = self.chain()
         assert right_of(t, 3) == 5
         want = shape(t)
-        assert t.update_priority(3, *t.priority(5)) == 0  # 3 < 5: 3 keeps it
+        assert t.update_priority(3, *priorities_of(t)[5]) == 0  # 3 < 5: 3 keeps it
         assert shape(t) == want
-        assert t.depths() == depth_list(naive_depths({k: t.priority(k) for k in t.keys()}), t.n)
+        assert t.depths() == depth_list(naive_depths(priorities_of(t)), t.n)
 
     def test_two_tied_children_the_left_one_rises(self):
         t = Treap.build({1: (1, 0.5), 2: (0, 0.9), 3: (1, 0.5)})
@@ -510,17 +510,17 @@ class TestUpdatePriorityTies:
             key = py_rng.randint(1, n)
             roll = py_rng.random()
             if roll < 0.3 and n > 1:  # the exact pair of another key
-                pair = new.priority(py_rng.randint(1, n))
+                pair = priorities_of(new)[py_rng.randint(1, n)]
             elif roll < 0.5:  # a tier-only tie: same tier, fresh offset
-                pair = (new.priority(key)[0], py_rng.random())
+                pair = (new._tier[key], py_rng.random())
             elif roll < 0.7:  # an offset-only tie: same offset, other tier
-                pair = (py_rng.choice(tiers), new.priority(key)[1])
+                pair = (py_rng.choice(tiers), new._off[key])
             else:
                 pair = (py_rng.choice(tiers), py_rng.choice(pool + [py_rng.random()]))
             assert new.update_priority(key, *pair) == reference_update_priority(ref, key, *pair)
             assert arrays(new) == arrays(ref), step
         assert new.validate() is None
-        assert new.depths() == depth_list(naive_depths({k: new.priority(k) for k in new.keys()}), n)
+        assert new.depths() == depth_list(naive_depths(priorities_of(new)), n)
 
 
 class RotationTreap(Treap):
@@ -628,15 +628,16 @@ class TestUnzipZipLockstep:
             for step in range(200):
                 key = py_rng.randint(1, n)
                 roll = py_rng.random()
-                if key not in new:
+                present = priorities_of(new)
+                if key not in present:
                     pair = (py_rng.randint(0, 3), py_rng.choice(pool))
                     got, want = new.insert(key, *pair), ref.insert(key, *pair)
                 elif roll < 0.15:
                     got, want = new.delete(key), ref.delete(key)
                 else:
-                    tier, off = new.priority(key)
+                    tier, off = present[key]
                     if roll < 0.35 and new.size > 1:  # another key's exact pair
-                        pair = new.priority(py_rng.choice(list(new.keys())))
+                        pair = present[py_rng.choice(list(present))]
                     elif roll < 0.5:  # up a few tiers
                         pair = (tier - py_rng.randint(1, 3), off)
                     elif roll < 0.65:  # down a few tiers
@@ -723,14 +724,14 @@ def test_validate_names_drift_after_churn(corrupt):
     t = Treap(40)
     for _ in range(300):
         k = py.randint(1, t.n)
-        if k in t:
+        if t._present[k]:
             t.delete(k)
         else:
             t.insert(k, py.randint(0, 3), py.random() or 0.5)
     assert t.validate() is None
     root, size = t.root, t.size
     child = left_of(t, root) or right_of(t, root)
-    absent = next(k for k in range(1, t.n + 1) if k not in t)
+    absent = next(k for k in range(1, t.n + 1) if not t._present[k])
     assert child and 0 < size < t.n
     if corrupt == "size":
         t.size += 1
@@ -772,7 +773,7 @@ def test_entry_points_reject_offsets_outside_open_interval(entry, offset):
         else:
             t.update_priority(2, 0, offset)
     # a rejected insert or update leaves the tree as it was
-    assert shape(t) == want and t.priority(2) == THREE[2] and 4 not in t
+    assert shape(t) == want and priorities_of(t) == THREE
     assert t.validate() is None
 
 
