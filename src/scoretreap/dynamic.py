@@ -345,6 +345,9 @@ def run_dynamic(
     # first served (m + 1 when some key is never served)
     certify = scheme == "interval-set"
     norm = n * w0
+    # at or under the smaller of its two bounds ``_check_norm`` passes, so the
+    # driver calls it only above that
+    norm_quiet = min(NORM_CEILING, NORM_STEADY) + 1e-9
     steady_from = m + 1
     if certify:
         first_served = dict.fromkeys(seq.items)
@@ -424,7 +427,8 @@ def run_dynamic(
                 updated = 1
                 if certify:
                     norm += row[0] - w
-                    _check_norm(norm, i >= steady_from)
+                    if norm > norm_quiet:
+                        _check_norm(norm, i >= steady_from)
                 ucost, rcost = do_update(x, tier)
                 update_cost += ucost
                 rebuild_cost += rcost

@@ -18,6 +18,11 @@ touches.
   An update returns ``UpdateCost(search, rebuild_writes)``, the pair that
   ``dynamic.run_dynamic`` adds up; an access records the count of its walk,
   so an update of the same key right after it does not walk that path again.
+  A tier change re-groups only the components around the nodes the key's
+  rotations passed, which it reads from the rotation count (the spines
+  between the key and its old children after a rise, the key's lowest
+  ancestors after a sink), and a same-tier update re-walks its component's
+  top only when the top itself sank.
 * ``DetScoreForest`` -- deterministic score bucketing into doubly
   exponentially growing trees, probed smallest-first.
 * ``RankForest`` -- a self-organizing forest keyed by recency rank.
@@ -35,9 +40,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
-from functools import cache
+from functools import cache, partial
 from operator import lt
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, DuplicateKeyError
 from .priorities import RandomStream
@@ -349,6 +354,11 @@ class UpdateCost(NamedTuple):
     rebuild_writes: int
 
 
+# builds an ``UpdateCost`` from a (search, rebuild_writes) pair without the
+# named tuple's Python-level ``__new__``
+_update_cost = partial(tuple.__new__, UpdateCost)
+
+
 class Component:
     """One tier-forest component: its ``tier``, its ``top`` (its root in the
     base treap) and its sorted ``members``, which never change."""
@@ -390,15 +400,22 @@ class TierForestBTreap:
     path when the keys match, so a record never outlives a change.
 
     A weight update re-prioritizes one key of the base treap, and its
-    rotations re-hang only nodes beside that key's root path.  On a tier
-    change only the components holding such a node, or gaining one from
+    rotations re-hang only the key, the nodes it passes and the children
+    between them.  ``Treap.update_priority`` returns how many nodes it
+    passed, and a tier change moves the key one way, so ``_retier`` reads
+    the passed nodes in that many steps after the update, with no ancestor
+    set.  Only the components holding such a node, or gaining one from
     below, are re-grouped from their new tops: a group equal to an old
     component (same tier, same members) keeps its record, every other group
     gets a new record and counts a bulk build, and an old record that no
     ``comp_of`` entry names any more is simply dropped.  All other
-    components keep their members, tier and top.
+    components keep their members, tier and top.  A same-tier update keeps
+    every component's members; ``_refresh_root`` moves its component's top
+    to the key when it rose above the top, and walks up for a new top only
+    when the key was the top and sank.
 
-    ``rng`` draws the base treap's offsets: n on build, then one per update.
+    ``rng`` draws the base treap's offsets: n on build, then one per update,
+    the later ones through one ``rng.draws()`` iterator.
     """
 
     OUTER_BASE = 4  # the tier rule: floor(log4 log_B (1/w)), clamped at 0
@@ -411,42 +428,36 @@ class TierForestBTreap:
             raise ConfigError(err)
         self.B = B
         self.n = len(tiers)
-        self._rng = rng
-        self.base = Treap.build_arrays(tiers, self._rng.offsets(self.n))
+        self.base = Treap.build_arrays(tiers, rng.offsets(self.n))
+        self._draws = rng.draws()  # one offset per update, continuing the build's
         self.keys_of_tier: dict[int, list[int]] = {}
         for k, t in enumerate(tiers, start=1):
             self.keys_of_tier.setdefault(t, []).append(k)
         self.comp_of: list[Component | None] = [None] * (self.n + 1)  # slot 0 unused
         self._walked: tuple[int, int] | None = None  # (key, count) of the last access
-        for top, members in self._components(self._tops(range(1, self.n + 1))):
-            self._new_component(top, members)
+        parent, tier = self.base._parent, self.base._tier
+        for k in range(1, self.n + 1):
+            p = parent[k]
+            if not p or tier[p] != tier[k]:
+                self._new_component(k, self._members(k))
 
     # -- component decomposition -------------------------------------------
 
     def tier_of(self, key: int) -> int:
         return self.base._tier[key]
 
-    def _tops(self, keys: Iterable[int]) -> list[int]:
-        """The keys that top a component: their parent is absent or in another tier."""
-        parent, tier = self.base._parent, self.base._tier
-        return [k for k in keys if not parent[k] or tier[parent[k]] != tier[k]]
-
-    def _components(self, tops: list[int]) -> list[tuple[int, list[int]]]:
-        """(top, sorted members) for each top: the keys of the top's tier
-        between the ends of its left and right spines, which bound its
-        subtree's key range."""
-        left, right, tier = self.base._left, self.base._right, self.base._tier
-        keys_of_tier = self.keys_of_tier
-        out = []
-        for top in tops:
-            lo = hi = top
-            while left[lo]:
-                lo = left[lo]
-            while right[hi]:
-                hi = right[hi]
-            ks = keys_of_tier[tier[top]]
-            out.append((top, ks[bisect_left(ks, lo):bisect_right(ks, hi)]))
-        return out
+    def _members(self, top: int) -> list[int]:
+        """The sorted members of the component that ``top`` tops: the keys
+        of its tier between the ends of its left and right spines, which
+        bound its subtree's key range."""
+        left, right = self.base._left, self.base._right
+        lo = hi = top
+        while left[lo]:
+            lo = left[lo]
+        while right[hi]:
+            hi = right[hi]
+        ks = self.keys_of_tier[self.base._tier[top]]
+        return ks[bisect_left(ks, lo):bisect_right(ks, hi)]
 
     def _new_component(self, top: int, members: list[int]) -> int:
         """Record one component; returns the blocks its bulk build writes."""
@@ -456,42 +467,51 @@ class TierForestBTreap:
             comp_of[k] = comp
         return bulk_written(len(members), self.B)
 
-    def _neighbours(self, key: int) -> tuple[set[int], tuple[int, int]]:
-        """``key``'s ancestors and its two child slots (0 when empty)."""
-        parent = self.base._parent
-        ancestors: set[int] = set()
-        p = parent[key]
-        while p:
-            ancestors.add(p)
-            p = parent[p]
-        return ancestors, (self.base._left[key], self.base._right[key])
-
-    def _retier(self, key: int, ancestors: set[int], children: tuple[int, int]) -> int:
+    def _retier(self, key: int, rot: int, old_kids: tuple[int, int], rose: bool) -> int:
         """Re-group the components that ``key``'s tier change can alter.
 
-        ``ancestors`` and ``children`` are ``_neighbours(key)`` from before
-        the base treap update; ``keys_of_tier`` already lists ``key`` under
-        its new tier.  The base treap's update reaches the tree that
-        rotating ``key`` past each node it passes would, and each such
-        rotation re-hangs ``key``, the node it passes and one child between
-        them; the argument below reads only the trees before and after the
-        update, not how the update got there.  So every node whose parent
-        changed is ``key``, an ancestor before or after (not both), or a
-        child before or after; ``key``'s children are also the only nodes
-        whose parent changed tier.  A component that holds none of these
-        nodes, and that none of them now hangs below in its tier, keeps its
-        members and top.  Only a moved node changes its parent, its parent's
-        tier or its own tier, so no other member of a dirty component gains
-        or loses top status: the new tops are among the moved nodes and the
-        dirty components' old tops, and each new group is the slice of its
-        top's tier keys within the top's subtree range.  Returns the blocks
-        written for rebuilt components.
+        ``rot`` is the number of nodes the base treap update passed,
+        ``old_kids`` are ``key``'s two child slots before it (0 when empty),
+        and ``rose`` says whether its tier fell; ``keys_of_tier`` already
+        lists ``key`` under its new tier.  The base treap's update reaches the
+        tree that rotating ``key`` past each node it passes would, and each
+        such rotation re-hangs ``key``, the node it passes and one child
+        between them; the argument below reads only the trees before and
+        after the update, not how the update got there.  So every node whose
+        parent changed is ``key``, a passed node, or a child of ``key`` before
+        or after; ``key``'s children are also the only nodes whose parent
+        changed tier.  A tier change moves ``key``'s priority strictly one
+        way, so the passed nodes are its lowest ``rot`` ancestors before a
+        rise, which the rise hangs on the right spine of its new left subtree
+        and the left spine of its new right subtree above its old children,
+        and its lowest ``rot`` ancestors after a sink; both are read here
+        after the update, in ``rot`` steps.  A component that holds none of
+        these nodes, and that none of them now hangs below in its tier, keeps
+        its members and top.  Only a moved node changes its parent, its
+        parent's tier or its own tier, so no other member of a dirty
+        component gains or loses top status: the new tops are among the
+        moved nodes and the dirty components' old tops, and each new group is
+        ``_members`` of its top.  Returns the blocks written for rebuilt
+        components.
         """
+        left, right = self.base._left, self.base._right
         parent, tier = self.base._parent, self.base._tier
         comp_of = self.comp_of
-        after_anc, after_kids = self._neighbours(key)
-        moved = (ancestors ^ after_anc).union(children, after_kids)
-        moved.add(key)
+        moved = {key, left[key], right[key], *old_kids}
+        if rose:
+            x = left[key]
+            while x != old_kids[0]:
+                moved.add(x)
+                x = right[x]
+            x = right[key]
+            while x != old_kids[1]:
+                moved.add(x)
+                x = left[x]
+        else:
+            x = key
+            for _ in range(rot):
+                x = parent[x]
+                moved.add(x)
         moved.discard(0)
         dirty = set()
         for x in moved:
@@ -499,22 +519,36 @@ class TierForestBTreap:
             p = parent[x]
             if p and tier[p] == tier[x]:
                 dirty.add(comp_of[p])
-        tops = self._tops(sorted(moved.union([comp.top for comp in dirty])))
+        moved.update([comp.top for comp in dirty])  # with the old tops, every candidate top
         written = 0
-        for top, members in self._components(tops):
-            # groups are disjoint, so comp_of still holds this group's old record
+        # the groups are disjoint, so no group's records overwrite another's
+        # top: comp_of still holds each group's old record whatever the
+        # order, and the written count is a sum
+        for top in moved:
+            p = parent[top]
+            if p and tier[p] == tier[top]:
+                continue
+            members = self._members(top)
             comp = comp_of[top]
             if comp.tier != tier[top] or comp.members != members:
                 written += self._new_component(top, members)
         return written
 
     def _refresh_root(self, key: int) -> None:
-        """Same-tier rotations can promote a different member to component top."""
+        """Re-top ``key``'s component after same-tier rotations: ``key`` is
+        the top when it rose above every node of its tier, and the top is
+        walked up from ``key`` only when ``key`` was the top and sank below
+        a same-tier node; any other move leaves the top in place."""
         parent, tier = self.base._parent, self.base._tier
-        cur = key
-        while parent[cur] and tier[parent[cur]] == tier[cur]:
-            cur = parent[cur]
-        self.comp_of[key].top = cur
+        comp = self.comp_of[key]
+        p = parent[key]
+        if not p or tier[p] != tier[key]:
+            comp.top = key
+        elif comp.top == key:
+            cur = p
+            while parent[cur] and tier[parent[cur]] == tier[cur]:
+                cur = parent[cur]
+            comp.top = cur
 
     # -- access -------------------------------------------------------------
 
@@ -540,7 +574,8 @@ class TierForestBTreap:
             rank = bisect_left(members, target)
             if rank == len(members) or members[rank] != target:
                 raise AssertionError(f"key {target} missing from its component")
-            count += bulk_depth(len(members), B, rank)
+            size = len(members)
+            count += 1 if size < B else bulk_depth(size, B, rank)  # one block: depth 1
             below = comp.tier
             target = parent[comp.top]
             if not target:
@@ -566,28 +601,32 @@ class TierForestBTreap:
         after the update, summed, and the blocks written for rebuilt
         components.  The path before is the count of the ``access`` just
         before, recorded in ``_walked``, when that access was of ``key``, and
-        is walked otherwise; the record is spent here whatever the key."""
+        is walked otherwise; the record is spent here whatever the key.  A
+        tier change hands ``_retier`` the rotation count that
+        ``update_priority`` returns, ``key``'s old children and the direction
+        of the move, from which it reads the passed nodes; a same-tier update
+        that passed a node calls ``_refresh_root``, which re-walks the top
+        only when ``key`` was the top and sank."""
         walked, self._walked = self._walked, None
         if not 1 <= key <= self.n:
             raise KeyError(key)
         removal = walked[1] if walked and walked[0] == key else self._path_length(key)
-        old_tier = self.base._tier[key]
-        offset = self._rng.next_offset()
-        before = self._neighbours(key) if new_tier != old_tier else None
-        rot = self.base.update_priority(key, new_tier, offset)
-        written = 0
-        if before is not None:
-            ks = self.keys_of_tier[old_tier]
-            del ks[bisect_left(ks, key)]
-            insort(self.keys_of_tier.setdefault(new_tier, []), key)
-            written = self._retier(key, *before)
-        elif rot:
-            self._refresh_root(key)
-        # without a tier change, key rotates only past nodes of its own tier:
-        # its component keeps its members and the treap parent of its top,
-        # so the glued path to key is the one walked for removal
-        insertion = removal if before is None else self._path_length(key)
-        return UpdateCost(removal + insertion, written)
+        base = self.base
+        old_tier = base._tier[key]
+        if new_tier == old_tier:
+            # key rotates only past nodes of its own tier: its component
+            # keeps its members and the treap parent of its top, so the glued
+            # path to key is the one walked for removal
+            if base.update_priority(key, new_tier, next(self._draws)):
+                self._refresh_root(key)
+            return _update_cost((removal + removal, 0))
+        old_kids = (base._left[key], base._right[key])
+        rot = base.update_priority(key, new_tier, next(self._draws))
+        ks = self.keys_of_tier[old_tier]
+        del ks[bisect_left(ks, key)]
+        insort(self.keys_of_tier.setdefault(new_tier, []), key)
+        written = self._retier(key, rot, old_kids, new_tier < old_tier)
+        return _update_cost((removal + self._path_length(key), written))
 
     # -- serialization / checks ----------------------------------------------
 
@@ -677,7 +716,7 @@ class TierForestBTreap:
                     return f"component {top} mixes tiers at key {k}"
                 if comp_of[k] is not comp:
                     return f"key {k} marked in component {comp_of[k].top}, listed in component {top}"
-            if members != self._components([top])[0][1]:
+            if members != self._members(top):
                 return f"component {top} members differ from its slice of tier {comp.tier}'s keys"
         return None
 

@@ -458,6 +458,32 @@ class TestExperiments:
         assert s["checks"] == {"cost_le_4x_dp_opt": doctored != "dp_opt",
                                "cost_le_entropy_bound": doctored != "entropy"}
 
+    @pytest.mark.parametrize("doctored", ["cost", "overhead"])
+    def test_robustness_checks_can_fail(self, tmp_path, monkeypatch, doctored):
+        """Every static treap cost raised by 10^9 puts the noisy mean past the
+        cost bound and leaves the overhead, noisy minus base, as it was; the
+        base costs alone lowered by 10^9 leave the noisy mean in bounds and
+        put the overhead past its bound.  Each fails its own check alone, and
+        the command exits 1."""
+        trials = 2
+        real_cost = cli._static_treap_cost
+        costs = []
+
+        def static_treap_cost(masses, counts, rng):
+            cost = real_cost(masses, counts, rng)
+            costs.append(cost)
+            if doctored == "cost":
+                return cost + 10**9
+            return cost - 10**9 if len(costs) <= trials else cost  # the base builds come first
+
+        monkeypatch.setattr(cli, "_static_treap_cost", static_treap_cost)
+        code, s, _ = run_cli(tmp_path, "robustness", "n = 128\nm = 3000\neps = 0.5\n",
+                             trials=trials)
+        assert len(costs) == 2 * trials
+        assert code == 1 and s["all_passed"] is False
+        assert s["checks"] == {"kl_0.5_cost": doctored != "cost",
+                               "kl_0.5_overhead": doctored != "overhead"}
+
     def test_robustness_points(self, tmp_path):
         code, s, _ = run_cli(tmp_path, "robustness",
                              "n = 128\nm = 3000\neps = 0.5\n", trials=2)
@@ -600,6 +626,31 @@ class TestExperiments:
         row = s["mae_sweep"][0]
         assert row["eps_rel"] == 0.0 and row["noisy_cost"] == s["exact_cost"] + 1
         assert row["noisy_cost"] <= row["budget"]
+
+    @pytest.mark.parametrize("rel", [0.5, 1.0])
+    def test_interval_set_mae_checks_can_fail(self, tmp_path, monkeypatch, rel):
+        """A noisy run of the sweep whose access cost is raised by 10^9, far
+        past its budget, fails that eps's ``mae`` check alone, and the
+        command exits 1."""
+        real_run = cli.run_dynamic
+        noisy_runs = []
+
+        def run_dynamic(seq, scheme, structure, *args, **kwargs):
+            res = real_run(seq, scheme, structure, *args, **kwargs)
+            if scheme == "future-ws-noisy":
+                noisy_runs.append(res)
+                if len(noisy_runs) == [0.0, 0.5, 1.0].index(rel) + 1:  # the sweep's eps order
+                    res.access_cost += 10**9
+            return res
+
+        monkeypatch.setattr(cli, "run_dynamic", run_dynamic)
+        code, s, _ = run_cli(tmp_path, "interval-set", "n = 48\nm = 1200\n", trials=2)
+        assert len(noisy_runs) == 3
+        assert code == 1 and s["all_passed"] is False
+        assert s["checks"] == {"mae_0.0": True, "mae_0.5": rel != 0.5, "mae_1.0": rel != 1.0,
+                               "x2_cheaper_every_seed": True}
+        row = next(row for row in s["mae_sweep"] if row["eps_rel"] == rel)
+        assert row["noisy_cost"] > row["budget"]
 
     def test_interval_set_x2_check_fails_on_the_round_robin_trace(self, tmp_path, monkeypatch):
         """Handed the round-robin trace in place of the block-repeat one, the

@@ -3,6 +3,7 @@ deterministic score buckets, and the self-organizing recency forest."""
 
 import bisect
 import collections
+import copy
 import hashlib
 import heapq
 import math
@@ -43,6 +44,10 @@ class ReplayStream:
     def offsets(self, k: int) -> list[float]:
         return [self.queue.popleft() for _ in range(k)]
 
+    def draws(self):
+        """The queue as an iterator that pops only when advanced."""
+        return iter(self.queue.popleft, None)
+
 
 class TreeComponent:
     """``FullRepartitionForest``'s component record: a bulk-built ``BTree``
@@ -63,7 +68,7 @@ class FullRepartitionForest(TierForestBTreap):
     blocks its new trees hold.  Its glued path is found top-down: the
     chain of components on the root path first, then one search per
     component tree, with the tiers checked afterwards.  Its first forest,
-    too, comes from its own DFS, not from ``_components``.  Its
+    too, comes from its own DFS, not from ``_members``.  Its
     ``update_weight`` takes the new weight and maps it to its tier with
     ``tier_value(w, B, 4)``."""
 
@@ -167,6 +172,116 @@ class FullRepartitionForest(TierForestBTreap):
         elif rot:
             self._refresh_root(key)
         insertion = len({blk for blk, _ in self.path_pairs(key)})
+        return UpdateCost(removal + insertion, written)
+
+
+class AncestorSetForest(TierForestBTreap):
+    """Reference update rule: the tier forest's update as it stood before
+    re-tiering read the rotation count.  ``update_weight``, ``_neighbours``,
+    ``_retier``, ``_tops``, ``_components``, ``_refresh_root`` and
+    ``_path_length`` are literal copies of that code: a re-tier takes the
+    symmetric difference of two full ancestor sets, re-groups the sorted
+    tops, a same-tier update always walks up to the top, offsets come from
+    ``next_offset`` and the cost from ``UpdateCost``'s own constructor."""
+
+    def __init__(self, tiers, B: int, rng):
+        super().__init__(tiers, B, rng)
+        self._rng = rng
+
+    def _tops(self, keys):
+        parent, tier = self.base._parent, self.base._tier
+        return [k for k in keys if not parent[k] or tier[parent[k]] != tier[k]]
+
+    def _components(self, tops):
+        left, right, tier = self.base._left, self.base._right, self.base._tier
+        keys_of_tier = self.keys_of_tier
+        out = []
+        for top in tops:
+            lo = hi = top
+            while left[lo]:
+                lo = left[lo]
+            while right[hi]:
+                hi = right[hi]
+            ks = keys_of_tier[tier[top]]
+            out.append((top, ks[bisect.bisect_left(ks, lo):bisect.bisect_right(ks, hi)]))
+        return out
+
+    def _neighbours(self, key):
+        parent = self.base._parent
+        ancestors = set()
+        p = parent[key]
+        while p:
+            ancestors.add(p)
+            p = parent[p]
+        return ancestors, (self.base._left[key], self.base._right[key])
+
+    def _retier(self, key, ancestors, children):
+        parent, tier = self.base._parent, self.base._tier
+        comp_of = self.comp_of
+        after_anc, after_kids = self._neighbours(key)
+        moved = (ancestors ^ after_anc).union(children, after_kids)
+        moved.add(key)
+        moved.discard(0)
+        dirty = set()
+        for x in moved:
+            dirty.add(comp_of[x])
+            p = parent[x]
+            if p and tier[p] == tier[x]:
+                dirty.add(comp_of[p])
+        tops = self._tops(sorted(moved.union([comp.top for comp in dirty])))
+        written = 0
+        for top, members in self._components(tops):
+            comp = comp_of[top]
+            if comp.tier != tier[top] or comp.members != members:
+                written += self._new_component(top, members)
+        return written
+
+    def _refresh_root(self, key):
+        parent, tier = self.base._parent, self.base._tier
+        cur = key
+        while parent[cur] and tier[parent[cur]] == tier[cur]:
+            cur = parent[cur]
+        self.comp_of[key].top = cur
+
+    def _path_length(self, key):
+        comp_of, parent, B = self.comp_of, self.base._parent, self.B
+        count = 0
+        target = key
+        comp = comp_of[key]
+        below = comp.tier
+        while True:
+            if comp.tier > below:
+                raise AssertionError(f"tiers not monotone on the path to {key}: "
+                                     f"tier {comp.tier} above tier {below}")
+            members = comp.members
+            rank = bisect.bisect_left(members, target)
+            if rank == len(members) or members[rank] != target:
+                raise AssertionError(f"key {target} missing from its component")
+            count += bulk_depth(len(members), B, rank)
+            below = comp.tier
+            target = parent[comp.top]
+            if not target:
+                return count
+            comp = comp_of[target]
+
+    def update_weight(self, key, new_tier):
+        walked, self._walked = self._walked, None
+        if not 1 <= key <= self.n:
+            raise KeyError(key)
+        removal = walked[1] if walked and walked[0] == key else self._path_length(key)
+        old_tier = self.base._tier[key]
+        offset = self._rng.next_offset()
+        before = self._neighbours(key) if new_tier != old_tier else None
+        rot = self.base.update_priority(key, new_tier, offset)
+        written = 0
+        if before is not None:
+            ks = self.keys_of_tier[old_tier]
+            del ks[bisect.bisect_left(ks, key)]
+            bisect.insort(self.keys_of_tier.setdefault(new_tier, []), key)
+            written = self._retier(key, *before)
+        elif rot:
+            self._refresh_root(key)
+        insertion = removal if before is None else self._path_length(key)
         return UpdateCost(removal + insertion, written)
 
 
@@ -898,6 +1013,90 @@ class TestTierForest:
             assert touches[0] == touches[1], step
         assert retiers >= 100
 
+    @pytest.mark.parametrize("B, n, m", [(4, 64, 300), (16, 300, 150)])
+    def test_update_matches_the_ancestor_set_forest_in_lockstep(self, B, n, m, monkeypatch):
+        """Driven by ``run_dynamic`` on zipf, block-repeat and round-robin
+        traces under interval-set and past-ws-crude, the forest and
+        ``AncestorSetForest``, each on a copy of one stream, return equal
+        accesses and ``UpdateCost``s, and after every update hold equal tier
+        lists, equal component records per key and equal ``dump()``s.  Tier
+        changes that rise past nodes, sink past nodes and pass no node each
+        occur (B=16 needs n > 256 for a second tier)."""
+        kinds = collections.Counter()
+
+        def records(st):
+            return [(comp.tier, comp.top, comp.members) for comp in st.comp_of[1:]]
+
+        class Lockstep(TierForestBTreap):
+            def __init__(self, tiers, B, rng):
+                self.ref = AncestorSetForest(tiers, B, copy.deepcopy(rng))
+                super().__init__(tiers, B, rng)
+                assert self.dump() == self.ref.dump()
+
+            def access(self, key):
+                got = super().access(key)
+                assert got == self.ref.access(key)
+                return got
+
+            def update_weight(self, key, new_tier):
+                old_tier, depth = self.tier_of(key), self.base.access(key)
+                got = super().update_weight(key, new_tier)
+                assert type(got) is UpdateCost
+                assert got == self.ref.update_weight(key, new_tier)
+                assert self.keys_of_tier == self.ref.keys_of_tier
+                assert records(self) == records(self.ref)
+                assert self.dump() == self.ref.dump()
+                if new_tier != old_tier:
+                    rot = abs(depth - self.base.access(key))
+                    kinds["zero" if not rot else "rise" if new_tier < old_tier else "sink"] += 1
+                return got
+
+        monkeypatch.setattr(dynamic, "TierForestBTreap", Lockstep)
+        for family in ("zipf", "block-repeat", "round-robin"):
+            seq = gen_sequence(TraceSpec(family, n=n, m=m, seed=B))
+            for scheme in ("interval-set", "past-ws-crude"):
+                dynamic.run_dynamic(seq, scheme, "tier-forest", B=B, rng=RandomStream(B))
+        assert kinds["rise"] >= 50 and kinds["sink"] >= 50 and kinds["zero"] >= 5, kinds
+
+    @pytest.mark.parametrize("glued", [True, False], ids=["glued", "root"])
+    def test_same_tier_updates_re_top_only_what_moved(self, glued):
+        """A same-tier update re-tops its component in three ways: a key
+        that rises above its whole component becomes the top, a top that
+        sinks below a same-tier child hands the top to the node now above
+        it, and a key that moves below the top leaves the top alone.  After
+        each, the forest validates and every key's record names the top a
+        fresh walk up the same-tier parent links finds.  With ``glued`` the
+        component hangs below key 1 of tier 0; otherwise its top is the
+        root."""
+        offsets = [0.5, 0.9, 0.1, 0.7, 0.3, 0.8, 0.2, 0.6]
+        tiers = [0 if glued else 1] + [1] * 7
+        replay = ReplayStream(offsets)
+        st = TierForestBTreap(tiers, 4, rng=replay)
+        assert st.comp_of[2].top == 2
+
+        def update(key: int, offset: float) -> int:
+            """Updates ``key`` to ``offset`` in tier 1; returns the top before."""
+            depth, top = st.base.access(key), st.comp_of[key].top
+            replay.queue.append(offset)
+            uc = st.update_weight(key, 1)
+            assert not replay.queue
+            assert type(uc) is UpdateCost and uc.rebuild_writes == 0
+            assert st.base.access(key) != depth  # the key passed a node
+            assert st.validate() is None
+            for k in range(1, st.n + 1):
+                cur = k
+                while (p := parent_of(st.base, cur)) and st.tier_of(p) == st.tier_of(cur):
+                    cur = p
+                assert st.comp_of[k].top == cur, k
+            return top
+
+        assert update(7, 0.95) == 2  # rises above the top, key 2
+        assert st.comp_of[7].top == 7
+        assert update(7, 0.05) == 7  # the top sinks below key 2
+        assert st.comp_of[7].top == 2
+        assert update(5, 0.75) == 2  # rises, but not past key 2
+        assert st.comp_of[5].top == 2
+
     def test_noop_update_leaves_dump_alone(self):
         n = 20
         rng = RandomStream(2)
@@ -1206,8 +1405,8 @@ class TestTierForest:
             st = TierForestBTreap(tiers, B, rng=RandomStream(trial))
             assert [st.tier_of(k) for k in range(1, n + 1)] == tiers
             tier = st.base._tier
-            got = {top: (tier[top], members)
-                   for top, members in st._components(st._tops(range(1, n + 1)))}
+            got = {top: (tier[top], st._members(top)) for top in range(1, n + 1)
+                   if not parent_of(st.base, top) or tier[parent_of(st.base, top)] != tier[top]}
             comp = FullRepartitionForest._partition(st)
             want: dict[int, tuple[int, list[int]]] = {}
             for k in range(1, n + 1):
